@@ -222,6 +222,38 @@ fn campaign_csv_digest_matches_golden() {
     assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), csv);
 }
 
+/// Pinned digest of the committed Table-1 campaign
+/// (`specs/table1_rows5to9.json`) as a Slim CSV: the bytes
+/// `emac campaign --format csv --detail slim` writes. Unlike the 4 096-round
+/// matrix above, this covers long loaded runs and the diverging k-Clique
+/// least-on-pair flood, whose 35k-packet backlog exercises the station
+/// queues' per-destination and old-packet queries at depth.
+const TABLE1_SLIM_CSV_GOLDEN: &str = "a9f7a566ef016505";
+
+#[test]
+fn table1_slim_csv_digest_matches_golden() {
+    use emac_core::campaign::parse_campaign_spec;
+
+    let text = std::fs::read_to_string("specs/table1_rows5to9.json").unwrap();
+    let specs = parse_campaign_spec(&text).unwrap();
+    let mut sink = CsvStreamSink::new(Vec::new());
+    Campaign::new()
+        .threads(2)
+        .detail(MetricsDetail::Slim)
+        .run_into(&specs, &Registry, &mut sink)
+        .unwrap();
+    let csv = String::from_utf8(sink.into_inner()).unwrap();
+    let actual = format!("{:016x}", Fnv64::new().bytes(csv.as_bytes()).finish());
+    if actual != TABLE1_SLIM_CSV_GOLDEN {
+        println!("--- Table-1 CSV (re-pin the digest below after justifying the change) ---");
+        print!("{csv}");
+        panic!(
+            "Table-1 CSV digest diverged: expected {TABLE1_SLIM_CSV_GOLDEN}, got {actual}; \
+             full CSV printed above"
+        );
+    }
+}
+
 /// `Slim` detail invariance over the registry grid: every scalar metric
 /// equals its `Full` counterpart, so the CSV export (scalar columns only)
 /// digests identically to [`CAMPAIGN_CSV_GOLDEN`]'s bytes.
