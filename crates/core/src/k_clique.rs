@@ -20,7 +20,7 @@ use std::sync::Arc;
 use emac_broadcast::TokenRing;
 use emac_sim::{
     Action, AlgorithmClass, BuiltAlgorithm, Effects, Feedback, IndexedQueue, Message, OnSchedule,
-    Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
+    Protocol, ProtocolCtx, QueuedPacket, Round, StationId, Wake, WakeMode,
 };
 
 use crate::algorithm::Algorithm;
@@ -154,8 +154,21 @@ impl OnSchedule for KCliqueParams {
 struct PairReplica {
     p: usize,
     members: Vec<StationId>,
+    /// Destinations whose packets this station routes through pair `p`.
+    dests: Vec<StationId>,
     ring: TokenRing,
     marker: Round,
+}
+
+impl PairReplica {
+    /// The earliest-arrived old packet assigned to this pair: the oldest of
+    /// its destinations' old heads, O(k) through the per-destination lists.
+    fn oldest_old<'q>(&self, queue: &'q IndexedQueue) -> Option<&'q QueuedPacket> {
+        self.dests
+            .iter()
+            .filter_map(|&d| queue.oldest_old_for(d, self.marker))
+            .min_by_key(|qp| qp.seq)
+    }
 }
 
 /// Per-station `k-Clique` protocol.
@@ -172,6 +185,7 @@ impl KCliqueStation {
             .map(|p| PairReplica {
                 p,
                 members: params.pair_members(p),
+                dests: (0..params.n).filter(|&w| params.packet_pair(id, w) == p).collect(),
                 ring: TokenRing::new(params.k),
                 marker: 0,
             })
@@ -187,17 +201,11 @@ impl KCliqueStation {
 impl Protocol for KCliqueStation {
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
         let p = self.params.active_pair(ctx.round);
-        let params = Arc::clone(&self.params);
-        let Some(rep) = self.replica_mut(p) else {
+        let Some(rep) = self.reps.iter().find(|r| r.p == p) else {
             return Action::Listen;
         };
-        let holder = rep.members[rep.ring.pos()];
-        if holder == ctx.id {
-            // oldest old packet assigned to this pair
-            let found = queue
-                .iter_old(rep.marker)
-                .find(|qp| params.packet_pair(ctx.id, qp.packet.dest) == p);
-            if let Some(qp) = found {
+        if rep.members[rep.ring.pos()] == ctx.id {
+            if let Some(qp) = rep.oldest_old(queue) {
                 return Action::Transmit(Message::plain(qp.packet));
             }
         }
@@ -336,6 +344,69 @@ mod tests {
         for s in 0..12 {
             assert_eq!(p.pairs_of(s).len(), p.sets() - 1);
         }
+    }
+
+    /// The arrival-order scan `act` used before the per-destination lists:
+    /// the first old packet in the queue whose pair is `p`.
+    fn reference_scan<'q>(
+        params: &KCliqueParams,
+        v: StationId,
+        p: usize,
+        marker: Round,
+        queue: &'q IndexedQueue,
+    ) -> Option<&'q QueuedPacket> {
+        queue.iter_old(marker).find(|qp| params.packet_pair(v, qp.packet.dest) == p)
+    }
+
+    #[test]
+    fn per_destination_selection_matches_arrival_scan() {
+        use emac_sim::{Packet, PacketId, SmallRng};
+
+        let mut rng = SmallRng::seed_from_u64(0xc119e);
+        let mut found = 0usize;
+        // sets of one station (n=6, k=2) and of two (n=12, k=4)
+        for (n, k) in [(6usize, 2usize), (12, 4)] {
+            let params = Arc::new(KCliqueParams::new(n, k));
+            assert_eq!(params.k(), k);
+            for v in 0..n {
+                let mut station = KCliqueStation::new(Arc::clone(&params), v);
+                assert_eq!(station.reps.len(), params.sets() - 1, "one replica per pair of v");
+                for _case in 0..24 {
+                    let mut queue = IndexedQueue::new(n);
+                    let mut ids = Vec::new();
+                    let first = rng.random_range_u64(1..20);
+                    let mut round = first;
+                    for id in 0..rng.random_range(1..80) as u64 {
+                        round += rng.random_range_u64(0..3);
+                        let dest = (v + 1 + rng.random_range(0..n - 1)) % n;
+                        let packet =
+                            Packet { id: PacketId(id), dest, injected_round: round, origin: v };
+                        queue.push(packet, round);
+                        ids.push(id);
+                    }
+                    // drop about a third, from anywhere in the queue
+                    for _ in 0..ids.len() / 3 {
+                        let id = ids.swap_remove(rng.random_range(0..ids.len()));
+                        queue.remove(PacketId(id)).expect("queued");
+                    }
+                    let inside = first + rng.random_range_u64(0..round - first + 1);
+                    for marker in [0, first, inside, round, round + 1] {
+                        for rep in &mut station.reps {
+                            rep.marker = marker;
+                            let want = reference_scan(&params, v, rep.p, marker, &queue);
+                            assert_eq!(
+                                rep.oldest_old(&queue),
+                                want,
+                                "n={n} k={k} v={v} pair={} marker={marker}",
+                                rep.p
+                            );
+                            found += usize::from(want.is_some());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(found > 1_000, "the comparison must not be vacuous ({found} hits)");
     }
 
     #[test]

@@ -13,13 +13,35 @@
 //! # Representation
 //!
 //! Queue operations sit on the engine's per-round hot path, so the queue is
-//! a *slab*: packets live in a `Vec` of slots threaded into an intrusive
-//! doubly-linked list in arrival order, with removed slots recycled through
-//! a free list. Push and removal are O(1) plus one hash-map update for the
-//! id index; in steady state — once the slab and the id index have grown to
-//! the execution's high-water queue length — no queue operation allocates.
-//! (The previous `BTreeMap` keyed by arrival sequence allocated a node per
-//! push, which dominated the allocation profile of long stability sweeps.)
+//! a *slab*: packets live in a `Vec` of 64-byte slots, each threaded with
+//! `u32` links into two intrusive doubly-linked lists — the queue's arrival
+//! order, and the arrival order of the packets bound for the same
+//! destination (one head/tail/length entry per destination). Removed slots
+//! are recycled through a free list, and a multiply-mix-hashed index maps
+//! packet ids to slots. Once the slab and the id index have grown to the
+//! execution's high-water queue length, no queue operation allocates.
+//!
+//! **Arrival invariant.** [`IndexedQueue::push`] asserts that no packet
+//! arrives before the newest packet already queued, so both lists are
+//! sorted by `arrived` as well as by `seq`. The packets that arrived
+//! strictly before a marker round ("old" packets) are therefore a prefix
+//! of each list, and the old-packet queries stop at the first packet that
+//! is not old. The engine pushes in its current round, which never
+//! decreases.
+//!
+//! Costs, for a queue of `len` packets of which `old` are old, `len_d` are
+//! bound for `dest` and `old_d` are both:
+//!
+//! | operation                                        | cost                  |
+//! |--------------------------------------------------|-----------------------|
+//! | `push`, `remove`, `get`, `contains`              | O(1), one hash lookup |
+//! | `len`, `count_for`, `oldest`, `newest`           | O(1)                  |
+//! | `oldest_for`, `oldest_old`, `oldest_old_for`     | O(1)                  |
+//! | `iter_old`, `count_old`                          | O(old + 1)            |
+//! | `iter_for`                                       | O(len_d)              |
+//! | `count_old_for`                                  | O(old_d + 1)          |
+//! | `count_below(dest)`                              | O(dest)               |
+//! | `iter`                                           | O(len)                |
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -53,7 +75,7 @@ impl Hasher for IdHasher {
     }
 }
 
-type IdIndex = HashMap<PacketId, usize, BuildHasherDefault<IdHasher>>;
+type IdIndex = HashMap<PacketId, u32, BuildHasherDefault<IdHasher>>;
 
 /// A packet at rest in a station's queue, with arrival bookkeeping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,33 +89,50 @@ pub struct QueuedPacket {
     pub seq: u64,
 }
 
-/// Sentinel "no slot" index for the intrusive links.
-const NIL: usize = usize::MAX;
+/// Sentinel "no slot" index for the intrusive links; slot indices stay
+/// below it.
+const NIL: u32 = u32::MAX;
 
-/// One slab slot: a queued packet threaded into the arrival-order list.
-/// Freed slots keep their (stale) payload and reuse `next` as the free-list
+/// One slab slot: a queued packet threaded into the arrival-order list
+/// (`prev`/`next`) and its destination's list (`dprev`/`dnext`). Freed
+/// slots keep their (stale) payload and reuse `next` as the free-list
 /// link; only slots reachable from `head` are live.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     qp: QueuedPacket,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
+    dprev: u32,
+    dnext: u32,
 }
 
-/// Arrival-ordered queue with per-destination counts, O(1) push/removal by
+// `u32` links keep a slot at one cache line; `usize` links would not.
+const _: () = assert!(std::mem::size_of::<Slot>() == 64);
+
+/// Ends and length of one destination's list.
+#[derive(Clone, Copy, Debug)]
+struct DestList {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY_LIST: DestList = DestList { head: NIL, tail: NIL, len: 0 };
+
+/// Arrival-ordered queue with per-destination lists, O(1) push/removal by
 /// packet id, and steady-state allocation-free operation.
 #[derive(Clone, Debug)]
 pub struct IndexedQueue {
     slots: Vec<Slot>,
     /// Head of the free list (threaded through `Slot::next`).
-    free_head: usize,
+    free_head: u32,
     /// Oldest live slot (front of the arrival order).
-    head: usize,
+    head: u32,
     /// Newest live slot (back of the arrival order).
-    tail: usize,
+    tail: u32,
     len: usize,
     slot_of: IdIndex,
-    dest_counts: Vec<usize>,
+    dests: Vec<DestList>,
     next_seq: u64,
 }
 
@@ -113,7 +152,7 @@ impl IndexedQueue {
             tail: NIL,
             len: 0,
             slot_of: IdIndex::default(),
-            dest_counts: vec![0; n],
+            dests: vec![EMPTY_LIST; n],
             next_seq: 0,
         }
     }
@@ -135,34 +174,34 @@ impl IndexedQueue {
 
     /// Look up a queued packet by id.
     pub fn get(&self, id: PacketId) -> Option<&QueuedPacket> {
-        self.slot_of.get(&id).map(|&i| &self.slots[i].qp)
+        self.slot_of.get(&id).map(|&i| &self.slots[i as usize].qp)
     }
 
     /// Packets destined to `dest` currently queued.
     pub fn count_for(&self, dest: StationId) -> usize {
-        self.dest_counts[dest]
+        self.dests[dest].len as usize
     }
 
     /// Packets destined to stations with a name strictly below `dest`
     /// (used by Adjust-Window gossip).
     pub fn count_below(&self, dest: StationId) -> usize {
-        self.dest_counts[..dest].iter().sum()
+        self.dests[..dest].iter().map(|l| l.len as usize).sum()
     }
 
     /// Iterate over queued packets in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedPacket> {
-        Iter { slots: &self.slots, cur: self.head }
+        Links::<false> { slots: &self.slots, cur: self.head }
     }
 
     /// Iterate in arrival order over packets destined to `dest`.
     pub fn iter_for(&self, dest: StationId) -> impl Iterator<Item = &QueuedPacket> + '_ {
-        self.iter().filter(move |qp| qp.packet.dest == dest)
+        Links::<true> { slots: &self.slots, cur: self.dests[dest].head }
     }
 
     /// Iterate in arrival order over packets that arrived strictly before
     /// `marker` (the usual "old packet" predicate of the paper's algorithms).
     pub fn iter_old(&self, marker: Round) -> impl Iterator<Item = &QueuedPacket> + '_ {
-        self.iter().filter(move |qp| qp.arrived < marker)
+        self.iter().take_while(move |qp| qp.arrived < marker)
     }
 
     /// Count packets that arrived strictly before `marker`.
@@ -172,32 +211,36 @@ impl IndexedQueue {
 
     /// Count packets destined to `dest` that arrived strictly before `marker`.
     pub fn count_old_for(&self, dest: StationId, marker: Round) -> usize {
-        self.iter_old(marker).filter(|qp| qp.packet.dest == dest).count()
+        self.iter_for(dest).take_while(|qp| qp.arrived < marker).count()
     }
 
     /// The earliest-arrived packet.
     pub fn oldest(&self) -> Option<&QueuedPacket> {
-        (self.head != NIL).then(|| &self.slots[self.head].qp)
+        self.qp_at(self.head)
     }
 
     /// The latest-arrived packet.
     pub fn newest(&self) -> Option<&QueuedPacket> {
-        (self.tail != NIL).then(|| &self.slots[self.tail].qp)
+        self.qp_at(self.tail)
     }
 
     /// The earliest-arrived packet destined to `dest`.
     pub fn oldest_for(&self, dest: StationId) -> Option<&QueuedPacket> {
-        self.iter_for(dest).next()
+        self.qp_at(self.dests[dest].head)
     }
 
     /// The earliest-arrived packet that arrived strictly before `marker`.
     pub fn oldest_old(&self, marker: Round) -> Option<&QueuedPacket> {
-        self.iter_old(marker).next()
+        self.oldest().filter(|qp| qp.arrived < marker)
     }
 
     /// The earliest-arrived old packet destined to `dest`.
     pub fn oldest_old_for(&self, dest: StationId, marker: Round) -> Option<&QueuedPacket> {
-        self.iter_old(marker).find(|qp| qp.packet.dest == dest)
+        self.oldest_for(dest).filter(|qp| qp.arrived < marker)
+    }
+
+    fn qp_at(&self, idx: u32) -> Option<&QueuedPacket> {
+        (idx != NIL).then(|| &self.slots[idx as usize].qp)
     }
 
     /// Enqueue a packet arriving in round `arrived`.
@@ -205,29 +248,55 @@ impl IndexedQueue {
     /// Queue mutation is the engine's job during simulation — protocols only
     /// ever see `&IndexedQueue` — but the methods are public so the data
     /// structure can be tested and reused standalone.
+    ///
+    /// # Panics
+    ///
+    /// If `arrived` is earlier than the newest queued packet's arrival (the
+    /// old-packet queries rely on arrival order), or if the queue would
+    /// outgrow the `u32` slot range.
     pub fn push(&mut self, packet: Packet, arrived: Round) -> QueuedPacket {
+        if let Some(newest) = self.newest() {
+            assert!(
+                arrived >= newest.arrived,
+                "packet {} arrives in round {arrived}, before the newest queued packet \
+                 (round {}): queue arrivals must not decrease",
+                packet.id,
+                newest.arrived
+            );
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let qp = QueuedPacket { packet, arrived, seq };
-        let slot = Slot { qp, prev: self.tail, next: NIL };
+        let list = self.dests[packet.dest];
+        let slot = Slot { qp, prev: self.tail, next: NIL, dprev: list.tail, dnext: NIL };
         let idx = if self.free_head != NIL {
             let idx = self.free_head;
-            self.free_head = self.slots[idx].next;
-            self.slots[idx] = slot;
+            self.free_head = self.slots[idx as usize].next;
+            self.slots[idx as usize] = slot;
             idx
         } else {
+            let idx = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("station queue outgrew the u32 slot range of its links");
             self.slots.push(slot);
-            self.slots.len() - 1
+            idx
         };
         if self.tail != NIL {
-            self.slots[self.tail].next = idx;
+            self.slots[self.tail as usize].next = idx;
         } else {
             self.head = idx;
         }
         self.tail = idx;
+        if list.tail != NIL {
+            self.slots[list.tail as usize].dnext = idx;
+        } else {
+            self.dests[packet.dest].head = idx;
+        }
+        self.dests[packet.dest].tail = idx;
+        self.dests[packet.dest].len += 1;
         let prev = self.slot_of.insert(packet.id, idx);
         debug_assert!(prev.is_none(), "packet {} enqueued twice", packet.id);
-        self.dest_counts[packet.dest] += 1;
         self.len += 1;
         qp
     }
@@ -235,39 +304,52 @@ impl IndexedQueue {
     /// Remove a packet by id.
     pub fn remove(&mut self, id: PacketId) -> Option<QueuedPacket> {
         let idx = self.slot_of.remove(&id)?;
-        let Slot { qp, prev, next } = self.slots[idx];
+        let Slot { qp, prev, next, dprev, dnext } = self.slots[idx as usize];
         if prev != NIL {
-            self.slots[prev].next = next;
+            self.slots[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next].prev = prev;
+            self.slots[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.slots[idx].next = self.free_head;
+        let list = &mut self.dests[qp.packet.dest];
+        if dprev != NIL {
+            self.slots[dprev as usize].dnext = dnext;
+        } else {
+            list.head = dnext;
+        }
+        if dnext != NIL {
+            self.slots[dnext as usize].dprev = dprev;
+        } else {
+            list.tail = dprev;
+        }
+        list.len -= 1;
+        self.slots[idx as usize].next = self.free_head;
         self.free_head = idx;
-        self.dest_counts[qp.packet.dest] -= 1;
         self.len -= 1;
         Some(qp)
     }
 }
 
-struct Iter<'a> {
+/// Walks one of the intrusive lists: the arrival order, or with `DEST` set
+/// a destination's list.
+struct Links<'a, const DEST: bool> {
     slots: &'a [Slot],
-    cur: usize,
+    cur: u32,
 }
 
-impl<'a> Iterator for Iter<'a> {
+impl<'a, const DEST: bool> Iterator for Links<'a, DEST> {
     type Item = &'a QueuedPacket;
 
     fn next(&mut self) -> Option<&'a QueuedPacket> {
         if self.cur == NIL {
             return None;
         }
-        let slot = &self.slots[self.cur];
-        self.cur = slot.next;
+        let slot = &self.slots[self.cur as usize];
+        self.cur = if DEST { slot.dnext } else { slot.next };
         Some(&slot.qp)
     }
 }
@@ -392,5 +474,12 @@ mod tests {
         let qp = q.push(pkt(7, 2), 11);
         assert_eq!(qp.seq, 4, "sequence numbers keep increasing");
         assert_eq!(q.oldest().unwrap().packet.id.0, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue arrivals must not decrease")]
+    fn out_of_order_push_is_refused() {
+        let mut q = filled(); // newest packet arrived in round 5
+        q.push(pkt(4, 2), 4);
     }
 }

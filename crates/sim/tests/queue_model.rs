@@ -5,22 +5,40 @@
 
 use emac_sim::{IndexedQueue, Packet, PacketId, SmallRng, StationId};
 
+const N: usize = 8;
+
+/// Where in one destination's list a targeted removal strikes.
+#[derive(Clone, Copy, Debug)]
+enum Pos {
+    Head,
+    Tail,
+    Interior(usize),
+}
+
 #[derive(Clone, Debug)]
 enum Op {
-    Push { dest: StationId, arrived: u64 },
+    /// Push a packet arriving `advance` rounds after the previous one.
+    Push { dest: StationId, advance: u64 },
+    /// Remove a packet picked anywhere in the arrival order.
     Remove { index: usize },
-    // queries run after every op
+    /// Remove a packet at a chosen position of one destination's list.
+    RemoveInDest { dest: StationId, pos: Pos },
 }
 
 fn random_ops(rng: &mut SmallRng) -> Vec<Op> {
-    let len = rng.random_range(1..120);
+    let len = rng.random_range(1..160);
     (0..len)
-        .map(|_| {
-            // pushes three times as likely as removals, as before
-            if rng.random_range(0..4) < 3 {
-                Op::Push { dest: rng.random_range(0..8), arrived: rng.random_range_u64(0..100) }
-            } else {
-                Op::Remove { index: rng.random_range(0..64) }
+        .map(|_| match rng.random_range(0..8) {
+            // pushes three times as likely as removals
+            0..6 => Op::Push { dest: rng.random_range(0..N), advance: rng.random_range_u64(0..4) },
+            6 => Op::Remove { index: rng.random_range(0..64) },
+            _ => {
+                let pos = match rng.random_range(0..3) {
+                    0 => Pos::Head,
+                    1 => Pos::Tail,
+                    _ => Pos::Interior(rng.random_range(0..64)),
+                };
+                Op::RemoveInDest { dest: rng.random_range(0..N), pos }
             }
         })
         .collect()
@@ -45,14 +63,104 @@ impl Model {
             None => false,
         }
     }
-    fn count_for(&self, d: StationId) -> usize {
-        self.items.iter().filter(|(p, _)| p.dest == d).count()
+    fn ids(&self, keep: impl Fn(&Packet, u64) -> bool) -> Vec<u64> {
+        self.items.iter().filter(|&&(p, a)| keep(&p, a)).map(|(p, _)| p.id.0).collect()
     }
-    fn count_old(&self, marker: u64) -> usize {
-        self.items.iter().filter(|&&(_, a)| a < marker).count()
+    fn iter_for(&self, d: StationId) -> Vec<u64> {
+        self.ids(|p, _| p.dest == d)
     }
-    fn oldest_old_for(&self, d: StationId, marker: u64) -> Option<PacketId> {
-        self.items.iter().find(|&&(p, a)| p.dest == d && a < marker).map(|(p, _)| p.id)
+    fn iter_old(&self, marker: u64) -> Vec<u64> {
+        self.ids(|_, a| a < marker)
+    }
+    fn old_for(&self, d: StationId, marker: u64) -> Vec<u64> {
+        self.ids(|p, a| p.dest == d && a < marker)
+    }
+}
+
+fn ids<'a>(it: impl Iterator<Item = &'a emac_sim::QueuedPacket>) -> Vec<u64> {
+    it.map(|qp| qp.packet.id.0).collect()
+}
+
+/// Every query against the model, at markers before, inside and after the
+/// arrivals seen so far (`clock` is the latest arrival round).
+fn assert_agrees(q: &IndexedQueue, m: &Model, clock: u64) {
+    assert_eq!(q.len(), m.items.len());
+    assert_eq!(ids(q.iter()), m.ids(|_, _| true), "arrival order must match");
+    assert_eq!(q.oldest().map(|qp| qp.packet.id.0), m.items.first().map(|(p, _)| p.id.0));
+    assert_eq!(q.newest().map(|qp| qp.packet.id.0), m.items.last().map(|(p, _)| p.id.0));
+    for d in 0..N {
+        let want = m.iter_for(d);
+        assert_eq!(ids(q.iter_for(d)), want, "iter_for({d})");
+        assert_eq!(q.count_for(d), want.len());
+        assert_eq!(q.oldest_for(d).map(|qp| qp.packet.id.0), want.first().copied());
+    }
+    for marker in [0, 1, clock / 3, clock / 2, clock, clock + 1, u64::MAX] {
+        let old = m.iter_old(marker);
+        assert_eq!(ids(q.iter_old(marker)), old, "iter_old({marker})");
+        assert_eq!(q.count_old(marker), old.len());
+        assert_eq!(q.oldest_old(marker).map(|qp| qp.packet.id.0), old.first().copied());
+        for d in 0..N {
+            let old_d = m.old_for(d, marker);
+            assert_eq!(q.count_old_for(d, marker), old_d.len(), "count_old_for({d}, {marker})");
+            assert_eq!(
+                q.oldest_old_for(d, marker).map(|qp| qp.packet.id.0),
+                old_d.first().copied()
+            );
+        }
+    }
+}
+
+/// A queue and its model driven in step.
+struct Pair {
+    q: IndexedQueue,
+    m: Model,
+    next_id: u64,
+    clock: u64, // arrivals must be non-decreasing
+}
+
+impl Pair {
+    fn new() -> Self {
+        Self { q: IndexedQueue::new(N), m: Model::default(), next_id: 0, clock: 0 }
+    }
+
+    fn push(&mut self, dest: StationId, advance: u64) {
+        self.clock += advance;
+        let p = Packet { id: PacketId(self.next_id), dest, injected_round: self.clock, origin: 0 };
+        self.next_id += 1;
+        self.q.push(p, self.clock);
+        self.m.push(p, self.clock);
+    }
+
+    fn remove(&mut self, id: PacketId) {
+        let was_in_model = self.m.remove(id);
+        let removed = self.q.remove(id);
+        assert_eq!(was_in_model, removed.is_some());
+        assert_eq!(removed.map(|qp| qp.packet.id), was_in_model.then_some(id));
+    }
+
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Push { dest, advance } => self.push(dest, advance),
+            Op::Remove { index } => {
+                if !self.m.items.is_empty() {
+                    let id = self.m.items[index % self.m.items.len()].0.id;
+                    self.remove(id);
+                }
+            }
+            Op::RemoveInDest { dest, pos } => {
+                let list = self.m.iter_for(dest);
+                if !list.is_empty() {
+                    let at = match pos {
+                        Pos::Head => 0,
+                        Pos::Tail => list.len() - 1,
+                        // strictly inside when the list has one
+                        Pos::Interior(i) if list.len() > 2 => 1 + i % (list.len() - 2),
+                        Pos::Interior(i) => i % list.len(),
+                    };
+                    self.remove(PacketId(list[at]));
+                }
+            }
+        }
     }
 }
 
@@ -60,54 +168,31 @@ impl Model {
 fn queue_agrees_with_reference_model() {
     let mut rng = SmallRng::seed_from_u64(0x0eee);
     for _case in 0..64 {
-        let ops = random_ops(&mut rng);
-        let n = 8;
-        let mut q = IndexedQueue::new(n);
-        let mut m = Model::default();
-        let mut next_id = 0u64;
-        let mut arrival_clock = 0u64; // arrivals must be non-decreasing
-        for op in ops {
-            match op {
-                Op::Push { dest, arrived } => {
-                    arrival_clock = arrival_clock.max(arrived);
-                    let p = Packet {
-                        id: PacketId(next_id),
-                        dest,
-                        injected_round: arrival_clock,
-                        origin: 0,
-                    };
-                    next_id += 1;
-                    q.push(p, arrival_clock);
-                    m.push(p, arrival_clock);
-                }
-                Op::Remove { index } => {
-                    if !m.items.is_empty() {
-                        let id = m.items[index % m.items.len()].0.id;
-                        let was_in_model = m.remove(id);
-                        let removed = q.remove(id);
-                        assert_eq!(was_in_model, removed.is_some());
-                    }
-                }
-            }
-            // full agreement after every operation
-            assert_eq!(q.len(), m.items.len());
-            let q_order: Vec<u64> = q.iter().map(|qp| qp.packet.id.0).collect();
-            let m_order: Vec<u64> = m.items.iter().map(|(p, _)| p.id.0).collect();
-            assert_eq!(q_order, m_order, "arrival order must match");
-            for d in 0..n {
-                assert_eq!(q.count_for(d), m.count_for(d));
-            }
-            for marker in [0u64, 5, 50, 1_000] {
-                assert_eq!(q.count_old(marker), m.count_old(marker));
-                for d in 0..n {
-                    assert_eq!(
-                        q.oldest_old_for(d, marker).map(|qp| qp.packet.id),
-                        m.oldest_old_for(d, marker)
-                    );
-                }
-            }
-            assert_eq!(q.oldest().map(|qp| qp.packet.id.0), m.items.first().map(|(p, _)| p.id.0));
-            assert_eq!(q.newest().map(|qp| qp.packet.id.0), m.items.last().map(|(p, _)| p.id.0));
+        let mut s = Pair::new();
+        for op in random_ops(&mut rng) {
+            s.apply(op);
+            assert_agrees(&s.q, &s.m, s.clock);
+        }
+    }
+}
+
+/// Slots freed by one destination's packets are reused by others': fill,
+/// then repeatedly remove a random packet and push one bound for a
+/// different destination, so every recycled slot changes lists.
+#[test]
+fn recycled_slots_move_between_destination_lists() {
+    let mut rng = SmallRng::seed_from_u64(0x0ef0);
+    for _case in 0..16 {
+        let mut s = Pair::new();
+        for _ in 0..rng.random_range(1..24) {
+            s.push(rng.random_range(0..N), rng.random_range_u64(0..3));
+        }
+        for _ in 0..200 {
+            let (p, _) = s.m.items[rng.random_range(0..s.m.items.len())];
+            s.remove(p.id);
+            let dest = (p.dest + 1 + rng.random_range(0..N - 1)) % N;
+            s.push(dest, rng.random_range_u64(0..3));
+            assert_agrees(&s.q, &s.m, s.clock);
         }
     }
 }
