@@ -14,12 +14,12 @@
 
 use std::hint::black_box;
 
-use emac_adversary::UniformRandom;
+use emac_adversary::{LeastOnPair, UniformRandom};
 use emac_bench::timing::{bench, write_json, BenchResult};
 use emac_broadcast::{build_mbtf, build_of_rrw, build_rrw};
 use emac_core::prelude::*;
 use emac_sim::{
-    BatchSimulator, BuiltAlgorithm, FaultSpec, NoInjections, Rate, SimConfig, Simulator,
+    BatchSimulator, BuiltAlgorithm, FaultSpec, NoInjections, Rate, SimConfig, Simulator, WakeMode,
 };
 
 const ROUNDS: u64 = 50_000;
@@ -76,6 +76,30 @@ fn sleeping_stations(rounds: u64, results: &mut Vec<BenchResult>) {
         sim.run(rounds);
         assert!(sim.violations().is_clean());
         black_box(sim.metrics().jammed_rounds);
+    }));
+}
+
+fn backlog(rounds: u64, results: &mut Vec<BenchResult>) {
+    // The diverging Table-1 row: k-Clique against the least-on-pair flood
+    // above the pair threshold. Built fresh and run from empty on each
+    // call, so the flooded station's backlog grows through the call as it
+    // does in the campaign, and every token-holding round queries a deep
+    // queue whose active pair may carry none of it.
+    println!("backlog: {rounds} rounds per call, from empty");
+    results.push(bench("kclique_backlog_n6", rounds, || {
+        let (n, k) = (6, 3);
+        let rho = bounds::k_subsets_rate_threshold(n as u64, k as u64).scaled(3, 2);
+        let alg = KClique::new(k);
+        let built = alg.build(n);
+        let WakeMode::Scheduled(schedule) = &built.wake else {
+            unreachable!("k-Clique has a fixed schedule")
+        };
+        let adv = Box::new(LeastOnPair::new(schedule, n, 5_000));
+        let cfg = SimConfig::new(n, alg.required_cap(n)).adversary_type(rho, Rate::integer(2));
+        let mut sim = Simulator::new(cfg, built, adv);
+        sim.run(rounds);
+        assert!(sim.violations().is_clean());
+        black_box(sim.metrics().max_total_queued);
     }));
 }
 
@@ -229,6 +253,7 @@ fn main() {
     let mut results = Vec::new();
     engine_rounds(rounds, &mut results);
     sleeping_stations(rounds, &mut results);
+    backlog(rounds, &mut results);
     large_n(rounds, &mut results);
     batch_lanes(rounds, &mut results);
     frontier_bisect(rounds, &mut results);

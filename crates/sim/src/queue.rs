@@ -106,8 +106,8 @@ struct Slot {
     dnext: u32,
 }
 
-// `u32` links keep a slot at one cache line; `usize` links would not.
-const _: () = assert!(std::mem::size_of::<Slot>() == 64);
+// `u32` links keep a slot within one cache line; `usize` links would not.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
 
 /// Ends and length of one destination's list.
 #[derive(Clone, Copy, Debug)]
@@ -267,8 +267,8 @@ impl IndexedQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         let qp = QueuedPacket { packet, arrived, seq };
-        let list = self.dests[packet.dest];
-        let slot = Slot { qp, prev: self.tail, next: NIL, dprev: list.tail, dnext: NIL };
+        let dprev = self.dests[packet.dest].tail;
+        let slot = Slot { qp, prev: self.tail, next: NIL, dprev, dnext: NIL };
         let idx = if self.free_head != NIL {
             let idx = self.free_head;
             self.free_head = self.slots[idx as usize].next;
@@ -288,13 +288,14 @@ impl IndexedQueue {
             self.head = idx;
         }
         self.tail = idx;
+        let list = &mut self.dests[packet.dest];
         if list.tail != NIL {
             self.slots[list.tail as usize].dnext = idx;
         } else {
-            self.dests[packet.dest].head = idx;
+            list.head = idx;
         }
-        self.dests[packet.dest].tail = idx;
-        self.dests[packet.dest].len += 1;
+        list.tail = idx;
+        list.len += 1;
         let prev = self.slot_of.insert(packet.id, idx);
         debug_assert!(prev.is_none(), "packet {} enqueued twice", packet.id);
         self.len += 1;
