@@ -346,8 +346,8 @@ mod tests {
         }
     }
 
-    /// The arrival-order scan `act` used before the per-destination lists:
-    /// the first old packet in the queue whose pair is `p`.
+    /// Reference for [`PairReplica::oldest_old`]: the first old packet in
+    /// arrival order whose pair is `p`, found by scanning the whole queue.
     fn reference_scan<'q>(
         params: &KCliqueParams,
         v: StationId,

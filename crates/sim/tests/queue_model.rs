@@ -111,14 +111,14 @@ fn assert_agrees(q: &IndexedQueue, m: &Model, clock: u64) {
 }
 
 /// A queue and its model driven in step.
-struct Pair {
+struct Harness {
     q: IndexedQueue,
     m: Model,
     next_id: u64,
     clock: u64, // arrivals must be non-decreasing
 }
 
-impl Pair {
+impl Harness {
     fn new() -> Self {
         Self { q: IndexedQueue::new(N), m: Model::default(), next_id: 0, clock: 0 }
     }
@@ -168,7 +168,7 @@ impl Pair {
 fn queue_agrees_with_reference_model() {
     let mut rng = SmallRng::seed_from_u64(0x0eee);
     for _case in 0..64 {
-        let mut s = Pair::new();
+        let mut s = Harness::new();
         for op in random_ops(&mut rng) {
             s.apply(op);
             assert_agrees(&s.q, &s.m, s.clock);
@@ -183,7 +183,7 @@ fn queue_agrees_with_reference_model() {
 fn recycled_slots_move_between_destination_lists() {
     let mut rng = SmallRng::seed_from_u64(0x0ef0);
     for _case in 0..16 {
-        let mut s = Pair::new();
+        let mut s = Harness::new();
         for _ in 0..rng.random_range(1..24) {
             s.push(rng.random_range(0..N), rng.random_range_u64(0..3));
         }
