@@ -9,13 +9,17 @@
 //! is a pure execution strategy — lane `i` is bit-for-bit the solo
 //! execution with seed `i`, for periodic-schedule algorithms (shared wake
 //! state), adaptive ones, and the aperiodic duty-cycle baseline (per-lane
-//! fallback) alike.
+//! fallback) alike. A third case pins the probe early exit: lanes that
+//! trip `probe_cap` mid-batch against solo probes that stop at the cap.
 //!
 //! [`RunReport`]: emac_core::runner::RunReport
 
 use emac::registry::Registry;
+use emac_core::campaign::expr::ExprEnv;
 use emac_core::campaign::{execute_batch, Campaign, ScenarioSpec};
 use emac_core::digest::report_digest_hex;
+use emac_core::frontier::FrontierSpec;
+use emac_core::runner::RunReport;
 use emac_sim::{FaultSpec, Rate};
 
 const N: usize = 8;
@@ -69,11 +73,18 @@ fn matrix() -> Vec<ScenarioSpec> {
 }
 
 fn assert_lane_exact(spec: &ScenarioSpec) {
+    assert_lanes_match_solo(spec, &SEEDS);
+}
+
+/// Run `spec` as one batch over `seeds` and compare every lane's digest
+/// (and probe tripping round) with a solo run of its seed; returns the
+/// lanes.
+fn assert_lanes_match_solo(spec: &ScenarioSpec, seeds: &[u64]) -> Vec<RunReport> {
     let label = spec.display_label();
-    let lanes = execute_batch(spec, &SEEDS, &Registry)
+    let lanes = execute_batch(spec, seeds, &Registry)
         .unwrap_or_else(|e| panic!("{label}: batch failed: {e}"));
-    assert_eq!(lanes.len(), SEEDS.len());
-    for (&seed, lane) in SEEDS.iter().zip(&lanes) {
+    assert_eq!(lanes.len(), seeds.len());
+    for (&seed, lane) in seeds.iter().zip(&lanes) {
         let mut solo_spec = spec.clone();
         solo_spec.seed = seed;
         let solo = Campaign::new().threads(1).run(std::slice::from_ref(&solo_spec), &Registry);
@@ -86,7 +97,12 @@ fn assert_lane_exact(spec: &ScenarioSpec) {
             report_digest_hex(solo),
             "{label}: lane digest for seed {seed} diverged from the solo run"
         );
+        assert_eq!(
+            lane.tripped_round, solo.tripped_round,
+            "{label}: lane for seed {seed} left the probe at another round than the solo run"
+        );
     }
+    lanes
 }
 
 #[test]
@@ -175,4 +191,49 @@ fn faulty_scenarios_are_lane_exact() {
         .faults(FaultSpec { skew: 3, seed: 5, ..Default::default() })
         .label("count-hop|uniform|faults=skew");
     assert_lane_exact(&spec);
+}
+
+/// Lane exactness under the probe early exit. A batch lane whose queues
+/// pass `probe_cap` drops out of `BatchSimulator::run_probe` while the
+/// other lanes keep stepping; a solo probe stops in
+/// `Simulator::run_probe_round`. Both cases are built from committed map
+/// templates at a point where the cap splits the lanes, so one batch
+/// holds lanes that trip and lanes that run the full horizon.
+#[test]
+fn probe_early_exit_is_lane_exact() {
+    let probe = |path: &str, n: usize, set: &dyn Fn(&mut ScenarioSpec)| -> ScenarioSpec {
+        let text = std::fs::read_to_string(path).unwrap();
+        let template = FrontierSpec::parse(&text).unwrap().template;
+        let mut spec = template.resolve_at(&ExprEnv::new(n, 3)).unwrap();
+        set(&mut spec);
+        spec
+    };
+    let cases = [
+        // The band map's n=13 point, just where the flood's queue reaches
+        // the 2000-packet cap at the 16000-round horizon.
+        (
+            probe("specs/frontier_theorem5_band.json", 13, &|s| s.rho = Rate::new(53, 200)),
+            vec![1, 2, 3, 4, 5],
+        ),
+        // The jammed map's n=9 point, jammed hard enough to reach the cap.
+        (
+            probe("specs/frontier_kcycle_jammed.json", 9, &|s| {
+                s.faults.as_mut().expect("the jammed template arms faults").jam =
+                    Rate::new(143, 200)
+            }),
+            (1..=9).collect(),
+        ),
+    ];
+    for (spec, seeds) in cases {
+        assert!(spec.probe_cap.is_some(), "map templates probe with a cap");
+        let lanes = assert_lanes_match_solo(&spec, &seeds);
+        let tripped = lanes.iter().filter(|r| r.tripped_round.is_some()).count();
+        assert!(
+            0 < tripped && tripped < lanes.len(),
+            "{}: the case must mix lanes that trip the cap ({tripped}) with lanes that run the \
+             full horizon ({})",
+            spec.display_label(),
+            lanes.len() - tripped
+        );
+    }
 }
