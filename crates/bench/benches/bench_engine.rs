@@ -210,12 +210,12 @@ fn frontier_bisect(rounds: u64, results: &mut Vec<BenchResult>) {
         black_box(summary.completed);
     }));
 
-    // The ensemble-probe variant: the same point under a 5-seed lockstep
-    // ensemble with escalation armed. work_items stays the number of
-    // ensemble probes, so ns/item against frontier_bisect_kcycle_n16
-    // reads as the all-in cost of banding a probe: 5+ lanes, full
-    // horizons on the stable side, and every escalation re-run of a
-    // disagreeing batch.
+    // The ensemble-probe variant: the same point under a 5-seed ensemble
+    // (one lane per seed) with escalation armed. work_items stays the
+    // number of ensemble probes, so ns/item against
+    // frontier_bisect_kcycle_n16 reads as the all-in cost of banding a
+    // probe: 5+ lanes, full horizons on the stable side, and the lanes
+    // escalation adds to a disagreeing probe.
     let ensemble_template = format!(
         r#"{{"template": {{"algorithm": "k-cycle", "adversary": "spread-from-one-rand",
             "target": 1, "rounds": {rounds}, "probe_cap": 2500}},

@@ -1106,7 +1106,10 @@ impl Campaign {
     }
 }
 
-fn execute_one<F: ScenarioFactory>(spec: &ScenarioSpec, factory: &F) -> ScenarioRun {
+/// Run one scenario — a campaign row, or one lane of a frontier probe
+/// with its seed swapped in. Panics inside the simulation are captured as
+/// the run's error.
+pub(crate) fn execute_one<F: ScenarioFactory>(spec: &ScenarioSpec, factory: &F) -> ScenarioRun {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<RunReport, String> {
         spec.validate()?;
         let algorithm = factory.algorithm(spec)?;
@@ -1139,9 +1142,9 @@ fn execute_one<F: ScenarioFactory>(spec: &ScenarioSpec, factory: &F) -> Scenario
 /// Run `spec` under every seed in `seeds` as one lockstep batch — the
 /// multi-seed sibling of [`execute_one`], built from the same `Runner`
 /// setup so lane `i` is digest-identical to `execute_one` with
-/// `spec.seed = seeds[i]`. `spec.seed` itself is ignored. Used by the
-/// frontier's seed-ensemble probes; panics inside the simulation are
-/// captured as errors like the solo executor does.
+/// `spec.seed = seeds[i]`. `spec.seed` itself is ignored. Used by
+/// `emac run --seeds`; panics inside the simulation are captured as
+/// errors like the solo executor does.
 pub fn execute_batch<F: ScenarioFactory>(
     spec: &ScenarioSpec,
     seeds: &[u64],

@@ -11,14 +11,14 @@
 //! *map axes* (`n`, `k`) to emit a frontier map — one row
 //! `(n, k, lo, hi, boundary, probes, status)` per map point.
 //!
-//! The search is layered **on** the campaign machinery, not beside it:
-//! every refinement wave is a batch of [`ScenarioSpec`]s executed through
-//! [`Campaign::run_subset`]'s parallel sink pipeline, so frontier runs
-//! inherit the ordered hand-off (probe verdicts arrive in spec order no
-//! matter how workers are scheduled), [`MetricsDetail::Slim`], and the
-//! determinism guarantees: a frontier map is **byte-identical at any
-//! thread count**, and a killed map resumes mid-bisection from its
-//! [`FrontierCheckpoint`] to the same bytes as an uninterrupted run.
+//! The search runs in refinement waves: each wave takes every unfinished
+//! point's next probe and runs it as *lanes* — one solo scenario run per
+//! seed, through the campaign's per-scenario executor — on a pool of
+//! workers fed by one `(probe, seed)` queue. Lanes are deterministic and
+//! their tallies are recorded in wave order once the pool drains, so a
+//! frontier map is **byte-identical at any thread count**, and a killed
+//! map resumes mid-bisection from its [`FrontierCheckpoint`] to the same
+//! bytes as an uninterrupted run.
 //!
 //! Template fields and the bracket endpoints accept derived-axis
 //! [`expr`](crate::campaign::expr)essions evaluated per map point, so one
@@ -61,12 +61,13 @@
 //!
 //! # Seed ensembles, bands, escalation
 //!
-//! With two or more `"seeds"`, every probe runs all seeds as one lockstep
-//! batch ([`Runner::try_run_batch`](crate::runner::Runner::try_run_batch))
-//! and the bisection follows the **strict-majority** verdict; a tie on an
-//! even ensemble counts as `Diverging` (the conservative reading: half
-//! the streams blowing up is not stability). Ensemble rows carry three
-//! extra columns:
+//! With two or more `"seeds"`, every probe runs one lane per seed and the
+//! bisection follows the **strict-majority** verdict of its lanes; a tie
+//! on an even ensemble counts as `Diverging` (the conservative reading:
+//! half the streams blowing up is not stability). The lanes of one probe
+//! spread across the workers like any other lanes; lane `i` is
+//! bit-for-bit the solo run with seed `i`, so where a lane runs never
+//! changes a tally. Ensemble rows carry three extra columns:
 //!
 //! - `band_lo`/`band_hi` — the *verdict-flip band*: from the lowest probed
 //!   axis value where **any** lane diverged through the highest where any
@@ -77,15 +78,16 @@
 //!   `1.000000` exactly when the band is degenerate.
 //!
 //! An `"escalate": {"max_seeds": S, "step": d}` rule spends extra seeds
-//! only where the ensemble disagrees: a probe whose final batch is mixed
-//! re-runs with `d` more lanes (fresh seeds `max(seeds)+1, +2, …`) until
-//! the batch is unanimous or `S` lanes are reached. Lanes are
-//! deterministic, so re-probing cannot flip the lanes already run — a
-//! unanimous base ensemble never escalates, and a genuinely contested
-//! probe widens to the cap, sharpening the band and the agreement
-//! denominator. Escalation outcomes are recorded in the checkpoint as
-//! replayable events (the final lane tally), so a killed map resumes to
-//! byte-identical output without re-running anything.
+//! only where the ensemble disagrees: when the last lane of a probe lands
+//! and its lanes are mixed, the probe gains `d` more lanes (fresh seeds
+//! `max(seeds)+1, +2, …`), until its lanes are unanimous or `S` lanes are
+//! reached. Only the new lanes run — they go to the front of the queue,
+//! and the lanes already landed keep their verdicts — so a unanimous base
+//! ensemble never escalates, and a genuinely contested probe widens to
+//! the cap, sharpening the band and the agreement denominator. Escalation
+//! outcomes are recorded in the checkpoint as replayable events (the
+//! final lane tally), so a killed map resumes to byte-identical output
+//! without re-running anything.
 //!
 //! # `n`-continuation
 //!
@@ -99,9 +101,9 @@
 
 pub mod checkpoint;
 
+use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use emac_sim::Rate;
@@ -109,9 +111,7 @@ use emac_sim::Rate;
 use crate::campaign::expr::{gcd, ExprEnv, RateAxis};
 use crate::campaign::json::Json;
 use crate::campaign::rate_str;
-use crate::campaign::{
-    Campaign, FnSink, MetricsDetail, RawScenario, ScenarioFactory, ScenarioSpec,
-};
+use crate::campaign::{RawScenario, ScenarioFactory, ScenarioRun, ScenarioSpec};
 use crate::digest::Fnv64;
 use crate::obs::{ObsEvent, Observer};
 use crate::stability::Verdict;
@@ -251,13 +251,11 @@ pub struct FrontierSpec {
     pub ks: Vec<usize>,
     /// Probe seed ensemble. Empty (the default) probes with the template's
     /// own seed; one seed overrides it; more than one runs every probe as
-    /// a lockstep seed batch ([`Runner::try_run_batch`]) and takes the
-    /// strict-majority verdict across lanes (ties on even ensembles count
-    /// as diverging — the conservative reading), so a boundary stops being
-    /// one RNG stream's opinion. Ensemble rows additionally report the
-    /// verdict-flip band and lane agreement.
-    ///
-    /// [`Runner::try_run_batch`]: crate::runner::Runner::try_run_batch
+    /// one lane per seed and takes the strict-majority verdict across
+    /// lanes (ties on even ensembles count as diverging — the conservative
+    /// reading), so a boundary stops being one RNG stream's opinion.
+    /// Ensemble rows additionally report the verdict-flip band and lane
+    /// agreement.
     pub seeds: Vec<u64>,
     /// Adaptive seed escalation; requires an ensemble (`seeds.len() >= 2`).
     pub escalate: Option<EscalateSpec>,
@@ -1159,52 +1157,165 @@ pub struct FrontierSummary {
     pub escalated_probes: usize,
 }
 
-/// A wave slot's resolved probe: the verdict plus, on ensemble maps, the
-/// final batch's `(diverging, lanes)` split.
-type WaveVerdict = Option<(Verdict, Option<(usize, usize)>)>;
-
-/// Outcome of one (possibly escalated) seed-ensemble probe: the final lane
-/// batch's tally.
-struct ProbeOutcome {
-    diverging: usize,
+/// A wave probe's lanes, tallied as they land (see [`run_wave`]).
+#[derive(Debug, Default)]
+struct ProbeTally {
+    /// Lanes queued or running.
+    outstanding: usize,
+    /// Largest seed issued; escalation adds fresh seeds past it.
+    top_seed: u64,
+    /// Landed lanes, and how many of them diverged.
     lanes: usize,
+    diverging: usize,
+    /// The latest landed lane's verdict: a solo probe's verdict.
+    verdict: Option<Verdict>,
+    /// Whether any landed lane violated a model invariant.
     unclean: bool,
+    /// Simulated rounds summed over the landed lanes.
+    rounds: u64,
+    /// Worker-measured lane time summed over the landed lanes, µs (0
+    /// when the observer is disarmed).
+    wall_us: u64,
+    /// The first lane error; the probe then has no verdict.
+    error: Option<String>,
 }
 
-/// Run one probe's seed ensemble, widening the lane batch by
-/// `escalate.step` fresh seeds (`max(seeds so far) + 1, + 2, …`) while the
-/// batch is mixed and below `escalate.max_seeds`. Lanes are deterministic,
-/// so widening re-runs them bit-exactly; only the final batch's tally
-/// matters — it is the replayable escalation event.
-fn run_escalating_probe<F>(
-    probe: &ScenarioSpec,
-    base_seeds: &[u64],
-    escalate: Option<EscalateSpec>,
-    factory: &F,
-) -> Result<ProbeOutcome, String>
-where
-    F: ScenarioFactory + Sync,
-{
-    let mut seeds = base_seeds.to_vec();
-    loop {
-        let reports = crate::campaign::execute_batch(probe, &seeds, factory)
-            .map_err(|e| format!("frontier probe {}: {e}", probe.display_label()))?;
-        let lanes = reports.len();
-        let diverging =
-            reports.iter().filter(|r| r.stability.verdict == Verdict::Diverging).count();
-        let mixed = diverging > 0 && diverging < lanes;
-        match escalate {
-            Some(esc) if mixed && lanes < esc.max_seeds => {
-                let add = esc.step.min(esc.max_seeds - lanes);
-                let top = seeds.iter().copied().max().unwrap_or(0);
-                seeds.extend((1..=add as u64).map(|i| top.wrapping_add(i)));
+impl ProbeTally {
+    fn new(seeds: &[u64]) -> Self {
+        let top_seed = seeds.iter().copied().max().unwrap_or(0);
+        Self { outstanding: seeds.len(), top_seed, ..Self::default() }
+    }
+
+    /// Fold one landed lane into the tally.
+    fn land(&mut self, run: ScenarioRun, wall_us: u64) {
+        self.outstanding -= 1;
+        self.wall_us += wall_us;
+        match run.outcome {
+            Ok(report) => {
+                let verdict = report.stability.verdict;
+                self.lanes += 1;
+                self.diverging += usize::from(verdict == Verdict::Diverging);
+                self.verdict = Some(verdict);
+                self.unclean |= !report.clean();
+                self.rounds += report.metrics.rounds;
             }
-            _ => {
-                let unclean = reports.iter().any(|r| !r.clean());
-                return Ok(ProbeOutcome { diverging, lanes, unclean });
+            Err(e) => {
+                self.error.get_or_insert_with(|| {
+                    format!("frontier probe {}: {e}", run.spec.display_label())
+                });
             }
         }
     }
+
+    /// The seeds to add once every lane has landed: while the lanes
+    /// disagree and number fewer than `max_seeds`, `step` fresh seeds
+    /// `max(seeds so far) + 1, + 2, …` (capped at `max_seeds`); none
+    /// otherwise. Lanes are deterministic, so the landed ones never need
+    /// re-running.
+    fn escalation(&mut self, escalate: Option<EscalateSpec>) -> Vec<u64> {
+        let mixed = self.diverging > 0 && self.diverging < self.lanes;
+        match escalate {
+            Some(esc) if self.error.is_none() && mixed && self.lanes < esc.max_seeds => {
+                let add = esc.step.min(esc.max_seeds - self.lanes);
+                let seeds: Vec<u64> =
+                    (1..=add as u64).map(|i| self.top_seed.wrapping_add(i)).collect();
+                self.top_seed = seeds.iter().copied().fold(self.top_seed, u64::max);
+                self.outstanding += add;
+                seeds
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// The lane pool's shared state: the unit queue, each probe's tally, and
+/// the number of lanes running.
+struct LanePool {
+    /// `(wave slot, seed)` units still to run.
+    queue: VecDeque<(usize, u64)>,
+    tallies: Vec<ProbeTally>,
+    in_flight: usize,
+}
+
+/// Run one wave's `probes` as a pool of `(probe, seed)` lanes drained by
+/// up to `threads` workers, and return each probe's final tally in wave
+/// order.
+///
+/// A lane is a solo run of its probe's spec with the seed swapped in,
+/// through the campaign's executor; lane `i` is bit-exact with lane `i`
+/// of a lockstep batch (`tests/batch_lane_exactness.rs`), so the tallies
+/// do not depend on how lanes are scheduled. The queue starts with every
+/// probe's base seeds in wave order: `seeds`, or the probe's own seed
+/// when `seeds` is empty. When a probe's last outstanding lane lands,
+/// its worker applies the escalation rule and pushes only the new lanes
+/// to the *front* of the queue, so at one worker lanes run probe by
+/// probe, base seeds first. Idle workers wait while lanes are in flight,
+/// since a landing lane may enqueue more. `timed` has workers clock their
+/// lanes.
+fn run_wave<F>(
+    probes: &[ScenarioSpec],
+    seeds: &[u64],
+    escalate: Option<EscalateSpec>,
+    threads: usize,
+    timed: bool,
+    factory: &F,
+) -> Vec<ProbeTally>
+where
+    F: ScenarioFactory + Sync,
+{
+    let mut queue = VecDeque::new();
+    let mut tallies = Vec::with_capacity(probes.len());
+    for (slot, probe) in probes.iter().enumerate() {
+        let base = if seeds.is_empty() { std::slice::from_ref(&probe.seed) } else { seeds };
+        queue.extend(base.iter().map(|&seed| (slot, seed)));
+        tallies.push(ProbeTally::new(base));
+    }
+    let workers = threads.min(queue.len()).max(1);
+    let pool = Mutex::new(LanePool { queue, tallies, in_flight: 0 });
+    let landed = Condvar::new();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let (slot, seed) = {
+                    let mut state = pool.lock().expect("lane pool poisoned");
+                    loop {
+                        if let Some(unit) = state.queue.pop_front() {
+                            state.in_flight += 1;
+                            break unit;
+                        }
+                        if state.in_flight == 0 {
+                            return;
+                        }
+                        state = landed.wait(state).expect("lane pool poisoned");
+                    }
+                };
+                let mut lane = probes[slot].clone();
+                lane.seed = seed;
+                // Wall time never enters a tally's verdict or the
+                // checkpoint; it only feeds `Probe` events.
+                let started = timed.then(Instant::now);
+                let run = crate::campaign::execute_one(&lane, factory);
+                let wall_us = started.map_or(0, |t| t.elapsed().as_micros() as u64);
+
+                let mut state = pool.lock().expect("lane pool poisoned");
+                let LanePool { queue, tallies, in_flight } = &mut *state;
+                *in_flight -= 1;
+                let tally = &mut tallies[slot];
+                tally.land(run, wall_us);
+                if tally.outstanding == 0 {
+                    for seed in tally.escalation(escalate).into_iter().rev() {
+                        queue.push_front((slot, seed));
+                    }
+                }
+                let wake = !queue.is_empty() || *in_flight == 0;
+                drop(state);
+                if wake {
+                    landed.notify_all();
+                }
+            });
+        }
+    });
+    pool.into_inner().expect("lane pool poisoned").tallies
 }
 
 /// The adaptive frontier search engine.
@@ -1249,10 +1360,10 @@ impl Frontier {
     /// have reconciled an appendable output with
     /// [`FrontierCheckpoint::rows_written`] first (the CLI does).
     ///
-    /// Each refinement wave batches every unfinished point's next probe
-    /// into one parallel campaign over `factory`; per-point probe
-    /// *sequences* depend only on that point's own verdicts, so the final
-    /// map is byte-identical across thread counts and interruption
+    /// Each refinement wave runs every unfinished point's next probe as
+    /// lanes built through `factory`, spread over the workers; per-point
+    /// probe *sequences* depend only on that point's own verdicts, so the
+    /// final map is byte-identical across thread counts and interruption
     /// patterns.
     pub fn run_into<F>(
         &self,
@@ -1269,11 +1380,12 @@ impl Frontier {
     }
 
     /// [`Frontier::run_into`] with an observability seam: probe verdicts
-    /// (with per-probe wall time), refinement waves, escalations, emitted
-    /// rows, and checkpoint fsync latency are recorded on `obs` as they
-    /// happen. Telemetry only — the sink bytes and checkpoint contents are
-    /// identical to an unobserved run, and wall time is sampled at probe
-    /// and row boundaries, never inside the round loop.
+    /// (with the summed worker time of their lanes), refinement waves,
+    /// escalations, emitted rows (with the rounds their lanes simulated),
+    /// and checkpoint fsync latency are recorded on `obs` as they happen.
+    /// Telemetry only — the sink bytes and checkpoint contents are
+    /// identical to an unobserved run, and wall time is sampled around
+    /// lanes and at row boundaries, never inside the round loop.
     pub fn run_into_observed<F>(
         &self,
         spec: &FrontierSpec,
@@ -1344,6 +1456,7 @@ impl Frontier {
     {
         let points = spec.points();
         let ensemble = spec.seeds.len() > 1;
+        let escalate = spec.escalate.filter(|_| ensemble);
         let mut searches: Vec<PointSearch> = points
             .iter()
             .enumerate()
@@ -1443,6 +1556,8 @@ impl Frontier {
             }
         }
 
+        // Simulated rounds per map point, over the lanes this run ran.
+        let mut point_rounds = vec![0u64; searches.len()];
         let mut summary = FrontierSummary {
             points: indices.len(),
             completed: emitted,
@@ -1473,7 +1588,8 @@ impl Frontier {
                 let row = searches[g].row(g);
                 sink.accept(&row)?;
                 let wall_us = obs.boundary_us();
-                obs.record(&ObsEvent::Row { index: g as u64, rounds: 0, clean: true, wall_us });
+                let rounds = point_rounds[g];
+                obs.record(&ObsEvent::Row { index: g as u64, rounds, clean: true, wall_us });
                 if let Some(ck) = checkpoint.as_deref_mut() {
                     let barrier = Instant::now();
                     sink.sync()?;
@@ -1501,129 +1617,55 @@ impl Frontier {
                 }
             }
 
-            let mut specs: Vec<ScenarioSpec> = wave
+            let specs: Vec<ScenarioSpec> = wave
                 .iter()
                 .map(|&i| searches[i].probe_spec().expect("wave points have a pending probe"))
                 .collect();
-            if let [seed] = spec.seeds[..] {
-                // A one-seed ensemble is the ordinary path with the
-                // template's seed swapped out.
-                for s in &mut specs {
-                    s.seed = seed;
+            let tallies =
+                run_wave(&specs, &spec.seeds, escalate, self.threads, obs.is_armed(), factory);
+            // Tallies are recorded and applied in wave order, so the
+            // checkpoint and the bisection see the same sequence at any
+            // thread count. An ensemble probe counts as above the
+            // boundary on the strict-majority verdict of its lanes.
+            for (&i, tally) in wave.iter().zip(tallies) {
+                if let Some(e) = tally.error {
+                    return Err(e);
                 }
-            }
-            let mut verdicts: Vec<WaveVerdict> = vec![None; wave.len()];
-            let mut unclean = 0usize;
-            if ensemble {
-                // Seed-ensemble probes: each wave point runs all seeds as
-                // one lockstep batch (lane i exact vs a solo probe with
-                // seed i), escalating per the spec, and counts as above
-                // the boundary on the strict-majority verdict. Probes run
-                // in parallel but their tallies are recorded and applied
-                // in wave order, so the checkpoint and the bisection see
-                // the same sequence at any thread count.
-                // A slot holds (probe outcome, worker-measured wall µs).
-                type ProbeSlot = Mutex<Option<(Result<ProbeOutcome, String>, u64)>>;
-                let slots: Vec<ProbeSlot> = specs.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                let workers = self.threads.min(specs.len()).max(1);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= specs.len() {
-                                break;
-                            }
-                            // Workers time their own probes; wall time
-                            // never enters the verdict or the checkpoint.
-                            let started = Instant::now();
-                            let out = run_escalating_probe(
-                                &specs[idx],
-                                &spec.seeds,
-                                spec.escalate,
-                                factory,
-                            );
-                            let wall_us = started.elapsed().as_micros() as u64;
-                            *slots[idx].lock().expect("probe slot poisoned") = Some((out, wall_us));
-                        });
-                    }
-                });
-                for (idx, slot) in slots.into_iter().enumerate() {
-                    let (out, wall_us) = slot
-                        .into_inner()
-                        .map_err(|_| "a probe worker panicked".to_string())?
-                        .ok_or("a probe completed without a verdict")?;
-                    let out = out?;
-                    if out.unclean {
-                        unclean += 1;
-                    }
-                    if out.lanes > spec.seeds.len() {
+                // Surfaced through the summary (and the CLI exit code)
+                // rather than dropped — see
+                // [`FrontierSummary::unclean_probes`].
+                summary.unclean_probes += usize::from(tally.unclean);
+                let (verdict, lanes) = if ensemble {
+                    if tally.lanes > spec.seeds.len() {
                         summary.escalated_probes += 1;
                         obs.record(&ObsEvent::Escalation {
-                            point: wave[idx] as u64,
-                            lanes: out.lanes as u64,
+                            point: i as u64,
+                            lanes: tally.lanes as u64,
                         });
                     }
-                    let verdict = majority_verdict(out.diverging, out.lanes);
-                    if let Some(ck) = checkpoint.as_deref_mut() {
-                        ck.record_ensemble_probe(wave[idx], verdict, out.diverging, out.lanes)?;
-                    }
-                    obs.record(&ObsEvent::Probe {
-                        point: wave[idx] as u64,
-                        diverging: verdict == Verdict::Diverging,
-                        lanes: out.lanes as u64,
-                        wall_us,
-                    });
-                    verdicts[idx] = Some((verdict, Some((out.diverging, out.lanes))));
-                }
-            } else {
-                let wave = &wave;
-                let verdicts = &mut verdicts;
-                let unclean = &mut unclean;
-                let mut ck = checkpoint.as_deref_mut();
-                let obs = &mut *obs;
-                let mut wave_sink = FnSink(move |idx: usize, run| {
-                    let report = match run.outcome {
-                        Ok(report) => report,
-                        Err(e) => {
-                            return Err(format!("frontier probe {}: {e}", run.spec.display_label()))
+                    let split = (tally.diverging, tally.lanes);
+                    (majority_verdict(tally.diverging, tally.lanes), Some(split))
+                } else {
+                    (tally.verdict.expect("a landed solo probe has a verdict"), None)
+                };
+                if let Some(ck) = checkpoint.as_deref_mut() {
+                    match lanes {
+                        Some((diverging, lanes)) => {
+                            ck.record_ensemble_probe(i, verdict, diverging, lanes)?
                         }
-                    };
-                    if !report.clean() {
-                        // Surfaced through the summary (and the CLI exit
-                        // code) rather than dropped — see
-                        // [`FrontierSummary::unclean_probes`].
-                        *unclean += 1;
+                        None => ck.record_probe(i, verdict)?,
                     }
-                    let verdict = report.stability.verdict;
-                    if let Some(ck) = ck.as_deref_mut() {
-                        ck.record_probe(wave[idx], verdict)?;
-                    }
-                    // Probes arrive in spec order (the campaign's ordered
-                    // hand-off), so the boundary clock decomposes the
-                    // wave's wall time over its probes.
-                    let wall_us = obs.boundary_us();
-                    obs.record(&ObsEvent::Probe {
-                        point: wave[idx] as u64,
-                        diverging: verdict == Verdict::Diverging,
-                        lanes: 1,
-                        wall_us,
-                    });
-                    verdicts[idx] = Some((verdict, None));
-                    Ok(())
+                }
+                obs.record(&ObsEvent::Probe {
+                    point: i as u64,
+                    diverging: verdict == Verdict::Diverging,
+                    lanes: tally.lanes as u64,
+                    wall_us: tally.wall_us,
                 });
-                Campaign::new().threads(self.threads).detail(MetricsDetail::Slim).run_into(
-                    &specs,
-                    factory,
-                    &mut wave_sink,
-                )?;
-            }
-            for (&i, verdict) in wave.iter().zip(&verdicts) {
-                let (verdict, lanes) = verdict.ok_or("a probe completed without a verdict")?;
                 searches[i].apply_probe(verdict, lanes, spec.tol)?;
+                point_rounds[i] += tally.rounds;
                 summary.probes_run += 1;
             }
-            summary.unclean_probes += unclean;
             summary.waves += 1;
             obs.record(&ObsEvent::Wave { wave: summary.waves as u64, probes: wave.len() as u64 });
         }

@@ -13,12 +13,19 @@
 //! 3. ensemble maps are byte-identical across thread counts;
 //! 4. a mid-map kill + resume replays the escalation events out of
 //!    `frontier.ckpt` — lane tallies included — to byte-identical
-//!    output without re-running any probe.
+//!    output without re-running any probe;
+//! 5. escalation builds every lane once: it adds lanes to a contested
+//!    probe instead of re-running the ones that already landed.
+
+use std::sync::{Arc, Mutex};
 
 use emac::registry::Registry;
+use emac_core::campaign::{ScenarioFactory, ScenarioSpec};
 use emac_core::frontier::{
     CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec, FrontierSummary,
 };
+use emac_core::Algorithm;
+use emac_sim::{Adversary, OnSchedule};
 
 /// One map point whose stability threshold sits inside the seed-noise
 /// window at 16k rounds — the n=9 point of
@@ -188,5 +195,72 @@ fn killed_band_map_resumes_by_replaying_escalation_events_byte_identically() {
         "no probe re-executed, none skipped"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A registry delegate that logs every lane it builds, in build order.
+#[derive(Default)]
+struct LaneLog(Mutex<Vec<ScenarioSpec>>);
+
+impl ScenarioFactory for LaneLog {
+    fn algorithm(&self, spec: &ScenarioSpec) -> Result<Box<dyn Algorithm>, String> {
+        self.0.lock().unwrap().push(spec.clone());
+        Registry::make_algorithm(spec)
+    }
+
+    fn adversary(
+        &self,
+        spec: &ScenarioSpec,
+        schedule: Option<&Arc<dyn OnSchedule>>,
+    ) -> Result<Box<dyn Adversary>, String> {
+        Registry::make_adversary(spec, schedule)
+    }
+}
+
+#[test]
+fn escalation_builds_every_lane_exactly_once() {
+    let spec = FrontierSpec::parse(CONTINUED).unwrap();
+    let dir = std::env::temp_dir().join(format!("emac-frontier-lanes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |threads: usize| {
+        let path = dir.join(format!("threads-{threads}.ckpt"));
+        let mut ckpt =
+            FrontierCheckpoint::fresh(&path, spec.digest("csv"), spec.points().len()).unwrap();
+        let log = LaneLog::default();
+        let mut sink = CsvMapSink::new(Vec::new());
+        Frontier::new().threads(threads).run_into(&spec, &log, &mut sink, Some(&mut ckpt)).unwrap();
+        (log.0.into_inner().unwrap(), ckpt.probes().to_vec())
+    };
+    let (serial, probes) = run(1);
+    let tallies: Vec<(usize, usize)> =
+        probes.iter().map(|p| p.lanes.expect("ensemble probes record lane tallies")).collect();
+    assert!(
+        tallies.iter().any(|&(_, lanes)| lanes > spec.seeds.len()),
+        "the band spec must escalate some probe"
+    );
+    let final_lanes: usize = tallies.iter().map(|&(_, lanes)| lanes).sum();
+    assert_eq!(serial.len(), final_lanes, "every lane is built once: escalation re-runs none");
+
+    let (parallel, parallel_probes) = run(4);
+    assert_eq!(parallel_probes, probes, "the checkpoint must not depend on the thread count");
+    assert_eq!(parallel.len(), serial.len(), "the lane count must not depend on the thread count");
+
+    // One worker runs lanes probe by probe, in checkpoint order: the base
+    // seeds, then the fresh seeds each escalation adds past the largest.
+    let top = spec.seeds.iter().copied().max().unwrap();
+    let points = spec.points();
+    let mut lanes = serial.iter();
+    for (rec, &(_, count)) in probes.iter().zip(&tallies) {
+        let run: Vec<&ScenarioSpec> = lanes.by_ref().take(count).collect();
+        let seeds: Vec<u64> = run.iter().map(|lane| lane.seed).collect();
+        let expected: Vec<u64> = spec.seeds.iter().copied().chain(top + 1..).take(count).collect();
+        assert_eq!(seeds, expected, "probe of point {} ran its lanes out of order", rec.point);
+        let probe = |lane: &ScenarioSpec| ScenarioSpec { seed: 0, ..lane.clone() };
+        for lane in &run {
+            assert_eq!(lane.n, points[rec.point].n, "lane ran outside its probe's map point");
+            assert_eq!(probe(lane), probe(run[0]), "a probe's lanes must be one contiguous run");
+        }
+    }
+    assert!(lanes.next().is_none(), "every lane belongs to a recorded probe");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,12 +11,22 @@
 //! must exactly match what the run's checkpoint recorded (probe
 //! conservation), and wall-clock readings must stay confined to
 //! `wall_`-prefixed keys of the event log — the output rows carry none.
+//! Frontier events are also held to what the run did: `Row` rounds sum
+//! to the rounds simulated, and `Probe` times are worker-measured.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+use std::time::Instant;
 
+use emac::registry::Registry;
+use emac_core::campaign::{ScenarioFactory, ScenarioSpec};
 use emac_core::digest::Fnv64;
-use emac_core::obs::ObsReport;
+use emac_core::frontier::{CsvMapSink, Frontier, FrontierSpec};
+use emac_core::obs::{EventLog, ObsEvent, ObsReport, Observer};
+use emac_core::Algorithm;
+use emac_sim::{Adversary, Injection, OnSchedule, Round, SystemView};
 
 fn emac() -> Command {
     Command::new(env!("CARGO_BIN_EXE_emac"))
@@ -84,6 +94,16 @@ const MAP_SPEC: &str = r#"{
                "rounds": 2000, "probe_cap": 1000},
   "axis": "rho", "lo": "0", "hi": "1/2", "tol": 0.01,
   "map": {"n": [6, 9], "k": [2, 3]}
+}"#;
+
+/// [`MAP_SPEC`] as a 3-seed ensemble escalating to 5 lanes (the CI
+/// band-map smoke spec).
+const ENSEMBLE_MAP_SPEC: &str = r#"{
+  "template": {"algorithm": "k-cycle", "adversary": "uniform",
+               "rounds": 2000, "probe_cap": 1000},
+  "axis": "rho", "lo": "0", "hi": "1/2", "tol": 0.03125,
+  "map": {"n": [6, 9], "k": [3, 4]},
+  "seeds": [1, 2, 3], "escalate": {"max_seeds": 5, "step": 1}
 }"#;
 
 /// Mixed 8-scenario campaign with a fault plan, for the JSONL shape
@@ -282,5 +302,126 @@ fn sharded_fleet_with_obs_merges_to_single_process_bytes() {
     std::fs::write(&bad, "{\"ev\":\"nope\"}\n").unwrap();
     let report = emac().args(["obs", "report"]).arg(&bad).output().unwrap();
     assert!(!report.status.success(), "malformed event lines must be an error, not noise");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A registry delegate counting adversary planning calls: one per
+/// simulated round while injections are on, and frontier probes never
+/// drain.
+#[derive(Default)]
+struct RoundCounter(Arc<AtomicU64>);
+
+impl ScenarioFactory for RoundCounter {
+    fn algorithm(&self, spec: &ScenarioSpec) -> Result<Box<dyn Algorithm>, String> {
+        Registry::make_algorithm(spec)
+    }
+
+    fn adversary(
+        &self,
+        spec: &ScenarioSpec,
+        schedule: Option<&Arc<dyn OnSchedule>>,
+    ) -> Result<Box<dyn Adversary>, String> {
+        let inner = Registry::make_adversary(spec, schedule)?;
+        Ok(Box::new(CountedAdversary { inner, rounds: Arc::clone(&self.0) }))
+    }
+}
+
+struct CountedAdversary {
+    inner: Box<dyn Adversary>,
+    rounds: Arc<AtomicU64>,
+}
+
+impl Adversary for CountedAdversary {
+    fn plan_into(
+        &mut self,
+        round: Round,
+        budget: usize,
+        view: &SystemView<'_>,
+        out: &mut Vec<Injection>,
+    ) {
+        self.rounds.fetch_add(1, Relaxed);
+        self.inner.plan_into(round, budget, view, out);
+    }
+}
+
+/// Run a map through the library with an armed event log. Returns the
+/// CSV bytes, the logged events, and the run's wall time in µs.
+fn observed_map(
+    spec: &FrontierSpec,
+    factory: &(impl ScenarioFactory + Sync),
+    threads: usize,
+    log: &Path,
+) -> (Vec<u8>, Vec<ObsEvent>, u64) {
+    let mut observer = Observer::new().with_log(EventLog::create(log).unwrap());
+    let mut sink = CsvMapSink::new(Vec::new());
+    let started = Instant::now();
+    Frontier::new()
+        .threads(threads)
+        .run_into_observed(spec, factory, &mut sink, None, &mut observer)
+        .unwrap();
+    let wall_us = started.elapsed().as_micros() as u64;
+    observer.flush().unwrap();
+    let events = std::fs::read_to_string(log)
+        .unwrap()
+        .lines()
+        .map(|line| ObsEvent::parse_line(line).unwrap())
+        .collect();
+    (sink.into_inner(), events, wall_us)
+}
+
+#[test]
+fn frontier_row_rounds_sum_to_the_rounds_simulated() {
+    let dir = scratch("row-rounds");
+    for (tag, text) in [("solo", MAP_SPEC), ("ensemble", ENSEMBLE_MAP_SPEC)] {
+        let spec = FrontierSpec::parse(text).unwrap();
+        let counter = RoundCounter::default();
+        let (armed, events, _) =
+            observed_map(&spec, &counter, 2, &dir.join(format!("{tag}.jsonl")));
+        let row_rounds: u64 = events
+            .iter()
+            .map(|ev| match ev {
+                ObsEvent::Row { rounds, .. } => *rounds,
+                _ => 0,
+            })
+            .sum();
+        let planned = counter.0.load(Relaxed);
+        assert!(planned > 0, "{tag}: the map must simulate rounds");
+        assert_eq!(row_rounds, planned, "{tag}: Row rounds must sum to the rounds simulated");
+        if tag == "ensemble" {
+            assert!(
+                events.iter().any(|ev| matches!(ev, ObsEvent::Escalation { .. })),
+                "{tag}: the map must escalate, so added lanes are counted too"
+            );
+        }
+
+        let mut sink = CsvMapSink::new(Vec::new());
+        Frontier::new().threads(2).run_into(&spec, &Registry, &mut sink, None).unwrap();
+        assert_eq!(armed, sink.into_inner(), "{tag}: arming must not change one output byte");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn solo_probe_events_carry_worker_measured_time() {
+    let dir = scratch("probe-wall");
+    let spec = FrontierSpec::parse(MAP_SPEC).unwrap();
+    let (_, events, wall_us) = observed_map(&spec, &Registry, 1, &dir.join("events.jsonl"));
+    let probe_us: Vec<u64> = events
+        .iter()
+        .filter_map(|ev| match ev {
+            ObsEvent::Probe { wall_us, lanes, .. } => {
+                assert_eq!(*lanes, 1, "a solo map probes one lane");
+                Some(*wall_us)
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(!probe_us.is_empty(), "the map must log its probes");
+    assert!(probe_us.iter().all(|&us| us > 0), "every probe is timed by its worker: {probe_us:?}");
+    let total: u64 = probe_us.iter().sum();
+    assert!(
+        total <= wall_us,
+        "one worker's probe times ({total} us) cannot exceed the map's wall time ({wall_us} us)"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
