@@ -1173,8 +1173,7 @@ struct ProbeTally {
     unclean: bool,
     /// Simulated rounds summed over the landed lanes.
     rounds: u64,
-    /// Worker-measured lane time summed over the landed lanes, µs (0
-    /// when the observer is disarmed).
+    /// Worker-measured lane time summed over the landed lanes, µs.
     wall_us: u64,
     /// The first lane error; the probe then has no verdict.
     error: Option<String>,
@@ -1250,14 +1249,12 @@ struct LanePool {
 /// its worker applies the escalation rule and pushes only the new lanes
 /// to the *front* of the queue, so at one worker lanes run probe by
 /// probe, base seeds first. Idle workers wait while lanes are in flight,
-/// since a landing lane may enqueue more. `timed` has workers clock their
-/// lanes.
+/// since a landing lane may enqueue more.
 fn run_wave<F>(
     probes: &[ScenarioSpec],
     seeds: &[u64],
     escalate: Option<EscalateSpec>,
     threads: usize,
-    timed: bool,
     factory: &F,
 ) -> Vec<ProbeTally>
 where
@@ -1291,23 +1288,26 @@ where
                 };
                 let mut lane = probes[slot].clone();
                 lane.seed = seed;
-                // Wall time never enters a tally's verdict or the
-                // checkpoint; it only feeds `Probe` events.
-                let started = timed.then(Instant::now);
+                // Wall time never enters a verdict or the checkpoint; it
+                // only feeds `Probe` events.
+                let started = Instant::now();
                 let run = crate::campaign::execute_one(&lane, factory);
-                let wall_us = started.map_or(0, |t| t.elapsed().as_micros() as u64);
+                let wall_us = started.elapsed().as_micros() as u64;
 
                 let mut state = pool.lock().expect("lane pool poisoned");
                 let LanePool { queue, tallies, in_flight } = &mut *state;
                 *in_flight -= 1;
                 let tally = &mut tallies[slot];
                 tally.land(run, wall_us);
+                // Waiters need waking when lanes arrive or none remain.
+                let mut wake = *in_flight == 0;
                 if tally.outstanding == 0 {
-                    for seed in tally.escalation(escalate).into_iter().rev() {
+                    let added = tally.escalation(escalate);
+                    wake |= !added.is_empty();
+                    for seed in added.into_iter().rev() {
                         queue.push_front((slot, seed));
                     }
                 }
-                let wake = !queue.is_empty() || *in_flight == 0;
                 drop(state);
                 if wake {
                     landed.notify_all();
@@ -1621,8 +1621,7 @@ impl Frontier {
                 .iter()
                 .map(|&i| searches[i].probe_spec().expect("wave points have a pending probe"))
                 .collect();
-            let tallies =
-                run_wave(&specs, &spec.seeds, escalate, self.threads, obs.is_armed(), factory);
+            let tallies = run_wave(&specs, &spec.seeds, escalate, self.threads, factory);
             // Tallies are recorded and applied in wave order, so the
             // checkpoint and the bisection see the same sequence at any
             // thread count. An ensemble probe counts as above the

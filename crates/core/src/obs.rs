@@ -20,8 +20,9 @@
 //!   `kill -9` mid-append never poisons the log.
 //! * [`Observer`] — the handle the executors thread through: it owns an
 //!   optional [`EventLog`] and an optional [`Progress`] stderr line, and
-//!   samples wall-clock time **only at row/probe boundaries**
-//!   ([`Observer::boundary_us`]). The round loop itself bumps plain
+//!   samples wall-clock time **only at row boundaries**
+//!   ([`Observer::boundary_us`]); frontier workers also time each lane
+//!   as a whole. The round loop itself bumps plain
 //!   [`SimHooks`](emac_sim::SimHooks) counters and stays allocation-free
 //!   (pinned by `tests/alloc_free.rs`).
 //! * [`ObsReport`] — the offline summary behind `emac obs report`:
@@ -101,11 +102,14 @@ pub enum ObsEvent {
         /// `wall_ms` this yields the run's rounds/sec.
         rounds: u64,
     },
-    /// A campaign row was accepted by the sink, in spec order.
+    /// A campaign row was accepted by the sink, in spec order, or a
+    /// frontier map row was emitted, in map order.
     Row {
-        /// Spec index of the row.
+        /// Spec index of the row (map-point index for a frontier row).
         index: u64,
-        /// Simulated rounds the scenario executed (0 for failed runs).
+        /// Simulated rounds the scenario executed (0 for failed runs); for
+        /// a frontier row, summed over every lane its point ran in this
+        /// run.
         rounds: u64,
         /// Whether the run respected every model invariant.
         clean: bool,
@@ -120,7 +124,7 @@ pub enum ObsEvent {
         diverging: bool,
         /// Ensemble lanes that voted (1 for solo probes).
         lanes: u64,
-        /// Wall-clock duration attributed to the probe, µs.
+        /// Worker-measured wall time summed over the probe's lanes, µs.
         wall_us: u64,
     },
     /// A refinement wave completed.
