@@ -15,7 +15,8 @@
 //!    `frontier.ckpt` — lane tallies included — to byte-identical
 //!    output without re-running any probe;
 //! 5. escalation builds every lane once: it adds lanes to a contested
-//!    probe instead of re-running the ones that already landed.
+//!    probe instead of re-running the ones that already landed, and one
+//!    worker still runs lanes probe by probe in checkpoint order.
 
 use std::sync::{Arc, Mutex};
 
@@ -217,50 +218,73 @@ impl ScenarioFactory for LaneLog {
     }
 }
 
+/// Four map points probed side by side (no continuation), so a wave
+/// holds several probes and the lanes escalation adds must jump the
+/// queue to keep one worker's lanes in probe order.
+const SIDE_BY_SIDE: &str = r#"{
+  "template": {"algorithm": "k-cycle", "adversary": "uniform",
+               "rounds": 2000, "probe_cap": 1000},
+  "axis": "rho", "lo": "0", "hi": "1/2", "tol": 0.03125,
+  "map": {"n": [6, 9], "k": [3, 4]},
+  "seeds": [1, 2, 3],
+  "escalate": {"max_seeds": 5, "step": 1}
+}"#;
+
 #[test]
 fn escalation_builds_every_lane_exactly_once() {
-    let spec = FrontierSpec::parse(CONTINUED).unwrap();
     let dir = std::env::temp_dir().join(format!("emac-frontier-lanes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let run = |threads: usize| {
-        let path = dir.join(format!("threads-{threads}.ckpt"));
-        let mut ckpt =
-            FrontierCheckpoint::fresh(&path, spec.digest("csv"), spec.points().len()).unwrap();
-        let log = LaneLog::default();
-        let mut sink = CsvMapSink::new(Vec::new());
-        Frontier::new().threads(threads).run_into(&spec, &log, &mut sink, Some(&mut ckpt)).unwrap();
-        (log.0.into_inner().unwrap(), ckpt.probes().to_vec())
-    };
-    let (serial, probes) = run(1);
-    let tallies: Vec<(usize, usize)> =
-        probes.iter().map(|p| p.lanes.expect("ensemble probes record lane tallies")).collect();
-    assert!(
-        tallies.iter().any(|&(_, lanes)| lanes > spec.seeds.len()),
-        "the band spec must escalate some probe"
-    );
-    let final_lanes: usize = tallies.iter().map(|&(_, lanes)| lanes).sum();
-    assert_eq!(serial.len(), final_lanes, "every lane is built once: escalation re-runs none");
+    for (tag, text) in [("band", CONTINUED), ("side-by-side", SIDE_BY_SIDE)] {
+        let spec = FrontierSpec::parse(text).unwrap();
+        let run = |threads: usize| {
+            let path = dir.join(format!("{tag}-{threads}.ckpt"));
+            let mut ckpt =
+                FrontierCheckpoint::fresh(&path, spec.digest("csv"), spec.points().len()).unwrap();
+            let log = LaneLog::default();
+            let mut sink = CsvMapSink::new(Vec::new());
+            Frontier::new()
+                .threads(threads)
+                .run_into(&spec, &log, &mut sink, Some(&mut ckpt))
+                .unwrap();
+            (log.0.into_inner().unwrap(), ckpt.probes().to_vec())
+        };
+        let (serial, probes) = run(1);
+        let tallies: Vec<(usize, usize)> =
+            probes.iter().map(|p| p.lanes.expect("ensemble probes record lane tallies")).collect();
+        assert!(
+            tallies.iter().any(|&(_, lanes)| lanes > spec.seeds.len()),
+            "{tag}: the spec must escalate some probe"
+        );
+        let final_lanes: usize = tallies.iter().map(|&(_, lanes)| lanes).sum();
+        assert_eq!(serial.len(), final_lanes, "{tag}: every lane is built once, none re-run");
 
-    let (parallel, parallel_probes) = run(4);
-    assert_eq!(parallel_probes, probes, "the checkpoint must not depend on the thread count");
-    assert_eq!(parallel.len(), serial.len(), "the lane count must not depend on the thread count");
+        let (parallel, parallel_probes) = run(4);
+        assert_eq!(parallel_probes, probes, "{tag}: the checkpoint must not depend on threads");
+        assert_eq!(
+            parallel.len(),
+            serial.len(),
+            "{tag}: the lane count must not depend on threads"
+        );
 
-    // One worker runs lanes probe by probe, in checkpoint order: the base
-    // seeds, then the fresh seeds each escalation adds past the largest.
-    let top = spec.seeds.iter().copied().max().unwrap();
-    let points = spec.points();
-    let mut lanes = serial.iter();
-    for (rec, &(_, count)) in probes.iter().zip(&tallies) {
-        let run: Vec<&ScenarioSpec> = lanes.by_ref().take(count).collect();
-        let seeds: Vec<u64> = run.iter().map(|lane| lane.seed).collect();
-        let expected: Vec<u64> = spec.seeds.iter().copied().chain(top + 1..).take(count).collect();
-        assert_eq!(seeds, expected, "probe of point {} ran its lanes out of order", rec.point);
-        let probe = |lane: &ScenarioSpec| ScenarioSpec { seed: 0, ..lane.clone() };
-        for lane in &run {
-            assert_eq!(lane.n, points[rec.point].n, "lane ran outside its probe's map point");
-            assert_eq!(probe(lane), probe(run[0]), "a probe's lanes must be one contiguous run");
+        // One worker runs lanes probe by probe, in checkpoint order: the
+        // base seeds, then the fresh seeds escalation adds past the largest.
+        let top = spec.seeds.iter().copied().max().unwrap();
+        let points = spec.points();
+        let mut lanes = serial.iter();
+        for (rec, &(_, count)) in probes.iter().zip(&tallies) {
+            let run: Vec<&ScenarioSpec> = lanes.by_ref().take(count).collect();
+            let seeds: Vec<u64> = run.iter().map(|lane| lane.seed).collect();
+            let expected: Vec<u64> =
+                spec.seeds.iter().copied().chain(top + 1..).take(count).collect();
+            assert_eq!(seeds, expected, "{tag}: a probe of point {} ran out of order", rec.point);
+            let point = points[rec.point];
+            let probe = |lane: &ScenarioSpec| ScenarioSpec { seed: 0, ..lane.clone() };
+            for lane in &run {
+                assert_eq!((lane.n, lane.k), (point.n, point.k), "{tag}: lane off its point");
+                assert_eq!(probe(lane), probe(run[0]), "{tag}: a probe's lanes are one run");
+            }
         }
+        assert!(lanes.next().is_none(), "{tag}: every lane belongs to a recorded probe");
     }
-    assert!(lanes.next().is_none(), "every lane belongs to a recorded probe");
     let _ = std::fs::remove_dir_all(&dir);
 }
