@@ -1,17 +1,17 @@
 //! Campaign checkpoints: crash-safe progress tracking for long sweeps.
 //!
-//! A [`Checkpoint`] is a small append-only text file (`campaign.ckpt`,
+//! A [`Checkpoint`] is a [journal](crate::journal) (`campaign.ckpt`,
 //! conventionally next to the campaign's output) recording which scenario
 //! indices have been durably written to the result sink. The executor
-//! appends one fsync'd line per completed scenario only **after** the
-//! sink accepted the row *and* made it durable
+//! appends one record per completed scenario only **after** the sink
+//! accepted the row *and* made it durable
 //! ([`ResultSink::sync`](super::sink::ResultSink::sync)), so a crash at
 //! any instant leaves the checkpoint claiming no more than the output
 //! holds. The opposite overhang — complete or torn output rows whose
-//! checkpoint line never landed — is reconciled at resume time by
-//! truncating the output back to exactly the checkpointed rows
-//! ([`truncate_after_lines`]); those scenarios re-execute, so a resumed
-//! campaign's final output is byte-identical to an uninterrupted run.
+//! record never landed — is cut at resume time by
+//! [`reopen_output`](crate::journal::reopen_output); those scenarios
+//! re-execute, so a resumed campaign's final output is byte-identical to
+//! an uninterrupted run.
 //!
 //! The header pins a digest of the full spec list ([`spec_list_digest`]),
 //! so resuming against an edited spec file is refused instead of silently
@@ -28,24 +28,23 @@
 //! …
 //! ```
 //!
-//! Lines are appended in completion (= spec) order, but the parser accepts
-//! any subset; a torn trailing line (no final newline, from a mid-write
-//! kill) is ignored.
+//! Records are appended in sink-acceptance order; each index is in range
+//! and recorded at most once.
 
 use std::collections::BTreeSet;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use super::ScenarioSpec;
-use crate::ckptio::repair_torn_tail;
-// Re-exported where it historically lived; the implementation moved to
-// [`crate::ckptio`] when the frontier checkpoint and shard claim log
-// became additional consumers.
-pub use crate::ckptio::truncate_after_lines;
 use crate::digest::Fnv64;
+use crate::journal::{self, Header, Journal};
 
-const MAGIC: &str = "emac-campaign-ckpt v1";
+pub(crate) const HEADER: Header = Header {
+    magic: "emac-campaign-ckpt v1",
+    noun: "campaign checkpoint",
+    count: "total",
+    count_name: "scenario count",
+    changed: "the spec list or output options changed since this campaign started",
+};
 
 /// FNV-1a digest of a spec list: the scenario count followed by every
 /// spec's canonical compact JSON rendering. Two spec files that expand to
@@ -64,45 +63,32 @@ pub fn spec_list_digest(specs: &[ScenarioSpec]) -> u64 {
 /// for the file format and durability contract.
 #[derive(Debug)]
 pub struct Checkpoint {
-    path: PathBuf,
+    journal: Journal,
     total: usize,
     done: BTreeSet<usize>,
-    file: File,
 }
 
 impl Checkpoint {
     /// Start a fresh checkpoint at `path` (truncating any previous one)
     /// for a campaign of `total` scenarios whose spec list digests to
-    /// `digest`. The header is written and fsync'd before returning.
+    /// `digest`. The header is durable before returning.
     pub fn fresh(path: &Path, digest: u64, total: usize) -> Result<Self, String> {
-        let mut file =
-            File::create(path).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        file.write_all(format!("{MAGIC}\ndigest {digest:016x}\ntotal {total}\n").as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Ok(Self { path: path.to_path_buf(), total, done: BTreeSet::new(), file })
+        let journal = Journal::create(path, &HEADER, digest, total)?;
+        Ok(Self { journal, total, done: BTreeSet::new() })
     }
 
     /// Resume from the checkpoint at `path`, verifying that it belongs to
-    /// this spec list (`digest`, `total`). A missing file starts fresh —
-    /// `--resume` on a never-started campaign just runs it. A digest or
-    /// count mismatch is refused.
+    /// this spec list (`digest`, `total`). A missing file, or one torn
+    /// inside its header, starts fresh — `--resume` on a never-started
+    /// campaign just runs it. A digest or count mismatch is refused.
     pub fn resume(path: &Path, digest: u64, total: usize) -> Result<Self, String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Self::fresh(path, digest, total);
-            }
-            Err(e) => return Err(format!("checkpoint {}: {e}", path.display())),
-        };
-        let done = parse_body(&text, digest, total)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        repair_torn_tail(path, &text).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Ok(Self { path: path.to_path_buf(), total, done, file })
+        let mut done = BTreeSet::new();
+        match Journal::open(path, &HEADER, digest, total, |line| {
+            parse_done(line, total, &mut done).map(drop)
+        })? {
+            Some(journal) => Ok(Self { journal, total, done }),
+            None => Self::fresh(path, digest, total),
+        }
     }
 
     /// Record scenario `index` as durably written. Appends one line and
@@ -110,9 +96,7 @@ impl Checkpoint {
     /// later crash.
     pub fn record(&mut self, index: usize) -> Result<(), String> {
         debug_assert!(index < self.total);
-        writeln!(self.file, "done {index}")
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint {}: {e}", self.path.display()))?;
+        self.journal.append(format_args!("done {index}"))?;
         self.done.insert(index);
         Ok(())
     }
@@ -139,77 +123,48 @@ impl Checkpoint {
     }
 }
 
-fn parse_body(text: &str, digest: u64, total: usize) -> Result<BTreeSet<usize>, String> {
-    parse_done_ordered(text, digest, total).map(|done| done.into_iter().collect())
+/// Parse one `done` record into `done`, refusing an out-of-range or
+/// repeated index.
+fn parse_done(line: &str, total: usize, done: &mut BTreeSet<usize>) -> Result<usize, String> {
+    let index = line
+        .strip_prefix("done ")
+        .and_then(|i| i.parse::<usize>().ok())
+        .ok_or_else(|| format!("malformed checkpoint line {line:?}"))?;
+    if index >= total {
+        return Err(format!("checkpoint records scenario {index} of a {total}-scenario run"));
+    }
+    if !done.insert(index) {
+        return Err(format!("checkpoint records scenario {index} twice"));
+    }
+    Ok(index)
 }
 
-/// Parse a campaign checkpoint body preserving the *order* in which `done`
-/// lines were appended. The executor appends them in sink-acceptance
-/// order, so the j-th entry names the scenario behind the j-th output row
-/// — the pairing `shard::merge` relies on to stitch shard outputs whose
-/// row order is not globally ascending. A duplicate index is refused here
-/// (it would desynchronise that pairing), which a set-based parse would
-/// silently absorb.
-pub(crate) fn parse_done_ordered(
-    text: &str,
+/// Read the campaign checkpoint at `path` without writing to it: the
+/// recorded indices in *append* order, or `None` if it is missing or torn
+/// inside its header. The executor appends in sink-acceptance order, so
+/// the j-th entry names the scenario behind the j-th output row — the
+/// pairing `shard::merge` relies on to stitch shard outputs whose row
+/// order is not globally ascending. A duplicate index is refused (it would
+/// desynchronise that pairing).
+pub(crate) fn read_done(
+    path: &Path,
     digest: u64,
     total: usize,
-) -> Result<Vec<usize>, String> {
-    let mut lines = text.split('\n');
-    if lines.next() != Some(MAGIC) {
-        return Err("not a campaign checkpoint (bad magic line)".into());
-    }
-    let recorded = lines
-        .next()
-        .and_then(|l| l.strip_prefix("digest "))
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or("malformed digest line")?;
-    if recorded != digest {
-        return Err(format!(
-            "spec digest mismatch (checkpoint {recorded:016x}, campaign {digest:016x}): \
-             the spec list or output options changed since this campaign started; \
-             refusing to resume"
-        ));
-    }
-    let recorded_total = lines
-        .next()
-        .and_then(|l| l.strip_prefix("total "))
-        .and_then(|t| t.parse::<usize>().ok())
-        .ok_or("malformed total line")?;
-    if recorded_total != total {
-        return Err(format!(
-            "scenario count mismatch (checkpoint {recorded_total}, spec list {total}); \
-             refusing to resume"
-        ));
-    }
-    let mut done = Vec::new();
-    let mut seen = BTreeSet::new();
-    // A file killed mid-append may end in a torn fragment; everything
-    // before the final newline is trustworthy, the tail is not.
-    let body: Vec<&str> = lines.collect();
-    let complete = if text.ends_with('\n') { body.len() } else { body.len().saturating_sub(1) };
-    for line in &body[..complete] {
-        if line.is_empty() {
-            continue;
-        }
-        let index = line
-            .strip_prefix("done ")
-            .and_then(|i| i.parse::<usize>().ok())
-            .ok_or_else(|| format!("malformed checkpoint line {line:?}"))?;
-        if index >= total {
-            return Err(format!("checkpoint records scenario {index} of a {total}-scenario run"));
-        }
-        if !seen.insert(index) {
-            return Err(format!("checkpoint records scenario {index} twice"));
-        }
-        done.push(index);
-    }
-    Ok(done)
+) -> Result<Option<Vec<usize>>, String> {
+    let (mut done, mut order) = (BTreeSet::new(), Vec::new());
+    let present = journal::read(path, &HEADER, digest, total, |line| {
+        order.push(parse_done(line, total, &mut done)?);
+        Ok(())
+    })?;
+    Ok(present.then_some(order))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("emac-ckpt-unit-{}-{tag}.ckpt", std::process::id()))
@@ -277,8 +232,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let path = temp_path("garbled");
-        std::fs::write(&path, format!("{MAGIC}\ndigest {:016x}\ntotal 4\nwat\ndone 1\n", 9u64))
-            .unwrap();
+        std::fs::write(&path, format!("{}wat\ndone 1\n", HEADER.render(9, 4))).unwrap();
         let err = Checkpoint::resume(&path, 9, 4).unwrap_err();
         assert!(err.contains("malformed"), "{err}");
         let _ = std::fs::remove_file(&path);
@@ -287,7 +241,7 @@ mod tests {
     #[test]
     fn rejects_out_of_range_and_foreign_files() {
         let path = temp_path("range");
-        std::fs::write(&path, format!("{MAGIC}\ndigest {:016x}\ntotal 2\ndone 5\n", 3u64)).unwrap();
+        std::fs::write(&path, format!("{}done 5\n", HEADER.render(3, 2))).unwrap();
         assert!(Checkpoint::resume(&path, 3, 2).unwrap_err().contains("records scenario 5"));
         std::fs::write(&path, "something else\n").unwrap();
         assert!(Checkpoint::resume(&path, 3, 2).unwrap_err().contains("bad magic"));
@@ -296,11 +250,16 @@ mod tests {
 
     #[test]
     fn ordered_parse_preserves_append_order_and_refuses_duplicates() {
-        let head = format!("{MAGIC}\ndigest {:016x}\ntotal 6\n", 5u64);
-        let done = parse_done_ordered(&format!("{head}done 4\ndone 1\ndone 3\n"), 5, 6).unwrap();
-        assert_eq!(done, vec![4, 1, 3], "append order preserved, not sorted");
-        let err = parse_done_ordered(&format!("{head}done 2\ndone 2\n"), 5, 6).unwrap_err();
+        let path = temp_path("ordered");
+        let head = HEADER.render(5, 6);
+        std::fs::write(&path, format!("{head}done 4\ndone 1\ndone 3\n")).unwrap();
+        let done = read_done(&path, 5, 6).unwrap();
+        assert_eq!(done, Some(vec![4, 1, 3]), "append order preserved, not sorted");
+        std::fs::write(&path, format!("{head}done 2\ndone 2\n")).unwrap();
+        let err = read_done(&path, 5, 6).unwrap_err();
         assert!(err.contains("scenario 2 twice"), "{err}");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(read_done(&path, 5, 6).unwrap(), None, "a missing checkpoint reads as absent");
     }
 
     #[test]

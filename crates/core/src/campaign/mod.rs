@@ -77,7 +77,7 @@ use crate::algorithm::Algorithm;
 use crate::runner::{RunReport, Runner};
 use json::Json;
 
-pub use checkpoint::{spec_list_digest, truncate_after_lines, Checkpoint};
+pub use checkpoint::{spec_list_digest, Checkpoint};
 pub use expr::{Expr, ExprEnv, RateAxis};
 pub use row::CSV_HEADER;
 pub use sink::{
@@ -1257,13 +1257,6 @@ impl CampaignResult {
             out.push('\n');
         }
         out
-    }
-
-    /// Write `campaign.json` and `campaign.csv` under `dir`, creating it.
-    pub fn write_files(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("campaign.json"), self.to_json().render_pretty())?;
-        std::fs::write(dir.join("campaign.csv"), self.to_csv())
     }
 }
 

@@ -5,11 +5,11 @@
 //! is a deterministic function of the per-point verdict sequence, so a
 //! checkpoint need only record `probe` and `row` lines and a resume
 //! *replays* them through the same state machine to land exactly where a
-//! killed run stopped, mid-bisection included. Same discipline as the
-//! campaign checkpoint: every line is fsync'd before the engine moves on,
-//! a `row` line is appended only after the output sink made the row
-//! durable, the header digest binds the frontier spec **and** the output
-//! format, and a torn trailing line (kill mid-append) is ignored.
+//! killed run stopped, mid-bisection included. The file is a
+//! [journal](crate::journal), with the campaign checkpoint's discipline:
+//! every record is durable before the engine moves on, a `row` record is
+//! appended only after the output sink made the row durable, and the
+//! header digest binds the frontier spec **and** the output format.
 //!
 //! # File format
 //!
@@ -33,13 +33,18 @@
 //! checkpoint whose probe lines lack lane counts (a pre-band artifact):
 //! replaying them would silently drop band state.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use crate::journal::{self, Header, Journal};
 use crate::stability::Verdict;
 
-const MAGIC: &str = "emac-frontier-ckpt v1";
+pub(crate) const HEADER: Header = Header {
+    magic: "emac-frontier-ckpt v1",
+    noun: "frontier checkpoint",
+    count: "points",
+    count_name: "map size",
+    changed: "the frontier spec or output options changed since this map started",
+};
 
 /// One recorded probe: which map point, what the (majority) verdict was,
 /// and — for seed-ensemble probes — the final lane tally.
@@ -69,12 +74,17 @@ pub struct ProbeRecord {
 /// shard outputs back into map order.
 #[derive(Debug)]
 pub struct FrontierCheckpoint {
-    path: PathBuf,
+    journal: Journal,
+    log: Log,
+}
+
+/// What a frontier checkpoint records, validated as it grows.
+#[derive(Debug)]
+struct Log {
     points: usize,
+    sequential: bool,
     probes: Vec<ProbeRecord>,
     rows: Vec<usize>,
-    sequential: bool,
-    file: File,
 }
 
 fn verdict_letter(v: Verdict) -> char {
@@ -114,23 +124,13 @@ impl FrontierCheckpoint {
         points: usize,
         sequential: bool,
     ) -> Result<Self, String> {
-        let mut file =
-            File::create(path).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        file.write_all(format!("{MAGIC}\ndigest {digest:016x}\npoints {points}\n").as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Ok(Self {
-            path: path.to_path_buf(),
-            points,
-            probes: Vec::new(),
-            rows: Vec::new(),
-            sequential,
-            file,
-        })
+        let journal = Journal::create(path, &HEADER, digest, points)?;
+        Ok(Self { journal, log: Log::new(points, sequential) })
     }
 
     /// Resume from `path`, verifying the digest and point count. A missing
-    /// file starts fresh; a mismatch is refused.
+    /// file, or one torn inside its header, starts fresh; a mismatch is
+    /// refused.
     pub fn resume(path: &Path, digest: u64, points: usize) -> Result<Self, String> {
         Self::resume_mode(path, digest, points, true)
     }
@@ -147,38 +147,25 @@ impl FrontierCheckpoint {
         points: usize,
         sequential: bool,
     ) -> Result<Self, String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Self::fresh_mode(path, digest, points, sequential);
-            }
-            Err(e) => return Err(format!("checkpoint {}: {e}", path.display())),
-        };
-        let (probes, rows) = parse_body(&text, digest, points, sequential)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        crate::ckptio::repair_torn_tail(path, &text)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Ok(Self { path: path.to_path_buf(), points, probes, rows, sequential, file })
+        let mut log = Log::new(points, sequential);
+        match Journal::open(path, &HEADER, digest, points, |line| log.replay(line))? {
+            Some(journal) => Ok(Self { journal, log }),
+            None => Self::fresh_mode(path, digest, points, sequential),
+        }
     }
 
-    /// Record one solo probe verdict for map point `point`. Appended and
-    /// fsync'd before returning.
+    /// Record one solo probe verdict for map point `point`. Durable before
+    /// returning.
     pub fn record_probe(&mut self, point: usize, verdict: Verdict) -> Result<(), String> {
-        debug_assert!(point < self.points);
-        writeln!(self.file, "probe {point} {}", verdict_letter(verdict))
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint {}: {e}", self.path.display()))?;
-        self.probes.push(ProbeRecord { point, verdict, lanes: None });
+        debug_assert!(point < self.log.points);
+        self.journal.append(format_args!("probe {point} {}", verdict_letter(verdict)))?;
+        self.log.probes.push(ProbeRecord { point, verdict, lanes: None });
         Ok(())
     }
 
     /// Record one seed-ensemble probe: the majority verdict plus the final
     /// batch's `(diverging, total)` lane tally — the replayable escalation
-    /// event. Appended and fsync'd before returning.
+    /// event. Durable before returning.
     pub fn record_ensemble_probe(
         &mut self,
         point: usize,
@@ -186,12 +173,11 @@ impl FrontierCheckpoint {
         diverging: usize,
         lanes: usize,
     ) -> Result<(), String> {
-        debug_assert!(point < self.points);
+        debug_assert!(point < self.log.points);
         debug_assert!(diverging <= lanes && lanes > 0);
-        writeln!(self.file, "probe {point} {} {diverging} {lanes}", verdict_letter(verdict))
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint {}: {e}", self.path.display()))?;
-        self.probes.push(ProbeRecord { point, verdict, lanes: Some((diverging, lanes)) });
+        let letter = verdict_letter(verdict);
+        self.journal.append(format_args!("probe {point} {letter} {diverging} {lanes}"))?;
+        self.log.probes.push(ProbeRecord { point, verdict, lanes: Some((diverging, lanes)) });
         Ok(())
     }
 
@@ -200,46 +186,22 @@ impl FrontierCheckpoint {
     /// order; a sharded one accepts any order but refuses a point recorded
     /// twice.
     pub fn record_row(&mut self, index: usize) -> Result<(), String> {
-        if self.sequential {
-            if index != self.rows.len() {
-                return Err(format!(
-                    "checkpoint {}: row {index} recorded out of order (expected {})",
-                    self.path.display(),
-                    self.rows.len()
-                ));
-            }
-        } else {
-            if index >= self.points {
-                return Err(format!(
-                    "checkpoint {}: row {index} of a {}-point map",
-                    self.path.display(),
-                    self.points
-                ));
-            }
-            if self.rows.contains(&index) {
-                return Err(format!(
-                    "checkpoint {}: row {index} recorded twice",
-                    self.path.display()
-                ));
-            }
-        }
-        writeln!(self.file, "row {index}")
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint {}: {e}", self.path.display()))?;
-        self.rows.push(index);
+        self.log.check_row(index).map_err(|e| self.journal.context(e))?;
+        self.journal.append(format_args!("row {index}"))?;
+        self.log.rows.push(index);
         Ok(())
     }
 
     /// The recorded probes, in recording (= verdict-arrival) order.
     pub fn probes(&self) -> &[ProbeRecord] {
-        &self.probes
+        &self.log.probes
     }
 
     /// Number of output rows the checkpoint claims durable — the line
     /// count (minus any CSV header) to reconcile the output file to before
     /// resuming.
     pub fn rows_written(&self) -> usize {
-        self.rows.len()
+        self.log.rows.len()
     }
 
     /// The recorded row indices in recording order: the j-th entry is the
@@ -247,69 +209,45 @@ impl FrontierCheckpoint {
     /// this is always `0, 1, 2, …`; for a sharded one it is the shard's
     /// claim-and-emit order.
     pub fn row_indices(&self) -> &[usize] {
-        &self.rows
+        &self.log.rows
     }
 
     /// The map size this checkpoint tracks.
     pub fn points(&self) -> usize {
-        self.points
+        self.log.points
     }
 }
 
-type Parsed = (Vec<ProbeRecord>, Vec<usize>);
+impl Log {
+    fn new(points: usize, sequential: bool) -> Self {
+        Self { points, sequential, probes: Vec::new(), rows: Vec::new() }
+    }
 
-/// Read-only parse of a *sharded* checkpoint file's text: `(probes, row
-/// indices in append order)`. Used by `shard::merge`, which must inspect
-/// worker checkpoints without opening them for append (and without
-/// creating missing ones, as a resume would).
-pub(crate) fn parse_sharded(text: &str, digest: u64, points: usize) -> Result<Parsed, String> {
-    parse_body(text, digest, points, false)
-}
-
-fn parse_body(text: &str, digest: u64, points: usize, sequential: bool) -> Result<Parsed, String> {
-    let mut lines = text.split('\n');
-    if lines.next() != Some(MAGIC) {
-        return Err("not a frontier checkpoint (bad magic line)".into());
-    }
-    let recorded = lines
-        .next()
-        .and_then(|l| l.strip_prefix("digest "))
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or("malformed digest line")?;
-    if recorded != digest {
-        return Err(format!(
-            "spec digest mismatch (checkpoint {recorded:016x}, spec {digest:016x}): \
-             the frontier spec or output options changed since this map started; \
-             refusing to resume"
-        ));
-    }
-    let recorded_points = lines
-        .next()
-        .and_then(|l| l.strip_prefix("points "))
-        .and_then(|t| t.parse::<usize>().ok())
-        .ok_or("malformed points line")?;
-    if recorded_points != points {
-        return Err(format!(
-            "map size mismatch (checkpoint {recorded_points}, spec {points}); \
-             refusing to resume"
-        ));
-    }
-    let mut probes = Vec::new();
-    let mut rows: Vec<usize> = Vec::new();
-    let body: Vec<&str> = lines.collect();
-    // A kill mid-append may leave a torn final fragment; everything before
-    // the last newline is trustworthy.
-    let complete = if text.ends_with('\n') { body.len() } else { body.len().saturating_sub(1) };
-    for line in &body[..complete] {
-        if line.is_empty() {
-            continue;
+    /// Whether `index` may be the next recorded row.
+    fn check_row(&self, index: usize) -> Result<(), String> {
+        if self.sequential && index != self.rows.len() {
+            return Err(format!(
+                "row {index} recorded out of order (expected {})",
+                self.rows.len()
+            ));
         }
+        if index >= self.points {
+            return Err(format!("row {index} of a {}-point map", self.points));
+        }
+        if !self.sequential && self.rows.contains(&index) {
+            return Err(format!("row {index} recorded twice"));
+        }
+        Ok(())
+    }
+
+    /// Apply one recorded line.
+    fn replay(&mut self, line: &str) -> Result<(), String> {
         if let Some(rest) = line.strip_prefix("probe ") {
             let malformed = || format!("malformed probe line {line:?}");
             let mut fields = rest.split(' ');
             let point: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
-            if point >= points {
-                return Err(format!("probe for map point {point} of a {points}-point map"));
+            if point >= self.points {
+                return Err(format!("probe for map point {point} of a {}-point map", self.points));
             }
             let verdict = fields.next().and_then(verdict_from_letter).ok_or_else(malformed)?;
             // Optional ensemble tally: `<diverging> <total>` lane counts.
@@ -325,38 +263,40 @@ fn parse_body(text: &str, digest: u64, points: usize, sequential: bool) -> Resul
                     Some((div, total))
                 }
             };
-            probes.push(ProbeRecord { point, verdict, lanes });
+            self.probes.push(ProbeRecord { point, verdict, lanes });
         } else if let Some(index) = line.strip_prefix("row ") {
             let index: usize = index.parse().map_err(|_| format!("malformed row line {line:?}"))?;
-            if sequential {
-                if index != rows.len() {
-                    return Err(format!(
-                        "row {index} recorded out of order (expected {})",
-                        rows.len()
-                    ));
-                }
-            } else {
-                if index >= points {
-                    return Err(format!("row {index} of a {points}-point map"));
-                }
-                if rows.contains(&index) {
-                    return Err(format!("row {index} recorded twice"));
-                }
-            }
-            rows.push(index);
+            self.check_row(index)?;
+            self.rows.push(index);
         } else {
             return Err(format!("malformed checkpoint line {line:?}"));
         }
+        Ok(())
     }
-    if rows.len() > points {
-        return Err(format!("checkpoint records {} rows of a {points}-point map", rows.len()));
-    }
-    Ok((probes, rows))
+}
+
+type Recorded = (Vec<ProbeRecord>, Vec<usize>);
+
+/// Read a *sharded* checkpoint without writing to it: `(probes, row
+/// indices in append order)`, or `None` if it is missing or torn inside
+/// its header. Used by `shard::merge` and `shard::status`, which inspect
+/// worker checkpoints without opening them for append.
+pub(crate) fn read_sharded(
+    path: &Path,
+    digest: u64,
+    points: usize,
+) -> Result<Option<Recorded>, String> {
+    let mut log = Log::new(points, false);
+    let present = journal::read(path, &HEADER, digest, points, |line| log.replay(line))?;
+    Ok(present.then_some((log.probes, log.rows)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("emac-frontier-ckpt-{}-{tag}.ckpt", std::process::id()))
@@ -412,8 +352,7 @@ mod tests {
         // zero lanes, trailing junk
         for bad in ["probe 0 d 6 5", "probe 0 d 0 0", "probe 0 d 1 5 9"] {
             let path = temp_path("badtally");
-            std::fs::write(&path, format!("{MAGIC}\ndigest {:016x}\npoints 2\n{bad}\n", 1u64))
-                .unwrap();
+            std::fs::write(&path, format!("{}{bad}\n", HEADER.render(1, 2))).unwrap();
             let err = FrontierCheckpoint::resume(&path, 1, 2).unwrap_err();
             assert!(err.contains("malformed probe line"), "{bad}: {err}");
             let _ = std::fs::remove_file(&path);
@@ -428,8 +367,7 @@ mod tests {
         assert!(FrontierCheckpoint::resume(&path, 7, 4).unwrap_err().contains("size mismatch"));
         std::fs::write(&path, "nope\n").unwrap();
         assert!(FrontierCheckpoint::resume(&path, 7, 3).unwrap_err().contains("bad magic"));
-        std::fs::write(&path, format!("{MAGIC}\ndigest {:016x}\npoints 2\nprobe 5 s\n", 7u64))
-            .unwrap();
+        std::fs::write(&path, format!("{}probe 5 s\n", HEADER.render(7, 2))).unwrap();
         assert!(FrontierCheckpoint::resume(&path, 7, 2).unwrap_err().contains("map point 5"));
         let _ = std::fs::remove_file(&path);
     }
@@ -448,7 +386,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let path = temp_path("order");
-        std::fs::write(&path, format!("{MAGIC}\ndigest {:016x}\npoints 4\nrow 1\n", 9u64)).unwrap();
+        std::fs::write(&path, format!("{}row 1\n", HEADER.render(9, 4))).unwrap();
         assert!(FrontierCheckpoint::resume(&path, 9, 4).unwrap_err().contains("out of order"));
         let _ = std::fs::remove_file(&path);
     }
@@ -507,8 +445,7 @@ mod tests {
         let err = FrontierCheckpoint::resume(&path, 0xcafe, 4).unwrap_err();
         assert!(err.contains("out of order"), "{err}");
         // …and a duplicate row line is refused by the sharded parser
-        std::fs::write(&path, format!("{MAGIC}\ndigest {:016x}\npoints 4\nrow 1\nrow 1\n", 5u64))
-            .unwrap();
+        std::fs::write(&path, format!("{}row 1\nrow 1\n", HEADER.render(5, 4))).unwrap();
         let err = FrontierCheckpoint::resume_sharded(&path, 5, 4).unwrap_err();
         assert!(err.contains("row 1 recorded twice"), "{err}");
         let _ = std::fs::remove_file(&path);

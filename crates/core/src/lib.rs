@@ -40,11 +40,11 @@ pub mod balance;
 pub mod baseline;
 pub mod bounds;
 pub mod campaign;
-pub mod ckptio;
 pub mod combinatorics;
 pub mod count_hop;
 pub mod digest;
 pub mod frontier;
+pub mod journal;
 pub mod k_clique;
 pub mod k_cycle;
 pub mod k_subsets;

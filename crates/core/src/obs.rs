@@ -14,10 +14,10 @@
 //!   round-trips through the same minimal parser as every spec file.
 //! * [`ObsSink`] — where events go, with a no-op default ([`NoopObs`]).
 //!   [`EventLog`] is the durable implementation: a buffered, append-only
-//!   JSONL writer that fsyncs on [`ObsSink::flush`] and reuses the
-//!   `ckptio` torn-tail repair discipline (headerless variant:
-//!   [`repair_torn_jsonl`](crate::ckptio::repair_torn_jsonl)) so a
-//!   `kill -9` mid-append never poisons the log.
+//!   JSONL writer that fsyncs on [`ObsSink::flush`] and reopens through
+//!   the [journal](crate::journal)'s torn-tail cut (headerless: every
+//!   complete line stands alone), so a `kill -9` mid-append never poisons
+//!   the log.
 //! * [`Observer`] — the handle the executors thread through: it owns an
 //!   optional [`EventLog`] and an optional [`Progress`] stderr line, and
 //!   samples wall-clock time **only at row boundaries**
@@ -44,7 +44,6 @@ use emac_sim::DelayStats;
 
 use crate::campaign::json::Json;
 use crate::campaign::{ResultSink, ScenarioRun};
-use crate::ckptio::repair_torn_jsonl;
 
 /// What kind of run emitted an event stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -301,8 +300,8 @@ impl ObsSink for NoopObs {
 /// A buffered, append-only `events.jsonl` writer. Lines are buffered in
 /// memory between [`ObsSink::flush`] calls (which fsync), so the hot path
 /// pays a formatted append, not a syscall. Opening an existing log for
-/// append first repairs a torn tail exactly like the checkpoint files do
-/// (headerless `ckptio` semantics: truncate past the last newline).
+/// append first cuts a torn final line, as the
+/// [journal](crate::journal) does for the checkpoint files.
 #[derive(Debug)]
 pub struct EventLog {
     out: std::io::BufWriter<std::fs::File>,
@@ -316,15 +315,10 @@ impl EventLog {
         Ok(Self { out: std::io::BufWriter::new(file), path: path.to_path_buf() })
     }
 
-    /// Open an existing log for append, repairing a torn tail first; a
-    /// missing file is created.
+    /// Open an existing log for append, cutting a torn final line first;
+    /// a missing file is created.
     pub fn append(path: &Path) -> std::io::Result<Self> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => repair_torn_jsonl(path, &text)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let file = crate::journal::append_lines(path)?;
         Ok(Self { out: std::io::BufWriter::new(file), path: path.to_path_buf() })
     }
 

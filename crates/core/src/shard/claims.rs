@@ -4,9 +4,12 @@
 //! server, no sockets, std only. A worker claims work unit `u` by
 //! *creating* `leases/unit-<u>.lease` with `create_new` (`O_EXCL`): the
 //! filesystem makes exactly one creator win, however many workers race.
-//! The winner then appends one fsync'd `claim <unit> <shard>` line to
-//! `claims.log`, a readable audit trail in the house checkpoint format
-//! (3-line header, torn tail repaired via [`crate::ckptio`]).
+//! The winner then appends one durable `claim <unit> <shard>` record to
+//! `claims.log`, a readable audit trail kept as a
+//! [journal](crate::journal). Concurrent workers open that log, so unlike
+//! a checkpoint it is created with `O_EXCL`, appended with single-write
+//! `O_APPEND` lines, and a header torn while `emac shard plan` created it
+//! is refused by name, never rewritten.
 //!
 //! The lease is authoritative; the log is the record merge reads. A crash
 //! between the two leaves a lease without a log line — the owner restores
@@ -18,16 +21,25 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &str = "emac-shard-claims v1";
+use crate::journal::{self, Header, Journal};
 
-/// Handle on a plan directory's claim state. Cheap to construct; every
-/// operation goes straight to the filesystem, so concurrent processes
-/// need no shared in-memory state.
+const HEADER: Header = Header {
+    magic: "emac-shard-claims v1",
+    noun: "shard claim log",
+    count: "units",
+    count_name: "unit count",
+    changed: "this claim log belongs to a different plan",
+};
+
+/// Handle on a plan directory's claim state. Every query goes straight to
+/// the filesystem, so concurrent processes need no shared in-memory
+/// state.
 #[derive(Debug)]
 pub struct ClaimTable {
     dir: PathBuf,
     digest: u64,
     units: usize,
+    log: Journal,
 }
 
 impl ClaimTable {
@@ -35,36 +47,29 @@ impl ClaimTable {
     /// `units` work units digesting to `digest`. Fails if a claim log
     /// already exists (a plan directory is initialised exactly once).
     pub fn create(dir: &Path, digest: u64, units: usize) -> Result<Self, String> {
-        let table = Self { dir: dir.to_path_buf(), digest, units };
-        std::fs::create_dir_all(table.lease_dir())
+        let lease_dir = dir.join("leases");
+        std::fs::create_dir_all(&lease_dir)
             .map_err(|e| format!("claim table {}: {e}", dir.display()))?;
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(table.log_path())
-            .map_err(|e| format!("claim log {}: {e}", table.log_path().display()))?;
-        file.write_all(format!("{MAGIC}\ndigest {digest:016x}\nunits {units}\n").as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("claim log {}: {e}", table.log_path().display()))?;
-        Ok(table)
+        let log = Journal::create_new(&dir.join("claims.log"), &HEADER, digest, units)?;
+        Ok(Self { dir: dir.to_path_buf(), digest, units, log })
     }
 
     /// Open an existing claim table, verifying its header against this
-    /// plan (`digest`, `units`) and repairing a torn trailing line.
+    /// plan (`digest`, `units`) and cutting a torn trailing line.
     pub fn open(dir: &Path, digest: u64, units: usize) -> Result<Self, String> {
-        let table = Self { dir: dir.to_path_buf(), digest, units };
-        let text = table.read_log()?;
-        table.parse_log(&text)?;
-        crate::ckptio::repair_torn_tail(&table.log_path(), &text)
-            .map_err(|e| format!("claim log {}: {e}", table.log_path().display()))?;
-        Ok(table)
+        let path = dir.join("claims.log");
+        let log = Journal::open(&path, &HEADER, digest, units, |line| {
+            parse_claim(line, units).map(drop)
+        })?
+        .ok_or_else(|| torn(&path))?;
+        Ok(Self { dir: dir.to_path_buf(), digest, units, log })
     }
 
     /// Try to claim work unit `unit` for `shard`. Returns `Ok(true)` iff
     /// this call won the lease — the `O_EXCL` create is the atomic claim;
-    /// the log line lands (fsync'd) before returning. `Ok(false)` means
-    /// another claim (possibly our own, from an earlier run) already holds
-    /// the lease.
+    /// the log line is durable before returning. `Ok(false)` means another
+    /// claim (possibly our own, from an earlier run) already holds the
+    /// lease.
     pub fn try_claim(&self, unit: usize, shard: usize) -> Result<bool, String> {
         debug_assert!(unit < self.units);
         let lease = self.lease_path(unit);
@@ -76,7 +81,8 @@ impl ClaimTable {
         file.write_all(format!("{shard}\n").as_bytes())
             .and_then(|()| file.sync_all())
             .map_err(|e| format!("lease {}: {e}", lease.display()))?;
-        self.append_claim(unit, shard)
+        self.log.append(format_args!("claim {unit} {shard}"))?;
+        Ok(true)
     }
 
     /// Which shard holds the lease on `unit`, if any. A lease whose
@@ -99,9 +105,7 @@ impl ClaimTable {
     /// already held the claim) — the observability layer records a
     /// lease-repair event exactly for true returns.
     pub fn ensure_logged(&self, unit: usize, shard: usize) -> Result<bool, String> {
-        let text = self.read_log()?;
-        let claims = self.parse_log(&text)?;
-        if claims.iter().any(|&(u, s)| u == unit && s == shard) {
+        if self.claims()?.contains(&(unit, shard)) {
             return Ok(false);
         }
         // A torn lease content is also repaired here: the owner is the
@@ -117,93 +121,53 @@ impl ClaimTable {
                 .and_then(|()| file.sync_all())
                 .map_err(|e| format!("lease {}: {e}", lease.display()))?;
         }
-        self.append_claim(unit, shard)
+        self.log.append(format_args!("claim {unit} {shard}"))?;
+        Ok(true)
     }
 
     /// The logged claims as `(unit, shard)` pairs in append order, torn
     /// trailing line ignored.
     pub fn claims(&self) -> Result<Vec<(usize, usize)>, String> {
-        let text = self.read_log()?;
-        self.parse_log(&text)
-    }
-
-    fn append_claim(&self, unit: usize, shard: usize) -> Result<bool, String> {
-        // O_APPEND single-write lines: concurrent appenders cannot
-        // interleave within a line this small on any POSIX filesystem.
-        let mut file = OpenOptions::new()
-            .append(true)
-            .open(self.log_path())
-            .map_err(|e| format!("claim log {}: {e}", self.log_path().display()))?;
-        file.write_all(format!("claim {unit} {shard}\n").as_bytes())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| format!("claim log {}: {e}", self.log_path().display()))?;
-        Ok(true)
-    }
-
-    fn read_log(&self) -> Result<String, String> {
-        std::fs::read_to_string(self.log_path())
-            .map_err(|e| format!("claim log {}: {e}", self.log_path().display()))
-    }
-
-    fn parse_log(&self, text: &str) -> Result<Vec<(usize, usize)>, String> {
-        let bad = |e: String| format!("claim log {}: {e}", self.log_path().display());
-        let mut lines = text.split('\n');
-        if lines.next() != Some(MAGIC) {
-            return Err(bad("not a shard claim log (bad magic line)".into()));
-        }
-        let digest = lines
-            .next()
-            .and_then(|l| l.strip_prefix("digest "))
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| bad("malformed digest line".into()))?;
-        if digest != self.digest {
-            return Err(bad(format!(
-                "plan digest mismatch (log {digest:016x}, plan {:016x}); this claim log \
-                 belongs to a different plan",
-                self.digest
-            )));
-        }
-        let units = lines
-            .next()
-            .and_then(|l| l.strip_prefix("units "))
-            .and_then(|u| u.parse::<usize>().ok())
-            .ok_or_else(|| bad("malformed units line".into()))?;
-        if units != self.units {
-            return Err(bad(format!("unit count mismatch (log {units}, plan {})", self.units)));
-        }
-        let body: Vec<&str> = lines.collect();
-        let complete = if text.ends_with('\n') { body.len() } else { body.len().saturating_sub(1) };
+        let path = self.dir.join("claims.log");
         let mut claims = Vec::new();
-        for line in &body[..complete] {
-            if line.is_empty() {
-                continue;
-            }
-            let malformed = || bad(format!("malformed claim line {line:?}"));
-            let mut fields = line.strip_prefix("claim ").ok_or_else(malformed)?.split(' ');
-            let unit: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
-            let shard: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
-            if fields.next().is_some() {
-                return Err(malformed());
-            }
-            if unit >= self.units {
-                return Err(bad(format!("claim for unit {unit} of a {}-unit plan", self.units)));
-            }
-            claims.push((unit, shard));
+        let present = journal::read(&path, &HEADER, self.digest, self.units, |line| {
+            claims.push(parse_claim(line, self.units)?);
+            Ok(())
+        })?;
+        if !present {
+            return Err(torn(&path));
         }
         Ok(claims)
     }
 
-    fn log_path(&self) -> PathBuf {
-        self.dir.join("claims.log")
-    }
-
-    fn lease_dir(&self) -> PathBuf {
-        self.dir.join("leases")
-    }
-
     fn lease_path(&self, unit: usize) -> PathBuf {
-        self.lease_dir().join(format!("unit-{unit}.lease"))
+        self.dir.join("leases").join(format!("unit-{unit}.lease"))
     }
+}
+
+/// Parse one `claim <unit> <shard>` record.
+fn parse_claim(line: &str, units: usize) -> Result<(usize, usize), String> {
+    let malformed = || format!("malformed claim line {line:?}");
+    let mut fields = line.strip_prefix("claim ").ok_or_else(malformed)?.split(' ');
+    let unit: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
+    let shard: usize = fields.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?;
+    if fields.next().is_some() {
+        return Err(malformed());
+    }
+    if unit >= units {
+        return Err(format!("claim for unit {unit} of a {units}-unit plan"));
+    }
+    Ok((unit, shard))
+}
+
+/// The refusal for a claim log that is missing or torn inside its header:
+/// `emac shard plan` was killed while creating it.
+fn torn(path: &Path) -> String {
+    format!(
+        "shard claim log {} is missing or torn inside its header: the plan directory was \
+         never fully created; plan again into a fresh directory",
+        path.display()
+    )
 }
 
 #[cfg(test)]

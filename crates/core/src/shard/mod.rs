@@ -38,17 +38,16 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::campaign::json::Json;
-use crate::campaign::sink::DurableFile;
 use crate::campaign::{
-    parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, JsonLinesSink,
-    MetricsDetail, ScenarioFactory, TallySink,
+    checkpoint, parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink,
+    JsonLinesSink, MetricsDetail, ScenarioFactory, TallySink,
 };
-use crate::ckptio::truncate_after_lines;
 use crate::digest::Fnv64;
 use crate::frontier::{
-    CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
+    self, CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
     FRONTIER_BAND_CSV_HEADER, FRONTIER_CSV_HEADER,
 };
+use crate::journal::reopen_output;
 use crate::obs::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
 pub use claims::ClaimTable;
 
@@ -285,6 +284,19 @@ impl ShardPlan {
         h.str("shard");
         h.usize(shard);
         h.finish()
+    }
+
+    /// Read shard `shard`'s checkpoint in `dir` without writing to it: its
+    /// probe count and its row indices in append order, or `None` if it is
+    /// missing or torn inside its header.
+    fn read_shard(&self, dir: &Path, shard: usize) -> Result<Option<(usize, Vec<usize>)>, String> {
+        let path = dir.join(format!("shard-{shard}")).join(self.ckpt_name());
+        let (digest, total) = (self.shard_digest(shard), self.total_indices());
+        Ok(match self.kind {
+            ShardKind::Campaign => checkpoint::read_done(&path, digest, total)?.map(|r| (0, r)),
+            ShardKind::Frontier => frontier::checkpoint::read_sharded(&path, digest, total)?
+                .map(|(probes, rows)| (probes.len(), rows)),
+        })
     }
 
     /// The slice for shard `id`, or a named error.
@@ -535,9 +547,8 @@ impl ShardRunner {
             Checkpoint::fresh(&ckpt_path, digest, specs.len())
         }?;
         let out_path = self.shard_dir().join(self.plan.out_name());
-        // Shard outputs are headerless (merge writes the one header), so
-        // the reconcile line count is exactly the checkpointed rows.
-        let writer = self.reconciled_writer(&out_path, ck.completed())?;
+        // Shard outputs are headerless: merge writes the one header.
+        let (writer, _) = reopen_output(&out_path, ck.completed(), 0)?;
         let executor = Campaign::new().threads(self.threads).detail(self.plan.detail);
         let mut summary = ShardRunSummary::default();
         match self.plan.format {
@@ -589,7 +600,7 @@ impl ShardRunner {
             FrontierCheckpoint::fresh_sharded(&ckpt_path, digest, points)
         }?;
         let out_path = self.shard_dir().join(self.plan.out_name());
-        let writer = self.reconciled_writer(&out_path, ck.rows_written())?;
+        let (writer, _) = reopen_output(&out_path, ck.rows_written(), 0)?;
         let mut sink: Box<dyn MapSink> = match self.plan.format {
             ShardFormat::Csv => Box::new(CsvMapSink::appending(writer)),
             ShardFormat::JsonLines => Box::new(JsonMapSink::new(writer)),
@@ -666,43 +677,6 @@ impl ShardRunner {
             .try_fold(true, |all, u| Ok::<_, String>(all && claims.lease_owner(u)?.is_some()))?;
         Ok(())
     }
-
-    /// Open the shard's output for appending after truncating it back to
-    /// exactly the checkpointed rows — the same reconcile the
-    /// single-process CLI does, minus the header (shard outputs have
-    /// none).
-    fn reconciled_writer(&self, out_path: &Path, rows: usize) -> Result<DurableFile, String> {
-        if out_path.exists() {
-            match truncate_after_lines(out_path, rows as u64) {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    return Err(format!(
-                        "{} holds fewer rows than the shard checkpoint records ({rows}); \
-                         refusing to resume against a modified output",
-                        out_path.display()
-                    ))
-                }
-                Err(e) => {
-                    return Err(format!(
-                        "cannot reconcile {} with its checkpoint: {e}",
-                        out_path.display()
-                    ))
-                }
-            }
-        } else if rows > 0 {
-            return Err(format!(
-                "{} is missing but the shard checkpoint records {rows} rows; \
-                 refusing to resume",
-                out_path.display()
-            ));
-        }
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(out_path)
-            .map_err(|e| format!("opening {}: {e}", out_path.display()))?;
-        Ok(DurableFile::new(file))
-    }
 }
 
 /// What a merge produced.
@@ -723,7 +697,9 @@ pub struct MergeSummary {
 /// named errors — digest mismatches, units claimed by two shards, units
 /// never claimed, shards whose claimed work is unfinished (a dead shard
 /// must be resumed first), missing shard directories or outputs, and
-/// shard state torn beyond the standard tail repair.
+/// shard state torn beyond the standard tail repair. A shard checkpoint
+/// missing or torn inside its header records nothing, so a shard that
+/// claimed units is then reported unfinished.
 pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
     let plan = ShardPlan::load(dir)?;
     let claims = ClaimTable::open(dir, plan.digest, plan.units.len())?;
@@ -779,28 +755,10 @@ pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
                 shard_dir.display()
             ));
         }
-        let ckpt_path = shard_dir.join(plan.ckpt_name());
-        let ckpt_text = std::fs::read_to_string(&ckpt_path)
-            .map_err(|e| format!("shard {s} checkpoint {}: {e}", ckpt_path.display()))?;
-        let digest = plan.shard_digest(s);
-        let recorded: Vec<usize> = match plan.kind {
-            ShardKind::Campaign => crate::campaign::checkpoint::parse_done_ordered(
-                &ckpt_text,
-                digest,
-                plan.total_indices(),
-            )
-            .map_err(|e| format!("shard {s} checkpoint {}: {e}", ckpt_path.display()))?,
-            ShardKind::Frontier => {
-                let (shard_probes, rows) = crate::frontier::checkpoint::parse_sharded(
-                    &ckpt_text,
-                    digest,
-                    plan.total_indices(),
-                )
-                .map_err(|e| format!("shard {s} checkpoint {}: {e}", ckpt_path.display()))?;
-                probes += shard_probes.len();
-                rows
-            }
-        };
+        // A checkpoint missing or torn inside its header records nothing,
+        // so a shard that owns units is then reported unfinished below.
+        let (shard_probes, recorded) = plan.read_shard(dir, s)?.unwrap_or_default();
+        probes += shard_probes;
         // Completeness: every index of every unit this shard claimed must
         // be recorded, or the shard died mid-work and must be resumed.
         let done: std::collections::BTreeSet<usize> = recorded.iter().copied().collect();
@@ -904,30 +862,10 @@ pub fn status(dir: &Path) -> Result<String, String> {
     );
     for slice in &plan.slices {
         let claimed = owner.values().filter(|&&s| s == slice.id).count();
-        let ckpt_path = dir.join(format!("shard-{}", slice.id)).join(plan.ckpt_name());
-        let recorded = match std::fs::read_to_string(&ckpt_path) {
-            Ok(text) => {
-                let digest = plan.shard_digest(slice.id);
-                let parsed = match plan.kind {
-                    ShardKind::Campaign => crate::campaign::checkpoint::parse_done_ordered(
-                        &text,
-                        digest,
-                        plan.total_indices(),
-                    )
-                    .map(|v| v.len()),
-                    ShardKind::Frontier => crate::frontier::checkpoint::parse_sharded(
-                        &text,
-                        digest,
-                        plan.total_indices(),
-                    )
-                    .map(|(_, rows)| rows.len()),
-                };
-                match parsed {
-                    Ok(n) => format!("{n} rows recorded"),
-                    Err(e) => format!("checkpoint unreadable ({e})"),
-                }
-            }
-            Err(_) => "not started".to_string(),
+        let recorded = match plan.read_shard(dir, slice.id) {
+            Ok(Some((_, rows))) => format!("{} rows recorded", rows.len()),
+            Ok(None) => "not started".to_string(),
+            Err(e) => format!("checkpoint unreadable ({e})"),
         };
         // Enrich from the shard's event log where one exists. A shard
         // without a (readable) log is still reported — named explicitly,

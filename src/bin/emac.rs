@@ -21,13 +21,12 @@
 //! ```
 //!
 //! `run` prints the standard run report; `campaign` executes a JSON
-//! scenario spec (see `emac campaign --example`) in parallel. Without
-//! `--format` it buffers results and writes `campaign.json` +
-//! `campaign.csv`; with `--format` it **streams** each result to
-//! `campaign.csv` or `campaign.jsonl` in constant memory, maintains an
-//! fsync'd `campaign.ckpt` next to the output, and `--resume` continues a
-//! killed (or `--limit`-bounded) campaign where it stopped. Both modes
-//! exit non-zero if any run violates a model invariant (useful in CI).
+//! scenario spec (see `emac campaign --example`) in parallel and
+//! **streams** each result to `campaign.csv` (or `campaign.jsonl` with
+//! `--format jsonl`) in constant memory, maintains an fsync'd
+//! `campaign.ckpt` next to the output, and `--resume` continues a killed
+//! (or `--limit`-bounded) campaign where it stopped. It exits non-zero if
+//! any run violates a model invariant (useful in CI).
 //! `frontier` bisects a stability boundary across a map of `(n, k)`
 //! points (see `emac_core::frontier`) with the same checkpoint/resume
 //! discipline. `shard` splits either kind of run across a fleet of
@@ -46,13 +45,14 @@ use std::time::Instant;
 
 use emac::cli;
 use emac::core::campaign::{
-    parse_campaign_spec, spec_list_digest, truncate_after_lines, Campaign, Checkpoint,
-    CsvStreamSink, DurableFile, JsonLinesSink, ResultSink, ScenarioSpec, TallySink,
+    parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, JsonLinesSink,
+    ResultSink, ScenarioSpec, TallySink,
 };
 use emac::core::frontier::{
     CsvMapSink, EscalateSpec, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
     SearchAxis,
 };
+use emac::core::journal::reopen_output;
 use emac::core::prelude::*;
 use emac::core::shard::{ShardPlan, ShardRunner};
 use emac::core::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
@@ -155,53 +155,8 @@ fn campaign(args: &[String]) -> ExitCode {
     if let Some(t) = opts.threads {
         executor = executor.threads(t);
     }
-    match opts.format {
-        None => campaign_buffered(&executor, &specs, &opts.out_dir),
-        Some(format) => campaign_streamed(&executor, &specs, &opts, format),
-    }
-}
+    let format = opts.format;
 
-/// Legacy buffered mode: hold every report, print the full table, write
-/// `campaign.json` + `campaign.csv`.
-fn campaign_buffered(executor: &Campaign, specs: &[ScenarioSpec], out_dir: &str) -> ExitCode {
-    eprintln!("running {} scenarios...", specs.len());
-    let result = executor.run(specs, &Registry);
-
-    for run in &result.runs {
-        match &run.outcome {
-            Ok(report) => println!(
-                "{:<64} latency {:>8} queue {:>8} {:<11} {}",
-                run.spec.display_label(),
-                report.latency(),
-                report.max_queue(),
-                format!("{:?}", report.stability.verdict),
-                if report.clean() { "clean" } else { "VIOLATIONS" },
-            ),
-            Err(e) => println!("{:<64} ERROR {e}", run.spec.display_label()),
-        }
-    }
-    println!("{}", result.summary());
-
-    if let Err(e) = result.write_files(Path::new(out_dir)) {
-        eprintln!("error: writing results to {out_dir}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_dir}/campaign.json and {out_dir}/campaign.csv");
-
-    if result.all_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Streaming mode: constant-memory export with a checkpoint next to it.
-fn campaign_streamed(
-    executor: &Campaign,
-    specs: &[ScenarioSpec],
-    opts: &cli::CampaignOpts,
-    format: cli::CampaignFormat,
-) -> ExitCode {
     let dir = Path::new(&opts.out_dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("error: creating {}: {e}", opts.out_dir);
@@ -215,7 +170,7 @@ fn campaign_streamed(
     // same way an edited spec file is.
     let digest = {
         let mut h = emac::core::digest::Fnv64::new();
-        h.u64(spec_list_digest(specs));
+        h.u64(spec_list_digest(&specs));
         h.str(format.file_name());
         h.str(match opts.detail {
             emac::core::MetricsDetail::Full => "full",
@@ -240,30 +195,19 @@ fn campaign_streamed(
     // Reconcile the output with the checkpoint: keep exactly the
     // checkpointed rows (plus the CSV header), dropping any unrecorded
     // tail a crash left behind — those scenarios re-execute below.
-    if already > 0 {
-        let header_lines = u64::from(format == cli::CampaignFormat::Csv);
-        match truncate_after_lines(&out_path, already as u64 + header_lines) {
-            Ok(Some(0)) => {}
-            Ok(Some(dropped)) => {
+    let header_lines = usize::from(format == cli::CampaignFormat::Csv);
+    let writer = match reopen_output(&out_path, already, header_lines) {
+        Ok((writer, dropped)) => {
+            if dropped > 0 {
                 eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run")
             }
-            Ok(None) => {
-                eprintln!(
-                    "error: {} holds fewer rows than campaign.ckpt records ({already}); \
-                     refusing to resume against a modified output",
-                    out_path.display()
-                );
-                return ExitCode::from(2);
-            }
-            Err(e) => {
-                eprintln!(
-                    "error: cannot reconcile {} with its checkpoint: {e}",
-                    out_path.display()
-                );
-                return ExitCode::from(2);
-            }
+            writer
         }
-    }
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut todo = ckpt.remaining();
     if todo.is_empty() {
@@ -277,22 +221,6 @@ fn campaign_streamed(
     if let Some(limit) = opts.limit {
         todo.truncate(limit);
     }
-
-    let file = if already > 0 {
-        std::fs::OpenOptions::new().append(true).open(&out_path)
-    } else {
-        std::fs::File::create(&out_path)
-    };
-    let file = match file {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: opening {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    // Buffered, but fsync'd on every sink.sync() — the executor makes each
-    // row durable before its checkpoint line is appended.
-    let writer = DurableFile::new(file);
 
     eprintln!(
         "running {} of {} scenarios ({} already complete)...",
@@ -328,16 +256,16 @@ fn campaign_streamed(
                 CsvStreamSink::new(writer)
             };
             run_tallied(
-                executor,
-                specs,
+                &executor,
+                &specs,
                 &todo,
                 TallySink::new(ObservedSink::new(inner, &obs)),
                 &mut ckpt,
             )
         }
         cli::CampaignFormat::JsonLines => run_tallied(
-            executor,
-            specs,
+            &executor,
+            &specs,
             &todo,
             TallySink::new(ObservedSink::new(JsonLinesSink::new(writer), &obs)),
             &mut ckpt,
@@ -530,44 +458,19 @@ fn frontier(args: &[String]) -> ExitCode {
 
     // Reconcile the output with the checkpoint: keep exactly the rows it
     // claims durable (plus the CSV header); anything after re-emits.
-    if already > 0 {
-        let header_lines = u64::from(opts.format == cli::FrontierFormat::Csv);
-        match truncate_after_lines(&out_path, already as u64 + header_lines) {
-            Ok(Some(0)) => {}
-            Ok(Some(dropped)) => {
+    let header_lines = usize::from(opts.format == cli::FrontierFormat::Csv);
+    let writer = match reopen_output(&out_path, already, header_lines) {
+        Ok((writer, dropped)) => {
+            if dropped > 0 {
                 eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run")
             }
-            Ok(None) => {
-                eprintln!(
-                    "error: {} holds fewer rows than frontier.ckpt records ({already}); \
-                     refusing to resume against a modified output",
-                    out_path.display()
-                );
-                return ExitCode::from(2);
-            }
-            Err(e) => {
-                eprintln!(
-                    "error: cannot reconcile {} with its checkpoint: {e}",
-                    out_path.display()
-                );
-                return ExitCode::from(2);
-            }
+            writer
         }
-    }
-
-    let file = if already > 0 {
-        std::fs::OpenOptions::new().append(true).open(&out_path)
-    } else {
-        std::fs::File::create(&out_path)
-    };
-    let file = match file {
-        Ok(f) => f,
         Err(e) => {
-            eprintln!("error: opening {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
         }
     };
-    let writer = DurableFile::new(file);
 
     let mut engine = Frontier::new();
     if let Some(t) = opts.threads {

@@ -12,7 +12,7 @@ use emac_sim::{Adversary, FaultSpec, Rate};
 
 use crate::registry::Registry;
 
-/// Streaming output format for `emac campaign --format`.
+/// Output format for `emac campaign --format`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CampaignFormat {
     /// One flat CSV row per scenario (`campaign.csv`).
@@ -42,9 +42,8 @@ pub struct CampaignOpts {
     pub threads: Option<usize>,
     /// Output directory (default `results/campaign`).
     pub out_dir: String,
-    /// Streaming format; `None` means the buffered legacy export
-    /// (`campaign.json` + `campaign.csv`).
-    pub format: Option<CampaignFormat>,
+    /// Output format (default CSV).
+    pub format: CampaignFormat,
     /// Per-scenario metrics detail.
     pub detail: MetricsDetail,
     /// Resume from `campaign.ckpt` instead of starting fresh.
@@ -59,16 +58,14 @@ pub struct CampaignOpts {
     pub events: Option<String>,
 }
 
-/// Parse `emac campaign` flags. Streaming-only flags (`--resume`,
-/// `--limit`) require `--format`, because only streaming outputs are
-/// appendable.
+/// Parse `emac campaign` flags.
 pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
     let mut o = CampaignOpts {
         example: false,
         spec_path: String::new(),
         threads: None,
         out_dir: "results/campaign".into(),
-        format: None,
+        format: CampaignFormat::Csv,
         detail: MetricsDetail::Full,
         resume: false,
         limit: None,
@@ -86,11 +83,11 @@ pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
             }
             "--out" => o.out_dir = value()?.to_string(),
             "--format" => {
-                o.format = Some(match value()? {
+                o.format = match value()? {
                     "csv" => CampaignFormat::Csv,
                     "jsonl" => CampaignFormat::JsonLines,
                     other => return Err(format!("--format must be csv or jsonl, got {other:?}")),
-                })
+                }
             }
             "--detail" => {
                 o.detail = match value()? {
@@ -114,9 +111,6 @@ pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
     }
     if o.spec_path.is_empty() {
         return Err("campaign needs a spec file (try `emac campaign --example`)".into());
-    }
-    if o.format.is_none() && (o.resume || o.limit.is_some()) {
-        return Err("--resume and --limit need a streaming --format (csv or jsonl)".into());
     }
     if o.limit == Some(0) {
         return Err("--limit must be positive".into());
@@ -706,7 +700,7 @@ mod tests {
         assert_eq!(o.spec_path, "spec.json");
         assert_eq!(o.threads, Some(4));
         assert_eq!(o.out_dir, "results/x");
-        assert_eq!(o.format, Some(CampaignFormat::JsonLines));
+        assert_eq!(o.format, CampaignFormat::JsonLines);
         assert_eq!(o.detail, MetricsDetail::Slim);
         assert!(o.resume);
         assert_eq!(o.limit, Some(20));
@@ -714,7 +708,7 @@ mod tests {
         assert_eq!(CampaignFormat::JsonLines.file_name(), "campaign.jsonl");
 
         let o = parse_campaign(&argv("spec.json")).unwrap();
-        assert_eq!(o.format, None);
+        assert_eq!(o.format, CampaignFormat::Csv, "defaults to CSV");
         assert_eq!(o.detail, MetricsDetail::Full);
         assert!(!o.resume && o.limit.is_none());
         assert!(!o.progress && o.events.is_none(), "observability defaults off");
@@ -729,8 +723,8 @@ mod tests {
     #[test]
     fn campaign_flag_validation() {
         assert!(parse_campaign(&argv("")).unwrap_err().contains("spec file"));
-        assert!(parse_campaign(&argv("spec.json --resume")).unwrap_err().contains("--format"));
-        assert!(parse_campaign(&argv("spec.json --limit 5")).unwrap_err().contains("--format"));
+        let o = parse_campaign(&argv("spec.json --resume --limit 5")).unwrap();
+        assert!(o.resume && o.limit == Some(5), "--resume/--limit parse without --format");
         assert!(parse_campaign(&argv("spec.json --format xml")).unwrap_err().contains("csv"));
         assert!(parse_campaign(&argv("spec.json --detail tiny")).unwrap_err().contains("slim"));
         assert!(parse_campaign(&argv("spec.json --format csv --limit 0"))
