@@ -1,6 +1,6 @@
 //! Campaign checkpoints: crash-safe progress tracking for long sweeps.
 //!
-//! A [`Checkpoint`] is a [journal](crate::journal) (`campaign.ckpt`,
+//! A [`Checkpoint`] is a [journal] (`campaign.ckpt`,
 //! conventionally next to the campaign's output) recording which scenario
 //! indices have been durably written to the result sink. The executor
 //! appends one record per completed scenario only **after** the sink
@@ -83,7 +83,7 @@ impl Checkpoint {
     /// campaign just runs it. A digest or count mismatch is refused.
     pub fn resume(path: &Path, digest: u64, total: usize) -> Result<Self, String> {
         let mut done = BTreeSet::new();
-        match Journal::open(path, &HEADER, digest, total, |line| {
+        match Journal::open(path, &HEADER, digest, total, &mut |line| {
             parse_done(line, total, &mut done).map(drop)
         })? {
             Some(journal) => Ok(Self { journal, total, done }),
@@ -152,7 +152,7 @@ pub(crate) fn read_done(
     total: usize,
 ) -> Result<Option<Vec<usize>>, String> {
     let (mut done, mut order) = (BTreeSet::new(), Vec::new());
-    let present = journal::read(path, &HEADER, digest, total, |line| {
+    let present = journal::read(path, &HEADER, digest, total, &mut |line| {
         order.push(parse_done(line, total, &mut done)?);
         Ok(())
     })?;

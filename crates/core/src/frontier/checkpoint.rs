@@ -6,7 +6,7 @@
 //! checkpoint need only record `probe` and `row` lines and a resume
 //! *replays* them through the same state machine to land exactly where a
 //! killed run stopped, mid-bisection included. The file is a
-//! [journal](crate::journal), with the campaign checkpoint's discipline:
+//! [journal], with the campaign checkpoint's discipline:
 //! every record is durable before the engine moves on, a `row` record is
 //! appended only after the output sink made the row durable, and the
 //! header digest binds the frontier spec **and** the output format.
@@ -148,7 +148,7 @@ impl FrontierCheckpoint {
         sequential: bool,
     ) -> Result<Self, String> {
         let mut log = Log::new(points, sequential);
-        match Journal::open(path, &HEADER, digest, points, |line| log.replay(line))? {
+        match Journal::open(path, &HEADER, digest, points, &mut |line| log.replay(line))? {
             Some(journal) => Ok(Self { journal, log }),
             None => Self::fresh_mode(path, digest, points, sequential),
         }
@@ -186,7 +186,7 @@ impl FrontierCheckpoint {
     /// order; a sharded one accepts any order but refuses a point recorded
     /// twice.
     pub fn record_row(&mut self, index: usize) -> Result<(), String> {
-        self.log.check_row(index).map_err(|e| self.journal.context(e))?;
+        self.log.check_row(index).map_err(|e| self.journal.context(&e))?;
         self.journal.append(format_args!("row {index}"))?;
         self.log.rows.push(index);
         Ok(())
@@ -287,7 +287,7 @@ pub(crate) fn read_sharded(
     points: usize,
 ) -> Result<Option<Recorded>, String> {
     let mut log = Log::new(points, false);
-    let present = journal::read(path, &HEADER, digest, points, |line| log.replay(line))?;
+    let present = journal::read(path, &HEADER, digest, points, &mut |line| log.replay(line))?;
     Ok(present.then_some((log.probes, log.rows)))
 }
 

@@ -17,8 +17,8 @@
 //! ```
 //!
 //! The header is one `write_all` made durable with `sync_all`; each record
-//! is one `write_all` made durable with `sync_data` before
-//! [`Journal::append`] returns.
+//! is one `write_all` made durable with `sync_data` before its append
+//! returns.
 //!
 //! # Crash contract
 //!
@@ -156,12 +156,12 @@ impl Journal {
         digest: u64,
         count: usize,
     ) -> Result<Self, String> {
-        let file = file.map_err(|e| context(header, path, e))?;
+        let file = file.map_err(|e| context(header, path, &e))?;
         let journal = Self { file, path: path.to_path_buf(), header };
         (&journal.file)
             .write_all(header.render(digest, count).as_bytes())
             .and_then(|()| journal.file.sync_all())
-            .map_err(|e| journal.context(e))?;
+            .map_err(|e| journal.context(&e))?;
         Ok(journal)
     }
 
@@ -175,22 +175,22 @@ impl Journal {
         header: &'static Header,
         digest: u64,
         count: usize,
-        record: impl FnMut(&str) -> Result<(), String>,
+        record: &mut dyn FnMut(&str) -> Result<(), String>,
     ) -> Result<Option<Self>, String> {
         let file = match OpenOptions::new().read(true).append(true).open(path) {
             Ok(file) => file,
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(context(header, path, e)),
+            Err(e) => return Err(context(header, path, &e)),
         };
         let journal = Self { file, path: path.to_path_buf(), header };
         let mut text = String::new();
-        (&journal.file).read_to_string(&mut text).map_err(|e| journal.context(e))?;
+        (&journal.file).read_to_string(&mut text).map_err(|e| journal.context(&e))?;
         let Some(complete) =
-            scan(&text, header, digest, count, record).map_err(|e| journal.context(e))?
+            scan(&text, header, digest, count, record).map_err(|e| journal.context(&e))?
         else {
             return Ok(None);
         };
-        cut(&journal.file, text.len() as u64, complete as u64).map_err(|e| journal.context(e))?;
+        cut(&journal.file, text.len() as u64, complete as u64).map_err(|e| journal.context(&e))?;
         Ok(Some(journal))
     }
 
@@ -202,16 +202,16 @@ impl Journal {
         (&self.file)
             .write_all(line.as_bytes())
             .and_then(|()| self.file.sync_data())
-            .map_err(|e| self.context(e))
+            .map_err(|e| self.context(&e))
     }
 
     /// `err`, prefixed with which journal it concerns.
-    pub(crate) fn context(&self, err: impl fmt::Display) -> String {
+    pub(crate) fn context(&self, err: &dyn fmt::Display) -> String {
         context(self.header, &self.path, err)
     }
 }
 
-fn context(header: &Header, path: &Path, err: impl fmt::Display) -> String {
+fn context(header: &Header, path: &Path, err: &dyn fmt::Display) -> String {
     format!("{} {}: {err}", header.noun, path.display())
 }
 
@@ -223,15 +223,15 @@ pub(crate) fn read(
     header: &'static Header,
     digest: u64,
     count: usize,
-    record: impl FnMut(&str) -> Result<(), String>,
+    record: &mut dyn FnMut(&str) -> Result<(), String>,
 ) -> Result<bool, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(context(header, path, e)),
+        Err(e) => return Err(context(header, path, &e)),
     };
     let scanned = scan(&text, header, digest, count, record);
-    scanned.map(|complete| complete.is_some()).map_err(|e| context(header, path, e))
+    scanned.map(|complete| complete.is_some()).map_err(|e| context(header, path, &e))
 }
 
 /// Check `text`'s header and hand each complete, non-empty record line to
@@ -242,7 +242,7 @@ fn scan(
     header: &Header,
     digest: u64,
     count: usize,
-    mut record: impl FnMut(&str) -> Result<(), String>,
+    record: &mut dyn FnMut(&str) -> Result<(), String>,
 ) -> Result<Option<usize>, String> {
     let Some(start) = header.check(text, digest, count)? else {
         return Ok(None);

@@ -6,7 +6,7 @@
 //! filesystem makes exactly one creator win, however many workers race.
 //! The winner then appends one durable `claim <unit> <shard>` record to
 //! `claims.log`, a readable audit trail kept as a
-//! [journal](crate::journal). Concurrent workers open that log, so unlike
+//! [journal]. Concurrent workers open that log, so unlike
 //! a checkpoint it is created with `O_EXCL`, appended with single-write
 //! `O_APPEND` lines, and a header torn while `emac shard plan` created it
 //! is refused by name, never rewritten.
@@ -47,8 +47,7 @@ impl ClaimTable {
     /// `units` work units digesting to `digest`. Fails if a claim log
     /// already exists (a plan directory is initialised exactly once).
     pub fn create(dir: &Path, digest: u64, units: usize) -> Result<Self, String> {
-        let lease_dir = dir.join("leases");
-        std::fs::create_dir_all(&lease_dir)
+        std::fs::create_dir_all(dir.join("leases"))
             .map_err(|e| format!("claim table {}: {e}", dir.display()))?;
         let log = Journal::create_new(&dir.join("claims.log"), &HEADER, digest, units)?;
         Ok(Self { dir: dir.to_path_buf(), digest, units, log })
@@ -58,7 +57,7 @@ impl ClaimTable {
     /// plan (`digest`, `units`) and cutting a torn trailing line.
     pub fn open(dir: &Path, digest: u64, units: usize) -> Result<Self, String> {
         let path = dir.join("claims.log");
-        let log = Journal::open(&path, &HEADER, digest, units, |line| {
+        let log = Journal::open(&path, &HEADER, digest, units, &mut |line| {
             parse_claim(line, units).map(drop)
         })?
         .ok_or_else(|| torn(&path))?;
@@ -130,7 +129,7 @@ impl ClaimTable {
     pub fn claims(&self) -> Result<Vec<(usize, usize)>, String> {
         let path = self.dir.join("claims.log");
         let mut claims = Vec::new();
-        let present = journal::read(&path, &HEADER, self.digest, self.units, |line| {
+        let present = journal::read(&path, &HEADER, self.digest, self.units, &mut |line| {
             claims.push(parse_claim(line, self.units)?);
             Ok(())
         })?;

@@ -45,8 +45,8 @@ use std::time::Instant;
 
 use emac::cli;
 use emac::core::campaign::{
-    parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, JsonLinesSink,
-    ResultSink, ScenarioSpec, TallySink,
+    parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, DurableFile,
+    JsonLinesSink, ResultSink, ScenarioSpec, TallySink,
 };
 use emac::core::frontier::{
     CsvMapSink, EscalateSpec, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
@@ -196,17 +196,9 @@ fn campaign(args: &[String]) -> ExitCode {
     // checkpointed rows (plus the CSV header), dropping any unrecorded
     // tail a crash left behind — those scenarios re-execute below.
     let header_lines = usize::from(format == cli::CampaignFormat::Csv);
-    let writer = match reopen_output(&out_path, already, header_lines) {
-        Ok((writer, dropped)) => {
-            if dropped > 0 {
-                eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run")
-            }
-            writer
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let writer = match reopen(&out_path, already, header_lines) {
+        Ok(writer) => writer,
+        Err(code) => return code,
     };
 
     let mut todo = ckpt.remaining();
@@ -304,6 +296,24 @@ fn campaign(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+/// Reopen the output a checkpoint vouches for `rows` rows of (after
+/// `header_lines` header lines) for appending, noting any unrecorded
+/// output a previous run left behind; exit code 2 if it is refused.
+fn reopen(out_path: &Path, rows: usize, header_lines: usize) -> Result<DurableFile, ExitCode> {
+    match reopen_output(out_path, rows, header_lines) {
+        Ok((writer, dropped)) => {
+            if dropped > 0 {
+                eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run")
+            }
+            Ok(writer)
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            Err(ExitCode::from(2))
+        }
     }
 }
 
@@ -459,17 +469,9 @@ fn frontier(args: &[String]) -> ExitCode {
     // Reconcile the output with the checkpoint: keep exactly the rows it
     // claims durable (plus the CSV header); anything after re-emits.
     let header_lines = usize::from(opts.format == cli::FrontierFormat::Csv);
-    let writer = match reopen_output(&out_path, already, header_lines) {
-        Ok((writer, dropped)) => {
-            if dropped > 0 {
-                eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run")
-            }
-            writer
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let writer = match reopen(&out_path, already, header_lines) {
+        Ok(writer) => writer,
+        Err(code) => return code,
     };
 
     let mut engine = Frontier::new();

@@ -56,6 +56,10 @@ fn run(cmd: &mut Command) -> Result<(), String> {
     }
 }
 
+fn size(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {
@@ -69,63 +73,32 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// What a resume from a cut log did.
-#[derive(Debug)]
-enum Outcome {
-    /// Exited 0 with the uninterrupted output.
-    Identical,
-    /// Exited non-zero; the error text.
-    Refused(String),
-    /// Exited 0 with different output: the one outcome never allowed.
-    Diverged,
-}
-
 /// For every byte offset of `log` (a path relative to `reference`), copy
-/// `reference`, cut the log there, run `resume` on the copy and classify
-/// the output it returns against `expected`.
+/// `reference`, cut the log there and run `resume` on the copy. Panics,
+/// naming the offset, if a resume succeeds with output other than
+/// `expected`; returns the offsets whose resume was refused, with the
+/// error.
 fn sweep(
     reference: &Path,
     log: &str,
     expected: &[u8],
     resume: impl Fn(&Path) -> Result<Vec<u8>, String>,
-) -> Vec<Outcome> {
-    let len = std::fs::metadata(reference.join(log)).unwrap().len();
+) -> Vec<(u64, String)> {
+    let len = size(&reference.join(log));
     let work = reference.with_extension("cut");
-    (0..=len)
-        .map(|cut| {
-            let _ = std::fs::remove_dir_all(&work);
-            copy_dir(reference, &work);
-            let file = std::fs::OpenOptions::new().write(true).open(work.join(log)).unwrap();
-            file.set_len(cut).unwrap();
-            drop(file);
-            match resume(&work) {
-                Ok(bytes) if bytes == expected => Outcome::Identical,
-                Ok(_) => Outcome::Diverged,
-                Err(e) => Outcome::Refused(e),
-            }
-        })
-        .collect()
-}
-
-/// Fail on any divergence, naming its offset; return the refused offsets
-/// with their errors.
-fn refusals(what: &str, outcomes: &[Outcome]) -> Vec<(usize, String)> {
     let mut refused = Vec::new();
-    for (cut, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            Outcome::Identical => {}
-            Outcome::Refused(e) => refused.push((cut, e.clone())),
-            Outcome::Diverged => panic!("{what} cut at {cut} bytes diverged"),
+    for cut in 0..=len {
+        let _ = std::fs::remove_dir_all(&work);
+        copy_dir(reference, &work);
+        let file = std::fs::OpenOptions::new().write(true).open(work.join(log)).unwrap();
+        file.set_len(cut).unwrap();
+        drop(file);
+        match resume(&work) {
+            Ok(bytes) => assert!(bytes == expected, "{log} cut at {cut} bytes diverged"),
+            Err(e) => refused.push((cut, e)),
         }
     }
     refused
-}
-
-/// Every cut of a checkpoint resumes to the uninterrupted output: a cut
-/// inside the header reads as a checkpoint torn while being created, and
-/// the run starts afresh.
-fn assert_all_identical(what: &str, outcomes: &[Outcome]) {
-    assert_eq!(refusals(what, outcomes), vec![], "{what}: every offset must resume");
 }
 
 #[test]
@@ -138,7 +111,8 @@ fn campaign_checkpoint_resumes_identically_from_every_byte_offset() {
         .unwrap();
     let expected = std::fs::read(reference.join("campaign.csv")).unwrap();
 
-    let outcomes = sweep(&reference, "campaign.ckpt", &expected, |work| {
+    assert_eq!(size(&reference.join("campaign.ckpt")), 110, "54-byte header + 8 records of 7");
+    let refused = sweep(&reference, "campaign.ckpt", &expected, |work| {
         run(emac()
             .arg("campaign")
             .arg(&spec)
@@ -148,8 +122,7 @@ fn campaign_checkpoint_resumes_identically_from_every_byte_offset() {
             .arg("--resume"))?;
         Ok(std::fs::read(work.join("campaign.csv")).unwrap())
     });
-    assert_eq!(outcomes.len(), 111, "54-byte header + 8 records of 7 bytes, plus offset 0");
-    assert_all_identical("campaign.ckpt", &outcomes);
+    assert_eq!(refused, vec![], "every cut resumes, one inside the header afresh");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -170,12 +143,12 @@ fn frontier_checkpoint_resumes_identically_from_every_byte_offset() {
     let escalations = ckpt.lines().filter(|l| l.starts_with("probe ") && l.ends_with(" 5")).count();
     assert_eq!(escalations, 2, "the sweep must cut through escalation records:\n{ckpt}");
 
-    let outcomes = sweep(&reference, "frontier.ckpt", &expected, |work| {
+    assert_eq!(ckpt.len(), 131, "55-byte header + 5 probes of 14 bytes + 1 row");
+    let refused = sweep(&reference, "frontier.ckpt", &expected, |work| {
         run(map(work).arg("--resume"))?;
         Ok(std::fs::read(work.join("frontier.csv")).unwrap())
     });
-    assert_eq!(outcomes.len(), 132, "55-byte header + 5 probes of 14 bytes + 1 row, plus 0");
-    assert_all_identical("frontier.ckpt", &outcomes);
+    assert_eq!(refused, vec![], "every cut resumes, one inside the header afresh");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -226,11 +199,11 @@ fn resume_and_merge(spec: &Path, plan: &Path, shard: &str) -> Result<Vec<u8>, St
 fn shard_checkpoints_resume_identically_from_every_byte_offset() {
     let dir = scratch("shard");
     let (spec, plan, expected) = fleet(&dir);
-    for (shard, offsets) in [("0", 55), ("1", 111)] {
+    for (shard, bytes) in [("0", 54), ("1", 110)] {
         let log = format!("shard-{shard}/campaign.ckpt");
-        let outcomes = sweep(&plan, &log, &expected, |work| resume_and_merge(&spec, work, shard));
-        assert_eq!(outcomes.len(), offsets, "shard 0 holds only its header, shard 1 8 records");
-        assert_all_identical(&log, &outcomes);
+        assert_eq!(size(&plan.join(&log)), bytes, "shard 0 holds only its header, 1 8 records");
+        let refused = sweep(&plan, &log, &expected, |work| resume_and_merge(&spec, work, shard));
+        assert_eq!(refused, vec![], "every cut of {log} resumes and merges");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -239,12 +212,11 @@ fn shard_checkpoints_resume_identically_from_every_byte_offset() {
 fn claim_log_merges_identically_past_its_header_and_refuses_a_torn_one() {
     let dir = scratch("claims");
     let (spec, plan, expected) = fleet(&dir);
-    let outcomes = sweep(&plan, "claims.log", &expected, |work| resume_and_merge(&spec, work, "1"));
-    assert_eq!(outcomes.len(), 134, "53-byte header + 8 claims of 10 bytes, plus offset 0");
+    assert_eq!(size(&plan.join("claims.log")), 133, "53-byte header + 8 claims of 10 bytes");
+    let refused = sweep(&plan, "claims.log", &expected, |work| resume_and_merge(&spec, work, "1"));
     // Workers open the claim log concurrently, so one torn inside its
     // 53-byte header is refused by name rather than rewritten; every cut
     // past the header merges identically.
-    let refused = refusals("claims.log", &outcomes);
     assert_eq!(
         refused.iter().map(|(cut, _)| *cut).collect::<Vec<_>>(),
         (0..53).collect::<Vec<_>>()
