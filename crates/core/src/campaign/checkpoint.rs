@@ -1,10 +1,10 @@
 //! Campaign checkpoints: crash-safe progress tracking for long sweeps.
 //!
-//! A [`Checkpoint`] is a [journal] (`campaign.ckpt`,
-//! conventionally next to the campaign's output) recording which scenario
-//! indices have been durably written to the result sink. The executor
-//! appends one record per completed scenario only **after** the sink
-//! accepted the row *and* made it durable
+//! A [`Checkpoint`] is a [journal] (`campaign.ckpt`, conventionally next
+//! to the campaign's output) recording which scenario indices have been
+//! durably written to the result sink. The executor appends one record
+//! per completed scenario only **after** the sink accepted the row *and*
+//! made it durable
 //! ([`ResultSink::sync`](super::sink::ResultSink::sync)), so a crash at
 //! any instant leaves the checkpoint claiming no more than the output
 //! holds. The opposite overhang — complete or torn output rows whose

@@ -5,11 +5,11 @@
 //! is a deterministic function of the per-point verdict sequence, so a
 //! checkpoint need only record `probe` and `row` lines and a resume
 //! *replays* them through the same state machine to land exactly where a
-//! killed run stopped, mid-bisection included. The file is a
-//! [journal], with the campaign checkpoint's discipline:
-//! every record is durable before the engine moves on, a `row` record is
-//! appended only after the output sink made the row durable, and the
-//! header digest binds the frontier spec **and** the output format.
+//! killed run stopped, mid-bisection included. The file is a [journal],
+//! with the campaign checkpoint's discipline: every record is durable
+//! before the engine moves on, a `row` record is appended only after the
+//! output sink made the row durable, and the header digest binds the
+//! frontier spec **and** the output format.
 //!
 //! # File format
 //!

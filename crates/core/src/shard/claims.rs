@@ -5,11 +5,11 @@
 //! *creating* `leases/unit-<u>.lease` with `create_new` (`O_EXCL`): the
 //! filesystem makes exactly one creator win, however many workers race.
 //! The winner then appends one durable `claim <unit> <shard>` record to
-//! `claims.log`, a readable audit trail kept as a
-//! [journal]. Concurrent workers open that log, so unlike
-//! a checkpoint it is created with `O_EXCL`, appended with single-write
-//! `O_APPEND` lines, and a header torn while `emac shard plan` created it
-//! is refused by name, never rewritten.
+//! `claims.log`, a readable audit trail kept as a [journal]. Concurrent
+//! workers open that log, so unlike a checkpoint it is created with
+//! `O_EXCL`, appended with single-write `O_APPEND` lines, and a header
+//! torn while `emac shard plan` created it is refused by name, never
+//! rewritten.
 //!
 //! The lease is authoritative; the log is the record merge reads. A crash
 //! between the two leaves a lease without a log line — the owner restores
