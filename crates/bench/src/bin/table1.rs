@@ -5,11 +5,15 @@
 //! Every row *declares* its sweep as campaign scenarios; all rows execute
 //! through one parallel **streaming** [`emac_core::campaign::Campaign`] —
 //! each report is scored against its bound the moment it completes and
-//! dropped, so the sweep's memory footprint is per-worker, not per-row.
+//! dropped, so the sweep's memory footprint is bounded by the workers and
+//! one commit block, not by the row count. The process exits non-zero
+//! when any row is out of bound or any run is unclean.
 //!
 //! ```text
 //! cargo run --release -p emac-bench --bin table1
 //! ```
+
+use std::process::ExitCode;
 
 use emac_bench::{execute_rows, Planned};
 use emac_core::campaign::ScenarioSpec;
@@ -18,7 +22,7 @@ use emac_sim::Rate;
 
 const BETA: u64 = 2;
 
-fn main() {
+fn main() -> ExitCode {
     println!("Table 1 reproduction — Energy Efficient Adversarial Routing in Shared Channels");
     println!("measured vs paper bound; 'x' column = measured / bound (≤ 1 confirms the bound)");
     let mut rows: Vec<(String, Vec<Planned>)> = Vec::new();
@@ -240,4 +244,9 @@ fn main() {
             "SOME ROWS OUT OF BOUND OR UNCLEAN — see above"
         }
     );
+    if all_ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -170,7 +170,8 @@ impl Planned {
 /// Run every spec in parallel through the shared registry, streaming each
 /// report — slimmed to scalars ([`MetricsDetail::Slim`]) — to `consume` in
 /// spec order the moment it completes, then dropping it. Peak memory is
-/// one in-flight report per worker, independent of sweep width. Bench
+/// bounded by the campaign's reorder window (the workers plus one commit
+/// block of reports), independent of sweep width. Bench
 /// sweeps are statically known-good, so a scenario error (an impossible
 /// name, say) aborts with a message.
 pub fn run_streamed(specs: &[ScenarioSpec], consume: impl FnMut(usize, RunReport) + Send) {

@@ -2,12 +2,14 @@
 //!
 //! A [`Checkpoint`] is a [journal] (`campaign.ckpt`, conventionally next
 //! to the campaign's output) recording which scenario indices have been
-//! durably written to the result sink. The executor appends one record
-//! per completed scenario only **after** the sink accepted the row *and*
-//! made it durable
+//! durably written to the result sink. The executor commits rows in
+//! blocks of 8: it appends a block's records, with one write and one
+//! fsync ([`Checkpoint::record_all`]), only **after** the sink accepted
+//! those rows *and* made them durable
 //! ([`ResultSink::sync`](super::sink::ResultSink::sync)), so a crash at
 //! any instant leaves the checkpoint claiming no more than the output
-//! holds. The opposite overhang — complete or torn output rows whose
+//! holds. A write cut inside a block leaves complete lines, and those
+//! count. The opposite overhang — complete or torn output rows whose
 //! record never landed — is cut at resume time by
 //! [`reopen_output`](crate::journal::reopen_output); those scenarios
 //! re-execute, so a resumed campaign's final output is byte-identical to
@@ -91,13 +93,20 @@ impl Checkpoint {
         }
     }
 
-    /// Record scenario `index` as durably written. Appends one line and
-    /// fsyncs it before returning, so a completed scenario survives any
-    /// later crash.
+    /// Record scenario `index` as durably written: [`record_all`] of one.
+    ///
+    /// [`record_all`]: Self::record_all
     pub fn record(&mut self, index: usize) -> Result<(), String> {
-        debug_assert!(index < self.total);
-        self.journal.append(format_args!("done {index}"))?;
-        self.done.insert(index);
+        self.record_all(&[index])
+    }
+
+    /// Record `indices` as durably written, in the order given. Appends
+    /// their lines with one write and fsyncs them once before returning,
+    /// so a completed commit block survives any later crash.
+    pub fn record_all(&mut self, indices: &[usize]) -> Result<(), String> {
+        debug_assert!(indices.iter().all(|&i| i < self.total));
+        self.journal.append(indices.iter().map(|i| format!("done {i}")))?;
+        self.done.extend(indices);
         Ok(())
     }
 

@@ -22,9 +22,10 @@
 //!   the queue time series and delay histogram right after each scenario
 //!   completes, leaving all scalar metrics intact.
 //!
-//! Results reach the sink in spec order regardless of scheduling (workers
-//! block until their result's turn, so at most one finished report per
-//! worker is ever in flight), and every component of a run is
+//! Results reach the sink in spec order regardless of scheduling
+//! (finished runs park in a bounded reorder window until their turn, so
+//! at most `workers + 8` reports are ever in flight — see
+//! [`Campaign::run_subset`]), and every component of a run is
 //! deterministic in the spec (seeded adversaries, deterministic
 //! algorithms), so a parallel campaign is byte-identical to the same
 //! scenarios run serially, and a streamed export is byte-identical to
@@ -62,14 +63,14 @@
 //! ```
 
 pub mod checkpoint;
+mod commit;
 pub mod expr;
 pub mod json;
 pub mod row;
 pub mod sink;
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use emac_sim::{Adversary, FaultSpec, OnSchedule, Rate};
 
@@ -953,17 +954,6 @@ impl Default for Campaign {
     }
 }
 
-/// The single-writer side of the executor: the sink, the optional
-/// checkpoint, and the hand-off cursor, all behind one lock so results
-/// enter the sink strictly in spec order.
-struct Writer<'a> {
-    /// Next position in the `todo` list to hand off.
-    next: usize,
-    sink: &'a mut dyn ResultSink,
-    checkpoint: Option<&'a mut Checkpoint>,
-    error: Option<String>,
-}
-
 impl Campaign {
     /// An executor sized to the machine (`available_parallelism`), keeping
     /// full metrics detail.
@@ -1016,22 +1006,40 @@ impl Campaign {
     /// Execute the scenarios at the `todo` indices (a subsequence of
     /// `0..specs.len()`, typically [`Checkpoint::remaining`]), streaming
     /// each completed run into `sink` in `todo` order and recording it in
-    /// `checkpoint` (when given) after the sink accepted it.
+    /// `checkpoint` (when given) once the output holding it is durable.
     ///
-    /// Work is distributed over a scoped worker pool through an atomic
-    /// cursor; each worker builds its scenario's algorithm and adversary
-    /// via `factory` on its own thread, so nothing but plain data and the
-    /// factory reference crosses threads. Panics inside a scenario are
-    /// contained and reported as that scenario's error. The hand-off to
-    /// the sink is *ordered*: a worker holding a finished run blocks until
-    /// every earlier `todo` entry has been handed off, so no matter how
-    /// uneven scenario durations are, at most one completed [`RunReport`]
-    /// per worker exists at any moment — streaming campaigns run in
-    /// constant memory.
+    /// Work is distributed over a scoped worker pool; each worker builds
+    /// its scenario's algorithm and adversary via `factory` on its own
+    /// thread, so nothing but plain data and the factory reference crosses
+    /// threads. Panics inside a scenario are contained and reported as that
+    /// scenario's error.
+    ///
+    /// Finished runs pass through one commit stage:
+    ///
+    /// * **A bounded reorder window.** A worker may start `todo` position
+    ///   `p` only while `p < a + THREADS + K`, where `a` counts the rows
+    ///   the sink has accepted, `THREADS` is the worker count and `K` is 8.
+    ///   Finished runs park until their turn. At most `THREADS + K`
+    ///   scenarios are ever started but unaccepted, so however uneven
+    ///   scenario durations are, a streaming campaign's memory does not
+    ///   grow with its width.
+    /// * **One committer.** The worker that parks position `a` hands the
+    ///   consecutive parked rows to the sink in order while the others
+    ///   keep simulating.
+    /// * **Fixed commit blocks.** With a checkpoint, after `todo` positions
+    ///   `K − 1, 2K − 1, …` and the last one the committer calls
+    ///   [`ResultSink::sync`] once and then appends the block's records
+    ///   with one write and one fsync, so `R` rows take exactly `⌈R/K⌉`
+    ///   barriers at any thread count. A kill loses at most `K − 1`
+    ///   accepted but unrecorded rows, plus those in flight; they re-run
+    ///   on resume.
     ///
     /// A sink or checkpoint error aborts the campaign: no further
     /// scenarios are dispatched, the failing run is not checkpointed, and
-    /// the error is returned. [`ResultSink::finish`] runs only on success.
+    /// the error is returned. The rows of the current block accepted
+    /// before the failure are still synced and recorded first (if that
+    /// sync succeeds), so exactly the accepted rows are recorded.
+    /// [`ResultSink::finish`] runs only on success.
     pub fn run_subset<F>(
         &self,
         specs: &[ScenarioSpec],
@@ -1046,63 +1054,16 @@ impl Campaign {
         if let Some(&bad) = todo.iter().find(|&&i| i >= specs.len()) {
             return Err(format!("todo index {bad} out of range for {} specs", specs.len()));
         }
-        let cursor = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let writer = Mutex::new(Writer { next: 0, sink, checkpoint, error: None });
-        let handed = Condvar::new();
         let workers = self.threads.min(todo.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&index) = todo.get(pos) else { break };
-                    let mut run = execute_one(&specs[index], factory);
-                    if self.detail == MetricsDetail::Slim {
-                        if let Ok(report) = &mut run.outcome {
-                            report.metrics.slim();
-                        }
-                    }
-                    // Ordered hand-off: wait for our turn (or an abort).
-                    let mut w = writer.lock().expect("writer state poisoned");
-                    while w.next != pos && w.error.is_none() {
-                        w = handed.wait(w).expect("writer state poisoned");
-                    }
-                    if w.error.is_none() {
-                        let mut written = w.sink.accept(index, run);
-                        if w.checkpoint.is_some() {
-                            // Make the row durable before the checkpoint
-                            // can claim it.
-                            written = written.and_then(|()| w.sink.sync());
-                        }
-                        let recorded = written.and_then(|()| match &mut w.checkpoint {
-                            Some(ck) => ck.record(index),
-                            None => Ok(()),
-                        });
-                        match recorded {
-                            Ok(()) => w.next = pos + 1,
-                            Err(e) => {
-                                w.error = Some(e);
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    let done = w.error.is_some();
-                    drop(w);
-                    handed.notify_all();
-                    if done {
-                        break;
-                    }
-                });
+        commit::run(todo, workers, sink, checkpoint, |index| {
+            let mut run = execute_one(&specs[index], factory);
+            if self.detail == MetricsDetail::Slim {
+                if let Ok(report) = &mut run.outcome {
+                    report.metrics.slim();
+                }
             }
-        });
-        let writer = writer.into_inner().expect("writer state poisoned");
-        match writer.error {
-            Some(e) => Err(e),
-            None => writer.sink.finish(),
-        }
+            run
+        })
     }
 }
 

@@ -1,7 +1,10 @@
 //! Result sinks: where completed scenarios go.
 //!
 //! The campaign executor hands every finished [`ScenarioRun`] to a single
-//! [`ResultSink`], **in spec order**, as workers complete them (see
+//! [`ResultSink`], **in spec order**, through its commit stage: one
+//! committer at a time accepts the consecutive finished rows while the
+//! other workers keep simulating, and with a checkpoint it makes each
+//! block of 8 rows durable with one [`ResultSink::sync`] (see
 //! [`Campaign::run_subset`]). A sink decides what to keep:
 //!
 //! * [`MemorySink`] — buffer everything; backs [`Campaign::run`]'s
@@ -26,6 +29,7 @@
 //! [`CampaignResult`]: super::CampaignResult
 
 use std::io::Write;
+use std::time::Duration;
 
 use super::row::{csv_row, run_json, CSV_HEADER};
 use super::{CampaignResult, ScenarioRun};
@@ -33,7 +37,7 @@ use super::{CampaignResult, ScenarioRun};
 /// Consumer of completed scenarios, invoked in spec order by the executor.
 ///
 /// `Send` is required because the hand-off happens on worker threads (one
-/// worker at a time, under a lock — implementations need no internal
+/// committer at a time — implementations need no internal
 /// synchronization).
 pub trait ResultSink: Send {
     /// Consume one completed scenario. `index` is the scenario's position
@@ -45,13 +49,19 @@ pub trait ResultSink: Send {
     fn accept(&mut self, index: usize, run: ScenarioRun) -> Result<(), String>;
 
     /// Make everything accepted so far durable (flush application buffers;
-    /// fsync when the sink is file-backed — see [`DurableFile`]). The
-    /// executor calls this after each accepted scenario **before**
-    /// recording it in a checkpoint, so the checkpoint can never claim
+    /// fsync when the sink is file-backed — see [`DurableFile`]). With a
+    /// checkpoint, the executor calls this once per commit block,
+    /// **before** recording the block, so the checkpoint can never claim
     /// more than the output durably holds.
     fn sync(&mut self) -> Result<(), String> {
         Ok(())
     }
+
+    /// Told once per commit block, after its [`sync`](Self::sync) and its
+    /// checkpoint append both returned: `barrier` is how long the two took
+    /// together. [`ObservedSink`](crate::obs::ObservedSink) reports it as
+    /// an `Fsync` event and wrappers forward it; other sinks ignore it.
+    fn committed(&mut self, _barrier: Duration) {}
 
     /// Called once after the last accepted scenario of a successful
     /// campaign (not after an abort). Flush buffers here.
@@ -62,11 +72,12 @@ pub trait ResultSink: Send {
 
 /// A buffered campaign-output file whose `flush` also fsyncs
 /// (`File::sync_data`), giving a streaming sink the same power-loss
-/// durability as the checkpoint it pairs with: the executor's
-/// accept → [`ResultSink::sync`] → [`Checkpoint::record`] sequence then
-/// guarantees every checkpointed row is durably on disk.
+/// durability as the checkpoint it pairs with: the executor accepts a
+/// block's rows, calls [`ResultSink::sync`], and only then
+/// [`Checkpoint::record_all`]s them, so every checkpointed row is durably
+/// on disk.
 ///
-/// [`Checkpoint::record`]: super::Checkpoint::record
+/// [`Checkpoint::record_all`]: super::Checkpoint::record_all
 #[derive(Debug)]
 pub struct DurableFile {
     inner: std::io::BufWriter<std::fs::File>,
@@ -300,6 +311,10 @@ impl<S: ResultSink> ResultSink for TallySink<S> {
 
     fn sync(&mut self) -> Result<(), String> {
         self.inner.sync()
+    }
+
+    fn committed(&mut self, barrier: Duration) {
+        self.inner.committed(barrier);
     }
 
     fn finish(&mut self) -> Result<(), String> {

@@ -158,7 +158,7 @@ impl FrontierCheckpoint {
     /// returning.
     pub fn record_probe(&mut self, point: usize, verdict: Verdict) -> Result<(), String> {
         debug_assert!(point < self.log.points);
-        self.journal.append(format_args!("probe {point} {}", verdict_letter(verdict)))?;
+        self.journal.append([format_args!("probe {point} {}", verdict_letter(verdict))])?;
         self.log.probes.push(ProbeRecord { point, verdict, lanes: None });
         Ok(())
     }
@@ -176,7 +176,7 @@ impl FrontierCheckpoint {
         debug_assert!(point < self.log.points);
         debug_assert!(diverging <= lanes && lanes > 0);
         let letter = verdict_letter(verdict);
-        self.journal.append(format_args!("probe {point} {letter} {diverging} {lanes}"))?;
+        self.journal.append([format_args!("probe {point} {letter} {diverging} {lanes}")])?;
         self.log.probes.push(ProbeRecord { point, verdict, lanes: Some((diverging, lanes)) });
         Ok(())
     }
@@ -187,7 +187,7 @@ impl FrontierCheckpoint {
     /// twice.
     pub fn record_row(&mut self, index: usize) -> Result<(), String> {
         self.log.check_row(index).map_err(|e| self.journal.context(&e))?;
-        self.journal.append(format_args!("row {index}"))?;
+        self.journal.append([format_args!("row {index}")])?;
         self.log.rows.push(index);
         Ok(())
     }

@@ -16,9 +16,9 @@
 //! done 0                       one record per line
 //! ```
 //!
-//! The header is one `write_all` made durable with `sync_all`; each record
-//! is one `write_all` made durable with `sync_data` before its append
-//! returns.
+//! The header is one `write_all` made durable with `sync_all`. Each append
+//! — one record, or a campaign's whole commit block of records — is one
+//! `write_all` made durable with one `sync_data` before it returns.
 //!
 //! # Crash contract
 //!
@@ -45,7 +45,7 @@
 //! it. A flipped byte inside a complete line is outside this model:
 //! catching one needs per-record checksums, which the v1 format lacks.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
@@ -194,13 +194,18 @@ impl Journal {
         Ok(Some(journal))
     }
 
-    /// Append one record line (the newline is added here) and make it
-    /// durable.
-    pub(crate) fn append(&self, record: fmt::Arguments) -> Result<(), String> {
-        let mut line = record.to_string();
-        line.push('\n');
+    /// Append `records`, one line each (the newlines are added here),
+    /// with one `write_all`, and make them durable with one `sync_data`.
+    pub(crate) fn append<R: fmt::Display>(
+        &self,
+        records: impl IntoIterator<Item = R>,
+    ) -> Result<(), String> {
+        let mut text = String::new();
+        for record in records {
+            let _ = writeln!(text, "{record}");
+        }
         (&self.file)
-            .write_all(line.as_bytes())
+            .write_all(text.as_bytes())
             .and_then(|()| self.file.sync_data())
             .map_err(|e| self.context(&e))
     }

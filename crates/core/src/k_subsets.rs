@@ -82,9 +82,17 @@ impl KSubsetsParams {
         emac_sim::bitset::row_get(row, station)
     }
 
-    /// Threads whose subset contains `station` (ascending).
-    pub fn threads_of(&self, station: StationId) -> Vec<u32> {
-        (0..self.gamma() as u32).filter(|&t| self.in_subset(t, station)).collect()
+    /// Every station's threads, those whose subset contains it, in
+    /// ascending order: one pass over the enumeration. Each list holds
+    /// `C(n−1, k−1) = γk/n` threads.
+    pub fn threads_by_station(&self) -> Vec<Vec<u32>> {
+        let mut threads = vec![Vec::with_capacity(self.gamma() * self.k / self.n); self.n];
+        for (t, subset) in self.subsets.iter().enumerate() {
+            for &station in subset {
+                threads[station].push(t as u32);
+            }
+        }
+        threads
     }
 }
 
@@ -115,9 +123,9 @@ pub enum ThreadSubroutine {
     Rrw,
 }
 
-/// One station's state for one thread it belongs to.
+/// One station's state for one thread it belongs to. The thread's members
+/// are its subset in [`KSubsetsParams`].
 struct ThreadState {
-    members: Vec<StationId>,
     /// Packets of this station allocated to this thread (id, arrival).
     queue: VecDeque<(PacketId, Round)>,
     // MBTF state
@@ -133,36 +141,36 @@ struct ThreadState {
 pub struct KSubsetsStation {
     params: Arc<KSubsetsParams>,
     mode: ThreadSubroutine,
-    threads: HashMap<u32, ThreadState>,
+    /// The threads whose subset contains this station (ascending).
+    my_threads: Vec<u32>,
+    /// The state of `my_threads[i]` at position `i`.
+    threads: Vec<ThreadState>,
     /// Per-destination balanced allocator over eligible threads.
     alloc: HashMap<StationId, BalancedAllocator>,
-    my_threads: Vec<u32>,
 }
 
 impl KSubsetsStation {
-    fn new(params: Arc<KSubsetsParams>, id: StationId, mode: ThreadSubroutine) -> Self {
-        let my_threads = params.threads_of(id);
+    fn new(params: Arc<KSubsetsParams>, my_threads: Vec<u32>, mode: ThreadSubroutine) -> Self {
         let threads = my_threads
             .iter()
             .map(|&t| {
-                let members = params.subsets[t as usize].clone();
-                let baton = BatonList::with_members(members.clone());
-                let ring = TokenRing::new(members.len());
-                (
-                    t,
-                    ThreadState {
-                        members,
-                        queue: VecDeque::new(),
-                        baton,
-                        my_big: false,
-                        season_big: false,
-                        ring,
-                        batch_marker: 0,
-                    },
-                )
+                let members = &params.subsets[t as usize];
+                ThreadState {
+                    queue: VecDeque::new(),
+                    baton: BatonList::with_members(members.clone()),
+                    my_big: false,
+                    season_big: false,
+                    ring: TokenRing::new(members.len()),
+                    batch_marker: 0,
+                }
             })
             .collect();
-        Self { params, mode, threads, alloc: HashMap::new(), my_threads }
+        Self { params, mode, my_threads, threads, alloc: HashMap::new() }
+    }
+
+    /// Position of thread `t` in `my_threads`, if this station is in it.
+    fn slot(&self, t: u32) -> Option<usize> {
+        self.my_threads.binary_search(&t).ok()
     }
 
     /// Thread-local season length (MBTF seasons within a thread's scaled
@@ -189,11 +197,8 @@ impl Protocol for KSubsetsStation {
         });
         let t = alloc.pick();
         let _ = ctx;
-        self.threads
-            .get_mut(&t)
-            .expect("allocated to a thread of this station")
-            .queue
-            .push_back((qp.packet.id, qp.arrived));
+        let slot = self.slot(t).expect("allocated to a thread of this station");
+        self.threads[slot].queue.push_back((qp.packet.id, qp.arrived));
     }
 
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
@@ -201,9 +206,11 @@ impl Protocol for KSubsetsStation {
         let j = ctx.round / self.params.gamma() as u64; // thread-round
         let season_len = self.season_len();
         let kk = self.params.k;
-        let Some(rep) = self.threads.get_mut(&t) else {
+        let Some(slot) = self.slot(t) else {
             return Action::Listen;
         };
+        let rep = &mut self.threads[slot];
+        let members = &self.params.subsets[t as usize];
         match self.mode {
             ThreadSubroutine::Mbtf => {
                 if rep.baton.conductor() != ctx.id {
@@ -223,7 +230,7 @@ impl Protocol for KSubsetsStation {
                 }
             }
             ThreadSubroutine::Rrw => {
-                if rep.members[rep.ring.pos()] != ctx.id {
+                if members[rep.ring.pos()] != ctx.id {
                     return Action::Listen;
                 }
                 match rep.queue.front() {
@@ -247,10 +254,12 @@ impl Protocol for KSubsetsStation {
         let t = self.params.thread_of_round(ctx.round);
         let j = ctx.round / self.params.gamma() as u64;
         let season_len = self.season_len();
-        let Some(rep) = self.threads.get_mut(&t) else {
+        let Some(slot) = self.slot(t) else {
             effects.flag("k-subsets: awake outside own threads");
             return Wake::Stay;
         };
+        let rep = &mut self.threads[slot];
+        let members = &self.params.subsets[t as usize];
         match self.mode {
             ThreadSubroutine::Mbtf => {
                 match fb {
@@ -275,12 +284,12 @@ impl Protocol for KSubsetsStation {
             ThreadSubroutine::Rrw => match fb {
                 Feedback::Silence => {
                     rep.ring.advance();
-                    if rep.members[rep.ring.pos()] == ctx.id {
+                    if members[rep.ring.pos()] == ctx.id {
                         rep.batch_marker = ctx.round + 1;
                     }
                 }
                 Feedback::Heard(m) => {
-                    if rep.members[rep.ring.pos()] == ctx.id {
+                    if members[rep.ring.pos()] == ctx.id {
                         if let Some(p) = m.packet {
                             debug_assert_eq!(Some(p.id), rep.queue.front().map(|&(id, _)| id));
                             rep.queue.pop_front();
@@ -341,9 +350,11 @@ impl Algorithm for KSubsets {
 
     fn build(&self, n: usize) -> BuiltAlgorithm {
         let params = Arc::new(KSubsetsParams::new(n, self.k));
-        let protocols = (0..n)
-            .map(|s| {
-                Box::new(KSubsetsStation::new(Arc::clone(&params), s, self.subroutine))
+        let protocols = params
+            .threads_by_station()
+            .into_iter()
+            .map(|threads| {
+                Box::new(KSubsetsStation::new(Arc::clone(&params), threads, self.subroutine))
                     as Box<dyn Protocol>
             })
             .collect();
@@ -370,7 +381,13 @@ mod tests {
         assert_eq!(p.on_set(5, 0), vec![0, 1]);
         assert_eq!(p.on_set(5, 1), vec![0, 2]);
         assert_eq!(p.on_set(5, 10), vec![0, 1]); // period gamma
-        assert_eq!(p.threads_of(4).len(), 4); // C(4,1)
+        let threads = p.threads_by_station();
+        assert_eq!(threads[4].len(), 4); // C(4,1)
+        for (station, mine) in threads.iter().enumerate() {
+            let containing: Vec<u32> =
+                (0..p.gamma() as u32).filter(|&t| p.in_subset(t, station)).collect();
+            assert_eq!(mine, &containing, "station {station}");
+        }
     }
 
     #[test]

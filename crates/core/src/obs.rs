@@ -7,7 +7,7 @@
 //! and nothing here ever feeds a row. The pieces:
 //!
 //! * [`ObsEvent`] — the event model: run start/finish, per-row and
-//!   per-probe timings, refinement waves, escalations, checkpoint fsync
+//!   per-probe timings, refinement waves, escalations, durability-barrier
 //!   latency, and shard claim/steal/lease-repair. Events serialize to one
 //!   compact JSON object per line through the house
 //!   [`Json`](crate::campaign::json::Json) value, so an `events.jsonl`
@@ -38,7 +38,7 @@
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use emac_sim::DelayStats;
 
@@ -140,9 +140,10 @@ pub enum ObsEvent {
         /// Final lane count after escalation.
         lanes: u64,
     },
-    /// An output/checkpoint durability barrier (fsync) completed.
+    /// A durability barrier completed: in a campaign, one commit block's
+    /// output sync and checkpoint append, timed together.
     Fsync {
-        /// Wall-clock fsync latency, µs.
+        /// Wall-clock barrier latency, µs.
         wall_us: u64,
     },
     /// A shard claimed a work unit.
@@ -277,7 +278,7 @@ impl ObsEvent {
 
 /// Consumer of observability events. Implementations need no internal
 /// synchronization: executors record events from one thread at a time
-/// (under the writer lock, or on the coordinating thread).
+/// (the campaign's committer, or the coordinating thread).
 pub trait ObsSink: Send {
     /// Record one event.
     fn record(&mut self, event: &ObsEvent);
@@ -513,12 +514,12 @@ impl Observer {
 }
 
 /// A [`ResultSink`] wrapper that reports each accepted row and each
-/// durability barrier to an [`Observer`] — the campaign executor needs no
-/// changes, and the bytes pass through untouched (the wrapper never
+/// commit block's durability barrier ([`ResultSink::committed`]) to an
+/// [`Observer`] — the bytes pass through untouched (the wrapper never
 /// inspects or alters what the inner sink writes). The observer is shared
 /// through a [`Mutex`](std::sync::Mutex) so the caller (e.g. the shard
 /// driver, between units) can record its own events against the same
-/// stream; `accept` runs under the campaign's writer lock, so the inner
+/// stream; only the campaign's committer calls the sink, so the inner
 /// mutex is effectively uncontended.
 pub struct ObservedSink<'o, S: ResultSink> {
     inner: S,
@@ -552,11 +553,13 @@ impl<S: ResultSink> ResultSink for ObservedSink<'_, S> {
     }
 
     fn sync(&mut self) -> Result<(), String> {
-        let started = Instant::now();
-        let outcome = self.inner.sync();
-        let wall_us = started.elapsed().as_micros() as u64;
+        self.inner.sync()
+    }
+
+    fn committed(&mut self, barrier: Duration) {
+        let wall_us = barrier.as_micros() as u64;
         self.obs.lock().expect("observer poisoned").record(&ObsEvent::Fsync { wall_us });
-        outcome
+        self.inner.committed(barrier);
     }
 
     fn finish(&mut self) -> Result<(), String> {

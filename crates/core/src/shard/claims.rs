@@ -80,7 +80,7 @@ impl ClaimTable {
         file.write_all(format!("{shard}\n").as_bytes())
             .and_then(|()| file.sync_all())
             .map_err(|e| format!("lease {}: {e}", lease.display()))?;
-        self.log.append(format_args!("claim {unit} {shard}"))?;
+        self.log.append([format_args!("claim {unit} {shard}")])?;
         Ok(true)
     }
 
@@ -120,7 +120,7 @@ impl ClaimTable {
                 .and_then(|()| file.sync_all())
                 .map_err(|e| format!("lease {}: {e}", lease.display()))?;
         }
-        self.log.append(format_args!("claim {unit} {shard}"))?;
+        self.log.append([format_args!("claim {unit} {shard}")])?;
         Ok(true)
     }
 
