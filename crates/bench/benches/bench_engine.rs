@@ -18,9 +18,7 @@ use emac_adversary::{LeastOnPair, UniformRandom};
 use emac_bench::timing::{bench, write_json, BenchResult};
 use emac_broadcast::{build_mbtf, build_of_rrw, build_rrw};
 use emac_core::prelude::*;
-use emac_sim::{
-    BatchSimulator, BuiltAlgorithm, FaultSpec, NoInjections, Rate, SimConfig, Simulator, WakeMode,
-};
+use emac_sim::{BuiltAlgorithm, FaultSpec, NoInjections, Rate, SimConfig, Simulator, WakeMode};
 
 const ROUNDS: u64 = 50_000;
 const SMOKE_ROUNDS: u64 = 5_000;
@@ -135,49 +133,6 @@ fn large_n(rounds: u64, results: &mut Vec<BenchResult>) {
     }
 }
 
-fn batch_lanes(rounds: u64, results: &mut Vec<BenchResult>) {
-    // Lockstep multi-seed batches: S = 8 lanes of one scenario sharing a
-    // single schedule-row expansion per round. work_items = rounds × S, so
-    // ns/item reads as ns/(round·seed) — directly comparable with the solo
-    // numbers above (the tentpole ratio is solo kcycle_loaded_n16_k4
-    // divided by batch_kcycle_n16_k4_s8).
-    const S: u64 = 8;
-    println!("batch: {rounds} rounds per call, {S} lanes");
-    results.push(bench("batch_kcycle_n16_k4_s8", rounds * S, || {
-        let rho = bounds::k_cycle_rate_threshold(16, 4).scaled(4, 5);
-        let lanes: Vec<Simulator> = (0..S)
-            .map(|seed| {
-                let cfg = SimConfig::new(16, 4).adversary_type(rho, Rate::integer(2));
-                Simulator::new(cfg, KCycle::new(4).build(16), Box::new(UniformRandom::new(seed)))
-            })
-            .collect();
-        let mut batch = BatchSimulator::new(lanes);
-        batch.run(rounds);
-        for lane in batch.lanes() {
-            assert!(lane.violations().is_clean());
-            black_box(lane.metrics().delivered);
-        }
-    }));
-    {
-        // Mirrors ksubsets_n128: construction (the C(128,2) geometry) is
-        // untimed and each iteration continues the same batch.
-        let lanes: Vec<Simulator> = (0..S)
-            .map(|seed| {
-                let cfg = SimConfig::new(128, 2).adversary_type(Rate::new(1, 64), Rate::integer(4));
-                Simulator::new(cfg, KSubsets::new(2).build(128), Box::new(UniformRandom::new(seed)))
-            })
-            .collect();
-        let mut batch = BatchSimulator::new(lanes);
-        results.push(bench("batch_ksubsets_n128_s8", rounds * S, || {
-            batch.run(rounds);
-            for lane in batch.lanes() {
-                assert!(lane.violations().is_clean());
-                black_box(lane.metrics().delivered);
-            }
-        }));
-    }
-}
-
 fn frontier_bisect(rounds: u64, results: &mut Vec<BenchResult>) {
     // Probe throughput of the frontier bisection inner loop: one map point
     // searched serially (threads=1) so the number is per-probe cost, not
@@ -255,7 +210,6 @@ fn main() {
     sleeping_stations(rounds, &mut results);
     backlog(rounds, &mut results);
     large_n(rounds, &mut results);
-    batch_lanes(rounds, &mut results);
     frontier_bisect(rounds, &mut results);
 
     if let Some(path) = json_path {

@@ -9,6 +9,11 @@
 
 use std::fmt::Write as _;
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the bound keeps a hostile document from overflowing the
+/// stack; committed specs nest at most 4 deep.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -30,10 +35,11 @@ pub enum Json {
 
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
+    /// Arrays and objects may nest at most 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -230,12 +236,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -318,17 +328,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // copy the full UTF-8 scalar starting here
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash at once.
+                // Both are ASCII, so the run is whole characters of the
+                // input, which is a `&str`.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run =
+                    std::str::from_utf8(&bytes[start..*pos]).expect("a &str cut at ASCII bytes");
+                out.push_str(run);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -337,7 +352,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -350,7 +365,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -369,7 +384,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -438,6 +453,25 @@ mod tests {
         }
     }
 
+    /// `levels` nested arrays (`[[…]]`) or objects (`{"k":{"k":…}}`).
+    fn nested(levels: usize, objects: bool) -> String {
+        let (open, close) = if objects { ("{\"k\":", "}") } else { ("[", "]") };
+        let inner = if objects { "1" } else { "" };
+        format!("{}{inner}{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_limit() {
+        for objects in [false, true] {
+            let at_limit = Json::parse(&nested(MAX_DEPTH, objects)).unwrap();
+            assert_eq!(Json::parse(&at_limit.render()).unwrap(), at_limit);
+            for levels in [MAX_DEPTH + 1, 50_000] {
+                let err = Json::parse(&nested(levels, objects)).unwrap_err();
+                assert!(err.contains("nesting deeper than 128 levels"), "{levels}: {err}");
+            }
+        }
+    }
+
     #[test]
     fn floats_keep_fraction_marker() {
         let mut s = String::new();
@@ -455,5 +489,7 @@ mod tests {
         assert_eq!(v.as_str(), Some("ρ≤β — ütf8"));
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
         assert_eq!(Json::parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
+        // Escapes between multi-byte characters split the copied runs.
+        assert_eq!(Json::parse("\"ρ\\\"β\\\\—\"").unwrap().as_str(), Some("ρ\"β\\—"));
     }
 }

@@ -285,6 +285,26 @@ impl ScenarioSpec {
         Ok(())
     }
 
+    /// The [`Runner`] this spec describes: rate, β, rounds, and the drain,
+    /// cap, probe-cap and fault settings it sets. The seed, algorithm and
+    /// adversary reach the run through a [`ScenarioFactory`].
+    pub fn runner(&self) -> Runner {
+        let mut runner = Runner::new(self.n).rate(self.rho).beta(self.beta).rounds(self.rounds);
+        if let Some(drain) = self.drain {
+            runner = runner.drain(drain);
+        }
+        if let Some(cap) = self.cap {
+            runner = runner.cap(cap);
+        }
+        if let Some(probe_cap) = self.probe_cap {
+            runner = runner.probe_cap(probe_cap);
+        }
+        if let Some(faults) = &self.faults {
+            runner = runner.faults(faults.clone());
+        }
+        runner
+    }
+
     /// Serialize to a JSON object. Optional fields are omitted when unset.
     pub fn to_json(&self) -> Json {
         let mut obj = Vec::new();
@@ -1074,20 +1094,8 @@ pub(crate) fn execute_one<F: ScenarioFactory>(spec: &ScenarioSpec, factory: &F) 
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<RunReport, String> {
         spec.validate()?;
         let algorithm = factory.algorithm(spec)?;
-        let mut runner = Runner::new(spec.n).rate(spec.rho).beta(spec.beta).rounds(spec.rounds);
-        if let Some(drain) = spec.drain {
-            runner = runner.drain(drain);
-        }
-        if let Some(cap) = spec.cap {
-            runner = runner.cap(cap);
-        }
-        if let Some(probe_cap) = spec.probe_cap {
-            runner = runner.probe_cap(probe_cap);
-        }
-        if let Some(faults) = &spec.faults {
-            runner = runner.faults(faults.clone());
-        }
-        runner.try_run_against(algorithm.as_ref(), |schedule| factory.adversary(spec, schedule))
+        spec.runner()
+            .try_run_against(algorithm.as_ref(), |schedule| factory.adversary(spec, schedule))
     }))
     .unwrap_or_else(|panic| {
         let msg = panic
@@ -1098,56 +1106,6 @@ pub(crate) fn execute_one<F: ScenarioFactory>(spec: &ScenarioSpec, factory: &F) 
         Err(format!("scenario panicked: {msg}"))
     });
     ScenarioRun { spec: spec.clone(), outcome }
-}
-
-/// Run `spec` under every seed in `seeds` as one lockstep batch — the
-/// multi-seed sibling of [`execute_one`], built from the same `Runner`
-/// setup so lane `i` is digest-identical to `execute_one` with
-/// `spec.seed = seeds[i]`. `spec.seed` itself is ignored. Used by
-/// `emac run --seeds`; panics inside the simulation are captured as
-/// errors like the solo executor does.
-pub fn execute_batch<F: ScenarioFactory>(
-    spec: &ScenarioSpec,
-    seeds: &[u64],
-    factory: &F,
-) -> Result<Vec<RunReport>, String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<Vec<RunReport>, String> {
-        spec.validate()?;
-        let mut runner = Runner::new(spec.n).rate(spec.rho).beta(spec.beta).rounds(spec.rounds);
-        if let Some(drain) = spec.drain {
-            runner = runner.drain(drain);
-        }
-        if let Some(cap) = spec.cap {
-            runner = runner.cap(cap);
-        }
-        if let Some(probe_cap) = spec.probe_cap {
-            runner = runner.probe_cap(probe_cap);
-        }
-        if let Some(faults) = &spec.faults {
-            runner = runner.faults(faults.clone());
-        }
-        runner.try_run_batch(
-            seeds,
-            |seed| {
-                let mut lane = spec.clone();
-                lane.seed = seed;
-                factory.algorithm(&lane)
-            },
-            |seed, schedule| {
-                let mut lane = spec.clone();
-                lane.seed = seed;
-                factory.adversary(&lane, schedule)
-            },
-        )
-    }))
-    .unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| panic.downcast_ref::<&str>().copied())
-            .unwrap_or("opaque panic");
-        Err(format!("scenario panicked: {msg}"))
-    })
 }
 
 /// All outcomes of one campaign, in spec order.

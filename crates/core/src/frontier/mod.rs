@@ -1241,9 +1241,9 @@ struct LanePool {
 /// order.
 ///
 /// A lane is a solo run of its probe's spec with the seed swapped in,
-/// through the campaign's executor; lane `i` is bit-exact with lane `i`
-/// of a lockstep batch (`tests/batch_lane_exactness.rs`), so the tallies
-/// do not depend on how lanes are scheduled. The queue starts with every
+/// through the campaign's executor (as `emac run --seeds` runs its
+/// lanes). Lanes share no state, so the tallies do not depend on how
+/// lanes are scheduled. The queue starts with every
 /// probe's base seeds in wave order: `seeds`, or the probe's own seed
 /// when `seeds` is empty. When a probe's last outstanding lane lands,
 /// its worker applies the escalation rule and pushes only the new lanes

@@ -8,8 +8,7 @@
 use std::sync::Arc;
 
 use emac_sim::{
-    Adversary, BatchSimulator, FaultSpec, Metrics, OnSchedule, Rate, SimConfig, Simulator,
-    Violations, WakeMode,
+    Adversary, FaultSpec, Metrics, OnSchedule, Rate, SimConfig, Simulator, Violations, WakeMode,
 };
 
 use crate::algorithm::Algorithm;
@@ -95,7 +94,7 @@ impl Runner {
     /// Inject deterministic faults (jamming, crash/restart, deaf rounds,
     /// clock skew) described by `spec`; see [`emac_sim::faults`]. The fault
     /// stream is derived from `spec.seed`, never the scenario seed, so every
-    /// batch lane sees the identical fault schedule.
+    /// seed of an ensemble sees the identical fault schedule.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
         self
@@ -152,126 +151,6 @@ impl Runner {
             }
         };
         let drained = self.drain_rounds.map(|max| sim.run_until_drained(max));
-        Ok(self.lane_report(name, cap, tripped_round, drained, &sim))
-    }
-
-    /// Run one scenario under every seed in `seeds` as a lockstep
-    /// [`BatchSimulator`] — one report per seed, in seed order. Lane `i` is
-    /// digest-identical to a solo [`Runner::try_run_against`] of the same
-    /// scenario with seed `seeds[i]`: the closures receive the seed and
-    /// must build the algorithm and adversary exactly as the solo run
-    /// would. With [`Runner::probe_cap`] set, lanes that trip early drop
-    /// out without stalling the rest of the batch and report their
-    /// tripping round.
-    ///
-    /// Fails (without simulating) when `seeds` is empty, a constructor
-    /// fails, or the seeds disagree on the algorithm's energy cap.
-    pub fn try_run_batch(
-        &self,
-        seeds: &[u64],
-        mut make_algorithm: impl FnMut(u64) -> Result<Box<dyn Algorithm>, String>,
-        mut make_adversary: impl FnMut(
-            u64,
-            Option<&Arc<dyn OnSchedule>>,
-        ) -> Result<Box<dyn Adversary>, String>,
-    ) -> Result<Vec<RunReport>, String> {
-        if seeds.is_empty() {
-            return Err("a seed batch needs at least one seed".into());
-        }
-        let sample =
-            if self.sample_every == 0 { (self.rounds / 2_048).max(1) } else { self.sample_every };
-        let mut lanes = Vec::with_capacity(seeds.len());
-        let mut names = Vec::with_capacity(seeds.len());
-        let mut cap = None;
-        for &seed in seeds {
-            let algorithm = make_algorithm(seed)?;
-            let lane_cap = self.cap_override.unwrap_or_else(|| algorithm.required_cap(self.n));
-            match cap {
-                None => cap = Some(lane_cap),
-                Some(c) if c != lane_cap => {
-                    return Err(format!(
-                        "seed {seed} asks for energy cap {lane_cap}, other lanes use {c}"
-                    ));
-                }
-                Some(_) => {}
-            }
-            let mut cfg = SimConfig::new(self.n, lane_cap)
-                .adversary_type(self.rho, self.beta)
-                .sample_every(sample);
-            if let Some(f) = &self.faults {
-                cfg = cfg.faults(f.clone());
-            }
-            let built = algorithm.build(self.n);
-            let adversary = match &built.wake {
-                WakeMode::Scheduled(s) => make_adversary(seed, Some(s))?,
-                WakeMode::Adaptive => make_adversary(seed, None)?,
-            };
-            names.push(built.name.clone());
-            lanes.push(Simulator::new(cfg, built, adversary));
-        }
-        let cap = cap.expect("at least one seed");
-        let mut batch = BatchSimulator::new(lanes);
-        let tripped: Vec<Option<u64>> = match self.probe_cap {
-            Some(queue_cap) => batch.run_probe(self.rounds, queue_cap),
-            None => {
-                batch.run(self.rounds);
-                vec![None; seeds.len()]
-            }
-        };
-        let drained: Vec<Option<bool>> = match self.drain_rounds {
-            Some(max) => batch.run_until_drained(max).into_iter().map(Some).collect(),
-            None => vec![None; seeds.len()],
-        };
-        Ok(batch
-            .into_lanes()
-            .iter()
-            .zip(names)
-            .zip(tripped.iter().zip(drained))
-            .map(|((lane, name), (&tripped_round, drained))| {
-                self.lane_report(name, cap, tripped_round, drained, lane)
-            })
-            .collect())
-    }
-
-    /// Infallible [`Runner::try_run_batch`]: seed-indexed constructors that
-    /// always succeed. Panics on an empty seed list or a cap mismatch.
-    pub fn run_batch(
-        &self,
-        seeds: &[u64],
-        mut make_algorithm: impl FnMut(u64) -> Box<dyn Algorithm>,
-        mut make_adversary: impl FnMut(u64, Option<&Arc<dyn OnSchedule>>) -> Box<dyn Adversary>,
-    ) -> Vec<RunReport> {
-        self.try_run_batch(
-            seeds,
-            |seed| Ok(make_algorithm(seed)),
-            |seed, schedule| Ok(make_adversary(seed, schedule)),
-        )
-        .expect("infallible batch constructors")
-    }
-
-    /// [`Runner::run_batch`] as a stability probe: requires
-    /// [`Runner::probe_cap`] to be set (panics otherwise), so every lane
-    /// early-exits the moment its queues pass the cap.
-    pub fn probe_batch(
-        &self,
-        seeds: &[u64],
-        make_algorithm: impl FnMut(u64) -> Box<dyn Algorithm>,
-        make_adversary: impl FnMut(u64, Option<&Arc<dyn OnSchedule>>) -> Box<dyn Adversary>,
-    ) -> Vec<RunReport> {
-        assert!(self.probe_cap.is_some(), "probe_batch requires a probe_cap");
-        self.run_batch(seeds, make_algorithm, make_adversary)
-    }
-
-    /// Classify one finished simulator into a [`RunReport`] (shared by the
-    /// solo and batch paths so their reports are field-for-field alike).
-    fn lane_report(
-        &self,
-        name: String,
-        cap: usize,
-        tripped_round: Option<u64>,
-        drained: Option<bool>,
-        sim: &Simulator,
-    ) -> RunReport {
         let metrics = sim.metrics().clone();
         let mut stability = classify(&metrics);
         if tripped_round.is_some() {
@@ -279,7 +158,7 @@ impl Runner {
             // run may have too few samples for the slope classifier.
             stability.verdict = crate::stability::Verdict::Diverging;
         }
-        RunReport {
+        Ok(RunReport {
             algorithm: name,
             n: self.n,
             cap,
@@ -291,7 +170,7 @@ impl Runner {
             violations: sim.violations().clone(),
             drained,
             tripped_round,
-        }
+        })
     }
 }
 

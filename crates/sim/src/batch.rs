@@ -1,117 +1,31 @@
-//! Lockstep multi-seed batch execution.
+//! Several executions of one scenario, stepped lane by lane.
 //!
-//! Stability frontiers and ensemble campaigns re-run the *same* scenario —
-//! identical schedule, identical adversary plan shape — under different
-//! RNG seeds. A [`BatchSimulator`] advances S such executions ("lanes") in
-//! lockstep so the work that is a pure function of the schedule is paid
-//! once per round instead of once per round *per seed*:
-//!
-//! * **schedule expansion / wake-set determination** — one
-//!   [`ScheduleTable`] row lookup fills one shared awake mask and on-set,
-//!   read by every lane;
-//! * **adversary view bookkeeping** — the `prev_awake` snapshot,
-//!   per-station on-counts and last-on marks that feed
-//!   [`SystemView`](crate::protocol::SystemView) are schedule-pure, so the
-//!   batch maintains a single copy.
-//!
-//! Everything observable stays per lane: queues, protocol state, RNG
-//! streams, the leaky bucket, metrics, and violations. Lane `i` of a batch
-//! is **bit-for-bit identical** to a solo [`Simulator`] run with seed `i` —
-//! the engine executes the same phases on the same state, merely reading
-//! the wake set from a shared expansion — and the batch round loop is
-//! allocation-free in steady state, like the solo loop.
-//!
-//! Lanes whose algorithm has no cached periodic schedule (adaptive
-//! algorithms, aperiodic schedules such as the duty-cycle baseline, or
-//! periods over the table budget) cannot share wake state; the batch then
-//! transparently falls back to stepping each lane solo — same results,
-//! no amortization.
+//! A [`BatchSimulator`] holds S solo [`Simulator`]s ("lanes"), typically
+//! one per seed, and runs each in turn. Lanes share nothing, so lane `i`
+//! is by construction the solo run of its seed. It survives because the
+//! traced end-to-end benchmark replays lanes through it; the product runs
+//! every seed as its own campaign row (`emac run --seeds`, frontier
+//! ensembles).
 
-use crate::bitset::BitSet;
-use crate::engine::{SharedRound, Simulator};
-use crate::packet::{Round, StationId};
-use crate::schedule::ScheduleTable;
+use crate::engine::Simulator;
+use crate::hooks::SimHooks;
 
-/// Schedule-pure wake state shared by every lane.
-struct SharedWake {
-    table: ScheduleTable,
-    prev_awake: BitSet,
-    on_counts: Vec<u64>,
-    last_on: Vec<Option<Round>>,
-    awake: Vec<StationId>,
-    awake_mask: BitSet,
-}
-
-/// S executions of one scenario advanced in lockstep (see the module
+/// S executions of one scenario, stepped lane by lane (see the module
 /// docs). Build the lanes as ordinary [`Simulator`]s — one per seed — and
 /// hand them over; recover them with [`BatchSimulator::into_lanes`].
 pub struct BatchSimulator {
     lanes: Vec<Simulator>,
-    /// Lanes still stepping; a probe lane that trips its cap drops out
-    /// without stalling the rest of the batch.
+    /// Lanes still stepping; a probe lane that trips its cap keeps its
+    /// final state and sits out every later [`BatchSimulator::run`].
     active: Vec<bool>,
-    round: Round,
-    /// `None` when the lanes have no common cached schedule — the batch
-    /// then steps each lane solo.
-    shared: Option<SharedWake>,
 }
 
 impl BatchSimulator {
-    /// Wrap `lanes` for lockstep execution. All lanes must simulate the
-    /// same system size and stand at the same round (panics otherwise);
-    /// wake state is shared exactly when every lane carries the same
-    /// cached periodic schedule.
+    /// Wrap `lanes` (panics when there are none).
     pub fn new(lanes: Vec<Simulator>) -> Self {
         assert!(!lanes.is_empty(), "a batch needs at least one lane");
-        let n = lanes[0].config().n;
-        let round = lanes[0].round();
-        for (i, lane) in lanes.iter().enumerate() {
-            assert_eq!(lane.config().n, n, "lane {i} simulates a different system size");
-            assert_eq!(lane.round(), round, "lane {i} stands at a different round");
-        }
-        let table = lanes[0].schedule_cache();
-        let shared = match table {
-            // Crash and skew faults change a lane's wake set per station,
-            // so such lanes step individually even when the underlying
-            // schedules match (jam and deaf faults keep lockstep: they
-            // never touch the wake set).
-            Some(t)
-                if lanes.iter().all(|l| l.schedule_cache() == Some(t))
-                    && lanes.iter().all(|l| !l.wake_faults_active()) =>
-            {
-                // Wake history is a pure function of the (identical)
-                // schedule, so lane 0's bookkeeping is every lane's.
-                let (prev_awake, on_counts, last_on) = lanes[0].adversary_view_state();
-                Some(SharedWake {
-                    table: t.clone(),
-                    prev_awake: prev_awake.clone(),
-                    on_counts: on_counts.to_vec(),
-                    last_on: last_on.to_vec(),
-                    awake: Vec::with_capacity(n),
-                    awake_mask: BitSet::new(n),
-                })
-            }
-            _ => None,
-        };
         let active = vec![true; lanes.len()];
-        Self { lanes, active, round, shared }
-    }
-
-    /// Number of lanes (active or not).
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the batch has no lanes (never true — construction requires
-    /// at least one).
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Whether the lanes share wake state (as opposed to the solo-stepping
-    /// fallback for adaptive or aperiodic algorithms).
-    pub fn is_lockstep(&self) -> bool {
-        self.shared.is_some()
+        Self { lanes, active }
     }
 
     /// Read access to the lanes, in construction order.
@@ -119,131 +33,51 @@ impl BatchSimulator {
         &self.lanes
     }
 
-    /// Read access to one lane.
-    pub fn lane(&self, i: usize) -> &Simulator {
-        &self.lanes[i]
-    }
-
-    /// Phase counters summed over every lane (see
-    /// [`crate::hooks::SimHooks`]): lockstep lanes report
-    /// `wake_shared_rounds`, solo-stepping fallbacks report the table or
-    /// enumeration counters instead.
-    pub fn hooks(&self) -> crate::hooks::SimHooks {
-        let mut total = crate::hooks::SimHooks::default();
+    /// Phase counters summed over every lane (see [`SimHooks`]).
+    pub fn hooks(&self) -> SimHooks {
+        let mut total = SimHooks::default();
         for lane in &self.lanes {
             total.merge(lane.hooks());
         }
         total
     }
 
-    /// Advance every active lane one round.
-    pub fn step(&mut self) {
-        let Self { lanes, active, round, shared } = self;
-        let r = *round;
-        match shared {
-            Some(sh) => {
-                sh.table.fill(r, &mut sh.awake_mask, &mut sh.awake);
-                let view = SharedRound {
-                    awake_mask: &sh.awake_mask,
-                    awake: &sh.awake,
-                    prev_awake: &sh.prev_awake,
-                    on_counts: &sh.on_counts,
-                    last_on: &sh.last_on,
-                };
-                for (lane, live) in lanes.iter_mut().zip(active.iter()) {
-                    if *live {
-                        lane.step_shared(&view);
-                    }
-                }
-                // Deferred to after the lane steps: the adversary's view
-                // must describe the previous round, exactly as in a solo
-                // step (where injection precedes wake determination).
-                for &s in &sh.awake {
-                    sh.on_counts[s] += 1;
-                    sh.last_on[s] = Some(r);
-                }
-                sh.prev_awake.copy_from(&sh.awake_mask);
-            }
-            None => {
-                for (lane, live) in lanes.iter_mut().zip(active.iter()) {
-                    if *live {
-                        lane.step();
-                    }
-                }
-            }
-        }
-        *round = r + 1;
-    }
-
-    /// Run `rounds` rounds across all active lanes.
+    /// Run `rounds` more rounds on every active lane.
     pub fn run(&mut self, rounds: u64) {
-        for lane in &mut self.lanes {
-            lane.reserve_series(rounds);
-        }
-        for _ in 0..rounds {
-            self.step();
+        for (lane, &live) in self.lanes.iter_mut().zip(&self.active) {
+            if live {
+                lane.run(rounds);
+            }
         }
     }
 
-    /// Run up to `rounds` rounds as a stability probe: a lane whose total
-    /// queued packets exceed `queue_cap` stops stepping immediately (its
-    /// state is final, as if probed solo) while the other lanes continue.
-    /// Returns, per lane, the round whose step tripped the cap, or `None`
-    /// for lanes that ran the full horizon — the same contract as
-    /// [`Simulator::run_probe_round`]. Tripped lanes stay out of any
-    /// subsequent [`BatchSimulator::run`].
+    /// Run every active lane as a stability probe of up to `rounds`
+    /// rounds (see [`Simulator::run_probe_round`]). Returns, per lane, the
+    /// round whose step tripped `queue_cap`, or `None` for lanes that ran
+    /// the full horizon or were already inactive. Tripped lanes keep their
+    /// final state and stay out of any later [`BatchSimulator::run`].
     pub fn run_probe(&mut self, rounds: u64, queue_cap: u64) -> Vec<Option<u64>> {
-        for lane in &mut self.lanes {
-            lane.reserve_series(rounds);
-        }
-        let mut tripped: Vec<Option<u64>> = vec![None; self.lanes.len()];
-        let mut live = self.active.iter().filter(|&&a| a).count();
-        for _ in 0..rounds {
-            if live == 0 {
-                break;
-            }
-            self.step();
-            for ((lane, active), trip) in self.lanes.iter().zip(&mut self.active).zip(&mut tripped)
-            {
-                if *active && lane.total_queued() > queue_cap {
-                    *trip = Some(lane.round() - 1);
-                    *active = false;
-                    live -= 1;
-                }
-            }
-        }
-        tripped
+        self.lanes
+            .iter_mut()
+            .zip(&mut self.active)
+            .map(|(lane, active)| {
+                let tripped = if *active { lane.run_probe_round(rounds, queue_cap) } else { None };
+                *active &= tripped.is_none();
+                tripped
+            })
+            .collect()
     }
 
-    /// Disable injections on every lane and drain each solo (injections
-    /// are off, so there is no adversary view left to share). Returns
-    /// whether each lane emptied within `max_rounds` — the same contract
-    /// as [`Simulator::run_until_drained`], applied per lane. Lanes that
-    /// early-exited a probe drain from their tripping round.
+    /// Disable injections on every lane and drain it (see
+    /// [`Simulator::run_until_drained`]). Returns whether each lane
+    /// emptied within `max_rounds`; lanes that tripped a probe drain from
+    /// their tripping round.
     pub fn run_until_drained(&mut self, max_rounds: u64) -> Vec<bool> {
-        self.sync_lanes();
         self.lanes.iter_mut().map(|lane| lane.run_until_drained(max_rounds)).collect()
     }
 
     /// Dissolve the batch back into its lanes, in construction order.
-    /// Lanes that ran to the batch's current round are fully valid solo
-    /// simulators (shared wake bookkeeping is copied back); lanes that
-    /// early-exited a probe are only good for draining and reporting.
-    pub fn into_lanes(mut self) -> Vec<Simulator> {
-        self.sync_lanes();
+    pub fn into_lanes(self) -> Vec<Simulator> {
         self.lanes
-    }
-
-    /// Copy the shared wake bookkeeping back into every lane that is still
-    /// at the batch round (early-exited lanes froze at an earlier round;
-    /// the shared state would be wrong for them, and their own is final).
-    fn sync_lanes(&mut self) {
-        if let Some(sh) = &self.shared {
-            for (lane, live) in self.lanes.iter_mut().zip(&self.active) {
-                if *live {
-                    lane.sync_adversary_view(&sh.prev_awake, &sh.on_counts, &sh.last_on);
-                }
-            }
-        }
     }
 }

@@ -5,7 +5,7 @@
 //! also fail. This module adds four fault families, all derived from a
 //! dedicated seed in [`FaultSpec`] — never wall-clock — so faulty scenarios
 //! inherit every determinism guarantee of fault-free ones (golden digests,
-//! campaign checkpoints, frontier maps, batch lane-exactness):
+//! campaign checkpoints, frontier maps, seed ensembles):
 //!
 //! - **Jamming** — with probability `jam` per round the slot is corrupted
 //!   regardless of what was transmitted: nothing is heard, no packet leaves
@@ -24,10 +24,9 @@
 //!   algorithms keep their own timers and are unaffected.)
 //!
 //! The fault stream is private to [`FaultPlan`]: it is a separate
-//! [`SmallRng`] seeded from [`FaultSpec::seed`], independent of the lane
-//! seed, so every lane of a [`crate::BatchSimulator`] sees the identical
-//! fault schedule and lane `i` stays byte-identical to a solo run with seed
-//! `i`. Draws happen in a fixed order each round — jam, crash (plus a
+//! [`SmallRng`] seeded from [`FaultSpec::seed`], independent of the run's
+//! seed, so every seed of an ensemble sees the identical fault schedule.
+//! Draws happen in a fixed order each round — jam, crash (plus a
 //! station draw on a hit), deaf (plus a station draw on a hit) — and a
 //! family whose rate is zero draws nothing, so enabling one family never
 //! perturbs the stream a disabled family would have consumed.
@@ -86,11 +85,8 @@ impl FaultSpec {
         self.jam.num() == 0 && self.crash.num() == 0 && self.deaf.num() == 0 && self.skew == 0
     }
 
-    /// Whether any family changes the wake set (crash or skew).
-    ///
-    /// Such faults are incompatible with the lockstep schedule cache shared
-    /// across batch lanes; [`crate::BatchSimulator`] falls back to per-lane
-    /// stepping when this is true.
+    /// Whether any family changes the wake set (crash or skew); the
+    /// engine then bypasses its packed schedule table.
     pub fn affects_wake(&self) -> bool {
         self.crash.num() > 0 || self.skew > 0
     }

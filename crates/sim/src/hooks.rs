@@ -25,8 +25,9 @@ pub struct SimHooks {
     /// Rounds whose wake set was enumerated station by station (adaptive
     /// timers, uncached schedules, or wake-affecting faults).
     pub wake_enum_rounds: u64,
-    /// Rounds whose wake set was read from a lockstep batch's shared
-    /// expansion (the lane skipped wake determination entirely).
+    /// Always 0: no engine path reads a shared wake set since lockstep
+    /// seed batches were retired. Kept because the end-to-end benchmark
+    /// still reports it.
     pub wake_shared_rounds: u64,
     /// Protocol `on_feedback` invocations (one per switched-on station per
     /// round) — the dominant per-round work for dense wake sets.
@@ -34,8 +35,8 @@ pub struct SimHooks {
 }
 
 impl SimHooks {
-    /// Fold another lane's counters into this one (used by the batch
-    /// driver to report per-batch totals).
+    /// Fold another run's counters into this one (used to report totals
+    /// over several lanes).
     pub fn merge(&mut self, other: &SimHooks) {
         self.rounds += other.rounds;
         self.fault_rounds += other.fault_rounds;

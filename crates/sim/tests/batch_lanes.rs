@@ -1,10 +1,9 @@
 //! Lane equivalence for [`BatchSimulator`]: lane `i` of a batch must be
 //! observationally identical to a solo [`Simulator`] run with seed `i` —
 //! same metrics, same violations, same round, same residual queues — at
-//! S ∈ {1, 2, 8}, through a probe where some lanes early-exit mid-batch,
-//! through `into_lanes` + continued solo stepping (the shared wake
-//! bookkeeping must be copied back correctly), and in the solo-stepping
-//! fallback for aperiodic schedules.
+//! S ∈ {1, 2, 8}, through a probe where some lanes trip and stop while
+//! the rest run the horizon, through `into_lanes` + continued solo
+//! stepping, and for an aperiodic schedule (no packed schedule table).
 
 use std::sync::Arc;
 
@@ -30,8 +29,8 @@ impl OnSchedule for WindowTwo {
     }
 }
 
-/// The same window, declaring no period — forces the batch into its
-/// per-lane fallback (no shared schedule table).
+/// The same window, declaring no period — the engine enumerates it every
+/// round instead of reading a packed schedule table.
 struct WindowTwoAperiodic;
 
 impl OnSchedule for WindowTwoAperiodic {
@@ -135,7 +134,6 @@ fn lanes_match_solo_at_s_1_2_8() {
         let lanes: Vec<Simulator> =
             (0..s as u64).map(|seed| build(seed, rho, Arc::clone(&sched), false)).collect();
         let mut batch = BatchSimulator::new(lanes);
-        assert!(batch.is_lockstep(), "periodic schedule must share wake state");
         batch.run(3_000);
         for (seed, lane) in batch.lanes().iter().enumerate() {
             let mut solo = build(seed as u64, rho, Arc::clone(&sched), false);
@@ -147,9 +145,9 @@ fn lanes_match_solo_at_s_1_2_8() {
 
 #[test]
 fn into_lanes_continue_exactly_where_solo_runs_would() {
-    // The batch's shared wake bookkeeping must be copied back into the
-    // lanes, or continued solo stepping would hand the adversary a stale
-    // view of on-counts and the previous wake set.
+    // Lanes handed back by `into_lanes` must continue exactly where solo
+    // runs would, the adversary's view (on-counts, previous wake set)
+    // included.
     let rho = Rate::new(1, 3);
     let sched: Arc<dyn OnSchedule> = Arc::new(WindowTwo);
     let lanes: Vec<Simulator> =
@@ -206,7 +204,6 @@ fn aperiodic_fallback_matches_solo() {
     let lanes: Vec<Simulator> =
         (0..3u64).map(|seed| build(seed, rho, Arc::clone(&sched), false)).collect();
     let mut batch = BatchSimulator::new(lanes);
-    assert!(!batch.is_lockstep(), "no period declared, so no shared wake state");
     batch.run(2_000);
     for (seed, lane) in batch.lanes().iter().enumerate() {
         let mut solo = build(seed as u64, rho, Arc::clone(&sched), false);

@@ -53,7 +53,6 @@ use emac::core::frontier::{
     SearchAxis,
 };
 use emac::core::journal::reopen_output;
-use emac::core::prelude::*;
 use emac::core::shard::{ShardPlan, ShardRunner};
 use emac::core::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
 use emac::registry::{Registry, ADVERSARIES, ALGORITHMS};
@@ -735,9 +734,10 @@ fn run(args: &[String]) -> ExitCode {
     };
     let spec = opts.to_spec();
 
-    // Seed batch: one lockstep lane per seed, one verdict/digest row per
-    // lane. Lane digests are exactly what `--seed <s>` solo runs print —
-    // CI diffs the two.
+    // Seed batch: one solo lane per seed, run as campaign rows over the
+    // machine's cores, one verdict/digest row per lane in `--seeds` order.
+    // Lane digests are exactly what `--seed <s>` solo runs print — CI
+    // diffs the two.
     if let Some(seeds) = &opts.seeds {
         if opts.trace.is_some() {
             eprintln!(
@@ -745,17 +745,14 @@ fn run(args: &[String]) -> ExitCode {
             );
             return ExitCode::from(2);
         }
-        let reports = match emac::core::campaign::execute_batch(&spec, seeds, &Registry) {
-            Ok(reports) => reports,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let mut all_clean = true;
+        let lanes: Vec<ScenarioSpec> = seeds.iter().map(|&seed| spec.clone().seed(seed)).collect();
+        let result = Campaign::new().run(&lanes, &Registry);
+        if let Some(e) = result.first_error() {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
         println!("seed batch: {} lanes | {}", seeds.len(), spec.display_label());
-        for (seed, report) in seeds.iter().zip(&reports) {
-            all_clean &= report.clean();
+        for (seed, report) in seeds.iter().zip(result.reports()) {
             let tripped =
                 report.tripped_round.map_or(String::new(), |r| format!(" | tripped round {r}"));
             println!(
@@ -768,7 +765,7 @@ fn run(args: &[String]) -> ExitCode {
                 report.violations,
             );
         }
-        return if all_clean { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        return if result.all_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
     // Tracing requires direct simulator access; otherwise use the runner.
@@ -809,27 +806,14 @@ fn run(args: &[String]) -> ExitCode {
         return if sim.violations().is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    let mut runner = Runner::new(opts.n).rate(opts.rho).beta(opts.beta).rounds(opts.rounds);
-    if let Some(d) = opts.drain {
-        runner = runner.drain(d);
-    }
-    if let Some(c) = opts.cap {
-        runner = runner.cap(c);
-    }
-    if let Some(q) = opts.probe_cap {
-        runner = runner.probe_cap(q);
-    }
-    if let Some(f) = &opts.faults {
-        runner = runner.faults(f.clone());
-    }
-    let report = match runner.try_run_against(alg.as_ref(), |s| Registry::make_adversary(&spec, s))
-    {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let report =
+        match spec.runner().try_run_against(alg.as_ref(), |s| Registry::make_adversary(&spec, s)) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::from(2);
+            }
+        };
     println!("{report}");
     if let Some(r) = report.tripped_round {
         println!("  probe: queue cap tripped at round {r}");

@@ -421,8 +421,9 @@ pub struct Opts {
     pub adversary: String,
     /// Adversary seed.
     pub seed: u64,
-    /// Seed batch (`--seeds`): run one lockstep batch lane per seed and
-    /// print per-lane verdict/digest rows instead of one full report.
+    /// Seed batch (`--seeds`): run one solo lane per seed as a campaign row
+    /// and print per-lane verdict/digest rows, in the given seed order,
+    /// instead of one full report.
     pub seeds: Option<Vec<u64>>,
     /// Optional drain budget after the run.
     pub drain: Option<u64>,

@@ -138,38 +138,7 @@ fn steady_state_steps_do_not_allocate() {
     );
     assert!(sim.violations().is_clean(), "{}", sim.violations());
 
-    // --- Case 5: lockstep seed batch over the Case 4 scenario. Four lanes
-    // share one schedule-table row fill per round; the batch driver's own
-    // state (shared wake mask, awake list, adversary-view counters) is
-    // sized at construction, so a steady-state batch round is as
-    // allocation-free as a solo one. Measured via `BatchSimulator::run`
-    // (the probing variant returns a fresh `Vec` of trip rounds by design).
-    let lanes: Vec<Simulator> = (0..4u64)
-        .map(|seed| {
-            let cfg = emac_sim::SimConfig::new(16, 4)
-                .adversary_type(rho, Rate::integer(2))
-                .sample_every(1 << 40);
-            Simulator::new(cfg, KCycle::new(4).build(16), Box::new(UniformRandom::new(seed)))
-        })
-        .collect();
-    let mut batch = emac_sim::BatchSimulator::new(lanes);
-    assert!(batch.is_lockstep(), "k-cycle lanes must share one schedule table");
-    batch.run(60_000);
-    let a0 = ALLOCS.load(Ordering::SeqCst);
-    let d0 = DEALLOCS.load(Ordering::SeqCst);
-    batch.run(4_096);
-    let (allocs, deallocs) =
-        (ALLOCS.load(Ordering::SeqCst) - a0, DEALLOCS.load(Ordering::SeqCst) - d0);
-    assert_eq!(
-        (allocs, deallocs),
-        (0, 0),
-        "steady-state lockstep batch rounds must not touch the allocator"
-    );
-    for lane in batch.into_lanes() {
-        assert!(lane.violations().is_clean(), "{}", lane.violations());
-    }
-
-    // --- Case 6: observability stays out of the round loop. An armed
+    // --- Case 5: observability stays out of the round loop. An armed
     // Observer (event log + progress line) exists for the whole window,
     // but by construction it is only touched at row/probe boundaries —
     // so steady-state rounds still allocate nothing, while the engine's

@@ -349,7 +349,7 @@ fn legacy_frontier_spec_digest_is_unchanged_by_the_band_era() {
 /// `specs/frontier_theorem5_band.json`: k-Cycle under the seeded
 /// concentrated flood, a 5-seed base ensemble escalating to 9 lanes on
 /// disagreement, and `n`-continuation warm-starting n=13 from n=9. Pins
-/// the whole band pipeline — lockstep batches, escalation, the
+/// the whole band pipeline — per-seed solo lanes, escalation, the
 /// verdict-flip band columns, warm-start brackets — byte-for-byte at any
 /// thread count. The reproduction claim rides on these bytes: at n=9,
 /// k=3 the band `[0.199817, 0.200024]` contains `1/ℓ = 1/5` and excludes
