@@ -15,8 +15,9 @@
 //! re-execute, so a resumed campaign's final output is byte-identical to
 //! an uninterrupted run.
 //!
-//! The header pins a digest of the full spec list ([`spec_list_digest`]),
-//! so resuming against an edited spec file is refused instead of silently
+//! The header pins [`campaign_digest`]: the full spec list bound to the
+//! output format and metrics detail, so resuming against an edited spec
+//! file, or under other output options, is refused instead of silently
 //! producing a frankenstein result.
 //!
 //! # File format
@@ -36,9 +37,10 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use super::ScenarioSpec;
+use super::{MetricsDetail, ScenarioSpec};
 use crate::digest::Fnv64;
 use crate::journal::{self, Header, Journal};
+use crate::output::{Format, Kind};
 
 pub(crate) const HEADER: Header = Header {
     magic: "emac-campaign-ckpt v1",
@@ -58,6 +60,18 @@ pub fn spec_list_digest(specs: &[ScenarioSpec]) -> u64 {
     for spec in specs {
         h.str(&spec.to_json().render());
     }
+    h.finish()
+}
+
+/// The digest a campaign checkpoint pins, and a shard plan of the same
+/// campaign records: the spec list bound to the output options. Resuming
+/// the same specs under another `--format` or `--detail` would interleave
+/// incompatible rows, so it is refused the same way an edited spec is.
+pub fn campaign_digest(specs: &[ScenarioSpec], format: Format, detail: MetricsDetail) -> u64 {
+    let mut h = Fnv64::new();
+    h.u64(spec_list_digest(specs));
+    h.str(format.file_name(Kind::Campaign));
+    h.str(detail.name());
     h.finish()
 }
 

@@ -12,7 +12,7 @@
 //!   lists;
 //! * [`Campaign`] — a worker-pool executor (`std::thread::scope`) that
 //!   runs scenarios in parallel and hands every completed run, **in spec
-//!   order**, to a [`ResultSink`](sink::ResultSink);
+//!   order**, to a [`ResultSink`];
 //! * [`sink`] — where results go: buffered ([`MemorySink`]) behind the
 //!   [`CampaignResult`] JSON/CSV API, or streamed in constant memory
 //!   ([`CsvStreamSink`], [`JsonLinesSink`]) for sweeps too wide to hold;
@@ -78,7 +78,7 @@ use crate::algorithm::Algorithm;
 use crate::runner::{RunReport, Runner};
 use json::Json;
 
-pub use checkpoint::{spec_list_digest, Checkpoint};
+pub use checkpoint::{campaign_digest, spec_list_digest, Checkpoint};
 pub use expr::{Expr, ExprEnv, RateAxis};
 pub use row::CSV_HEADER;
 pub use sink::{
@@ -959,6 +959,26 @@ pub enum MetricsDetail {
     /// to `Full`, and Slim JSONL rows are byte-identical whether or not a
     /// fault plan was armed.
     Slim,
+}
+
+impl MetricsDetail {
+    /// Parse a `--detail` value (`"full"` or `"slim"`).
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "full" => Ok(MetricsDetail::Full),
+            "slim" => Ok(MetricsDetail::Slim),
+            other => Err(format!("detail must be full or slim, got {other:?}")),
+        }
+    }
+
+    /// The `--detail` value naming this level, as [`campaign_digest`]
+    /// binds it and a shard plan records it.
+    pub fn name(self) -> &'static str {
+        match self {
+            MetricsDetail::Full => "full",
+            MetricsDetail::Slim => "slim",
+        }
+    }
 }
 
 /// Parallel scenario executor.

@@ -12,7 +12,9 @@
 //! * [`CsvStreamSink`] / [`JsonLinesSink`] — constant-memory streaming:
 //!   format each run through the shared [`row`](super::row) helpers,
 //!   write, and drop it. Bytes are identical to serializing a
-//!   [`MemorySink`]'s result after the fact.
+//!   [`MemorySink`]'s result after the fact. The CLI and the shard worker
+//!   get theirs from
+//!   [`Format::campaign_sink`](crate::output::Format::campaign_sink).
 //! * [`FnSink`] — hand each run to a closure (the bench binaries score
 //!   reports into comparisons this way and keep only scalars).
 //! * [`TallySink`] — a transparent wrapper counting ok / violating /
@@ -70,6 +72,28 @@ pub trait ResultSink: Send {
     }
 }
 
+/// A boxed sink is a sink, so a sink picked at run time
+/// ([`Format::campaign_sink`](crate::output::Format::campaign_sink)) fits
+/// inside the generic wrappers ([`TallySink`],
+/// [`ObservedSink`](crate::obs::ObservedSink)).
+impl<S: ResultSink + ?Sized> ResultSink for Box<S> {
+    fn accept(&mut self, index: usize, run: ScenarioRun) -> Result<(), String> {
+        (**self).accept(index, run)
+    }
+
+    fn sync(&mut self) -> Result<(), String> {
+        (**self).sync()
+    }
+
+    fn committed(&mut self, barrier: Duration) {
+        (**self).committed(barrier);
+    }
+
+    fn finish(&mut self) -> Result<(), String> {
+        (**self).finish()
+    }
+}
+
 /// A buffered campaign-output file whose `flush` also fsyncs
 /// (`File::sync_data`), giving a streaming sink the same power-loss
 /// durability as the checkpoint it pairs with: the executor accepts a
@@ -117,18 +141,9 @@ impl MemorySink {
     /// The buffered outcomes as a [`CampaignResult`], in acceptance (=
     /// spec) order. For a **full** campaign the buffer positions equal the
     /// spec indices, so the result's exports match the streaming sinks
-    /// byte for byte; after a partial
-    /// [`run_subset`](super::Campaign::run_subset) use
-    /// [`MemorySink::into_indexed_runs`] instead — `CampaignResult`
-    /// numbers runs by buffer position.
+    /// byte for byte.
     pub fn into_result(self) -> CampaignResult {
         CampaignResult { runs: self.runs.into_iter().map(|(_, run)| run).collect() }
-    }
-
-    /// The buffered outcomes with their original spec indices — the
-    /// faithful form for subset/resumed runs.
-    pub fn into_indexed_runs(self) -> Vec<(usize, ScenarioRun)> {
-        self.runs
     }
 }
 

@@ -20,6 +20,10 @@
 //! map resumes mid-bisection from its [`FrontierCheckpoint`] to the same
 //! bytes as an uninterrupted run.
 //!
+//! [`Frontier::run_into`] maps every point, [`Frontier::run_into_observed`]
+//! adds an [`Observer`], and [`Frontier::run_subset_into_observed`] maps
+//! only a shard's points; the first two call the third.
+//!
 //! Template fields and the bracket endpoints accept derived-axis
 //! [`expr`](crate::campaign::expr)essions evaluated per map point, so one
 //! template spans every `(n, k)`:
@@ -1375,8 +1379,7 @@ impl Frontier {
     where
         F: ScenarioFactory + Sync,
     {
-        let all: Vec<usize> = (0..spec.points().len()).collect();
-        self.run_core(spec, &all, factory, sink, checkpoint, &mut Observer::new())
+        self.run_into_observed(spec, factory, sink, checkpoint, &mut Observer::new())
     }
 
     /// [`Frontier::run_into`] with an observability seam: probe verdicts
@@ -1398,11 +1401,12 @@ impl Frontier {
         F: ScenarioFactory + Sync,
     {
         let all: Vec<usize> = (0..spec.points().len()).collect();
-        self.run_core(spec, &all, factory, sink, checkpoint, obs)
+        self.run_subset_into_observed(spec, &all, factory, sink, checkpoint, obs)
     }
 
-    /// Run only the map points in `indices` (strictly ascending global
-    /// indices) — the shard worker's entry point. Rows are emitted in
+    /// [`Frontier::run_into_observed`] over only the map points in
+    /// `indices` (strictly ascending global indices) — the shard worker's
+    /// entry point, and the body of the other two. Rows are emitted in
     /// ascending `indices` order carrying their *global* map indices, so a
     /// merged fleet run reproduces the single-process bytes exactly. The
     /// checkpoint is shared across a shard's units
@@ -1411,38 +1415,7 @@ impl Frontier {
     /// an in-order prefix of `indices`. A continuation point's predecessor
     /// must be in the subset (work units are whole chains), refused
     /// otherwise.
-    pub fn run_subset_into<F>(
-        &self,
-        spec: &FrontierSpec,
-        indices: &[usize],
-        factory: &F,
-        sink: &mut dyn MapSink,
-        checkpoint: Option<&mut FrontierCheckpoint>,
-    ) -> Result<FrontierSummary, String>
-    where
-        F: ScenarioFactory + Sync,
-    {
-        self.run_core(spec, indices, factory, sink, checkpoint, &mut Observer::new())
-    }
-
-    /// [`Frontier::run_subset_into`] with the observability seam of
-    /// [`Frontier::run_into_observed`].
     pub fn run_subset_into_observed<F>(
-        &self,
-        spec: &FrontierSpec,
-        indices: &[usize],
-        factory: &F,
-        sink: &mut dyn MapSink,
-        checkpoint: Option<&mut FrontierCheckpoint>,
-        obs: &mut Observer,
-    ) -> Result<FrontierSummary, String>
-    where
-        F: ScenarioFactory + Sync,
-    {
-        self.run_core(spec, indices, factory, sink, checkpoint, obs)
-    }
-
-    fn run_core<F>(
         &self,
         spec: &FrontierSpec,
         indices: &[usize],

@@ -348,7 +348,8 @@ mod tests {
     use super::*;
     use crate::campaign::{checkpoint, Checkpoint, MetricsDetail};
     use crate::frontier::{self, FrontierCheckpoint};
-    use crate::shard::{self, ClaimTable, ShardFormat, ShardPlan};
+    use crate::output::Format;
+    use crate::shard::{self, ClaimTable, ShardPlan};
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("emac-journal-unit-{}-{tag}", std::process::id()))
@@ -458,7 +459,7 @@ mod tests {
         let spec = r#"[{"algorithm": "count-hop", "adversary": "uniform", "n": 4, "rounds": 64}]"#;
         let dir = temp_path("merge");
         let _ = std::fs::remove_dir_all(&dir);
-        let plan = ShardPlan::build(spec, ShardFormat::Csv, MetricsDetail::Slim, 1).unwrap();
+        let plan = ShardPlan::build(spec, Format::Csv, MetricsDetail::Slim, 1).unwrap();
         plan.save(&dir).unwrap();
         let claims = ClaimTable::open(&dir, plan.digest, 1).unwrap();
         assert!(claims.try_claim(0, 0).unwrap());

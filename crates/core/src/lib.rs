@@ -50,6 +50,7 @@ pub mod k_cycle;
 pub mod k_subsets;
 pub mod obs;
 pub mod orchestra;
+pub mod output;
 pub mod runner;
 pub mod shard;
 pub mod stability;
@@ -67,7 +68,7 @@ pub use frontier::{Frontier, FrontierCheckpoint, FrontierSpec};
 pub use k_clique::KClique;
 pub use k_cycle::KCycle;
 pub use k_subsets::{KSubsets, ThreadSubroutine};
-pub use obs::{EventLog, ObsEvent, ObsReport, ObsSink, ObservedSink, Observer, Progress, RunKind};
+pub use obs::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
 pub use orchestra::Orchestra;
 pub use runner::{RunReport, Runner};
 pub use stability::{StabilityReport, Verdict};

@@ -9,15 +9,14 @@
 //! * [`ObsEvent`] — the event model: run start/finish, per-row and
 //!   per-probe timings, refinement waves, escalations, durability-barrier
 //!   latency, and shard claim/steal/lease-repair. Events serialize to one
-//!   compact JSON object per line through the house
-//!   [`Json`](crate::campaign::json::Json) value, so an `events.jsonl`
-//!   round-trips through the same minimal parser as every spec file.
-//! * [`ObsSink`] — where events go, with a no-op default ([`NoopObs`]).
-//!   [`EventLog`] is the durable implementation: a buffered, append-only
-//!   JSONL writer that fsyncs on [`ObsSink::flush`] and reopens through
-//!   the [journal](crate::journal)'s torn-tail cut (headerless: every
-//!   complete line stands alone), so a `kill -9` mid-append never poisons
-//!   the log.
+//!   compact JSON object per line through the house [`Json`] value, so
+//!   an `events.jsonl` round-trips through the same minimal parser as
+//!   every spec file.
+//! * [`EventLog`] — where events go: a buffered, append-only JSONL writer
+//!   that fsyncs on [`EventLog::flush`] and reopens through the
+//!   [journal](crate::journal)'s torn-tail cut (headerless: every
+//!   complete line stands alone), so a `kill -9` mid-append never
+//!   poisons the log.
 //! * [`Observer`] — the handle the executors thread through: it owns an
 //!   optional [`EventLog`] and an optional [`Progress`] stderr line, and
 //!   samples wall-clock time **only at row boundaries**
@@ -27,8 +26,8 @@
 //!   (pinned by `tests/alloc_free.rs`).
 //! * [`ObsReport`] — the offline summary behind `emac obs report`:
 //!   event counts, rates, p50/p99 probe and fsync latencies (log2-bucket
-//!   histograms in the house `metrics.rs` style, via
-//!   [`DelayStats`](emac_sim::DelayStats)), and per-shard utilization.
+//!   histograms in the house `metrics.rs` style, via [`DelayStats`]), and
+//!   per-shard utilization.
 //!
 //! Wall-clock fields are confined to event logs by construction: output
 //! rows (CSV/JSONL) never carry a `wall_*` field, and digests are folds of
@@ -276,30 +275,8 @@ impl ObsEvent {
     }
 }
 
-/// Consumer of observability events. Implementations need no internal
-/// synchronization: executors record events from one thread at a time
-/// (the campaign's committer, or the coordinating thread).
-pub trait ObsSink: Send {
-    /// Record one event.
-    fn record(&mut self, event: &ObsEvent);
-
-    /// Make everything recorded so far durable. Called at checkpoint
-    /// boundaries, never per round.
-    fn flush(&mut self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-/// The no-op default sink: observability disarmed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObs;
-
-impl ObsSink for NoopObs {
-    fn record(&mut self, _event: &ObsEvent) {}
-}
-
 /// A buffered, append-only `events.jsonl` writer. Lines are buffered in
-/// memory between [`ObsSink::flush`] calls (which fsync), so the hot path
+/// memory between [`EventLog::flush`] calls (which fsync), so the hot path
 /// pays a formatted append, not a syscall. Opening an existing log for
 /// append first cuts a torn final line, as the
 /// [journal](crate::journal) does for the checkpoint files.
@@ -323,19 +300,16 @@ impl EventLog {
         Ok(Self { out: std::io::BufWriter::new(file), path: path.to_path_buf() })
     }
 
-    /// Where this log writes.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl ObsSink for EventLog {
-    fn record(&mut self, event: &ObsEvent) {
+    /// Record one event. Executors record from one thread at a time (the
+    /// campaign's committer, or the coordinating thread).
+    pub fn record(&mut self, event: &ObsEvent) {
         // Buffered append; an I/O error surfaces at the next flush.
         let _ = writeln!(self.out, "{}", event.to_json().render());
     }
 
-    fn flush(&mut self) -> Result<(), String> {
+    /// Make everything recorded so far durable. Called at checkpoint
+    /// boundaries, never per round.
+    pub fn flush(&mut self) -> Result<(), String> {
         let p = self.path.display();
         self.out.flush().map_err(|e| format!("event log {p}: {e}"))?;
         self.out.get_ref().sync_data().map_err(|e| format!("event log {p}: {e}"))
@@ -497,7 +471,7 @@ impl Observer {
     /// Flush the event log (fsync). A disarmed observer returns `Ok`.
     pub fn flush(&mut self) -> Result<(), String> {
         match &mut self.log {
-            Some(log) => ObsSink::flush(log),
+            Some(log) => log.flush(),
             None => Ok(()),
         }
     }
@@ -831,7 +805,7 @@ mod tests {
         {
             let mut log = EventLog::create(&path).unwrap();
             log.record(&ObsEvent::Fsync { wall_us: 1 });
-            ObsSink::flush(&mut log).unwrap();
+            log.flush().unwrap();
         }
         // simulate a kill mid-append: torn trailing fragment
         {
@@ -842,7 +816,7 @@ mod tests {
         {
             let mut log = EventLog::append(&path).unwrap();
             log.record(&ObsEvent::Fsync { wall_us: 2 });
-            ObsSink::flush(&mut log).unwrap();
+            log.flush().unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let mut report = ObsReport::default();
@@ -852,7 +826,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut log = EventLog::append(&path).unwrap();
         log.record(&ObsEvent::Wave { wave: 1, probes: 0 });
-        ObsSink::flush(&mut log).unwrap();
+        log.flush().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
         let _ = std::fs::remove_file(&path);
     }

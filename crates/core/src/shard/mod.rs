@@ -19,6 +19,11 @@
 //! chain is one unit, because a chained point's bracket is a function of
 //! its predecessor's final state and must stay on the same shard.
 //!
+//! A plan's [`Format`] and [`Kind`] name each shard's files exactly as
+//! they name a single-process run's (see [`crate::output`]), and its
+//! digest is that run's checkpoint digest. Shard outputs have no header
+//! lines; merge writes them once.
+//!
 //! ```text
 //! plan-dir/
 //!   plan.json            spec text + digest + slices (created once)
@@ -39,63 +44,19 @@ use std::time::Instant;
 
 use crate::campaign::json::Json;
 use crate::campaign::{
-    checkpoint, parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink,
-    JsonLinesSink, MetricsDetail, ScenarioFactory, TallySink,
+    campaign_digest, checkpoint, parse_campaign_spec, Campaign, Checkpoint, MetricsDetail,
+    ScenarioFactory, TallySink,
 };
 use crate::digest::Fnv64;
 use crate::frontier::{
-    self, CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
-    FRONTIER_BAND_CSV_HEADER, FRONTIER_CSV_HEADER,
+    self, Frontier, FrontierCheckpoint, FrontierSpec, FRONTIER_BAND_CSV_HEADER, FRONTIER_CSV_HEADER,
 };
 use crate::journal::reopen_output;
 use crate::obs::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
+use crate::output::{Format, Kind};
 pub use claims::ClaimTable;
 
 const PLAN_MAGIC: &str = "emac-shard-plan v1";
-
-/// Which engine a sharded plan drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardKind {
-    /// A scenario grid run by [`Campaign`].
-    Campaign,
-    /// A boundary map run by [`Frontier`].
-    Frontier,
-}
-
-/// Output encoding of a sharded run — mirrors the single-process
-/// `--format` flag and is baked into the plan digest the same way.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardFormat {
-    /// Comma-separated rows with a header line.
-    #[default]
-    Csv,
-    /// One JSON object per line, no header.
-    JsonLines,
-}
-
-impl ShardFormat {
-    fn name(self) -> &'static str {
-        match self {
-            ShardFormat::Csv => "csv",
-            ShardFormat::JsonLines => "jsonl",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "csv" => Ok(ShardFormat::Csv),
-            "jsonl" => Ok(ShardFormat::JsonLines),
-            other => Err(format!("format must be csv or jsonl, got {other:?}")),
-        }
-    }
-}
-
-fn detail_name(detail: MetricsDetail) -> &'static str {
-    match detail {
-        MetricsDetail::Full => "full",
-        MetricsDetail::Slim => "slim",
-    }
-}
 
 /// One shard's static slice of the unit list (half-open `[lo, hi)`).
 /// Slices only seed the claim order — a shard steals beyond its slice once
@@ -115,9 +76,9 @@ pub struct ShardSlice {
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     /// Campaign or frontier.
-    pub kind: ShardKind,
+    pub kind: Kind,
     /// Output encoding (all shards and the merge share it).
-    pub format: ShardFormat,
+    pub format: Format,
     /// Metric detail for campaign scenarios (ignored for frontier plans).
     pub detail: MetricsDetail,
     /// The digest an uninterrupted single-process run of this spec with
@@ -139,7 +100,7 @@ impl ShardPlan {
     /// contiguous slices of its work-unit list.
     pub fn build(
         spec_text: &str,
-        format: ShardFormat,
+        format: Format,
         detail: MetricsDetail,
         shards: usize,
     ) -> Result<Self, String> {
@@ -188,15 +149,15 @@ impl ShardPlan {
         if v.get("magic").and_then(Json::as_str) != Some(PLAN_MAGIC) {
             return Err(bad("not a shard plan (bad magic)".into()));
         }
-        let format = ShardFormat::parse(
+        let format = Format::parse(
             v.get("format").and_then(Json::as_str).ok_or_else(|| bad("missing format".into()))?,
         )
         .map_err(bad)?;
-        let detail = match v.get("detail").and_then(Json::as_str) {
-            Some("full") | None => MetricsDetail::Full,
-            Some("slim") => MetricsDetail::Slim,
-            Some(other) => return Err(bad(format!("detail must be full or slim, got {other:?}"))),
-        };
+        let detail = v
+            .get("detail")
+            .and_then(Json::as_str)
+            .map_or(Ok(MetricsDetail::Full), MetricsDetail::parse)
+            .map_err(bad)?;
         let recorded = v
             .get("digest")
             .and_then(Json::as_str)
@@ -215,11 +176,7 @@ impl ShardPlan {
             )));
         }
         let recorded_kind = v.get("kind").and_then(Json::as_str);
-        let kind_name = match kind {
-            ShardKind::Campaign => "campaign",
-            ShardKind::Frontier => "frontier",
-        };
-        if recorded_kind != Some(kind_name) {
+        if recorded_kind != Some(kind.name()) {
             return Err(bad(format!("kind mismatch (plan records {recorded_kind:?})")));
         }
         if v.get("units").and_then(Json::as_usize) != Some(units.len()) {
@@ -244,7 +201,7 @@ impl ShardPlan {
     /// argument against before touching anything.
     pub fn digest_for(
         spec_text: &str,
-        format: ShardFormat,
+        format: Format,
         detail: MetricsDetail,
     ) -> Result<u64, String> {
         inspect_spec(spec_text, format, detail).map(|(_, digest, _)| digest)
@@ -256,23 +213,14 @@ impl ShardPlan {
     }
 
     /// The output file name inside each `shard-<id>/` directory — the
-    /// same name the single-process CLI uses, which is also the digest's
-    /// format tag.
+    /// same name the single-process CLI uses.
     pub fn out_name(&self) -> &'static str {
-        match (self.kind, self.format) {
-            (ShardKind::Campaign, ShardFormat::Csv) => "campaign.csv",
-            (ShardKind::Campaign, ShardFormat::JsonLines) => "campaign.jsonl",
-            (ShardKind::Frontier, ShardFormat::Csv) => "frontier.csv",
-            (ShardKind::Frontier, ShardFormat::JsonLines) => "frontier.jsonl",
-        }
+        self.format.file_name(self.kind)
     }
 
     /// The checkpoint file name inside each `shard-<id>/` directory.
     pub fn ckpt_name(&self) -> &'static str {
-        match self.kind {
-            ShardKind::Campaign => "campaign.ckpt",
-            ShardKind::Frontier => "frontier.ckpt",
-        }
+        self.kind.checkpoint_name()
     }
 
     /// The digest a given shard's own checkpoint pins: the plan digest
@@ -293,8 +241,8 @@ impl ShardPlan {
         let path = dir.join(format!("shard-{shard}")).join(self.ckpt_name());
         let (digest, total) = (self.shard_digest(shard), self.total_indices());
         Ok(match self.kind {
-            ShardKind::Campaign => checkpoint::read_done(&path, digest, total)?.map(|r| (0, r)),
-            ShardKind::Frontier => frontier::checkpoint::read_sharded(&path, digest, total)?
+            Kind::Campaign => checkpoint::read_done(&path, digest, total)?.map(|r| (0, r)),
+            Kind::Frontier => frontier::checkpoint::read_sharded(&path, digest, total)?
                 .map(|(probes, rows)| (probes.len(), rows)),
         })
     }
@@ -330,15 +278,11 @@ impl ShardPlan {
     }
 
     fn to_json(&self) -> Json {
-        let kind = match self.kind {
-            ShardKind::Campaign => "campaign",
-            ShardKind::Frontier => "frontier",
-        };
         Json::Obj(vec![
             ("magic".into(), Json::Str(PLAN_MAGIC.into())),
-            ("kind".into(), Json::Str(kind.into())),
+            ("kind".into(), Json::Str(self.kind.name().into())),
             ("format".into(), Json::Str(self.format.name().into())),
-            ("detail".into(), Json::Str(detail_name(self.detail).into())),
+            ("detail".into(), Json::Str(self.detail.name().into())),
             ("digest".into(), Json::Str(format!("{:016x}", self.digest))),
             ("units".into(), Json::Int(self.units.len() as i64)),
             (
@@ -365,17 +309,13 @@ impl ShardPlan {
 /// given output options, and list its work units.
 fn inspect_spec(
     spec_text: &str,
-    format: ShardFormat,
+    format: Format,
     detail: MetricsDetail,
-) -> Result<(ShardKind, u64, Vec<Vec<usize>>), String> {
+) -> Result<(Kind, u64, Vec<Vec<usize>>), String> {
     let v = Json::parse(spec_text)?;
     if v.get("template").is_some() {
         let spec = FrontierSpec::from_json(&v)?;
-        let tag = match format {
-            ShardFormat::Csv => "frontier.csv",
-            ShardFormat::JsonLines => "frontier.jsonl",
-        };
-        let digest = spec.digest(tag);
+        let digest = spec.digest(format.file_name(Kind::Frontier));
         let points = spec.points().len();
         let units = if spec.continuation.is_some() {
             // A continuation chain (fixed k, ascending n) is one unit: a
@@ -386,21 +326,11 @@ fn inspect_spec(
         } else {
             (0..points).map(|i| vec![i]).collect()
         };
-        Ok((ShardKind::Frontier, digest, units))
+        Ok((Kind::Frontier, digest, units))
     } else {
         let specs = parse_campaign_spec(spec_text)?;
-        let tag = match format {
-            ShardFormat::Csv => "campaign.csv",
-            ShardFormat::JsonLines => "campaign.jsonl",
-        };
-        // Same binding as the single-process CLI: spec list + format +
-        // detail, so `merge` output slots into the same checkpoint story.
-        let mut h = Fnv64::new();
-        h.u64(spec_list_digest(&specs));
-        h.str(tag);
-        h.str(detail_name(detail));
         let units = (0..specs.len()).map(|i| vec![i]).collect();
-        Ok((ShardKind::Campaign, h.finish(), units))
+        Ok((Kind::Campaign, campaign_digest(&specs, format, detail), units))
     }
 }
 
@@ -500,8 +430,8 @@ impl ShardRunner {
         let obs = Mutex::new(observer);
         let claims = ClaimTable::open(&self.dir, self.plan.digest, self.plan.units.len())?;
         let summary = match self.plan.kind {
-            ShardKind::Campaign => self.run_campaign(factory, resume, max_units, &claims, &obs),
-            ShardKind::Frontier => self.run_frontier(factory, resume, max_units, &claims, &obs),
+            Kind::Campaign => self.run_campaign(factory, resume, max_units, &claims, &obs),
+            Kind::Frontier => self.run_frontier(factory, resume, max_units, &claims, &obs),
         }?;
         let mut observer = obs.into_inner().expect("observer poisoned");
         let rounds = observer.rounds_seen();
@@ -549,33 +479,17 @@ impl ShardRunner {
         let out_path = self.shard_dir().join(self.plan.out_name());
         // Shard outputs are headerless: merge writes the one header.
         let (writer, _) = reopen_output(&out_path, ck.completed(), 0)?;
+        let mut sink =
+            TallySink::new(ObservedSink::new(self.plan.format.campaign_sink(writer, false), obs));
         let executor = Campaign::new().threads(self.threads).detail(self.plan.detail);
         let mut summary = ShardRunSummary::default();
-        match self.plan.format {
-            ShardFormat::Csv => {
-                let mut sink =
-                    TallySink::new(ObservedSink::new(CsvStreamSink::appending(writer), obs));
-                self.drive_units(claims, max_units, &mut summary, obs, |unit| {
-                    let todo: Vec<usize> =
-                        unit.iter().copied().filter(|&i| !ck.is_done(i)).collect();
-                    executor.run_subset(&specs, &todo, factory, &mut sink, Some(&mut ck))?;
-                    Ok(todo.len())
-                })?;
-                summary.unclean = sink.unclean();
-                summary.failed = sink.failed();
-            }
-            ShardFormat::JsonLines => {
-                let mut sink = TallySink::new(ObservedSink::new(JsonLinesSink::new(writer), obs));
-                self.drive_units(claims, max_units, &mut summary, obs, |unit| {
-                    let todo: Vec<usize> =
-                        unit.iter().copied().filter(|&i| !ck.is_done(i)).collect();
-                    executor.run_subset(&specs, &todo, factory, &mut sink, Some(&mut ck))?;
-                    Ok(todo.len())
-                })?;
-                summary.unclean = sink.unclean();
-                summary.failed = sink.failed();
-            }
-        }
+        self.drive_units(claims, max_units, &mut summary, obs, |unit| {
+            let todo: Vec<usize> = unit.iter().copied().filter(|&i| !ck.is_done(i)).collect();
+            executor.run_subset(&specs, &todo, factory, &mut sink, Some(&mut ck))?;
+            Ok(todo.len())
+        })?;
+        summary.unclean = sink.unclean();
+        summary.failed = sink.failed();
         Ok(summary)
     }
 
@@ -601,10 +515,7 @@ impl ShardRunner {
         }?;
         let out_path = self.shard_dir().join(self.plan.out_name());
         let (writer, _) = reopen_output(&out_path, ck.rows_written(), 0)?;
-        let mut sink: Box<dyn MapSink> = match self.plan.format {
-            ShardFormat::Csv => Box::new(CsvMapSink::appending(writer)),
-            ShardFormat::JsonLines => Box::new(JsonMapSink::new(writer)),
-        };
+        let mut sink = self.plan.format.map_sink(writer, false);
         let engine = Frontier::new().threads(self.threads);
         let mut summary = ShardRunSummary::default();
         let mut unclean = 0usize;
@@ -805,15 +716,15 @@ pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
         }
     }
 
-    // Single-process byte layout: one header (CSV only), rows in global
-    // order, trailing newline per row.
+    // Single-process byte layout: its header line (CSV only), rows in
+    // global order, trailing newline per row.
     let mut bytes = String::new();
-    if plan.format == ShardFormat::Csv {
+    if plan.format.header_lines() > 0 {
         match plan.kind {
-            ShardKind::Campaign => {
+            Kind::Campaign => {
                 bytes.push_str(crate::campaign::CSV_HEADER);
             }
-            ShardKind::Frontier => {
+            Kind::Frontier => {
                 let spec = FrontierSpec::parse(&plan.spec_text)?;
                 bytes.push_str(if spec.seeds.len() > 1 {
                     FRONTIER_BAND_CSV_HEADER
@@ -849,12 +760,9 @@ pub fn status(dir: &Path) -> Result<String, String> {
             owner.entry(u).or_insert(s);
         }
     }
-    let kind = match plan.kind {
-        ShardKind::Campaign => "campaign",
-        ShardKind::Frontier => "frontier",
-    };
     let mut report = format!(
-        "{kind} plan: {} units ({} indices), {} shards, digest {:016x}\n",
+        "{} plan: {} units ({} indices), {} shards, digest {:016x}\n",
+        plan.kind.name(),
         plan.units.len(),
         plan.total_indices(),
         plan.slices.len(),
@@ -927,9 +835,8 @@ mod tests {
 
     #[test]
     fn plan_splits_units_and_round_trips_through_disk() {
-        let plan =
-            ShardPlan::build(CAMPAIGN_SPEC, ShardFormat::Csv, MetricsDetail::Slim, 2).unwrap();
-        assert_eq!(plan.kind, ShardKind::Campaign);
+        let plan = ShardPlan::build(CAMPAIGN_SPEC, Format::Csv, MetricsDetail::Slim, 2).unwrap();
+        assert_eq!(plan.kind, Kind::Campaign);
         assert_eq!(plan.units, vec![vec![0], vec![1], vec![2]]);
         assert_eq!(
             plan.slices,
@@ -950,9 +857,8 @@ mod tests {
 
     #[test]
     fn continuation_chains_are_whole_units() {
-        let plan =
-            ShardPlan::build(FRONTIER_SPEC, ShardFormat::Csv, MetricsDetail::Full, 2).unwrap();
-        assert_eq!(plan.kind, ShardKind::Frontier);
+        let plan = ShardPlan::build(FRONTIER_SPEC, Format::Csv, MetricsDetail::Full, 2).unwrap();
+        assert_eq!(plan.kind, Kind::Frontier);
         // 2 ns × 2 ks = 4 points; chains along n with K=2: {0,2} and {1,3}
         assert_eq!(plan.units, vec![vec![0, 2], vec![1, 3]]);
         assert_eq!(plan.total_indices(), 4);
@@ -961,8 +867,7 @@ mod tests {
 
     #[test]
     fn slice_validation_names_each_defect() {
-        let base =
-            ShardPlan::build(CAMPAIGN_SPEC, ShardFormat::Csv, MetricsDetail::Full, 3).unwrap();
+        let base = ShardPlan::build(CAMPAIGN_SPEC, Format::Csv, MetricsDetail::Full, 3).unwrap();
         let check = |slices: Vec<ShardSlice>, needle: &str| {
             let mut plan = base.clone();
             plan.slices = slices;
@@ -979,7 +884,7 @@ mod tests {
             vec![ShardSlice { id: 7, lo: 0, hi: 1 }, ShardSlice { id: 7, lo: 1, hi: 2 }],
             "duplicate shard id 7",
         );
-        assert!(ShardPlan::build(CAMPAIGN_SPEC, ShardFormat::Csv, MetricsDetail::Full, 0)
+        assert!(ShardPlan::build(CAMPAIGN_SPEC, Format::Csv, MetricsDetail::Full, 0)
             .unwrap_err()
             .contains("must be positive"));
     }
@@ -987,19 +892,17 @@ mod tests {
     #[test]
     fn digest_binds_format_and_detail() {
         let d = |f, det| ShardPlan::digest_for(CAMPAIGN_SPEC, f, det).unwrap();
-        let base = d(ShardFormat::Csv, MetricsDetail::Full);
-        assert_ne!(base, d(ShardFormat::JsonLines, MetricsDetail::Full));
-        assert_ne!(base, d(ShardFormat::Csv, MetricsDetail::Slim));
-        let plan =
-            ShardPlan::build(CAMPAIGN_SPEC, ShardFormat::Csv, MetricsDetail::Full, 2).unwrap();
+        let base = d(Format::Csv, MetricsDetail::Full);
+        assert_ne!(base, d(Format::JsonLines, MetricsDetail::Full));
+        assert_ne!(base, d(Format::Csv, MetricsDetail::Slim));
+        let plan = ShardPlan::build(CAMPAIGN_SPEC, Format::Csv, MetricsDetail::Full, 2).unwrap();
         assert_ne!(plan.shard_digest(0), plan.shard_digest(1));
         assert_ne!(plan.shard_digest(0), plan.digest);
     }
 
     #[test]
     fn loading_an_edited_plan_is_refused() {
-        let plan =
-            ShardPlan::build(CAMPAIGN_SPEC, ShardFormat::Csv, MetricsDetail::Full, 2).unwrap();
+        let plan = ShardPlan::build(CAMPAIGN_SPEC, Format::Csv, MetricsDetail::Full, 2).unwrap();
         let dir =
             std::env::temp_dir().join(format!("emac-shard-edited-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

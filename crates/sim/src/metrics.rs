@@ -73,7 +73,9 @@ impl DelayStats {
         self.buckets = [0; 64];
     }
 
-    /// Approximate p-quantile from the log2 histogram (upper bucket edge).
+    /// Approximate p-quantile from the log2 histogram: the upper edge of
+    /// the bucket holding it, capped at the largest recorded delay (no
+    /// sample lies above [`max`](Self::max)).
     pub fn quantile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -83,7 +85,7 @@ impl DelayStats {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return (1u64 << (i + 1)) - 2; // max delay in bucket i
+                return ((1u64 << (i + 1)) - 2).min(self.max); // max delay in bucket i
             }
         }
         self.max
@@ -257,6 +259,16 @@ mod tests {
         assert!((mean - 116.0 / 6.0).abs() < 1e-9);
         assert!(d.quantile(0.5) >= 2);
         assert!(d.quantile(1.0) >= 100);
+    }
+
+    #[test]
+    fn quantile_never_exceeds_the_largest_sample() {
+        let mut d = DelayStats::default();
+        d.record(100); // bucket 6 spans [63, 126]
+        assert_eq!(d.quantile(0.5), 100);
+        assert_eq!(d.quantile(1.0), 100);
+        d.record(3); // bucket 2 spans [3, 6]: its edge stays below the max
+        assert_eq!(d.quantile(0.5), 6);
     }
 
     #[test]

@@ -45,14 +45,12 @@ use std::time::Instant;
 
 use emac::cli;
 use emac::core::campaign::{
-    parse_campaign_spec, spec_list_digest, Campaign, Checkpoint, CsvStreamSink, DurableFile,
-    JsonLinesSink, ResultSink, ScenarioSpec, TallySink,
+    campaign_digest, parse_campaign_spec, Campaign, Checkpoint, DurableFile, ScenarioSpec,
+    TallySink,
 };
-use emac::core::frontier::{
-    CsvMapSink, EscalateSpec, Frontier, FrontierCheckpoint, FrontierSpec, JsonMapSink, MapSink,
-    SearchAxis,
-};
+use emac::core::frontier::{EscalateSpec, Frontier, FrontierCheckpoint, FrontierSpec, SearchAxis};
 use emac::core::journal::reopen_output;
+use emac::core::output::Kind;
 use emac::core::shard::{ShardPlan, ShardRunner};
 use emac::core::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
 use emac::registry::{Registry, ADVERSARIES, ALGORITHMS};
@@ -154,29 +152,15 @@ fn campaign(args: &[String]) -> ExitCode {
     if let Some(t) = opts.threads {
         executor = executor.threads(t);
     }
-    let format = opts.format;
 
     let dir = Path::new(&opts.out_dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("error: creating {}: {e}", opts.out_dir);
         return ExitCode::FAILURE;
     }
-    let out_path = dir.join(format.file_name());
-    let ckpt_path = dir.join("campaign.ckpt");
-    // The checkpoint digest binds the spec list AND the output-shaping
-    // options: resuming the same specs with a different --format or
-    // --detail would interleave incompatible rows, so it is refused the
-    // same way an edited spec file is.
-    let digest = {
-        let mut h = emac::core::digest::Fnv64::new();
-        h.u64(spec_list_digest(&specs));
-        h.str(format.file_name());
-        h.str(match opts.detail {
-            emac::core::MetricsDetail::Full => "full",
-            emac::core::MetricsDetail::Slim => "slim",
-        });
-        h.finish()
-    };
+    let out_path = dir.join(opts.format.file_name(Kind::Campaign));
+    let ckpt_path = dir.join(Kind::Campaign.checkpoint_name());
+    let digest = campaign_digest(&specs, opts.format, opts.detail);
     let ckpt = if opts.resume {
         Checkpoint::resume(&ckpt_path, digest, specs.len())
     } else {
@@ -194,8 +178,7 @@ fn campaign(args: &[String]) -> ExitCode {
     // Reconcile the output with the checkpoint: keep exactly the
     // checkpointed rows (plus the CSV header), dropping any unrecorded
     // tail a crash left behind — those scenarios re-execute below.
-    let header_lines = usize::from(format == cli::CampaignFormat::Csv);
-    let writer = match reopen(&out_path, already, header_lines) {
+    let writer = match reopen(&out_path, already, opts.format.header_lines()) {
         Ok(writer) => writer,
         Err(code) => return code,
     };
@@ -239,29 +222,10 @@ fn campaign(args: &[String]) -> ExitCode {
         .expect("observer poisoned")
         .record(&ObsEvent::RunStarted { kind: RunKind::Campaign, total: todo.len() as u64 });
     let started = Instant::now();
-    let (outcome, ok, unclean, failed) = match format {
-        cli::CampaignFormat::Csv => {
-            let inner = if already > 0 {
-                CsvStreamSink::appending(writer)
-            } else {
-                CsvStreamSink::new(writer)
-            };
-            run_tallied(
-                &executor,
-                &specs,
-                &todo,
-                TallySink::new(ObservedSink::new(inner, &obs)),
-                &mut ckpt,
-            )
-        }
-        cli::CampaignFormat::JsonLines => run_tallied(
-            &executor,
-            &specs,
-            &todo,
-            TallySink::new(ObservedSink::new(JsonLinesSink::new(writer), &obs)),
-            &mut ckpt,
-        ),
-    };
+    let mut sink =
+        TallySink::new(ObservedSink::new(opts.format.campaign_sink(writer, already == 0), &obs));
+    let outcome = executor.run_subset(&specs, &todo, &Registry, &mut sink, Some(&mut ckpt));
+    let (ok, unclean, failed) = (sink.ok(), sink.unclean(), sink.failed());
     let mut observer = obs.into_inner().expect("observer poisoned");
     let rounds = observer.rounds_seen();
     let finished = observer.finish(&ObsEvent::RunFinished {
@@ -314,17 +278,6 @@ fn reopen(out_path: &Path, rows: usize, header_lines: usize) -> Result<DurableFi
             Err(ExitCode::from(2))
         }
     }
-}
-
-fn run_tallied<S: ResultSink>(
-    executor: &Campaign,
-    specs: &[ScenarioSpec],
-    todo: &[usize],
-    mut sink: TallySink<S>,
-    ckpt: &mut Checkpoint,
-) -> (Result<(), String>, usize, usize, usize) {
-    let outcome = executor.run_subset(specs, todo, &Registry, &mut sink, Some(ckpt));
-    (outcome, sink.ok(), sink.unclean(), sink.failed())
 }
 
 /// Build the observer a CLI run asked for: `--events` arms the durable
@@ -447,9 +400,9 @@ fn frontier(args: &[String]) -> ExitCode {
         eprintln!("error: creating {}: {e}", opts.out_dir);
         return ExitCode::FAILURE;
     }
-    let out_path = dir.join(opts.format.file_name());
-    let ckpt_path = dir.join("frontier.ckpt");
-    let digest = spec.digest(opts.format.file_name());
+    let out_path = dir.join(opts.format.file_name(Kind::Frontier));
+    let ckpt_path = dir.join(Kind::Frontier.checkpoint_name());
+    let digest = spec.digest(opts.format.file_name(Kind::Frontier));
     let points = spec.points().len();
     let ckpt = if opts.resume {
         FrontierCheckpoint::resume(&ckpt_path, digest, points)
@@ -467,8 +420,7 @@ fn frontier(args: &[String]) -> ExitCode {
 
     // Reconcile the output with the checkpoint: keep exactly the rows it
     // claims durable (plus the CSV header); anything after re-emits.
-    let header_lines = usize::from(opts.format == cli::FrontierFormat::Csv);
-    let writer = match reopen(&out_path, already, header_lines) {
+    let writer = match reopen(&out_path, already, opts.format.header_lines()) {
         Ok(writer) => writer,
         Err(code) => return code,
     };
@@ -503,29 +455,9 @@ fn frontier(args: &[String]) -> ExitCode {
     };
     observer.record(&ObsEvent::RunStarted { kind: RunKind::Frontier, total: remaining });
     let started = Instant::now();
-    let outcome = match opts.format {
-        cli::FrontierFormat::Csv => {
-            let mut sink =
-                if already > 0 { CsvMapSink::appending(writer) } else { CsvMapSink::new(writer) };
-            engine.run_into_observed(
-                &spec,
-                &Registry,
-                &mut sink as &mut dyn MapSink,
-                Some(&mut ckpt),
-                &mut observer,
-            )
-        }
-        cli::FrontierFormat::JsonLines => {
-            let mut sink = JsonMapSink::new(writer);
-            engine.run_into_observed(
-                &spec,
-                &Registry,
-                &mut sink as &mut dyn MapSink,
-                Some(&mut ckpt),
-                &mut observer,
-            )
-        }
-    };
+    let mut sink = opts.format.map_sink(writer, already == 0);
+    let outcome =
+        engine.run_into_observed(&spec, &Registry, sink.as_mut(), Some(&mut ckpt), &mut observer);
     let rounds = observer.rounds_seen();
     let finished = observer.finish(&ObsEvent::RunFinished {
         kind: RunKind::Frontier,
@@ -685,9 +617,7 @@ fn shard(args: &[String]) -> ExitCode {
                 }
             };
             let out = opts.out.clone().unwrap_or_else(|| {
-                dir.join(format!("merged.{}", plan.out_name().rsplit('.').next().unwrap()))
-                    .display()
-                    .to_string()
+                dir.join(format!("merged.{}", plan.format.name())).display().to_string()
             });
             match emac::core::shard::merge(dir, Path::new(&out)) {
                 Ok(summary) => {

@@ -7,29 +7,11 @@
 
 use emac_core::campaign::json::Json;
 use emac_core::campaign::{fault_spec_from_json, MetricsDetail, ScenarioSpec};
+use emac_core::output::Format;
 use emac_core::prelude::*;
 use emac_sim::{Adversary, FaultSpec, Rate};
 
 use crate::registry::Registry;
-
-/// Output format for `emac campaign --format`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CampaignFormat {
-    /// One flat CSV row per scenario (`campaign.csv`).
-    Csv,
-    /// One JSON object per line (`campaign.jsonl`).
-    JsonLines,
-}
-
-impl CampaignFormat {
-    /// The output file name inside `--out`.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            CampaignFormat::Csv => "campaign.csv",
-            CampaignFormat::JsonLines => "campaign.jsonl",
-        }
-    }
-}
 
 /// Parsed command-line options for `emac campaign`.
 #[derive(Clone, Debug)]
@@ -43,7 +25,7 @@ pub struct CampaignOpts {
     /// Output directory (default `results/campaign`).
     pub out_dir: String,
     /// Output format (default CSV).
-    pub format: CampaignFormat,
+    pub format: Format,
     /// Per-scenario metrics detail.
     pub detail: MetricsDetail,
     /// Resume from `campaign.ckpt` instead of starting fresh.
@@ -65,7 +47,7 @@ pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
         spec_path: String::new(),
         threads: None,
         out_dir: "results/campaign".into(),
-        format: CampaignFormat::Csv,
+        format: Format::Csv,
         detail: MetricsDetail::Full,
         resume: false,
         limit: None,
@@ -82,19 +64,9 @@ pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
                 o.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
             }
             "--out" => o.out_dir = value()?.to_string(),
-            "--format" => {
-                o.format = match value()? {
-                    "csv" => CampaignFormat::Csv,
-                    "jsonl" => CampaignFormat::JsonLines,
-                    other => return Err(format!("--format must be csv or jsonl, got {other:?}")),
-                }
-            }
+            "--format" => o.format = Format::parse(value()?).map_err(|e| format!("--{e}"))?,
             "--detail" => {
-                o.detail = match value()? {
-                    "full" => MetricsDetail::Full,
-                    "slim" => MetricsDetail::Slim,
-                    other => return Err(format!("--detail must be full or slim, got {other:?}")),
-                }
+                o.detail = MetricsDetail::parse(value()?).map_err(|e| format!("--{e}"))?
             }
             "--resume" => o.resume = true,
             "--limit" => o.limit = Some(value()?.parse().map_err(|e| format!("--limit: {e}"))?),
@@ -121,25 +93,6 @@ pub fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
     Ok(o)
 }
 
-/// Streaming output format for `emac frontier --format`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontierFormat {
-    /// One CSV row per map point (`frontier.csv`).
-    Csv,
-    /// One JSON object per line (`frontier.jsonl`).
-    JsonLines,
-}
-
-impl FrontierFormat {
-    /// The output file name inside `--out`.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            FrontierFormat::Csv => "frontier.csv",
-            FrontierFormat::JsonLines => "frontier.jsonl",
-        }
-    }
-}
-
 /// Parsed command-line options for `emac frontier`.
 #[derive(Clone, Debug)]
 pub struct FrontierOpts {
@@ -160,7 +113,7 @@ pub struct FrontierOpts {
     /// Output directory (default `results/frontier`).
     pub out_dir: String,
     /// Output format (default CSV).
-    pub format: FrontierFormat,
+    pub format: Format,
     /// Resume from `frontier.ckpt` instead of starting fresh.
     pub resume: bool,
     /// Run at most this many refinement waves, then stop with the
@@ -183,7 +136,7 @@ pub fn parse_frontier(args: &[String]) -> Result<FrontierOpts, String> {
         escalate: None,
         threads: None,
         out_dir: "results/frontier".into(),
-        format: FrontierFormat::Csv,
+        format: Format::Csv,
         resume: false,
         max_waves: None,
         progress: false,
@@ -202,13 +155,7 @@ pub fn parse_frontier(args: &[String]) -> Result<FrontierOpts, String> {
                 o.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
             }
             "--out" => o.out_dir = value()?.to_string(),
-            "--format" => {
-                o.format = match value()? {
-                    "csv" => FrontierFormat::Csv,
-                    "jsonl" => FrontierFormat::JsonLines,
-                    other => return Err(format!("--format must be csv or jsonl, got {other:?}")),
-                }
-            }
+            "--format" => o.format = Format::parse(value()?).map_err(|e| format!("--{e}"))?,
             "--resume" => o.resume = true,
             "--max-waves" => {
                 o.max_waves = Some(value()?.parse().map_err(|e| format!("--max-waves: {e}"))?)
@@ -265,7 +212,7 @@ pub struct ShardOpts {
     /// Shard id (`--shard`, `run` only).
     pub shard: Option<usize>,
     /// Output format (`--format`, `plan` only; baked into the plan).
-    pub format: emac_core::shard::ShardFormat,
+    pub format: Format,
     /// Metric detail (`--detail`, `plan` only; baked into the plan).
     pub detail: MetricsDetail,
     /// Resume this shard's checkpoint (`--resume`, `run` only).
@@ -299,7 +246,7 @@ pub fn parse_shard(args: &[String]) -> Result<ShardOpts, String> {
         dir: String::new(),
         shards: None,
         shard: None,
-        format: emac_core::shard::ShardFormat::Csv,
+        format: Format::Csv,
         detail: MetricsDetail::Full,
         resume: false,
         threads: None,
@@ -322,19 +269,11 @@ pub fn parse_shard(args: &[String]) -> Result<ShardOpts, String> {
             }
             "--shard" => return Err(wrong("--shard", "run")),
             "--format" if action == ShardAction::Plan => {
-                o.format = match value()? {
-                    "csv" => emac_core::shard::ShardFormat::Csv,
-                    "jsonl" => emac_core::shard::ShardFormat::JsonLines,
-                    other => return Err(format!("--format must be csv or jsonl, got {other:?}")),
-                }
+                o.format = Format::parse(value()?).map_err(|e| format!("--{e}"))?
             }
             "--format" => return Err(wrong("--format", "plan")),
             "--detail" if action == ShardAction::Plan => {
-                o.detail = match value()? {
-                    "full" => MetricsDetail::Full,
-                    "slim" => MetricsDetail::Slim,
-                    other => return Err(format!("--detail must be full or slim, got {other:?}")),
-                }
+                o.detail = MetricsDetail::parse(value()?).map_err(|e| format!("--{e}"))?
             }
             "--detail" => return Err(wrong("--detail", "plan")),
             "--resume" if action == ShardAction::Run => o.resume = true,
@@ -701,15 +640,22 @@ mod tests {
         assert_eq!(o.spec_path, "spec.json");
         assert_eq!(o.threads, Some(4));
         assert_eq!(o.out_dir, "results/x");
-        assert_eq!(o.format, CampaignFormat::JsonLines);
+        assert_eq!(o.format, Format::JsonLines);
         assert_eq!(o.detail, MetricsDetail::Slim);
         assert!(o.resume);
         assert_eq!(o.limit, Some(20));
-        assert_eq!(CampaignFormat::Csv.file_name(), "campaign.csv");
-        assert_eq!(CampaignFormat::JsonLines.file_name(), "campaign.jsonl");
+        // every format and detail parses back from its own name
+        for format in [Format::Csv, Format::JsonLines] {
+            for detail in [MetricsDetail::Full, MetricsDetail::Slim] {
+                let flags =
+                    format!("spec.json --format {} --detail {}", format.name(), detail.name());
+                let o = parse_campaign(&argv(&flags)).unwrap();
+                assert_eq!((o.format, o.detail), (format, detail), "{flags}");
+            }
+        }
 
         let o = parse_campaign(&argv("spec.json")).unwrap();
-        assert_eq!(o.format, CampaignFormat::Csv, "defaults to CSV");
+        assert_eq!(o.format, Format::Csv, "defaults to CSV");
         assert_eq!(o.detail, MetricsDetail::Full);
         assert!(!o.resume && o.limit.is_none());
         assert!(!o.progress && o.events.is_none(), "observability defaults off");
@@ -726,8 +672,21 @@ mod tests {
         assert!(parse_campaign(&argv("")).unwrap_err().contains("spec file"));
         let o = parse_campaign(&argv("spec.json --resume --limit 5")).unwrap();
         assert!(o.resume && o.limit == Some(5), "--resume/--limit parse without --format");
-        assert!(parse_campaign(&argv("spec.json --format xml")).unwrap_err().contains("csv"));
-        assert!(parse_campaign(&argv("spec.json --detail tiny")).unwrap_err().contains("slim"));
+        assert_eq!(
+            parse_campaign(&argv("spec.json --format xml")).unwrap_err(),
+            "--format must be csv or jsonl, got \"xml\""
+        );
+        assert_eq!(
+            parse_campaign(&argv("spec.json --detail tiny")).unwrap_err(),
+            "--detail must be full or slim, got \"tiny\""
+        );
+        // only the exact names parse
+        for bad in ["", "CSV", "json", "jsonl ", "slim"] {
+            assert!(Format::parse(bad).is_err(), "format {bad:?}");
+        }
+        for bad in ["", "FULL", "slim ", "csv"] {
+            assert!(MetricsDetail::parse(bad).is_err(), "detail {bad:?}");
+        }
         assert!(parse_campaign(&argv("spec.json --format csv --limit 0"))
             .unwrap_err()
             .contains("positive"));
@@ -748,14 +707,12 @@ mod tests {
         assert_eq!(o.tol, Some(0.001));
         assert_eq!(o.threads, Some(4));
         assert_eq!(o.out_dir, "results/f");
-        assert_eq!(o.format, FrontierFormat::JsonLines);
+        assert_eq!(o.format, Format::JsonLines);
         assert!(o.resume);
         assert_eq!(o.max_waves, Some(3));
-        assert_eq!(FrontierFormat::Csv.file_name(), "frontier.csv");
-        assert_eq!(FrontierFormat::JsonLines.file_name(), "frontier.jsonl");
 
         let o = parse_frontier(&argv("map.json")).unwrap();
-        assert_eq!(o.format, FrontierFormat::Csv);
+        assert_eq!(o.format, Format::Csv);
         assert!(o.axis.is_none() && o.tol.is_none() && o.escalate.is_none() && !o.resume);
         assert!(!o.progress && o.events.is_none(), "observability defaults off");
         assert!(parse_frontier(&argv("--example")).unwrap().example);
@@ -813,7 +770,7 @@ mod tests {
         assert_eq!(o.spec_path, "spec.json");
         assert_eq!(o.dir, "results/shards");
         assert_eq!(o.shards, Some(3));
-        assert_eq!(o.format, emac_core::shard::ShardFormat::JsonLines);
+        assert_eq!(o.format, Format::JsonLines);
         assert_eq!(o.detail, MetricsDetail::Slim);
 
         let o = parse_shard(&argv(

@@ -15,7 +15,10 @@
 //!    `3b17903468572632` and `specs/frontier_theorem5_band.json` (seed
 //!    ensemble, escalation, `n`-continuation) merges to
 //!    `a3e0d1df6fb35675` — the same digests `tests/golden_determinism.rs`
-//!    pins on the single-process paths.
+//!    pins on the single-process paths;
+//! 5. the digest `emac shard plan` prints is the `digest` line of the
+//!    checkpoint a single-process run writes, for every campaign
+//!    `--format` × `--detail` and every frontier `--format`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -261,5 +264,52 @@ fn sharded_band_map_with_continuation_merges_to_the_pinned_digest() {
         FRONTIER_BAND_CSV_GOLDEN,
         "sharded band map must merge to the pinned band CSV digest"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The digest `emac shard plan` prints for `spec` under the output
+/// `flags`, and the `digest` line of the checkpoint that a single-process
+/// `emac <cmd>` run of the same spec and flags writes.
+fn plan_and_checkpoint_digests(dir: &Path, spec: &Path, cmd: &str, flags: &[&str]) -> [String; 2] {
+    let tag = format!("{cmd}{}", flags.join(""));
+    let plan = emac()
+        .args(["shard", "plan", spec.to_str().unwrap(), "--shards", "2", "--dir"])
+        .arg(dir.join(format!("plan{tag}")))
+        .args(flags)
+        .output()
+        .unwrap();
+    assert!(plan.status.success(), "plan: {}", String::from_utf8_lossy(&plan.stderr));
+    let stdout = String::from_utf8(plan.stdout).unwrap();
+    let printed = stdout.split("(digest ").nth(1).and_then(|rest| rest.split(')').next());
+
+    let out = dir.join(format!("single{tag}"));
+    emac().args([cmd, spec.to_str().unwrap(), "--out"]).arg(&out).args(flags).output().unwrap();
+    let ckpt = std::fs::read_to_string(out.join(format!("{cmd}.ckpt"))).unwrap();
+    let recorded = ckpt.lines().nth(1).and_then(|line| line.strip_prefix("digest "));
+    [printed.expect("plan prints its digest"), recorded.expect("checkpoint digest line")]
+        .map(String::from)
+}
+
+#[test]
+fn plan_digest_is_the_single_process_checkpoint_digest() {
+    let dir = scratch("plan-digest");
+    let campaign = dir.join("spec.json");
+    std::fs::write(&campaign, MIXED_SPEC).unwrap();
+    let map = dir.join("map.json");
+    std::fs::write(&map, MAP_SPEC).unwrap();
+    let mut seen = std::collections::BTreeSet::new();
+    for format in ["csv", "jsonl"] {
+        for detail in ["full", "slim"] {
+            let flags = ["--format", format, "--detail", detail];
+            let [plan, ckpt] = plan_and_checkpoint_digests(&dir, &campaign, "campaign", &flags);
+            assert_eq!(plan, ckpt, "campaign --format {format} --detail {detail}");
+            seen.insert(plan);
+        }
+        let flags = ["--format", format];
+        let [plan, ckpt] = plan_and_checkpoint_digests(&dir, &map, "frontier", &flags);
+        assert_eq!(plan, ckpt, "frontier --format {format}");
+        seen.insert(plan);
+    }
+    assert_eq!(seen.len(), 6, "every output option binds its own digest: {seen:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,7 +19,8 @@ use std::path::PathBuf;
 use emac::registry::Registry;
 use emac_core::campaign::{Campaign, CsvStreamSink, MetricsDetail};
 use emac_core::frontier::{CsvMapSink, Frontier, FrontierSpec};
-use emac_core::shard::{merge, ClaimTable, ShardFormat, ShardPlan, ShardRunner};
+use emac_core::output::Format;
+use emac_core::shard::{merge, ClaimTable, ShardPlan, ShardRunner};
 
 /// xorshift64 — deterministic parameter scatter.
 struct Rng(u64);
@@ -124,7 +125,7 @@ fn random_slices_and_steal_interleavings_merge_to_single_process_bytes() {
         let spec_text = sample_campaign(&mut rng);
         let shards = 1 + rng.below(4) as usize;
         let mut plan =
-            ShardPlan::build(&spec_text, ShardFormat::Csv, MetricsDetail::Full, shards).unwrap();
+            ShardPlan::build(&spec_text, Format::Csv, MetricsDetail::Full, shards).unwrap();
         scramble_slices(&mut plan, &mut rng);
 
         let dir = scratch("campaign", round);
@@ -164,7 +165,7 @@ fn frontier_chains_survive_random_interleavings_byte_identically() {
         );
         let shards = 2 + rng.below(2) as usize;
         let mut plan =
-            ShardPlan::build(&spec_text, ShardFormat::Csv, MetricsDetail::Full, shards).unwrap();
+            ShardPlan::build(&spec_text, Format::Csv, MetricsDetail::Full, shards).unwrap();
         scramble_slices(&mut plan, &mut rng);
 
         let dir = scratch("frontier", round);
