@@ -254,6 +254,93 @@ fn table1_slim_csv_digest_matches_golden() {
     }
 }
 
+/// Pinned digest of a small grid streamed as **Full** JSON Lines: the
+/// bytes `emac campaign --format jsonl` writes. The grid is chosen so the
+/// rows carry every shape the JSONL row writer emits — the queue series
+/// and delay buckets of Full detail, `drained`, `violations`, the fault
+/// counters, an `error` row, a label that needs escaping, and a seed above
+/// `i64::MAX` (written as a string) — with one row per registry algorithm.
+const FULL_JSONL_GOLDEN: &str = "e5a798233af7ecb3";
+
+fn full_jsonl_matrix() -> Vec<ScenarioSpec> {
+    use emac_sim::FaultSpec;
+
+    let base = |alg: &str| {
+        ScenarioSpec::new(alg, "uniform")
+            .n(6)
+            .k(3)
+            .rho(Rate::new(1, 8))
+            .beta(Rate::integer(2))
+            .rounds(2_048)
+            .seed(11)
+    };
+    let mut specs: Vec<ScenarioSpec> = [
+        "orchestra",
+        "orchestra-nomb",
+        "count-hop",
+        "adjust-window",
+        "k-cycle",
+        "k-cycle:1/2",
+        "k-clique",
+        "k-subsets",
+        "k-subsets-rrw",
+        "duty-cycle",
+    ]
+    .into_iter()
+    .map(base)
+    .collect();
+    specs.extend([
+        base("count-hop").drain(20_000),
+        base("k-cycle").cap(2),
+        base("k-cycle").faults(FaultSpec {
+            seed: 5,
+            jam: Rate::new(1, 10),
+            crash: Rate::new(1, 200),
+            crash_len: 16,
+            deaf: Rate::new(1, 50),
+            ..FaultSpec::default()
+        }),
+        base("k-subsets").k(6),
+        base("k-clique").label("quoted \"label\", with a comma"),
+        base("k-subsets").seed(u64::MAX - 6),
+    ]);
+    specs
+}
+
+#[test]
+fn full_jsonl_digest_matches_golden() {
+    use emac_core::campaign::JsonLinesSink;
+
+    let specs = full_jsonl_matrix();
+    let mut sink = JsonLinesSink::new(Vec::new());
+    Campaign::new().threads(2).run_into(&specs, &Registry, &mut sink).unwrap();
+    let jsonl = String::from_utf8(sink.into_inner()).unwrap();
+    assert_eq!(jsonl.lines().count(), specs.len());
+    for shape in [
+        "\"queue_series\":[[0,",
+        "\"delay_log2_buckets\":[",
+        "\"drained\":true",
+        "\"clean\":false,\"violations\":\"",
+        "\"jammed_rounds\":",
+        "\"crashes\":",
+        "\"deaf_rounds\":",
+        "\"error\":\"",
+        "\"label\":\"quoted \\\"label\\\", with a comma\"",
+        "\"seed\":\"18446744073709551609\"",
+    ] {
+        assert!(jsonl.contains(shape), "the grid must produce {shape:?}:\n{jsonl}");
+    }
+    let actual = format!("{:016x}", Fnv64::new().bytes(jsonl.as_bytes()).finish());
+    if actual != FULL_JSONL_GOLDEN {
+        println!("--- Full JSONL (re-pin the digest below after justifying the change) ---");
+        print!("{jsonl}");
+        panic!(
+            "Full JSONL digest diverged: expected {FULL_JSONL_GOLDEN}, got {actual}; \
+             full JSONL printed above"
+        );
+    }
+}
+
 /// `Slim` detail invariance over the registry grid: every scalar metric
 /// equals its `Full` counterpart, so the CSV export (scalar columns only)
 /// digests identically to [`CAMPAIGN_CSV_GOLDEN`]'s bytes.
