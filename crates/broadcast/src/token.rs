@@ -48,8 +48,9 @@ impl TokenRing {
     /// A silent round was observed: the token advances. Returns `true` when
     /// the advance completed a full cycle (a phase boundary).
     pub fn advance(&mut self) -> bool {
-        self.pos = (self.pos + 1) % self.size;
-        if self.pos == 0 {
+        self.pos += 1;
+        if self.pos == self.size {
+            self.pos = 0;
             self.laps += 1;
             true
         } else {

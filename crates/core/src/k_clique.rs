@@ -174,6 +174,11 @@ impl PairReplica {
 /// Per-station `k-Clique` protocol.
 pub struct KCliqueStation {
     params: Arc<KCliqueParams>,
+    /// The set this station belongs to.
+    set: usize,
+    /// One replica per other set `b`, ascending ([`KCliqueParams::pairs_of`]
+    /// order), so the replica of pair `{set, b}` sits at position `b`, or
+    /// `b − 1` past the station's own set.
     reps: Vec<PairReplica>,
 }
 
@@ -190,18 +195,29 @@ impl KCliqueStation {
                 marker: 0,
             })
             .collect();
-        Self { params, reps }
+        Self { set: params.set_of(id), params, reps }
     }
 
-    fn replica_mut(&mut self, p: usize) -> Option<&mut PairReplica> {
-        self.reps.iter_mut().find(|r| r.p == p)
+    /// The replica of the pair active this round, if the pair holds this
+    /// station: the schedule clock's phase is the pair, and the pair's
+    /// other set indexes the replica — O(1), no scan.
+    fn active_replica(&self, ctx: &ProtocolCtx) -> Option<usize> {
+        debug_assert_eq!(ctx.phase, ctx.round % self.params.num_pairs() as u64);
+        let (a, b) = self.params.pairs[ctx.phase as usize];
+        let other = match self.set {
+            s if s == a => b,
+            s if s == b => a,
+            _ => return None,
+        };
+        let i = if other < self.set { other } else { other - 1 };
+        debug_assert_eq!(self.reps[i].p, ctx.phase as usize);
+        Some(i)
     }
 }
 
 impl Protocol for KCliqueStation {
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
-        let p = self.params.active_pair(ctx.round);
-        let Some(rep) = self.reps.iter().find(|r| r.p == p) else {
+        let Some(rep) = self.active_replica(ctx).map(|i| &self.reps[i]) else {
             return Action::Listen;
         };
         if rep.members[rep.ring.pos()] == ctx.id {
@@ -219,11 +235,11 @@ impl Protocol for KCliqueStation {
         fb: Feedback<'_>,
         effects: &mut Effects,
     ) -> Wake {
-        let p = self.params.active_pair(ctx.round);
-        let Some(rep) = self.replica_mut(p) else {
+        let Some(i) = self.active_replica(ctx) else {
             effects.flag("k-clique: awake outside own pairs");
             return Wake::Stay;
         };
+        let rep = &mut self.reps[i];
         match fb {
             Feedback::Silence => {
                 if rep.ring.advance() {

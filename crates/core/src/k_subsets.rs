@@ -132,9 +132,37 @@ struct ThreadState {
     baton: BatonList,
     my_big: bool,
     season_big: bool,
+    /// The thread-round `season_pos` was last computed for.
+    season_round: u64,
+    /// `season_round % season_len`: the thread-round's place in its MBTF
+    /// season.
+    season_pos: u64,
     // RRW state
     ring: TokenRing,
     batch_marker: Round,
+}
+
+impl ThreadState {
+    /// `j % season_len` for thread-round `j`, counted up by comparison
+    /// from the previous thread-round (on schedule the station runs every
+    /// round of its thread); divided only after a gap, which a wake fault
+    /// makes.
+    fn season_pos(&mut self, j: u64, season_len: u64) -> u64 {
+        if j != self.season_round {
+            self.season_pos = if j == self.season_round + 1 {
+                let next = self.season_pos + 1;
+                if next == season_len {
+                    0
+                } else {
+                    next
+                }
+            } else {
+                j % season_len
+            };
+            self.season_round = j;
+        }
+        self.season_pos
+    }
 }
 
 /// Per-station `k-Subsets` protocol.
@@ -145,6 +173,8 @@ pub struct KSubsetsStation {
     my_threads: Vec<u32>,
     /// The state of `my_threads[i]` at position `i`.
     threads: Vec<ThreadState>,
+    /// The slot of the thread this station runs next.
+    cursor: usize,
     /// Per-destination balanced allocator over eligible threads.
     alloc: HashMap<StationId, BalancedAllocator>,
 }
@@ -160,17 +190,37 @@ impl KSubsetsStation {
                     baton: BatonList::with_members(members.clone()),
                     my_big: false,
                     season_big: false,
+                    season_round: 0,
+                    season_pos: 0,
                     ring: TokenRing::new(members.len()),
                     batch_marker: 0,
                 }
             })
             .collect();
-        Self { params, mode, my_threads, threads, alloc: HashMap::new() }
+        Self { params, mode, my_threads, threads, cursor: 0, alloc: HashMap::new() }
     }
 
     /// Position of thread `t` in `my_threads`, if this station is in it.
     fn slot(&self, t: u32) -> Option<usize> {
         self.my_threads.binary_search(&t).ok()
+    }
+
+    /// The active thread and thread-round, read off the schedule clock:
+    /// thread `i` runs in rounds `i + jγ`, so they are its phase and cycle.
+    fn thread_round(&self, ctx: &ProtocolCtx) -> (u32, u64) {
+        let gamma = self.params.gamma() as u64;
+        debug_assert_eq!((ctx.phase, ctx.cycle), (ctx.round % gamma, ctx.round / gamma));
+        (ctx.phase as u32, ctx.cycle)
+    }
+
+    /// Position of the active thread `t` in `my_threads`. A station's
+    /// threads recur in ascending order, so on schedule it is the cursor's
+    /// slot; after a wake fault the binary search finds it.
+    fn active_slot(&mut self, t: u32) -> Option<usize> {
+        if self.my_threads.get(self.cursor) != Some(&t) {
+            self.cursor = self.slot(t)?;
+        }
+        Some(self.cursor)
     }
 
     /// Thread-local season length (MBTF seasons within a thread's scaled
@@ -202,11 +252,10 @@ impl Protocol for KSubsetsStation {
     }
 
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
-        let t = self.params.thread_of_round(ctx.round);
-        let j = ctx.round / self.params.gamma() as u64; // thread-round
+        let (t, j) = self.thread_round(ctx);
         let season_len = self.season_len();
         let kk = self.params.k;
-        let Some(slot) = self.slot(t) else {
+        let Some(slot) = self.active_slot(t) else {
             return Action::Listen;
         };
         let rep = &mut self.threads[slot];
@@ -216,7 +265,7 @@ impl Protocol for KSubsetsStation {
                 if rep.baton.conductor() != ctx.id {
                     return Action::Listen;
                 }
-                if j.is_multiple_of(season_len) {
+                if rep.season_pos(j, season_len) == 0 {
                     rep.my_big = rep.queue.len() >= kk * kk - 1;
                 }
                 let mut bits = ControlBits::new();
@@ -251,13 +300,14 @@ impl Protocol for KSubsetsStation {
         fb: Feedback<'_>,
         effects: &mut Effects,
     ) -> Wake {
-        let t = self.params.thread_of_round(ctx.round);
-        let j = ctx.round / self.params.gamma() as u64;
+        let (t, j) = self.thread_round(ctx);
         let season_len = self.season_len();
-        let Some(slot) = self.slot(t) else {
+        let Some(slot) = self.active_slot(t) else {
             effects.flag("k-subsets: awake outside own threads");
             return Wake::Stay;
         };
+        // This thread's turn ends with this round; the next thread comes next.
+        self.cursor = if slot + 1 == self.my_threads.len() { 0 } else { slot + 1 };
         let rep = &mut self.threads[slot];
         let members = &self.params.subsets[t as usize];
         match self.mode {
@@ -276,7 +326,7 @@ impl Protocol for KSubsetsStation {
                     Feedback::Silence => effects.flag("k-subsets: mbtf thread went silent"),
                     Feedback::Collision => effects.flag("k-subsets: collision cannot happen"),
                 }
-                if j % season_len == season_len - 1 {
+                if rep.season_pos(j, season_len) == season_len - 1 {
                     rep.baton.season_end(rep.season_big);
                     rep.season_big = false;
                 }

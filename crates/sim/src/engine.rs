@@ -43,6 +43,35 @@ enum Power {
     OffUntil(Round),
 }
 
+/// The schedule clock: the current round's position in the schedule's
+/// period, advanced by one comparison per round instead of a division.
+/// Handed to protocols as [`ProtocolCtx::phase`] and
+/// [`ProtocolCtx::cycle`], and the row index of the [`ScheduleTable`].
+#[derive(Clone, Copy, Debug)]
+struct ScheduleClock {
+    /// The schedule's period; `u64::MAX` without one, so `phase` tracks
+    /// the round and `cycle` stays 0.
+    period: u64,
+    phase: Round,
+    cycle: u64,
+}
+
+impl ScheduleClock {
+    fn new(period: Option<u64>) -> Self {
+        Self { period: period.unwrap_or(u64::MAX), phase: 0, cycle: 0 }
+    }
+
+    /// Move to the next round.
+    #[inline]
+    fn advance(&mut self) {
+        self.phase += 1;
+        if self.phase == self.period {
+            self.phase = 0;
+            self.cycle += 1;
+        }
+    }
+}
+
 struct HeardInfo {
     packet: Packet,
     sender: StationId,
@@ -63,6 +92,7 @@ pub struct Simulator {
     bucket: LeakyBucket,
     injections_on: bool,
     round: Round,
+    clock: ScheduleClock,
     /// Next round to sample the queue series (round 0, then every
     /// `cfg.sample_every` — a running mark instead of a per-round modulo).
     next_sample: Round,
@@ -119,7 +149,7 @@ impl Simulator {
         let mut power = vec![Power::On; n];
         if matches!(wake, WakeMode::Adaptive) {
             for (s, proto) in protocols.iter_mut().enumerate() {
-                let ctx = ProtocolCtx { id: s, n, cap: cfg.cap, round: 0 };
+                let ctx = ProtocolCtx { id: s, n, cap: cfg.cap, round: 0, phase: 0, cycle: 0 };
                 power[s] = match proto.first_wake(&ctx) {
                     Wake::Stay => Power::On,
                     Wake::At(r) => Power::OffUntil(r),
@@ -127,9 +157,9 @@ impl Simulator {
             }
         }
         let bucket = LeakyBucket::new(cfg.rho, cfg.beta);
-        let cache = match &wake {
-            WakeMode::Scheduled(s) => ScheduleTable::build(s.as_ref(), n),
-            WakeMode::Adaptive => None,
+        let (cache, period) = match &wake {
+            WakeMode::Scheduled(s) => (ScheduleTable::build(s.as_ref(), n), s.period()),
+            WakeMode::Adaptive => (None, None),
         };
         let faults = cfg.faults.as_ref().filter(|f| !f.is_noop()).map(|f| FaultPlan::new(f, n));
         Self {
@@ -143,6 +173,7 @@ impl Simulator {
             bucket,
             injections_on: true,
             round: 0,
+            clock: ScheduleClock::new(period),
             next_sample: 0,
             next_packet_id: 0,
             metrics: Metrics::sized(n),
@@ -281,7 +312,7 @@ impl Simulator {
             match (&self.cache, &self.wake) {
                 (Some(table), _) => {
                     self.hooks.wake_table_rounds += 1;
-                    table.fill(r, &mut awake_mask, &mut awake)
+                    table.fill(self.clock.phase, &mut awake_mask, &mut awake)
                 }
                 (None, WakeMode::Scheduled(s)) => {
                     self.hooks.wake_enum_rounds += 1;
@@ -323,7 +354,7 @@ impl Simulator {
         // 3. Actions.
         self.transmissions.clear();
         for &s in &awake {
-            let ctx = ProtocolCtx { id: s, n, cap: self.cfg.cap, round: r };
+            let ctx = self.ctx(s);
             match self.protocols[s].act(&ctx, &self.queues[s]) {
                 Action::Transmit(m) => self.transmissions.push((s, m)),
                 Action::Listen => {}
@@ -416,7 +447,7 @@ impl Simulator {
             self.metrics.deaf_rounds += 1;
         }
         for &s in &awake {
-            let ctx = ProtocolCtx { id: s, n, cap: self.cfg.cap, round: r };
+            let ctx = self.ctx(s);
             let mut effects = Effects::default();
             let fb_s = if deaf == Some(s) { Feedback::Silence } else { fb };
             let wake = self.protocols[s].on_feedback(&ctx, &self.queues[s], fb_s, &mut effects);
@@ -494,6 +525,20 @@ impl Simulator {
         self.awake = awake;
         self.awake_mask = awake_mask;
         self.round += 1;
+        self.clock.advance();
+    }
+
+    /// What station `id` observes in the current round.
+    #[inline]
+    fn ctx(&self, id: StationId) -> ProtocolCtx {
+        ProtocolCtx {
+            id,
+            n: self.cfg.n,
+            cap: self.cfg.cap,
+            round: self.round,
+            phase: self.clock.phase,
+            cycle: self.clock.cycle,
+        }
     }
 
     fn handle_adoption(&mut self, s: StationId, r: Round, heard: &mut Option<HeardInfo>) {
@@ -511,7 +556,7 @@ impl Simulator {
                 self.metrics.adoptions += 1;
                 self.metrics.max_station_queued =
                     self.metrics.max_station_queued.max(self.queues[s].len() as u64);
-                let ctx = ProtocolCtx { id: s, n: self.cfg.n, cap: self.cfg.cap, round: r };
+                let ctx = self.ctx(s);
                 self.protocols[s].on_enqueued(&ctx, &qp, EnqueueOrigin::Adopted);
                 let _ = h.sender; // sender identity retained for diagnostics
             }
@@ -541,7 +586,7 @@ impl Simulator {
         self.metrics.total_queued += 1;
         self.metrics.max_station_queued =
             self.metrics.max_station_queued.max(self.queues[inj.station].len() as u64);
-        let ctx = ProtocolCtx { id: inj.station, n: self.cfg.n, cap: self.cfg.cap, round: r };
+        let ctx = self.ctx(inj.station);
         self.protocols[inj.station].on_enqueued(&ctx, &qp, EnqueueOrigin::Injected);
     }
 
@@ -643,6 +688,8 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::message::ControlBits;
+    use crate::protocol::OnSchedule;
+    use crate::queue::QueuedPacket;
     use crate::rate::Rate;
 
     /// Round-robin transmitter: station `r mod n` transmits its oldest
@@ -957,6 +1004,176 @@ mod tests {
         let rendered = sim.trace().expect("enabled").render();
         assert!(rendered.contains("delivered"), "{rendered}");
         assert!(rendered.contains("inj[1->3]"), "{rendered}");
+    }
+
+    /// Calls a [`ClockProbe`] made, per callback: `first_wake`,
+    /// `on_enqueued`, `act`, `on_feedback`.
+    #[derive(Default)]
+    struct ClockCalls([std::sync::atomic::AtomicU64; 4]);
+
+    impl ClockCalls {
+        fn counts(&self) -> [u64; 4] {
+            self.0.each_ref().map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
+        }
+    }
+
+    /// Checks the schedule clock in every callback: `phase == round % p`
+    /// and `cycle == round / p` under a schedule of period `p`, and
+    /// `phase == round`, `cycle == 0` without one. Sends its oldest packet
+    /// on its turn, and the station two after a heard packet's origin
+    /// adopts it, so packets enter queues both ways.
+    struct ClockProbe {
+        period: Option<u64>,
+        calls: std::sync::Arc<ClockCalls>,
+    }
+
+    impl ClockProbe {
+        fn check(&self, call: usize, ctx: &ProtocolCtx) {
+            let want = match self.period {
+                Some(p) => (ctx.round % p, ctx.round / p),
+                None => (ctx.round, 0),
+            };
+            assert_eq!((ctx.phase, ctx.cycle), want, "callback {call} at round {}", ctx.round);
+            self.calls.0[call].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl Protocol for ClockProbe {
+        fn first_wake(&mut self, ctx: &ProtocolCtx) -> Wake {
+            self.check(0, ctx);
+            Wake::At(1 + ctx.id as u64)
+        }
+        fn on_enqueued(&mut self, ctx: &ProtocolCtx, _qp: &QueuedPacket, _o: EnqueueOrigin) {
+            self.check(1, ctx);
+        }
+        fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
+            self.check(2, ctx);
+            match queue.oldest() {
+                Some(qp) if ctx.round as usize % ctx.n == ctx.id => {
+                    Action::Transmit(Message::plain(qp.packet))
+                }
+                _ => Action::Listen,
+            }
+        }
+        fn on_feedback(
+            &mut self,
+            ctx: &ProtocolCtx,
+            _q: &IndexedQueue,
+            fb: Feedback<'_>,
+            effects: &mut Effects,
+        ) -> Wake {
+            self.check(3, ctx);
+            if let Feedback::Heard(Message { packet: Some(p), .. }) = fb {
+                if p.dest != ctx.id && ctx.id == (p.origin + 2) % ctx.n {
+                    effects.adopt_heard();
+                }
+            }
+            Wake::sleep_for(ctx.round, ctx.id as u64 % 3)
+        }
+    }
+
+    /// Station `s` is on in the rounds whose phase is `s` modulo 2 or
+    /// divisible by 3: every station wakes often, and the on-set changes
+    /// within the period.
+    struct Periodic(u64);
+    impl OnSchedule for Periodic {
+        fn is_on(&self, station: StationId, round: Round) -> bool {
+            let phase = round % self.0;
+            phase % 2 == station as u64 % 2 || phase % 3 == 0
+        }
+        fn period(&self) -> Option<u64> {
+            Some(self.0)
+        }
+    }
+
+    /// Run `rounds` of a [`ClockProbe`] system under `wake` and return
+    /// the simulator and the calls it made.
+    fn run_clock_probe(
+        n: usize,
+        wake: WakeMode,
+        period: Option<u64>,
+        faults: Option<crate::faults::FaultSpec>,
+        rounds: u64,
+    ) -> (Simulator, [u64; 4]) {
+        let calls = std::sync::Arc::new(ClockCalls::default());
+        let built = BuiltAlgorithm {
+            name: "clock-probe".into(),
+            protocols: (0..n)
+                .map(|_| {
+                    let calls = std::sync::Arc::clone(&calls);
+                    Box::new(ClockProbe { period, calls }) as Box<dyn Protocol>
+                })
+                .collect(),
+            wake,
+            class: AlgorithmClass { oblivious: false, plain_packet: true, direct: false },
+        };
+        let mut cfg = SimConfig::new(n, n)
+            .adversary_type(Rate::new(1, 2), Rate::integer(2))
+            .sample_every(1 << 40);
+        if let Some(f) = faults {
+            cfg = cfg.faults(f);
+        }
+        struct Spread;
+        impl Adversary for Spread {
+            fn plan(&mut self, r: Round, budget: usize, v: &SystemView<'_>) -> Vec<Injection> {
+                let src = |i: usize| (r as usize + i) % v.n;
+                (0..budget).map(|i| Injection::new(src(i), (src(i) + 1 + i) % v.n)).collect()
+            }
+        }
+        let mut sim = Simulator::new(cfg, built, Box::new(Spread));
+        sim.run(rounds);
+        assert_eq!(sim.round(), rounds);
+        (sim, calls.counts())
+    }
+
+    #[test]
+    fn the_schedule_clock_is_round_mod_and_div_period_in_every_callback() {
+        use std::sync::Arc;
+
+        // A tabled periodic schedule: the table row is the phase.
+        let (p, rounds) = (7, 100);
+        let (sim, calls) =
+            run_clock_probe(4, WakeMode::Scheduled(Arc::new(Periodic(p))), Some(p), None, rounds);
+        assert!(sim.cache.is_some(), "period 7 fits the table");
+        assert_eq!(sim.hooks().wake_table_rounds, rounds);
+        assert!(calls[1..].iter().all(|&c| c > 0), "every callback ran: {calls:?}");
+        assert!(sim.metrics().adoptions > 0, "adoption enqueues too");
+
+        // A period over the table budget: no table, but the clock still
+        // follows the schedule's period, through the first wrap.
+        let p = crate::schedule::MAX_TABLE_WORDS as u64 + 1;
+        let rounds = p + 50;
+        let (sim, calls) =
+            run_clock_probe(2, WakeMode::Scheduled(Arc::new(Periodic(p))), Some(p), None, rounds);
+        assert!(sim.cache.is_none(), "one mask word per row over the budget is not tabled");
+        assert_eq!(sim.hooks().wake_enum_rounds, rounds);
+        assert!(calls[1..].iter().all(|&c| c > 0), "every callback ran: {calls:?}");
+
+        // Skew and crash faults bypass the table; protocols still see the
+        // global round's phase.
+        let p = 7;
+        let faults = crate::faults::FaultSpec {
+            seed: 3,
+            skew: 5,
+            crash: Rate::new(1, 10),
+            crash_len: 4,
+            ..Default::default()
+        };
+        let (sim, calls) = run_clock_probe(
+            4,
+            WakeMode::Scheduled(Arc::new(Periodic(p))),
+            Some(p),
+            Some(faults),
+            200,
+        );
+        assert_eq!(sim.hooks().wake_enum_rounds, 200, "wake faults bypass the table");
+        assert!(sim.metrics().crashes > 0);
+        assert!(calls[1..].iter().all(|&c| c > 0), "every callback ran: {calls:?}");
+
+        // Adaptive wake has no period: the phase is the round.
+        let (_, calls) = run_clock_probe(4, WakeMode::Adaptive, None, None, 200);
+        assert_eq!(calls[0], 4, "first_wake once per station");
+        assert!(calls.iter().all(|&c| c > 0), "every callback ran: {calls:?}");
     }
 
     #[test]

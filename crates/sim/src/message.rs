@@ -10,17 +10,33 @@
 //! Control bits are modelled as an explicit bit string so the simulator can
 //! meter how much control information an algorithm really uses per message
 //! (the paper restricts algorithms to `O(log n)` control bits per message).
+//!
+//! The string lives inline, in [`CONTROL_BITS_CAPACITY`] = 256 bits, so a
+//! [`Message`] is `Copy` and no protocol allocates to send one. The bound
+//! follows from the model: messages carry `O(log n)` bits, fields are at
+//! most 64 bits wide, and the largest message in the tree is Count-Hop's
+//! two 48-bit fields (96 bits); Orchestra's five fields stay under 200 bits
+//! for any `n` that fits a `u64`. Pushing past the capacity panics.
 
 use crate::packet::Packet;
+
+/// How many control bits one message can carry.
+pub const CONTROL_BITS_CAPACITY: usize = 256;
+
+const WORDS: usize = CONTROL_BITS_CAPACITY / 64;
 
 /// An append-only bit string with fixed-width unsigned field encoding.
 ///
 /// Writers push fields with [`ControlBits::push_uint`]; readers consume them
-/// in the same order with a [`BitReader`]. The bit length is exact, so the
-/// metrics subsystem can account for control-bit usage per message.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// in the same order with a [`BitReader`]. Bits are laid out least
+/// significant first from bit 0 of the first word, and a field moves with
+/// at most two word shifts. The bit length is exact, so the metrics
+/// subsystem can account for control-bit usage per message.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ControlBits {
-    words: Vec<u64>,
+    /// Bits at positions `len..` are always zero, so the derived equality
+    /// compares the strings.
+    words: [u64; WORDS],
     len: usize,
 }
 
@@ -41,31 +57,40 @@ impl ControlBits {
     }
 
     /// Append a single bit.
+    ///
+    /// # Panics
+    /// Panics if the string already holds [`CONTROL_BITS_CAPACITY`] bits.
     pub fn push_bit(&mut self, bit: bool) {
-        let word = self.len / 64;
-        let off = self.len % 64;
-        if word == self.words.len() {
-            self.words.push(0);
-        }
-        if bit {
-            self.words[word] |= 1u64 << off;
-        }
-        self.len += 1;
+        self.push_uint(u64::from(bit), 1);
     }
 
     /// Append the low `width` bits of `value`, least-significant bit first.
     ///
     /// # Panics
-    /// Panics if `width > 64` or if `value` does not fit in `width` bits.
+    /// Panics if `width > 64`, if `value` does not fit in `width` bits, or
+    /// if the string would exceed [`CONTROL_BITS_CAPACITY`] bits.
     pub fn push_uint(&mut self, value: u64, width: usize) {
         assert!(width <= 64, "field width {width} exceeds 64 bits");
         assert!(
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in 0..width {
-            self.push_bit((value >> i) & 1 == 1);
+        assert!(
+            self.len + width <= CONTROL_BITS_CAPACITY,
+            "{} + {width} control bits exceed the {CONTROL_BITS_CAPACITY}-bit capacity of a message",
+            self.len
+        );
+        if width == 0 {
+            return;
         }
+        let (word, off) = (self.len / 64, self.len % 64);
+        self.words[word] |= value << off;
+        if off + width > 64 {
+            // The field straddles a word edge (so `off > 0`): its high
+            // bits start the next word.
+            self.words[word + 1] |= value >> (64 - off);
+        }
+        self.len += width;
     }
 
     /// Read the bit at position `pos`.
@@ -95,21 +120,35 @@ impl BitReader<'_> {
 
     /// Read one bit.
     pub fn read_bit(&mut self) -> bool {
-        let b = self.bits.bit(self.pos);
-        self.pos += 1;
-        b
+        self.read_uint(1) == 1
     }
 
     /// Read a `width`-bit unsigned field written by [`ControlBits::push_uint`].
+    ///
+    /// # Panics
+    /// Panics if `width > 64` or fewer than `width` bits remain.
     pub fn read_uint(&mut self, width: usize) -> u64 {
-        assert!(width <= 64);
-        let mut v = 0u64;
-        for i in 0..width {
-            if self.read_bit() {
-                v |= 1u64 << i;
-            }
+        assert!(width <= 64, "field width {width} exceeds 64 bits");
+        assert!(
+            width <= self.remaining(),
+            "reading {width} bits at bit {} runs past the end {}",
+            self.pos,
+            self.bits.len()
+        );
+        if width == 0 {
+            return 0;
         }
-        v
+        let (word, off) = (self.pos / 64, self.pos % 64);
+        let mut v = self.bits.words[word] >> off;
+        if off + width > 64 {
+            v |= self.bits.words[word + 1] << (64 - off);
+        }
+        self.pos += width;
+        if width == 64 {
+            v
+        } else {
+            v & ((1u64 << width) - 1)
+        }
     }
 }
 
@@ -123,7 +162,7 @@ pub fn bits_for(n: u64) -> usize {
 }
 
 /// A message as transmitted on the channel in one round.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Message {
     /// The packet carried by the message, if any. A message without a packet
     /// is called *light*; only general (non-plain-packet) algorithms may send
@@ -191,6 +230,77 @@ mod tests {
         for i in 0..130u64 {
             assert_eq!(c.bit(i as usize), i % 3 == 0, "bit {i}");
         }
+    }
+
+    /// SplitMix64 step: a reproducible stream of test values.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn low_bits(value: u64, width: usize) -> u64 {
+        if width == 64 {
+            value
+        } else {
+            value & ((1u64 << width) - 1)
+        }
+    }
+
+    #[test]
+    fn word_level_fields_match_a_bit_by_bit_reference() {
+        let mut state = 0x5eed;
+        for offset in 0..64 {
+            for width in 0..=64 {
+                let prefix = low_bits(next(&mut state), offset);
+                let trailer = next(&mut state);
+                for value in [0, low_bits(u64::MAX, width), low_bits(next(&mut state), width)] {
+                    let fields = [(prefix, offset), (value, width), (trailer, 64)];
+                    let mut words = ControlBits::new();
+                    // The reference: every field pushed one bit at a time,
+                    // least significant first, into a plain bit vector and
+                    // into single-bit pushes (which never straddle a word).
+                    let mut reference = Vec::new();
+                    let mut bitwise = ControlBits::new();
+                    for (v, w) in fields {
+                        words.push_uint(v, w);
+                        for i in 0..w {
+                            reference.push((v >> i) & 1 == 1);
+                            bitwise.push_bit((v >> i) & 1 == 1);
+                        }
+                    }
+                    let at = format!("offset {offset} width {width} value {value:#x}");
+                    assert_eq!(words, bitwise, "{at}");
+                    assert_eq!(words.len(), reference.len(), "{at}");
+                    for (pos, &bit) in reference.iter().enumerate() {
+                        assert_eq!(words.bit(pos), bit, "{at} bit {pos}");
+                    }
+                    let mut r = words.reader();
+                    for (v, w) in fields {
+                        assert_eq!(r.read_uint(w), v, "{at}");
+                    }
+                    assert_eq!(r.remaining(), 0, "{at}");
+                    // Bit-by-bit reads of the field reassemble the value.
+                    let mut r = words.reader();
+                    r.read_uint(offset);
+                    let reread = (0..width).fold(0u64, |v, i| v | (u64::from(r.read_bit()) << i));
+                    assert_eq!(reread, value, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 256-bit capacity")]
+    fn pushing_bit_257_panics_with_the_capacity() {
+        let mut c = ControlBits::new();
+        for _ in 0..CONTROL_BITS_CAPACITY / 64 {
+            c.push_uint(u64::MAX, 64);
+        }
+        assert_eq!(c.len(), 256);
+        c.push_bit(true);
     }
 
     #[test]

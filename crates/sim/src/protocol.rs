@@ -22,6 +22,16 @@ use crate::packet::{Injection, Round, StationId};
 use crate::queue::{IndexedQueue, QueuedPacket};
 
 /// Immutable per-round context a protocol can observe.
+///
+/// Besides the round itself, the engine hands every callback the round's
+/// position in the schedule's period (the *schedule clock*), so a
+/// scheduled protocol finds its active thread or pair without dividing
+/// the round: for a schedule with period `p` (see
+/// [`OnSchedule::period`]), `phase == round % p` and
+/// `cycle == round / p`. Without a period — adaptive wake, aperiodic
+/// schedules — `phase == round` and `cycle == 0`. The engine advances the
+/// clock by one comparison per round. Both values follow the global
+/// round, also for a station whose schedule lookups a skew fault offsets.
 #[derive(Clone, Copy, Debug)]
 pub struct ProtocolCtx {
     /// This station's name.
@@ -32,10 +42,16 @@ pub struct ProtocolCtx {
     pub cap: usize,
     /// Current round (0-based).
     pub round: Round,
+    /// Position of `round` in the schedule's period: `round % period`, or
+    /// `round` when the wake discipline has no period.
+    pub phase: Round,
+    /// Completed schedule periods before `round`: `round / period`, or 0
+    /// when the wake discipline has no period.
+    pub cycle: u64,
 }
 
 /// What a switched-on station does in a round: transmit or listen.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
     /// Transmit `message`. If the message is to carry a packet, the packet
     /// must currently be in this station's queue; the engine verifies

@@ -14,6 +14,13 @@
 //! (default `None`); aperiodic schedules (the pseudorandom duty-cycle
 //! baseline) and periods too large for the table budget transparently fall
 //! back to per-round [`OnSchedule::on_set_into`] in the engine.
+//!
+//! Rows are indexed by *phase*, the round's position in the period. The
+//! table does not reduce rounds itself: the engine tracks the phase (its
+//! schedule clock, also handed to protocols as
+//! [`ProtocolCtx::phase`](crate::protocol::ProtocolCtx::phase)) and
+//! advances it by one comparison per round, so the per-round fill does no
+//! division.
 
 use crate::bitset::{row_set, words_for, BitSet};
 use crate::packet::{Round, StationId};
@@ -83,31 +90,24 @@ impl ScheduleTable {
         self.period
     }
 
-    /// Packed mask words for `round` (reduced modulo the period).
+    /// The sorted on-set of the rounds at `phase` (`round % period`).
     #[inline]
-    pub fn mask_row(&self, round: Round) -> &[u64] {
-        let r = (round % self.period) as usize;
-        &self.masks[r * self.words_per_row..(r + 1) * self.words_per_row]
-    }
-
-    /// The sorted on-set of `round` (reduced modulo the period).
-    #[inline]
-    pub fn on_set_row(&self, round: Round) -> &[StationId] {
-        let r = (round % self.period) as usize;
+    pub fn on_set_row(&self, phase: Round) -> &[StationId] {
+        debug_assert!(phase < self.period, "phase {phase} outside the period {}", self.period);
+        let r = phase as usize;
         &self.stations[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 
-    /// Fill the engine's per-round scratch for `round`: blit the mask row
-    /// into `mask` and copy the on-set into `awake` (cleared first). This
-    /// is the whole steady-state wake-set determination.
+    /// Fill the engine's per-round scratch for a round at `phase`
+    /// (`round % period`, which the caller tracks): blit the mask row into
+    /// `mask` and copy the on-set into `awake` (cleared first). This is the
+    /// whole steady-state wake-set determination.
     #[inline]
-    pub fn fill(&self, round: Round, mask: &mut BitSet, awake: &mut Vec<StationId>) {
-        let r = (round % self.period) as usize;
+    pub fn fill(&self, phase: Round, mask: &mut BitSet, awake: &mut Vec<StationId>) {
+        let r = phase as usize;
         mask.copy_from_words(&self.masks[r * self.words_per_row..(r + 1) * self.words_per_row]);
         awake.clear();
-        awake.extend_from_slice(
-            &self.stations[self.offsets[r] as usize..self.offsets[r + 1] as usize],
-        );
+        awake.extend_from_slice(self.on_set_row(phase));
     }
 }
 
@@ -140,15 +140,15 @@ mod tests {
         let mut awake = vec![99usize; 4]; // deliberately dirty
         for round in 0..30u64 {
             let expect = Toy.on_set(4, round);
-            table.fill(round, &mut mask, &mut awake);
+            table.fill(round % 3, &mut mask, &mut awake);
             assert_eq!(awake, expect, "round {round}");
-            assert_eq!(table.on_set_row(round), &expect[..], "round {round}");
+            assert_eq!(table.on_set_row(round % 3), &expect[..], "round {round}");
             for s in 0..4 {
                 assert_eq!(mask.contains(s), expect.contains(&s), "round {round} station {s}");
             }
         }
-        // far rounds reduce modulo the period
-        assert_eq!(table.on_set_row(u64::MAX - 2), table.on_set_row((u64::MAX - 2) % 3));
+        // far rounds sit at their phase's row
+        assert_eq!(table.on_set_row((u64::MAX - 2) % 3), &Toy.on_set(4, u64::MAX - 2)[..]);
     }
 
     #[test]
@@ -193,7 +193,7 @@ mod tests {
         let mut mask = BitSet::new(n);
         let mut awake = Vec::new();
         for round in 0..21u64 {
-            table.fill(round, &mut mask, &mut awake);
+            table.fill(round % 7, &mut mask, &mut awake);
             assert_eq!(awake, Wide.on_set(n, round), "round {round}");
             assert_eq!(mask.iter().collect::<Vec<_>>(), awake, "round {round}");
         }
