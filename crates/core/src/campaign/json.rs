@@ -121,13 +121,12 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact serialization to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::Int(i) => write_i64(out, *i),
             Json::Float(f) => write_f64(out, *f),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
@@ -196,7 +195,42 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_f64(out: &mut String, f: f64) {
+/// Append the decimal digits of `v`, without going through `fmt`.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Append `v` as a JSON integer.
+pub(crate) fn write_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(out, v.unsigned_abs());
+}
+
+/// Append a `u64` the way [`json_u64`](super::json_u64) renders it: an
+/// integer up to `i64::MAX`, a decimal string beyond.
+pub(crate) fn write_json_u64(out: &mut String, v: u64) {
+    if i64::try_from(v).is_ok() {
+        write_u64(out, v);
+    } else {
+        out.push('"');
+        write_u64(out, v);
+        out.push('"');
+    }
+}
+
+pub(crate) fn write_f64(out: &mut String, f: f64) {
     if f.is_finite() {
         // Rust's Display for f64 is shortest-round-trip decimal notation,
         // which is valid JSON; make sure a fraction marker survives so the
@@ -212,7 +246,7 @@ fn write_f64(out: &mut String, f: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -469,6 +503,18 @@ mod tests {
                 let err = Json::parse(&nested(levels, objects)).unwrap_err();
                 assert!(err.contains("nesting deeper than 128 levels"), "{levels}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn integers_render_as_fmt_does() {
+        for v in [0, 1, -1, 9, 10, -10, 99, 100, 12_345, i64::MAX, i64::MIN, i64::MIN + 1] {
+            assert_eq!(Json::Int(v).render(), v.to_string());
+        }
+        for v in [0, 7, 10, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let mut s = String::new();
+            write_json_u64(&mut s, v);
+            assert_eq!(s, super::super::json_u64(v).render(), "{v}");
         }
     }
 

@@ -1163,16 +1163,6 @@ impl CampaignResult {
         )
     }
 
-    /// Full structured export: every spec with its report (or error), one
-    /// [`row::run_json`] object per run.
-    pub fn to_json(&self) -> Json {
-        let runs = self.runs.iter().enumerate().map(|(i, run)| row::run_json(i, run)).collect();
-        Json::Obj(vec![
-            ("summary".into(), Json::Str(self.summary())),
-            ("runs".into(), Json::Arr(runs)),
-        ])
-    }
-
     /// Flat CSV export (header [`CSV_HEADER`]), one [`row::csv_row`] per
     /// scenario — byte-identical to what a [`CsvStreamSink`] wrote while
     /// the same campaign streamed.
@@ -1186,13 +1176,13 @@ impl CampaignResult {
         out
     }
 
-    /// JSON-Lines export, one compact [`row::run_json`] object per line —
-    /// byte-identical to what a [`JsonLinesSink`] wrote while the same
-    /// campaign streamed.
+    /// JSON-Lines export, one compact [`row::write_run_json`] object per
+    /// line — byte-identical to what a [`JsonLinesSink`] wrote while the
+    /// same campaign streamed.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (i, run) in self.runs.iter().enumerate() {
-            out.push_str(&row::run_json(i, run).render());
+            row::write_run_json(&mut out, i, run);
             out.push('\n');
         }
         out

@@ -1,25 +1,32 @@
 //! Shared result-row formatting: the **single** place where a scenario
-//! outcome becomes a CSV row or a JSON object.
+//! outcome becomes a CSV row ([`csv_row`]) or a JSON Lines row
+//! ([`write_run_json`]).
 //!
 //! Both the in-memory exports ([`CampaignResult::to_csv`],
-//! [`CampaignResult::to_json`], [`CampaignResult::to_jsonl`]) and the
-//! streaming sinks ([`CsvStreamSink`], [`JsonLinesSink`]) route through
-//! these helpers, so the two paths cannot drift: a streamed campaign is
-//! byte-identical to serializing the buffered result after the fact
-//! (`crates/core/tests/streaming.rs` asserts exactly that). Derived
-//! columns — latency, mean delay, peak queue, energy per round, the
-//! stability slope — are computed here once, from the report's scalar
-//! fields, never re-derived from `queue_series` (which the `Slim` metrics
-//! detail drops).
+//! [`CampaignResult::to_jsonl`]) and the streaming sinks
+//! ([`CsvStreamSink`], [`JsonLinesSink`]) route through these helpers, so
+//! the two paths cannot drift: a streamed campaign is byte-identical to
+//! serializing the buffered result after the fact
+//! (`crates/core/tests/streaming.rs` asserts exactly that). The JSON row
+//! writer appends straight into a caller's buffer — the sink reuses one
+//! `String` for every row — and streams the queue series and delay
+//! buckets sample by sample, building no JSON tree for the report; only
+//! the small spec object goes through [`Json`](super::json::Json). Derived columns — latency,
+//! mean delay, peak queue, energy per round, the stability slope — are
+//! computed here once, from the report's scalar fields, never re-derived
+//! from `queue_series` (which the `Slim` metrics detail drops).
 //!
 //! [`CampaignResult::to_csv`]: super::CampaignResult::to_csv
-//! [`CampaignResult::to_json`]: super::CampaignResult::to_json
 //! [`CampaignResult::to_jsonl`]: super::CampaignResult::to_jsonl
 //! [`CsvStreamSink`]: super::sink::CsvStreamSink
 //! [`JsonLinesSink`]: super::sink::JsonLinesSink
 
-use super::json::Json;
-use super::{json_u64, rate_str, ScenarioRun};
+use std::fmt::Write as _;
+
+use emac_sim::Rate;
+
+use super::json::{write_escaped, write_f64, write_i64, write_json_u64, write_u64};
+use super::{rate_str, ScenarioRun};
 use crate::runner::RunReport;
 
 /// Columns of every CSV export (in-memory and streamed).
@@ -65,79 +72,144 @@ pub fn csv_row(run: &ScenarioRun) -> String {
     row.join(",")
 }
 
-/// One scenario outcome as a JSON object: `index` (position in the spec
-/// list), the `spec`, and either the `report` or the `error`. This is the
-/// line format of [`JsonLinesSink`] and the element format of
-/// [`CampaignResult::to_json`]'s `"runs"` array.
+/// Append one scenario outcome to `out` as a compact JSON object, without
+/// a newline: `index` (position in the spec list), the `spec`, and either
+/// the `report` or the `error`. This is the line format of
+/// [`JsonLinesSink`] and [`CampaignResult::to_jsonl`], and the one place
+/// that fixes a row's keys, their order and their formatting.
+///
+/// The report's fields are written in this order: the scalars always, then
+/// `violations` when the run is unclean, `drained` when a drain ran, the
+/// bulky series — `queue_series` and `delay_log2_buckets` — only when
+/// present (the `Slim` metrics detail clears them before export), and the
+/// fault counters only when nonzero. The series stream straight into
+/// `out`, one sample at a time.
 ///
 /// [`JsonLinesSink`]: super::sink::JsonLinesSink
-/// [`CampaignResult::to_json`]: super::CampaignResult::to_json
-pub fn run_json(index: usize, run: &ScenarioRun) -> Json {
-    let mut obj =
-        vec![("index".to_string(), Json::Int(index as i64)), ("spec".into(), run.spec.to_json())];
+/// [`CampaignResult::to_jsonl`]: super::CampaignResult::to_jsonl
+pub fn write_run_json(out: &mut String, index: usize, run: &ScenarioRun) {
+    out.push_str("{\"index\":");
+    write_i64(out, index as i64);
+    out.push_str(",\"spec\":");
+    run.spec.to_json().write(out);
     match &run.outcome {
-        Ok(report) => obj.push(("report".into(), report_json(report))),
-        Err(e) => obj.push(("error".into(), Json::Str(e.clone()))),
+        Ok(report) => {
+            out.push_str(",\"report\":");
+            write_report(out, report);
+        }
+        Err(e) => {
+            out.push_str(",\"error\":");
+            write_escaped(out, e);
+        }
     }
-    Json::Obj(obj)
+    out.push('}');
 }
 
-/// A [`RunReport`] as a JSON object. Scalar fields always; the bulky
-/// series — `queue_series` and `delay_log2_buckets` — only when present
-/// (the `Slim` metrics detail clears them before export).
-pub fn report_json(r: &RunReport) -> Json {
-    let mut obj = vec![
-        ("algorithm".to_string(), Json::Str(r.algorithm.clone())),
-        ("n".into(), Json::Int(r.n as i64)),
-        ("cap".into(), Json::Int(r.cap as i64)),
-        ("rho".into(), Json::Str(rate_str(r.rho))),
-        ("beta".into(), Json::Str(rate_str(r.beta))),
-        ("rounds".into(), Json::Int(r.rounds as i64)),
-        ("injected".into(), Json::Int(r.metrics.injected as i64)),
-        ("delivered".into(), Json::Int(r.metrics.delivered as i64)),
-        ("latency_max".into(), Json::Int(r.latency() as i64)),
-        ("delay_mean".into(), Json::Float(r.metrics.delay.mean())),
-        ("max_queue".into(), Json::Int(r.max_queue() as i64)),
-        ("energy_per_round".into(), Json::Float(r.metrics.energy_per_round())),
-        ("goodput".into(), Json::Float(r.metrics.goodput())),
-        ("slope".into(), Json::Float(r.stability.slope)),
-        ("verdict".into(), Json::Str(format!("{:?}", r.stability.verdict))),
-        ("clean".into(), Json::Bool(r.clean())),
-    ];
-    if !r.clean() {
-        obj.push(("violations".into(), Json::Str(r.violations.to_string())));
+/// Start the next member of an open object: `,"key":`. Keys are plain
+/// ASCII and need no escaping.
+fn key(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+/// A rate as the JSON string `"p/q"`, or `"p"` for an integer.
+fn write_rate(out: &mut String, r: Rate) {
+    out.push('"');
+    write_u64(out, r.num());
+    if r.den() != 1 {
+        out.push('/');
+        write_u64(out, r.den());
+    }
+    out.push('"');
+}
+
+/// A [`RunReport`] as a JSON object, in the order [`write_run_json`]
+/// documents.
+fn write_report(out: &mut String, r: &RunReport) {
+    let m = &r.metrics;
+    out.push_str("{\"algorithm\":");
+    write_escaped(out, &r.algorithm);
+    for (name, value) in [("n", r.n as i64), ("cap", r.cap as i64)] {
+        key(out, name);
+        write_i64(out, value);
+    }
+    key(out, "rho");
+    write_rate(out, r.rho);
+    key(out, "beta");
+    write_rate(out, r.beta);
+    for (name, value) in [
+        ("rounds", r.rounds),
+        ("injected", m.injected),
+        ("delivered", m.delivered),
+        ("latency_max", r.latency()),
+    ] {
+        key(out, name);
+        write_i64(out, value as i64);
+    }
+    key(out, "delay_mean");
+    write_f64(out, m.delay.mean());
+    key(out, "max_queue");
+    write_i64(out, r.max_queue() as i64);
+    for (name, value) in [
+        ("energy_per_round", m.energy_per_round()),
+        ("goodput", m.goodput()),
+        ("slope", r.stability.slope),
+    ] {
+        key(out, name);
+        write_f64(out, value);
+    }
+    key(out, "verdict");
+    let _ = write!(out, "\"{:?}\"", r.stability.verdict);
+    let clean = r.clean();
+    key(out, "clean");
+    out.push_str(if clean { "true" } else { "false" });
+    if !clean {
+        key(out, "violations");
+        write_escaped(out, &r.violations.to_string());
     }
     if let Some(drained) = r.drained {
-        obj.push(("drained".into(), Json::Bool(drained)));
+        key(out, "drained");
+        out.push_str(if drained { "true" } else { "false" });
     }
-    if !r.metrics.queue_series.is_empty() {
-        let series = r
-            .metrics
-            .queue_series
-            .iter()
-            .map(|s| Json::Arr(vec![json_u64(s.round), json_u64(s.total_queued)]))
-            .collect();
-        obj.push(("queue_series".into(), Json::Arr(series)));
+    if !m.queue_series.is_empty() {
+        key(out, "queue_series");
+        out.push('[');
+        for (i, s) in m.queue_series.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            write_json_u64(out, s.round);
+            out.push(',');
+            write_json_u64(out, s.total_queued);
+            out.push(']');
+        }
+        out.push(']');
     }
-    let buckets = r.metrics.delay.log2_buckets();
+    let buckets = m.delay.log2_buckets();
     if let Some(last) = buckets.iter().rposition(|&c| c != 0) {
-        obj.push((
-            "delay_log2_buckets".into(),
-            Json::Arr(buckets[..=last].iter().map(|&c| json_u64(c)).collect()),
-        ));
+        key(out, "delay_log2_buckets");
+        out.push('[');
+        for (i, &count) in buckets[..=last].iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_json_u64(out, count);
+        }
+        out.push(']');
     }
     // Fault telemetry, emitted only when nonzero: fault-free rows (and all
     // Slim rows — `Metrics::slim` zeroes these) keep their exact bytes.
-    for (key, count) in [
-        ("jammed_rounds", r.metrics.jammed_rounds),
-        ("crashes", r.metrics.crashes),
-        ("deaf_rounds", r.metrics.deaf_rounds),
-    ] {
+    for (name, count) in
+        [("jammed_rounds", m.jammed_rounds), ("crashes", m.crashes), ("deaf_rounds", m.deaf_rounds)]
+    {
         if count != 0 {
-            obj.push((key.into(), json_u64(count)));
+            key(out, name);
+            write_json_u64(out, count);
         }
     }
-    Json::Obj(obj)
+    out.push('}');
 }
 
 pub(crate) fn csv_field(s: &str) -> String {
@@ -150,6 +222,7 @@ pub(crate) fn csv_field(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::super::json::Json;
     use super::super::ScenarioSpec;
     use super::*;
 
@@ -176,7 +249,9 @@ mod tests {
     #[test]
     fn run_json_carries_index_and_error() {
         let run = ScenarioRun { spec: ScenarioSpec::new("a", "b"), outcome: Err("nope".into()) };
-        let json = run_json(3, &run);
+        let mut line = String::new();
+        write_run_json(&mut line, 3, &run);
+        let json = Json::parse(&line).expect("the writer emits one JSON object");
         assert_eq!(json.get("index").and_then(Json::as_i64), Some(3));
         assert_eq!(json.get("error").and_then(Json::as_str), Some("nope"));
         assert!(json.get("report").is_none());

@@ -33,7 +33,7 @@
 use std::io::Write;
 use std::time::Duration;
 
-use super::row::{csv_row, run_json, CSV_HEADER};
+use super::row::{csv_row, write_run_json, CSV_HEADER};
 use super::{CampaignResult, ScenarioRun};
 
 /// Consumer of completed scenarios, invoked in spec order by the executor.
@@ -206,19 +206,23 @@ impl<W: Write + Send> ResultSink for CsvStreamSink<W> {
 
 /// Constant-memory JSON-Lines writer: one compact
 /// `{"index":…,"spec":…,"report":…|"error":…}` object per line (the
-/// element format of [`CampaignResult::to_jsonl`]).
+/// line format of [`CampaignResult::to_jsonl`]). Each row is written by
+/// [`row::write_run_json`](super::row::write_run_json) into one reused
+/// buffer and handed to the writer in a single `write_all`.
 ///
 /// [`CampaignResult::to_jsonl`]: super::CampaignResult::to_jsonl
 #[derive(Debug)]
 pub struct JsonLinesSink<W: Write + Send> {
     out: W,
+    /// The row being written; cleared, not freed, between rows.
+    line: String,
 }
 
 impl<W: Write + Send> JsonLinesSink<W> {
     /// A sink writing to `out`. JSON Lines has no header, so fresh and
     /// resumed campaigns construct it the same way.
     pub fn new(out: W) -> Self {
-        Self { out }
+        Self { out, line: String::new() }
     }
 
     /// Recover the writer.
@@ -229,8 +233,10 @@ impl<W: Write + Send> JsonLinesSink<W> {
 
 impl<W: Write + Send> ResultSink for JsonLinesSink<W> {
     fn accept(&mut self, index: usize, run: ScenarioRun) -> Result<(), String> {
-        writeln!(self.out, "{}", run_json(index, &run).render())
-            .map_err(|e| format!("jsonl sink: {e}"))
+        self.line.clear();
+        write_run_json(&mut self.line, index, &run);
+        self.line.push('\n');
+        self.out.write_all(self.line.as_bytes()).map_err(|e| format!("jsonl sink: {e}"))
     }
 
     fn sync(&mut self) -> Result<(), String> {

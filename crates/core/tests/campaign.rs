@@ -69,13 +69,13 @@ fn parallel_campaign_is_byte_identical_to_serial() {
     let serial = Campaign::new().threads(1).run(&specs, &TestFactory);
     let parallel = Campaign::new().threads(4).run(&specs, &TestFactory);
     assert_eq!(serial.runs.len(), specs.len());
-    let serial_json = serial.to_json().render_pretty();
-    let parallel_json = parallel.to_json().render_pretty();
-    assert_eq!(serial_json, parallel_json, "parallel execution changed results");
+    let serial_jsonl = serial.to_jsonl();
+    let parallel_jsonl = parallel.to_jsonl();
+    assert_eq!(serial_jsonl, parallel_jsonl, "parallel execution changed results");
     assert_eq!(serial.to_csv(), parallel.to_csv());
     // and twice in parallel for schedule-jitter flakes
     let again = Campaign::new().threads(3).run(&specs, &TestFactory);
-    assert_eq!(again.to_json().render_pretty(), serial_json);
+    assert_eq!(again.to_jsonl(), serial_jsonl);
 }
 
 #[test]
