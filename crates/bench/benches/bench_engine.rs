@@ -59,6 +59,27 @@ fn sleeping_stations(rounds: u64, results: &mut Vec<BenchResult>) {
         assert!(sim.violations().is_clean());
         black_box(sim.metrics().delivered);
     }));
+    // Loaded protocols that attach control bits to their messages:
+    // k-Subsets' MBTF threads (one bit per message, thread and
+    // thread-round read off the engine's schedule clock) and Count-Hop's
+    // 48- and 96-bit count and offset messages.
+    results.push(bench("ksubsets_loaded_n8", rounds, || {
+        let rho = bounds::k_subsets_rate_threshold(8, 3).scaled(4, 5);
+        let cfg = SimConfig::new(8, 3).adversary_type(rho, Rate::integer(2));
+        let mut sim =
+            Simulator::new(cfg, KSubsets::new(3).build(8), Box::new(UniformRandom::new(5)));
+        sim.run(rounds);
+        assert!(sim.violations().is_clean());
+        black_box(sim.metrics().control_bits_total);
+    }));
+    results.push(bench("counthop_loaded_n6", rounds, || {
+        let cfg = SimConfig::new(6, 2).adversary_type(Rate::new(1, 4), Rate::integer(2));
+        let mut sim =
+            Simulator::new(cfg, CountHop::new().build(6), Box::new(UniformRandom::new(5)));
+        sim.run(rounds);
+        assert!(sim.violations().is_clean());
+        black_box(sim.metrics().control_bits_total);
+    }));
     // The jammed twin of kcycle_loaded_n16_k4: the per-round cost of an
     // armed FaultPlan (one Bernoulli draw plus the jam branch at rate
     // 1/10). Compare the two to read the fault layer's overhead directly.

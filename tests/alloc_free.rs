@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use emac::prelude::*;
 use emac_adversary::Scripted;
-use emac_sim::{NoInjections, Simulator};
+use emac_sim::{BuiltAlgorithm, NoInjections, Simulator};
 
 struct Counting;
 
@@ -138,7 +138,50 @@ fn steady_state_steps_do_not_allocate() {
     );
     assert!(sim.violations().is_clean(), "{}", sim.violations());
 
-    // --- Case 5: observability stays out of the round loop. An armed
+    // --- Case 5: protocols that attach control bits. k-Subsets' MBTF
+    // threads send a one-bit control string every thread-round and
+    // Count-Hop sends 48- and 96-bit count and offset messages; the bits
+    // live inline in `Message`, so loaded rounds that send them allocate
+    // nothing either. (Orchestra still allocates when a season ends, as it
+    // rebuilds its slot schedules; that is outside these windows.)
+    let systems: [(&str, usize, usize, Rate, BuiltAlgorithm); 2] = [
+        (
+            "k-Subsets",
+            8,
+            3,
+            emac_core::bounds::k_subsets_rate_threshold(8, 3).scaled(4, 5),
+            KSubsets::new(3).build(8),
+        ),
+        ("Count-Hop", 6, 2, Rate::new(1, 4), CountHop::new().build(6)),
+    ];
+    for (name, n, cap, rho, built) in systems {
+        let cfg = emac_sim::SimConfig::new(n, cap)
+            .adversary_type(rho, Rate::integer(2))
+            .sample_every(1 << 40);
+        let mut sim = Simulator::new(cfg, built, Box::new(UniformRandom::new(5)));
+        sim.run(60_000);
+        let injected_before = sim.metrics().injected;
+        let delivered_before = sim.metrics().delivered;
+        let bits_before = sim.metrics().control_bits_total;
+        let (allocs, deallocs) = count_allocs(&mut sim, 4_096);
+        assert!(
+            sim.metrics().injected > injected_before + 100,
+            "{name}: window must contain many injecting rounds"
+        );
+        assert!(sim.metrics().delivered > delivered_before, "{name}: window must deliver");
+        assert!(
+            sim.metrics().control_bits_total > bits_before,
+            "{name}: window must send control bits"
+        );
+        assert_eq!(
+            (allocs, deallocs),
+            (0, 0),
+            "{name}: loaded rounds with control bits must not touch the allocator"
+        );
+        assert!(sim.violations().is_clean(), "{name}: {}", sim.violations());
+    }
+
+    // --- Case 6: observability stays out of the round loop. An armed
     // Observer (event log + progress line) exists for the whole window,
     // but by construction it is only touched at row/probe boundaries —
     // so steady-state rounds still allocate nothing, while the engine's
