@@ -132,25 +132,29 @@ struct ThreadState {
     baton: BatonList,
     my_big: bool,
     season_big: bool,
-    /// The thread-round `season_pos` was last computed for.
-    season_round: u64,
-    /// `season_round % season_len`: the thread-round's place in its MBTF
-    /// season.
-    season_pos: u64,
     // RRW state
     ring: TokenRing,
     batch_marker: Round,
 }
 
-impl ThreadState {
-    /// `j % season_len` for thread-round `j`, counted up by comparison
-    /// from the previous thread-round (on schedule the station runs every
-    /// round of its thread); divided only after a gap, which a wake fault
-    /// makes.
-    fn season_pos(&mut self, j: u64, season_len: u64) -> u64 {
-        if j != self.season_round {
-            self.season_pos = if j == self.season_round + 1 {
-                let next = self.season_pos + 1;
+/// Where a thread-round falls in its MBTF season: `j % season_len`. Every
+/// thread of a station is in the same thread-round `j` (the schedule
+/// clock's cycle), so one clock per station serves all of its threads.
+#[derive(Clone, Copy, Debug, Default)]
+struct SeasonClock {
+    /// The thread-round `pos` belongs to.
+    round: u64,
+    pos: u64,
+}
+
+impl SeasonClock {
+    /// `j % season_len`, counted up by comparison from the previous
+    /// thread-round — a station wakes in every cycle of its schedule —
+    /// and divided only after a gap, which a wake fault makes.
+    fn at(&mut self, j: u64, season_len: u64) -> u64 {
+        if j != self.round {
+            self.pos = if j == self.round + 1 {
+                let next = self.pos + 1;
                 if next == season_len {
                     0
                 } else {
@@ -159,9 +163,9 @@ impl ThreadState {
             } else {
                 j % season_len
             };
-            self.season_round = j;
+            self.round = j;
         }
-        self.season_pos
+        self.pos
     }
 }
 
@@ -175,6 +179,7 @@ pub struct KSubsetsStation {
     threads: Vec<ThreadState>,
     /// The slot of the thread this station runs next.
     cursor: usize,
+    season: SeasonClock,
     /// Per-destination balanced allocator over eligible threads.
     alloc: HashMap<StationId, BalancedAllocator>,
 }
@@ -190,14 +195,20 @@ impl KSubsetsStation {
                     baton: BatonList::with_members(members.clone()),
                     my_big: false,
                     season_big: false,
-                    season_round: 0,
-                    season_pos: 0,
                     ring: TokenRing::new(members.len()),
                     batch_marker: 0,
                 }
             })
             .collect();
-        Self { params, mode, my_threads, threads, cursor: 0, alloc: HashMap::new() }
+        Self {
+            params,
+            mode,
+            my_threads,
+            threads,
+            cursor: 0,
+            season: SeasonClock::default(),
+            alloc: HashMap::new(),
+        }
     }
 
     /// Position of thread `t` in `my_threads`, if this station is in it.
@@ -253,7 +264,7 @@ impl Protocol for KSubsetsStation {
 
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
         let (t, j) = self.thread_round(ctx);
-        let season_len = self.season_len();
+        let season_pos = self.season.at(j, self.season_len());
         let kk = self.params.k;
         let Some(slot) = self.active_slot(t) else {
             return Action::Listen;
@@ -265,7 +276,7 @@ impl Protocol for KSubsetsStation {
                 if rep.baton.conductor() != ctx.id {
                     return Action::Listen;
                 }
-                if rep.season_pos(j, season_len) == 0 {
+                if season_pos == 0 {
                     rep.my_big = rep.queue.len() >= kk * kk - 1;
                 }
                 let mut bits = ControlBits::new();
@@ -302,6 +313,7 @@ impl Protocol for KSubsetsStation {
     ) -> Wake {
         let (t, j) = self.thread_round(ctx);
         let season_len = self.season_len();
+        let season_pos = self.season.at(j, season_len);
         let Some(slot) = self.active_slot(t) else {
             effects.flag("k-subsets: awake outside own threads");
             return Wake::Stay;
@@ -326,7 +338,7 @@ impl Protocol for KSubsetsStation {
                     Feedback::Silence => effects.flag("k-subsets: mbtf thread went silent"),
                     Feedback::Collision => effects.flag("k-subsets: collision cannot happen"),
                 }
-                if rep.season_pos(j, season_len) == season_len - 1 {
+                if season_pos == season_len - 1 {
                     rep.baton.season_end(rep.season_big);
                     rep.season_big = false;
                 }

@@ -1079,7 +1079,7 @@ mod tests {
     impl OnSchedule for Periodic {
         fn is_on(&self, station: StationId, round: Round) -> bool {
             let phase = round % self.0;
-            phase % 2 == station as u64 % 2 || phase % 3 == 0
+            phase % 2 == station as u64 % 2 || phase.is_multiple_of(3)
         }
         fn period(&self) -> Option<u64> {
             Some(self.0)
