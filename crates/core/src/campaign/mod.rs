@@ -438,10 +438,17 @@ impl RawScenario {
 }
 
 pub(crate) fn rate_str(r: Rate) -> String {
-    if r.den() == 1 {
-        format!("{}", r.num())
-    } else {
-        format!("{}/{}", r.num(), r.den())
+    let mut s = String::new();
+    push_rate(&mut s, r);
+    s
+}
+
+/// Append a rate as `p/q`, or as `p` when it is an integer.
+pub(crate) fn push_rate(out: &mut String, r: Rate) {
+    json::write_u64(out, r.num());
+    if r.den() != 1 {
+        out.push('/');
+        json::write_u64(out, r.den());
     }
 }
 

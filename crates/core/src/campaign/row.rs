@@ -25,8 +25,8 @@ use std::fmt::Write as _;
 
 use emac_sim::Rate;
 
-use super::json::{write_escaped, write_f64, write_i64, write_json_u64, write_u64};
-use super::{rate_str, ScenarioRun};
+use super::json::{write_escaped, write_f64, write_i64, write_json_u64};
+use super::{push_rate, rate_str, ScenarioRun};
 use crate::runner::RunReport;
 
 /// Columns of every CSV export (in-memory and streamed).
@@ -116,11 +116,7 @@ fn key(out: &mut String, key: &str) {
 /// A rate as the JSON string `"p/q"`, or `"p"` for an integer.
 fn write_rate(out: &mut String, r: Rate) {
     out.push('"');
-    write_u64(out, r.num());
-    if r.den() != 1 {
-        out.push('/');
-        write_u64(out, r.den());
-    }
+    push_rate(out, r);
     out.push('"');
 }
 

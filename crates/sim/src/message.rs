@@ -15,8 +15,9 @@
 //! [`Message`] is `Copy` and no protocol allocates to send one. The bound
 //! follows from the model: messages carry `O(log n)` bits, fields are at
 //! most 64 bits wide, and the largest message in the tree is Count-Hop's
-//! two 48-bit fields (96 bits); Orchestra's five fields stay under 200 bits
-//! for any `n` that fits a `u64`. Pushing past the capacity panics.
+//! two 48-bit fields (96 bits); Orchestra's six fields take about
+//! `3 + 3·log₂ n` bits, under 200 for any `n` that fits a `u64`. Pushing
+//! past the capacity panics.
 
 use crate::packet::Packet;
 
