@@ -37,6 +37,17 @@ impl BatonList {
         self.order[self.pos]
     }
 
+    /// The conductor [`BatonList::season_end`] would leave holding the
+    /// baton, without changing the list: a big conductor keeps it,
+    /// otherwise it passes to the next station in cyclic list order.
+    pub fn next_conductor(&self, conductor_is_big: bool) -> StationId {
+        if conductor_is_big {
+            self.conductor()
+        } else {
+            self.order[(self.pos + 1) % self.order.len()]
+        }
+    }
+
     /// Current position of `station` on the list (0-based).
     pub fn position_of(&self, station: StationId) -> Option<usize> {
         self.order.iter().position(|&s| s == station)
@@ -131,6 +142,16 @@ mod tests {
             pos_of_4 = p;
         }
         assert!(increases <= 4);
+    }
+
+    #[test]
+    fn next_conductor_predicts_season_end() {
+        let mut b = BatonList::with_members(vec![7, 3, 5, 1]);
+        for big in [false, false, true, false, true, true, false, false, false, false] {
+            let predicted = b.next_conductor(big);
+            b.season_end(big);
+            assert_eq!(b.conductor(), predicted, "big = {big}");
+        }
     }
 
     #[test]

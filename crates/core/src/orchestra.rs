@@ -138,7 +138,8 @@ impl OrchestraStation {
         let cond = self.baton.conductor();
         if cond == me {
             // My conducting season: execute the schedule I taught last time.
-            self.sched_current = std::mem::replace(&mut self.sched_next, vec![None; self.n - 1]);
+            std::mem::swap(&mut self.sched_current, &mut self.sched_next);
+            self.sched_next.fill(None);
         } else if let Some(slot) = self.pending_first.remove(&cond) {
             self.next_receive_slot = Some(slot);
         }
@@ -147,9 +148,7 @@ impl OrchestraStation {
     /// The conductor of the season after the current one, without mutating
     /// the replica (used for wake planning at season boundaries).
     fn predict_next_conductor(&self) -> StationId {
-        let mut b = self.baton.clone();
-        b.season_end(self.heard_big);
-        b.conductor()
+        self.baton.next_conductor(self.heard_big)
     }
 
     /// Conductor-side season initialisation: bigness and the next schedule.

@@ -139,12 +139,12 @@ fn steady_state_steps_do_not_allocate() {
     assert!(sim.violations().is_clean(), "{}", sim.violations());
 
     // --- Case 5: protocols that attach control bits. k-Subsets' MBTF
-    // threads send a one-bit control string every thread-round and
-    // Count-Hop sends 48- and 96-bit count and offset messages; the bits
-    // live inline in `Message`, so loaded rounds that send them allocate
-    // nothing either. (Orchestra still allocates when a season ends, as it
-    // rebuilds its slot schedules; that is outside these windows.)
-    let systems: [(&str, usize, usize, Rate, BuiltAlgorithm); 2] = [
+    // threads send a one-bit control string every thread-round, Count-Hop
+    // sends 48- and 96-bit count and offset messages, and Orchestra's
+    // conductors announce bigness and teach schedules; the bits live
+    // inline in `Message`, so loaded rounds that send them allocate
+    // nothing either.
+    let systems: [(&str, usize, usize, Rate, BuiltAlgorithm); 4] = [
         (
             "k-Subsets",
             8,
@@ -153,6 +153,8 @@ fn steady_state_steps_do_not_allocate() {
             KSubsets::new(3).build(8),
         ),
         ("Count-Hop", 6, 2, Rate::new(1, 4), CountHop::new().build(6)),
+        ("Orchestra n=6", 6, 3, Rate::new(1, 4), Orchestra::new().build(6)),
+        ("Orchestra n=8", 8, 3, Rate::new(1, 4), Orchestra::new().build(8)),
     ];
     for (name, n, cap, rho, built) in systems {
         let cfg = emac_sim::SimConfig::new(n, cap)
