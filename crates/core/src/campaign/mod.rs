@@ -8,8 +8,8 @@
 //! * [`ScenarioSpec`] — one run, fully described by plain serializable
 //!   values (algorithm and adversary by *name*; a [`ScenarioFactory`]
 //!   turns names into objects, so the spec stays JSON-round-trippable);
-//! * [`Grid`] — a cartesian parameter grid that expands into scenario
-//!   lists;
+//! * [`Grid`] — a base [`ScenarioSpec`] plus seven axes whose cartesian
+//!   product expands into scenario lists;
 //! * [`Campaign`] — a worker-pool executor (`std::thread::scope`) that
 //!   runs scenarios in parallel and hands every completed run, **in spec
 //!   order**, to a [`ResultSink`];
@@ -52,10 +52,9 @@
 //!     }
 //! }
 //!
-//! let specs = Grid::new("count-hop", "none")
+//! let specs = Grid::new(ScenarioSpec::new("count-hop", "none").rounds(2_000))
 //!     .ns([4, 6])
 //!     .rhos([Rate::new(1, 2)])
-//!     .rounds(2_000)
 //!     .expand();
 //! let result = Campaign::new().threads(2).run(&specs, &Idle);
 //! assert_eq!(result.runs.len(), 2);
@@ -279,6 +278,12 @@ impl ScenarioSpec {
         if self.algorithm.is_empty() || self.adversary.is_empty() {
             return Err("algorithm and adversary names must be non-empty".into());
         }
+        if self.cap.is_some_and(|cap| cap < 2) {
+            return Err(format!(
+                "{}: cap must be at least 2, the minimum for point-to-point communication",
+                self.display_label()
+            ));
+        }
         if let Some(f) = &self.faults {
             f.validate().map_err(|e| format!("{}: faults: {e}", self.display_label()))?;
         }
@@ -307,6 +312,12 @@ impl ScenarioSpec {
 
     /// Serialize to a JSON object. Optional fields are omitted when unset.
     pub fn to_json(&self) -> Json {
+        self.to_json_with_rates(rate_str(self.rho), rate_str(self.beta))
+    }
+
+    /// [`ScenarioSpec::to_json`] with `rho` and `beta` rendered as the
+    /// given text.
+    fn to_json_with_rates(&self, rho: String, beta: String) -> Json {
         let mut obj = Vec::new();
         if let Some(label) = &self.label {
             obj.push(("label".into(), Json::Str(label.clone())));
@@ -315,8 +326,8 @@ impl ScenarioSpec {
         obj.push(("adversary".into(), Json::Str(self.adversary.clone())));
         obj.push(("n".into(), Json::Int(self.n as i64)));
         obj.push(("k".into(), Json::Int(self.k as i64)));
-        obj.push(("rho".into(), Json::Str(rate_str(self.rho))));
-        obj.push(("beta".into(), Json::Str(rate_str(self.beta))));
+        obj.push(("rho".into(), Json::Str(rho)));
+        obj.push(("beta".into(), Json::Str(beta)));
         obj.push(("rounds".into(), json_u64(self.rounds)));
         if let Some(d) = self.drain {
             obj.push(("drain".into(), json_u64(d)));
@@ -391,20 +402,12 @@ impl RawScenario {
                 "beta" => {
                     beta = Some(rate_axis_from_json(value).map_err(|e| format!("beta: {e}"))?)
                 }
-                "rounds" => spec.rounds = req_u64(value, key)?,
-                "drain" => spec.drain = Some(req_u64(value, key)?),
-                "cap" => spec.cap = Some(req_usize(value, key)?),
                 "seed" => spec.seed = req_u64(value, key)?,
-                "target" => spec.target = Some(req_usize(value, key)?),
-                "dest" => spec.dest = Some(req_usize(value, key)?),
-                "period" => spec.period = Some(req_u64(value, key)?),
-                "horizon" => spec.horizon = Some(req_u64(value, key)?),
-                "probe_cap" => spec.probe_cap = Some(req_u64(value, key)?),
-                "faults" => {
-                    spec.faults =
-                        Some(fault_spec_from_json(value).map_err(|e| format!("faults: {e}"))?)
+                other => {
+                    if !read_shared_key(&mut spec, other, value)? {
+                        return Err(format!("unknown scenario key {other:?}"));
+                    }
                 }
-                other => return Err(format!("unknown scenario key {other:?}")),
             }
         }
         if spec.algorithm.is_empty() {
@@ -435,6 +438,38 @@ impl RawScenario {
         }
         Ok(self.spec)
     }
+
+    /// Serialize like [`ScenarioSpec::to_json`], with the pending `rho` and
+    /// `beta` rendered as their own text (an expression stays an
+    /// expression).
+    pub fn to_json(&self) -> Json {
+        let text = |ax: &Option<RateAxis>, r: Rate| {
+            ax.as_ref().map_or_else(|| rate_str(r), RateAxis::text)
+        };
+        self.spec
+            .to_json_with_rates(text(&self.rho, self.spec.rho), text(&self.beta, self.spec.beta))
+    }
+}
+
+/// Read one of the keys a scenario object and a grid object share into
+/// `spec`. Returns `Ok(false)`, leaving `spec` as it was, when `key` is
+/// not one of them.
+fn read_shared_key(spec: &mut ScenarioSpec, key: &str, value: &Json) -> Result<bool, String> {
+    match key {
+        "rounds" => spec.rounds = req_u64(value, key)?,
+        "drain" => spec.drain = Some(req_u64(value, key)?),
+        "cap" => spec.cap = Some(req_usize(value, key)?),
+        "target" => spec.target = Some(req_usize(value, key)?),
+        "dest" => spec.dest = Some(req_usize(value, key)?),
+        "period" => spec.period = Some(req_u64(value, key)?),
+        "horizon" => spec.horizon = Some(req_u64(value, key)?),
+        "probe_cap" => spec.probe_cap = Some(req_u64(value, key)?),
+        "faults" => {
+            spec.faults = Some(fault_spec_from_json(value).map_err(|e| format!("faults: {e}"))?)
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 pub(crate) fn rate_str(r: Rate) -> String {
@@ -569,12 +604,15 @@ fn req_usize(v: &Json, key: &str) -> Result<usize, String> {
     v.as_usize().ok_or_else(|| format!("{key} must be a non-negative integer"))
 }
 
-/// A cartesian parameter grid: every combination of the axes becomes one
-/// [`ScenarioSpec`]. Axes default to a single element taken from
-/// [`ScenarioSpec::new`]'s defaults, so a `Grid` is also a convenient
-/// builder for a single scenario.
+/// A cartesian parameter grid: a base [`ScenarioSpec`] and seven axes.
+/// Every combination of the axes becomes one copy of the base with those
+/// seven fields written; every other field (rounds, drain, cap, …) is the
+/// base's. Each axis starts as the base's own value, so an unwidened grid
+/// expands to exactly its base.
 #[derive(Clone, Debug)]
 pub struct Grid {
+    /// The fields every expanded spec shares.
+    pub base: ScenarioSpec,
     /// Algorithm-name axis.
     pub algorithms: Vec<String>,
     /// Adversary-name axis.
@@ -590,47 +628,20 @@ pub struct Grid {
     pub betas: Vec<RateAxis>,
     /// Seed axis.
     pub seeds: Vec<u64>,
-    /// Scalar applied to every expanded spec.
-    pub rounds: u64,
-    /// Scalar drain budget.
-    pub drain: Option<u64>,
-    /// Scalar cap override.
-    pub cap: Option<usize>,
-    /// Scalar adversary target.
-    pub target: Option<usize>,
-    /// Scalar adversary destination.
-    pub dest: Option<usize>,
-    /// Scalar burst period.
-    pub period: Option<u64>,
-    /// Scalar schedule horizon.
-    pub horizon: Option<u64>,
-    /// Scalar stability-probe queue cap.
-    pub probe_cap: Option<u64>,
-    /// Scalar fault-injection spec applied to every expanded spec.
-    pub faults: Option<FaultSpec>,
 }
 
 impl Grid {
-    /// A grid over one algorithm and one adversary; widen axes from there.
-    pub fn new(algorithm: impl Into<String>, adversary: impl Into<String>) -> Self {
-        let d = ScenarioSpec::new("", "");
+    /// A grid whose every axis holds `base`'s value; widen axes from there.
+    pub fn new(base: ScenarioSpec) -> Self {
         Self {
-            algorithms: vec![algorithm.into()],
-            adversaries: vec![adversary.into()],
-            ns: vec![d.n],
-            ks: vec![d.k],
-            rhos: vec![RateAxis::Lit(d.rho)],
-            betas: vec![RateAxis::Lit(d.beta)],
-            seeds: vec![d.seed],
-            rounds: d.rounds,
-            drain: None,
-            cap: None,
-            target: None,
-            dest: None,
-            period: None,
-            horizon: None,
-            probe_cap: None,
-            faults: None,
+            algorithms: vec![base.algorithm.clone()],
+            adversaries: vec![base.adversary.clone()],
+            ns: vec![base.n],
+            ks: vec![base.k],
+            rhos: vec![RateAxis::Lit(base.rho)],
+            betas: vec![RateAxis::Lit(base.beta)],
+            seeds: vec![base.seed],
+            base,
         }
     }
 
@@ -664,82 +675,15 @@ impl Grid {
         self
     }
 
-    /// Replace the rate axis with derived-axis expressions (mixable with
-    /// literals via [`RateAxis`]); evaluated per expanded `(n, k)` point.
-    pub fn rho_axes(mut self, axis: impl IntoIterator<Item = RateAxis>) -> Self {
-        self.rhos = axis.into_iter().collect();
-        self
-    }
-
     /// Replace the burstiness axis with literal rates.
     pub fn betas(mut self, axis: impl IntoIterator<Item = Rate>) -> Self {
         self.betas = axis.into_iter().map(RateAxis::Lit).collect();
         self
     }
 
-    /// Replace the burstiness axis with derived-axis expressions.
-    pub fn beta_axes(mut self, axis: impl IntoIterator<Item = RateAxis>) -> Self {
-        self.betas = axis.into_iter().collect();
-        self
-    }
-
     /// Replace the seed axis.
     pub fn seeds(mut self, axis: impl IntoIterator<Item = u64>) -> Self {
         self.seeds = axis.into_iter().collect();
-        self
-    }
-
-    /// Set the round count applied to every spec.
-    pub fn rounds(mut self, rounds: u64) -> Self {
-        self.rounds = rounds;
-        self
-    }
-
-    /// Set the drain budget applied to every spec.
-    pub fn drain(mut self, drain: u64) -> Self {
-        self.drain = Some(drain);
-        self
-    }
-
-    /// Set the cap override applied to every spec.
-    pub fn cap(mut self, cap: usize) -> Self {
-        self.cap = Some(cap);
-        self
-    }
-
-    /// Set the adversary target applied to every spec.
-    pub fn target(mut self, target: usize) -> Self {
-        self.target = Some(target);
-        self
-    }
-
-    /// Set the adversary destination applied to every spec.
-    pub fn dest(mut self, dest: usize) -> Self {
-        self.dest = Some(dest);
-        self
-    }
-
-    /// Set the burst period applied to every spec.
-    pub fn period(mut self, period: u64) -> Self {
-        self.period = Some(period);
-        self
-    }
-
-    /// Set the schedule horizon applied to every spec.
-    pub fn horizon(mut self, horizon: u64) -> Self {
-        self.horizon = Some(horizon);
-        self
-    }
-
-    /// Set the stability-probe queue cap applied to every spec.
-    pub fn probe_cap(mut self, probe_cap: u64) -> Self {
-        self.probe_cap = Some(probe_cap);
-        self
-    }
-
-    /// Set the fault-injection spec applied to every spec.
-    pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = Some(faults);
         self
     }
 
@@ -777,21 +721,14 @@ impl Grid {
                             for beta in &self.betas {
                                 let beta = beta.resolve(&env).map_err(|e| format!("beta: {e}"))?;
                                 for &seed in &self.seeds {
-                                    let mut s = ScenarioSpec::new(alg.clone(), adv.clone());
+                                    let mut s = self.base.clone();
+                                    s.algorithm.clone_from(alg);
+                                    s.adversary.clone_from(adv);
                                     s.n = n;
                                     s.k = k;
                                     s.rho = rho;
                                     s.beta = beta;
                                     s.seed = seed;
-                                    s.rounds = self.rounds;
-                                    s.drain = self.drain;
-                                    s.cap = self.cap;
-                                    s.target = self.target;
-                                    s.dest = self.dest;
-                                    s.period = self.period;
-                                    s.horizon = self.horizon;
-                                    s.probe_cap = self.probe_cap;
-                                    s.faults = self.faults.clone();
                                     specs.push(s);
                                 }
                             }
@@ -804,12 +741,13 @@ impl Grid {
     }
 
     /// Parse a grid from its JSON form: axes are arrays (or scalars, read
-    /// as one-element axes), scalars are plain values.
+    /// as one-element axes); every other key is one a scenario object
+    /// also takes, read into the base. A grid has no `label`.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let Json::Obj(members) = v else {
             return Err("grid must be a JSON object".into());
         };
-        let mut grid = Grid::new("", "");
+        let mut grid = Grid::new(ScenarioSpec::new("", ""));
         let mut saw_alg = false;
         let mut saw_adv = false;
         for (key, value) in members {
@@ -833,19 +771,11 @@ impl Grid {
                         axis(value, |j| rate_axis_from_json(j).map_err(|e| format!("beta: {e}")))?
                 }
                 "seed" | "seeds" => grid.seeds = axis(value, |j| req_u64(j, key))?,
-                "rounds" => grid.rounds = req_u64(value, key)?,
-                "drain" => grid.drain = Some(req_u64(value, key)?),
-                "cap" => grid.cap = Some(req_usize(value, key)?),
-                "target" => grid.target = Some(req_usize(value, key)?),
-                "dest" => grid.dest = Some(req_usize(value, key)?),
-                "period" => grid.period = Some(req_u64(value, key)?),
-                "horizon" => grid.horizon = Some(req_u64(value, key)?),
-                "probe_cap" => grid.probe_cap = Some(req_u64(value, key)?),
-                "faults" => {
-                    grid.faults =
-                        Some(fault_spec_from_json(value).map_err(|e| format!("faults: {e}"))?)
+                other => {
+                    if !read_shared_key(&mut grid.base, other, value)? {
+                        return Err(format!("unknown grid key {other:?}"));
+                    }
                 }
-                other => return Err(format!("unknown grid key {other:?}")),
             }
         }
         if !saw_alg || !saw_adv {
@@ -1202,7 +1132,7 @@ mod tests {
 
     #[test]
     fn grid_cardinality_matches_expansion() {
-        let grid = Grid::new("count-hop", "uniform")
+        let grid = Grid::new(ScenarioSpec::new("count-hop", "uniform"))
             .algorithms(["count-hop", "orchestra"])
             .ns([4, 6, 8])
             .rhos([Rate::new(1, 2), Rate::new(3, 4)])
@@ -1338,7 +1268,7 @@ mod tests {
         let back = ScenarioSpec::from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(back.probe_cap, Some(500));
         assert_eq!(back, spec);
-        let grid = Grid::new("a", "b").probe_cap(700);
+        let grid = Grid::new(ScenarioSpec::new("a", "b").probe_cap(700));
         assert!(grid.expand().iter().all(|s| s.probe_cap == Some(700)));
     }
 
@@ -1365,7 +1295,7 @@ mod tests {
         let plain = ScenarioSpec::new("a", "b");
         assert!(!plain.to_json().render().contains("faults"));
 
-        let grid = Grid::new("a", "b").faults(faults.clone());
+        let grid = Grid::new(ScenarioSpec::new("a", "b").faults(faults.clone()));
         assert!(grid.expand().iter().all(|s| s.faults.as_ref() == Some(&faults)));
     }
 
@@ -1393,5 +1323,50 @@ mod tests {
         assert!(spec.validate().is_err());
         spec.rho = Rate::one();
         assert!(spec.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_refuses_a_cap_below_two() {
+        let spec = ScenarioSpec::new("a", "b").cap(1);
+        let err = spec.validate().unwrap_err();
+        assert!(
+            err.ends_with("cap must be at least 2, the minimum for point-to-point communication"),
+            "{err}"
+        );
+        assert!(spec.cap(2).validate().is_ok());
+        let doc = r#"[{"algorithm": "k-cycle", "adversary": "uniform", "cap": 1}]"#;
+        assert!(parse_campaign_spec(doc).unwrap_err().contains("cap must be at least 2"));
+        let doc = r#"{"grids": [{"algorithms": "k-cycle", "adversaries": "uniform", "cap": 0}]}"#;
+        assert!(parse_campaign_spec(doc).unwrap_err().contains("cap must be at least 2"));
+    }
+
+    #[test]
+    fn grids_and_scenarios_read_the_shared_keys_alike() {
+        for key_value in [
+            r#""rounds": 777"#,
+            r#""drain": 50"#,
+            r#""cap": 4"#,
+            r#""target": 1"#,
+            r#""dest": 2"#,
+            r#""period": 16"#,
+            r#""horizon": 900"#,
+            r#""probe_cap": 64"#,
+            r#""faults": {"jam": "1/10", "seed": 3}"#,
+        ] {
+            let scenario = format!(r#"{{"algorithm": "a", "adversary": "b", {key_value}}}"#);
+            let grid = format!(r#"{{"algorithms": "a", "adversaries": "b", {key_value}}}"#);
+            let want = ScenarioSpec::from_json(&Json::parse(&scenario).unwrap()).unwrap();
+            assert_ne!(want, ScenarioSpec::new("a", "b"), "{key_value} must reach the spec");
+            let got = Grid::from_json(&Json::parse(&grid).unwrap()).unwrap().expand();
+            assert_eq!(got, [want], "{key_value}");
+        }
+        let grid = Json::parse(r#"{"algorithms": "a", "adversaries": "b", "label": "x"}"#).unwrap();
+        assert_eq!(Grid::from_json(&grid).unwrap_err(), "unknown grid key \"label\"");
+        let scenario =
+            Json::parse(r#"{"algorithm": "a", "adversary": "b", "seeds": [1, 2]}"#).unwrap();
+        assert_eq!(
+            ScenarioSpec::from_json(&scenario).unwrap_err(),
+            "unknown scenario key \"seeds\""
+        );
     }
 }

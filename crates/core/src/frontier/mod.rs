@@ -415,24 +415,8 @@ impl FrontierSpec {
     /// Canonical JSON rendering — the digest input, so any change to the
     /// template, axis, bracket, tolerance, or map invalidates checkpoints.
     pub fn to_json(&self) -> Json {
-        let mut template = match self.template.spec.to_json() {
-            Json::Obj(members) => members,
-            _ => unreachable!("spec serializes to an object"),
-        };
-        let override_rate =
-            |members: &mut Vec<(String, Json)>, key: &str, ax: &Option<RateAxis>| {
-                if let Some(ax) = ax {
-                    for (k, v) in members.iter_mut() {
-                        if k == key {
-                            *v = Json::Str(ax.text());
-                        }
-                    }
-                }
-            };
-        override_rate(&mut template, "rho", &self.template.rho);
-        override_rate(&mut template, "beta", &self.template.beta);
         let mut members = vec![
-            ("template".into(), Json::Obj(template)),
+            ("template".into(), self.template.to_json()),
             ("axis".into(), Json::Str(self.axis.name().into())),
             ("lo".into(), Json::Str(self.lo.text())),
             ("hi".into(), Json::Str(self.hi.text())),

@@ -21,7 +21,6 @@ pub struct Runner {
     rho: Rate,
     beta: Rate,
     rounds: u64,
-    sample_every: u64,
     cap_override: Option<usize>,
     drain_rounds: Option<u64>,
     probe_cap: Option<u64>,
@@ -37,7 +36,6 @@ impl Runner {
             rho: Rate::new(1, 2),
             beta: Rate::integer(1),
             rounds: 100_000,
-            sample_every: 0, // derived from rounds when 0
             cap_override: None,
             drain_rounds: None,
             probe_cap: None,
@@ -128,21 +126,7 @@ impl Runner {
         algorithm: &dyn Algorithm,
         make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Result<Box<dyn Adversary>, E>,
     ) -> Result<RunReport, E> {
-        let cap = self.cap_override.unwrap_or_else(|| algorithm.required_cap(self.n));
-        let sample =
-            if self.sample_every == 0 { (self.rounds / 2_048).max(1) } else { self.sample_every };
-        let mut cfg =
-            SimConfig::new(self.n, cap).adversary_type(self.rho, self.beta).sample_every(sample);
-        if let Some(f) = &self.faults {
-            cfg = cfg.faults(f.clone());
-        }
-        let built = algorithm.build(self.n);
-        let adversary = match &built.wake {
-            WakeMode::Scheduled(s) => make_adversary(Some(s))?,
-            WakeMode::Adaptive => make_adversary(None)?,
-        };
-        let name = built.name.clone();
-        let mut sim = Simulator::new(cfg, built, adversary);
+        let mut sim = self.simulator(algorithm, make_adversary)?;
         let tripped_round = match self.probe_cap {
             Some(queue_cap) => sim.run_probe_round(self.rounds, queue_cap),
             None => {
@@ -159,9 +143,9 @@ impl Runner {
             stability.verdict = crate::stability::Verdict::Diverging;
         }
         Ok(RunReport {
-            algorithm: name,
+            algorithm: sim.algorithm_name().to_string(),
             n: self.n,
-            cap,
+            cap: sim.config().cap,
             rho: self.rho,
             beta: self.beta,
             rounds: self.rounds,
@@ -171,6 +155,31 @@ impl Runner {
             drained,
             tripped_round,
         })
+    }
+
+    /// The simulator this runner describes, before its first round: the
+    /// algorithm built for `n` stations under the cap in force, against an
+    /// adversary built from the algorithm's oblivious schedule (`None` for
+    /// adaptive algorithms). The queue series takes about 2048 samples
+    /// over `rounds`.
+    pub fn simulator<E>(
+        &self,
+        algorithm: &dyn Algorithm,
+        make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Result<Box<dyn Adversary>, E>,
+    ) -> Result<Simulator, E> {
+        let cap = self.cap_override.unwrap_or_else(|| algorithm.required_cap(self.n));
+        let mut cfg = SimConfig::new(self.n, cap)
+            .adversary_type(self.rho, self.beta)
+            .sample_every((self.rounds / 2_048).max(1));
+        if let Some(f) = &self.faults {
+            cfg = cfg.faults(f.clone());
+        }
+        let built = algorithm.build(self.n);
+        let adversary = match &built.wake {
+            WakeMode::Scheduled(s) => make_adversary(Some(s))?,
+            WakeMode::Adaptive => make_adversary(None)?,
+        };
+        Ok(Simulator::new(cfg, built, adversary))
     }
 }
 

@@ -41,12 +41,10 @@ impl ScenarioFactory for TestFactory {
 }
 
 fn sweep() -> Vec<ScenarioSpec> {
-    let mut specs = Grid::new("count-hop", "uniform")
+    let mut specs = Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(8_000).drain(8_000))
         .ns([4, 6])
         .rhos([Rate::new(1, 2), Rate::new(3, 4)])
         .seeds([1, 2])
-        .rounds(8_000)
-        .drain(8_000)
         .expand();
     // heterogeneous tail: an oblivious algorithm under a schedule-aware
     // adversary, exercising the schedule hand-off on worker threads
@@ -127,13 +125,12 @@ fn errors_are_contained_per_scenario() {
 
 #[test]
 fn grid_expansion_cardinality_and_json_round_trip() {
-    let grid = Grid::new("k-cycle", "uniform")
+    let grid = Grid::new(ScenarioSpec::new("k-cycle", "uniform").rounds(1_000))
         .ns([6, 9, 12])
         .ks([3, 4])
         .rhos([Rate::new(1, 5), Rate::new(1, 4), Rate::new(1, 3)])
         .betas([Rate::integer(1), Rate::new(3, 2)])
-        .seeds([1, 2, 3, 4])
-        .rounds(1_000);
+        .seeds([1, 2, 3, 4]);
     assert_eq!(grid.cardinality(), 3 * 2 * 3 * 2 * 4);
     let specs = grid.expand();
     assert_eq!(specs.len(), grid.cardinality());

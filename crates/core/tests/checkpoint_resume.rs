@@ -68,11 +68,10 @@ impl<S: ResultSink> ResultSink for CrashingSink<S> {
 }
 
 fn sweep(n_seeds: u64) -> Vec<ScenarioSpec> {
-    Grid::new("count-hop", "uniform")
+    Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(512))
         .ns([4, 5])
         .rhos([Rate::new(1, 2), Rate::new(3, 4)])
         .seeds((1..=n_seeds).collect::<Vec<u64>>())
-        .rounds(512)
         .expand()
 }
 

@@ -46,14 +46,13 @@ impl ScenarioFactory for TestFactory {
 /// A ≥200-scenario mixed grid, including two scenarios that fail to run
 /// (unknown algorithm; invalid n), so error rows stream too.
 fn mixed_sweep() -> Vec<ScenarioSpec> {
-    let mut specs = Grid::new("count-hop", "uniform")
+    let mut specs = Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(256))
         .algorithms(["count-hop", "orchestra"])
         .adversaries(["uniform", "single-target"])
         .ns([4, 5, 6])
         .rhos([Rate::new(1, 2), Rate::new(3, 4)])
         .betas([Rate::integer(1), Rate::new(3, 2)])
         .seeds([1, 2, 3, 4, 5])
-        .rounds(256)
         .expand();
     assert!(specs.len() >= 200, "differential grid must stay ≥200 scenarios");
     specs.push(ScenarioSpec::new("nope", "uniform").rounds(16));
@@ -149,10 +148,9 @@ impl ResultSink for SlowSink {
 #[test]
 fn sink_path_holds_at_most_threads_plus_block_reports() {
     const THREADS: usize = 4;
-    let specs = Grid::new("count-hop", "uniform")
+    let specs = Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(200))
         .ns([4])
         .seeds((1..=48).collect::<Vec<u64>>())
-        .rounds(200)
         .expand();
     let accepted = Arc::new(AtomicUsize::new(0));
     let factory = GaugeFactory {
@@ -176,12 +174,11 @@ fn sink_path_holds_at_most_threads_plus_block_reports() {
 /// JSONL export sheds its `queue_series` / `delay_log2_buckets` arrays.
 #[test]
 fn slim_detail_preserves_every_scalar_and_drops_series() {
-    let specs = Grid::new("count-hop", "uniform")
+    let specs = Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(2_000))
         .algorithms(["count-hop", "orchestra"])
         .ns([4, 6])
         .rhos([Rate::new(1, 2)])
         .seeds([1, 2])
-        .rounds(2_000)
         .expand();
     let full = Campaign::new().threads(2).run(&specs, &TestFactory);
     let slim = Campaign::new().threads(2).detail(MetricsDetail::Slim).run(&specs, &TestFactory);
@@ -218,11 +215,10 @@ fn slim_detail_preserves_every_scalar_and_drops_series() {
 #[ignore = "scale smoke; run explicitly with --ignored"]
 fn ten_thousand_scenario_slim_campaign_streams_within_the_window() {
     const THREADS: usize = 8;
-    let specs = Grid::new("count-hop", "uniform")
+    let specs = Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(64))
         .ns([4, 5])
         .rhos([Rate::new(1, 2)])
         .seeds((1..=5_000).collect::<Vec<u64>>())
-        .rounds(64)
         .expand();
     assert_eq!(specs.len(), 10_000);
     let accepted = Arc::new(AtomicUsize::new(0));
@@ -272,10 +268,9 @@ fn sink_error_aborts_campaign() {
             Ok(())
         }
     }
-    let specs = Grid::new("count-hop", "uniform")
+    let specs = Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(100))
         .ns([4])
         .seeds((1..=24).collect::<Vec<u64>>())
-        .rounds(100)
         .expand();
     let mut sink = Failing { accepted: 0 };
     let err = Campaign::new().threads(4).run_into(&specs, &TestFactory, &mut sink).unwrap_err();
@@ -287,7 +282,7 @@ fn sink_error_aborts_campaign() {
 /// panicking a worker.
 #[test]
 fn run_subset_validates_indices() {
-    let specs = Grid::new("count-hop", "uniform").ns([4]).rounds(50).expand();
+    let specs = Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(50)).ns([4]).expand();
     let mut sink = emac_core::campaign::MemorySink::new();
     let err =
         Campaign::new().run_subset(&specs, &[0, 7], &TestFactory, &mut sink, None).unwrap_err();

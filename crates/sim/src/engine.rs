@@ -677,11 +677,6 @@ impl Simulator {
     pub fn total_queued(&self) -> u64 {
         self.metrics.total_queued
     }
-
-    /// Read access to a station's queue (tests and diagnostics).
-    pub fn station_queue(&self, s: StationId) -> &IndexedQueue {
-        &self.queues[s]
-    }
 }
 
 #[cfg(test)]

@@ -20,13 +20,16 @@
 //! emac list
 //! ```
 //!
-//! `run` prints the standard run report; `campaign` executes a JSON
-//! scenario spec (see `emac campaign --example`) in parallel and
-//! **streams** each result to `campaign.csv` (or `campaign.jsonl` with
-//! `--format jsonl`) in constant memory, maintains an fsync'd
-//! `campaign.ckpt` next to the output, and `--resume` continues a killed
-//! (or `--limit`-bounded) campaign where it stopped. It exits non-zero if
-//! any run violates a model invariant (useful in CI).
+//! `run` executes one scenario as a one-row campaign (one row per seed
+//! with `--seeds`) and prints the standard run report; like any campaign
+//! row it is validated first, and a panic inside it exits 2. `campaign`
+//! executes a JSON scenario spec (see `emac campaign --example`) in
+//! parallel and **streams** each result to `campaign.csv` (or
+//! `campaign.jsonl` with `--format jsonl`) in constant memory, maintains
+//! an fsync'd `campaign.ckpt` next to the output, and `--resume`
+//! continues a killed (or `--limit`-bounded) campaign where it stopped.
+//! It exits non-zero if any run violates a model invariant (useful in
+//! CI).
 //! `frontier` bisects a stability boundary across a map of `(n, k)`
 //! points (see `emac_core::frontier`) with the same checkpoint/resume
 //! discipline. `shard` splits either kind of run across a fleet of
@@ -655,32 +658,32 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let alg = match cli::make_algorithm(&opts) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let spec = opts.to_spec();
-
-    // Seed batch: one solo lane per seed, run as campaign rows over the
-    // machine's cores, one verdict/digest row per lane in `--seeds` order.
-    // Lane digests are exactly what `--seed <s>` solo runs print — CI
-    // diffs the two.
-    if let Some(seeds) = &opts.seeds {
-        if opts.trace.is_some() {
+    let spec = &opts.spec;
+    if let Some(capacity) = opts.trace {
+        if opts.seeds.is_some() {
             eprintln!(
                 "error: --trace traces a single execution; it cannot be combined with --seeds"
             );
             return ExitCode::from(2);
         }
-        let lanes: Vec<ScenarioSpec> = seeds.iter().map(|&seed| spec.clone().seed(seed)).collect();
-        let result = Campaign::new().run(&lanes, &Registry);
-        if let Some(e) = result.first_error() {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        return trace(spec, capacity);
+    }
+
+    // Every other run is a campaign: one row for a solo run, or one solo
+    // lane per seed of `--seeds`, over the machine's cores. So a run is
+    // validated like a campaign row, and a panic inside it is its error.
+    // Lane digests are exactly what `--seed <s>` solo runs print — CI
+    // diffs the two.
+    let lanes: Vec<ScenarioSpec> = match &opts.seeds {
+        Some(seeds) => seeds.iter().map(|&seed| spec.clone().seed(seed)).collect(),
+        None => vec![spec.clone()],
+    };
+    let result = Campaign::new().run(&lanes, &Registry);
+    if let Some(e) = result.first_error() {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
+    if let Some(seeds) = &opts.seeds {
         println!("seed batch: {} lanes | {}", seeds.len(), spec.display_label());
         for (seed, report) in seeds.iter().zip(result.reports()) {
             let tripped =
@@ -695,68 +698,55 @@ fn run(args: &[String]) -> ExitCode {
                 report.violations,
             );
         }
-        return if result.all_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
-    // Tracing requires direct simulator access; otherwise use the runner.
-    // Both paths hand the algorithm's schedule (when oblivious) to the
-    // registry, so schedule-aware adversaries work here too.
-    if let Some(capacity) = opts.trace {
-        use emac::sim::{SimConfig, Simulator, WakeMode};
-        let cap = opts.cap.unwrap_or_else(|| alg.required_cap(opts.n));
-        let mut cfg = SimConfig::new(opts.n, cap).adversary_type(opts.rho, opts.beta);
-        if let Some(f) = &opts.faults {
-            cfg = cfg.faults(f.clone());
+    } else {
+        let report = result.reports().next().expect("the one row ran without an error");
+        println!("{report}");
+        if let Some(r) = report.tripped_round {
+            println!("  probe: queue cap tripped at round {r}");
         }
-        let built = alg.build(opts.n);
-        let schedule = match &built.wake {
-            WakeMode::Scheduled(s) => Some(s.clone()),
-            WakeMode::Adaptive => None,
-        };
-        let adversary = match Registry::make_adversary(&spec, schedule.as_ref()) {
-            Ok(adv) => adv,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let mut sim = Simulator::new(cfg, built, adversary);
-        sim.enable_trace(capacity);
-        sim.run(opts.rounds);
-        println!("last {capacity} rounds:");
-        print!("{}", sim.trace().expect("enabled").render());
-        println!(
-            "delivered {}/{} | latency max {} | max queue {} | invariants: {}",
-            sim.metrics().delivered,
-            sim.metrics().injected,
-            sim.metrics().delay.max(),
-            sim.metrics().max_total_queued,
-            sim.violations()
-        );
-        return if sim.violations().is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        let m = &report.metrics;
+        if m.jammed_rounds != 0 || m.crashes != 0 || m.deaf_rounds != 0 {
+            println!(
+                "  faults: {} jammed round(s), {} crash(es), {} deaf round(s)",
+                m.jammed_rounds, m.crashes, m.deaf_rounds
+            );
+        }
+        println!("  digest: {}", emac::core::digest::report_digest_hex(report));
     }
+    if result.all_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
 
-    let report =
-        match spec.runner().try_run_against(alg.as_ref(), |s| Registry::make_adversary(&spec, s)) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-    println!("{report}");
-    if let Some(r) = report.tripped_round {
-        println!("  probe: queue cap tripped at round {r}");
-    }
-    let m = &report.metrics;
-    if m.jammed_rounds != 0 || m.crashes != 0 || m.deaf_rounds != 0 {
-        println!(
-            "  faults: {} jammed round(s), {} crash(es), {} deaf round(s)",
-            m.jammed_rounds, m.crashes, m.deaf_rounds
-        );
-    }
-    println!("  digest: {}", emac::core::digest::report_digest_hex(&report));
-    if report.clean() {
+/// `emac run --trace N`: step a simulator directly, since the trace ring
+/// lives in it, and print the last `N` rounds. The spec is validated
+/// first, as a campaign row is; a panic inside the run still aborts.
+fn trace(spec: &ScenarioSpec, capacity: usize) -> ExitCode {
+    let sim = spec.validate().and_then(|()| Registry::make_algorithm(spec)).and_then(|alg| {
+        spec.runner().simulator(alg.as_ref(), |schedule| Registry::make_adversary(spec, schedule))
+    });
+    let mut sim = match sim {
+        Ok(sim) => sim,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    sim.enable_trace(capacity);
+    sim.run(spec.rounds);
+    println!("last {capacity} rounds:");
+    print!("{}", sim.trace().expect("enabled").render());
+    println!(
+        "delivered {}/{} | latency max {} | max queue {} | invariants: {}",
+        sim.metrics().delivered,
+        sim.metrics().injected,
+        sim.metrics().delay.max(),
+        sim.metrics().max_total_queued,
+        sim.violations()
+    );
+    if sim.violations().is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

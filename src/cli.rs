@@ -8,10 +8,7 @@
 use emac_core::campaign::json::Json;
 use emac_core::campaign::{fault_spec_from_json, MetricsDetail, ScenarioSpec};
 use emac_core::output::Format;
-use emac_core::prelude::*;
-use emac_sim::{Adversary, FaultSpec, Rate};
-
-use crate::registry::Registry;
+use emac_sim::{FaultSpec, Rate};
 
 /// Parsed command-line options for `emac campaign`.
 #[derive(Clone, Debug)]
@@ -341,142 +338,73 @@ pub fn parse_obs(args: &[String]) -> Result<ObsOpts, String> {
     Ok(ObsOpts { files })
 }
 
-/// Parsed command-line options for `emac run`.
+/// Parsed command-line options for `emac run`: one scenario, and how to
+/// run it.
 #[derive(Clone, Debug)]
 pub struct Opts {
-    /// Algorithm name (see `emac list`).
-    pub alg: String,
-    /// System size.
-    pub n: usize,
-    /// Energy cap parameter for the k-algorithms.
-    pub k: usize,
-    /// Injection rate ρ.
-    pub rho: Rate,
-    /// Burstiness β (general rational; `--beta 3/2` is legal).
-    pub beta: Rate,
-    /// Rounds to simulate.
-    pub rounds: u64,
-    /// Adversary name.
-    pub adversary: String,
-    /// Adversary seed.
-    pub seed: u64,
+    /// The scenario the flags describe. A flag left out keeps
+    /// [`ScenarioSpec::new`]'s default; the adversary defaults to
+    /// `uniform`.
+    pub spec: ScenarioSpec,
     /// Seed batch (`--seeds`): run one solo lane per seed as a campaign row
     /// and print per-lane verdict/digest rows, in the given seed order,
     /// instead of one full report.
     pub seeds: Option<Vec<u64>>,
-    /// Optional drain budget after the run.
-    pub drain: Option<u64>,
     /// Optional trace window size.
     pub trace: Option<usize>,
-    /// Optional energy-cap override.
-    pub cap: Option<usize>,
-    /// Injection station for targeted adversaries.
-    pub target: Option<usize>,
-    /// Destination station for targeted adversaries.
-    pub dest: Option<usize>,
-    /// Burst period for periodic adversaries.
-    pub period: Option<u64>,
-    /// Schedule-analysis horizon for the attack adversaries.
-    pub horizon: Option<u64>,
-    /// Divergence probe: stop early once the total queue reaches this cap
-    /// and report the tripping round.
-    pub probe_cap: Option<u64>,
-    /// Fault injection (`--jam R` shorthand or a full `--faults` JSON object).
-    pub faults: Option<FaultSpec>,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Self {
-            alg: String::new(),
-            n: 8,
-            k: 3,
-            rho: Rate::new(1, 2),
-            beta: Rate::integer(1),
-            rounds: 100_000,
-            adversary: "uniform".into(),
-            seed: 42,
-            seeds: None,
-            drain: None,
-            trace: None,
-            cap: None,
-            target: None,
-            dest: None,
-            period: None,
-            horizon: None,
-            probe_cap: None,
-            faults: None,
-        }
-    }
-}
-
-impl Opts {
-    /// The scenario these options describe.
-    pub fn to_spec(&self) -> ScenarioSpec {
-        let mut spec = ScenarioSpec::new(self.alg.clone(), self.adversary.clone());
-        spec.n = self.n;
-        spec.k = self.k;
-        spec.rho = self.rho;
-        spec.beta = self.beta;
-        spec.rounds = self.rounds;
-        spec.drain = self.drain;
-        spec.cap = self.cap;
-        spec.seed = self.seed;
-        spec.target = self.target;
-        spec.dest = self.dest;
-        spec.period = self.period;
-        spec.horizon = self.horizon;
-        spec.probe_cap = self.probe_cap;
-        spec.faults = self.faults.clone();
-        spec
-    }
 }
 
 /// Parse `emac run` flags.
 pub fn parse(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts::default();
+    let mut spec = ScenarioSpec::new("", "uniform");
+    let mut seeds = None;
+    let mut trace = None;
     let mut jam: Option<Rate> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value =
             || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--alg" => o.alg = value()?.to_string(),
-            "--n" => o.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--k" => o.k = value()?.parse().map_err(|e| format!("--k: {e}"))?,
-            "--rho" => o.rho = parse_rate(value()?)?,
-            "--beta" => o.beta = parse_beta(value()?)?,
-            "--rounds" => o.rounds = value()?.parse().map_err(|e| format!("--rounds: {e}"))?,
-            "--adversary" => o.adversary = value()?.to_string(),
-            "--seed" => o.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--seeds" => o.seeds = Some(parse_seeds(value()?)?),
-            "--drain" => o.drain = Some(value()?.parse().map_err(|e| format!("--drain: {e}"))?),
-            "--trace" => o.trace = Some(value()?.parse().map_err(|e| format!("--trace: {e}"))?),
-            "--cap" => o.cap = Some(value()?.parse().map_err(|e| format!("--cap: {e}"))?),
-            "--target" => o.target = Some(value()?.parse().map_err(|e| format!("--target: {e}"))?),
-            "--dest" => o.dest = Some(value()?.parse().map_err(|e| format!("--dest: {e}"))?),
-            "--period" => o.period = Some(value()?.parse().map_err(|e| format!("--period: {e}"))?),
+            "--alg" => spec.algorithm = value()?.to_string(),
+            "--n" => spec.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
+            "--k" => spec.k = value()?.parse().map_err(|e| format!("--k: {e}"))?,
+            "--rho" => spec.rho = parse_rate(value()?)?,
+            "--beta" => spec.beta = parse_beta(value()?)?,
+            "--rounds" => spec.rounds = value()?.parse().map_err(|e| format!("--rounds: {e}"))?,
+            "--adversary" => spec.adversary = value()?.to_string(),
+            "--seed" => spec.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--seeds" => seeds = Some(parse_seeds(value()?)?),
+            "--drain" => spec.drain = Some(value()?.parse().map_err(|e| format!("--drain: {e}"))?),
+            "--trace" => trace = Some(value()?.parse().map_err(|e| format!("--trace: {e}"))?),
+            "--cap" => spec.cap = Some(value()?.parse().map_err(|e| format!("--cap: {e}"))?),
+            "--target" => {
+                spec.target = Some(value()?.parse().map_err(|e| format!("--target: {e}"))?)
+            }
+            "--dest" => spec.dest = Some(value()?.parse().map_err(|e| format!("--dest: {e}"))?),
+            "--period" => {
+                spec.period = Some(value()?.parse().map_err(|e| format!("--period: {e}"))?)
+            }
             "--horizon" => {
-                o.horizon = Some(value()?.parse().map_err(|e| format!("--horizon: {e}"))?)
+                spec.horizon = Some(value()?.parse().map_err(|e| format!("--horizon: {e}"))?)
             }
             "--probe-cap" => {
-                o.probe_cap = Some(value()?.parse().map_err(|e| format!("--probe-cap: {e}"))?)
+                spec.probe_cap = Some(value()?.parse().map_err(|e| format!("--probe-cap: {e}"))?)
             }
             "--jam" => jam = Some(parse_rate(value()?).map_err(|e| format!("--jam: {e}"))?),
-            "--faults" => o.faults = Some(parse_faults(value()?)?),
+            "--faults" => spec.faults = Some(parse_faults(value()?)?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if o.alg.is_empty() {
+    if spec.algorithm.is_empty() {
         return Err("--alg is required (see `emac list`)".into());
     }
-    if o.n < 2 {
+    if spec.n < 2 {
         return Err("--n must be at least 2".into());
     }
-    if o.probe_cap == Some(0) {
+    if spec.probe_cap == Some(0) {
         return Err("--probe-cap must be positive".into());
     }
-    match (jam, &mut o.faults) {
+    match (jam, &mut spec.faults) {
         (Some(_), Some(_)) => {
             return Err(
                 "--jam conflicts with --faults (set \"jam\" inside the --faults object)".into()
@@ -485,7 +413,7 @@ pub fn parse(args: &[String]) -> Result<Opts, String> {
         (Some(rate), none) => *none = Some(FaultSpec { jam: rate, ..Default::default() }),
         (None, _) => {}
     }
-    Ok(o)
+    Ok(Opts { spec, seeds, trace })
 }
 
 /// Parse `--faults`: a JSON object with the same keys as the campaign
@@ -549,23 +477,10 @@ pub fn parse_beta(s: &str) -> Result<Rate, String> {
     s.parse()
 }
 
-/// Construct the algorithm named by the options (via [`Registry`]).
-pub fn make_algorithm(o: &Opts) -> Result<Box<dyn Algorithm>, String> {
-    Registry::make_algorithm(&o.to_spec())
-}
-
-/// Construct the adversary named by the options without a schedule (via
-/// [`Registry`]). The binary's `run` path instead wires the algorithm's
-/// schedule through [`Registry::make_adversary`], so schedule-aware
-/// adversaries work there; this schedule-less form rejects them and exists
-/// for validation and tests.
-pub fn make_adversary(o: &Opts) -> Result<Box<dyn Adversary>, String> {
-    Registry::make_adversary(&o.to_spec(), None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -578,14 +493,14 @@ mod tests {
              --adversary round-robin --seed 9 --drain 1000 --cap 4",
         ))
         .unwrap();
-        assert_eq!(o.alg, "k-cycle");
-        assert_eq!((o.n, o.k, o.rounds, o.seed), (9, 3, 5000, 9));
-        assert_eq!(o.rho, Rate::new(1, 5));
-        assert_eq!(o.beta, Rate::integer(4));
-        assert_eq!(o.drain, Some(1000));
-        assert_eq!(o.cap, Some(4));
-        assert!(make_algorithm(&o).is_ok());
-        assert!(make_adversary(&o).is_ok());
+        assert_eq!(o.spec.algorithm, "k-cycle");
+        assert_eq!((o.spec.n, o.spec.k, o.spec.rounds, o.spec.seed), (9, 3, 5000, 9));
+        assert_eq!(o.spec.rho, Rate::new(1, 5));
+        assert_eq!(o.spec.beta, Rate::integer(4));
+        assert_eq!(o.spec.drain, Some(1000));
+        assert_eq!(o.spec.cap, Some(4));
+        assert!(Registry::make_algorithm(&o.spec).is_ok());
+        assert!(Registry::make_adversary(&o.spec, None).is_ok());
     }
 
     #[test]
@@ -595,13 +510,16 @@ mod tests {
              --adversary bursty --target 2 --period 32 --seed 5",
         ))
         .unwrap();
-        let spec = o.to_spec();
+        let spec = o.spec;
         assert_eq!(spec.algorithm, "k-clique");
         assert_eq!(spec.adversary, "bursty");
         assert_eq!((spec.n, spec.k, spec.rounds, spec.seed), (8, 4, 777, 5));
         assert_eq!(spec.beta, Rate::new(3, 2));
         assert_eq!(spec.target, Some(2));
         assert_eq!(spec.period, Some(32));
+        // Flags left out keep the scenario defaults, with the uniform adversary.
+        let spec = parse(&argv("--alg k-cycle")).unwrap().spec;
+        assert_eq!(spec, ScenarioSpec::new("k-cycle", "uniform"));
     }
 
     #[test]
@@ -839,21 +757,19 @@ mod tests {
     #[test]
     fn fault_flags() {
         let o = parse(&argv("--alg k-cycle --jam 1/10")).unwrap();
-        let f = o.faults.expect("--jam implies a fault spec");
+        let f = o.spec.faults.expect("--jam implies a fault spec");
         assert_eq!(f.jam, Rate::new(1, 10));
         assert_eq!(FaultSpec { jam: Rate::new(1, 10), ..Default::default() }, f);
-        let spec = parse(&argv("--alg k-cycle --jam 1/10")).unwrap().to_spec();
-        assert_eq!(spec.faults.unwrap().jam, Rate::new(1, 10));
 
         let json = r#"{"jam":"1/8","crash":"1/500","crash_len":32,"seed":7}"#;
         let o = parse(&["--alg".into(), "k-cycle".into(), "--faults".into(), json.into()]).unwrap();
-        let f = o.faults.unwrap();
+        let f = o.spec.faults.unwrap();
         assert_eq!(
             (f.jam, f.crash, f.crash_len, f.seed),
             (Rate::new(1, 8), Rate::new(1, 500), 32, 7)
         );
 
-        assert!(parse(&argv("--alg k-cycle")).unwrap().faults.is_none());
+        assert!(parse(&argv("--alg k-cycle")).unwrap().spec.faults.is_none());
         assert!(parse(&argv("--alg k-cycle --jam 3/2")).is_err(), "super-unit rate");
         assert!(parse(&argv("--alg k-cycle --jam x")).is_err(), "garbage rate");
         let err = parse(&[
@@ -873,8 +789,7 @@ mod tests {
     #[test]
     fn probe_cap_flag() {
         let o = parse(&argv("--alg k-cycle --probe-cap 500")).unwrap();
-        assert_eq!(o.probe_cap, Some(500));
-        assert_eq!(o.to_spec().probe_cap, Some(500));
+        assert_eq!(o.spec.probe_cap, Some(500));
         assert!(parse(&argv("--alg k-cycle --probe-cap 0")).unwrap_err().contains("positive"));
         assert!(parse(&argv("--alg k-cycle --probe-cap x")).is_err());
     }
@@ -886,9 +801,9 @@ mod tests {
         assert!(parse(&argv("--alg count-hop --bogus 1")).is_err(), "unknown flag");
         assert!(parse(&argv("--alg count-hop --n")).is_err(), "missing value");
         let o = parse(&argv("--alg nope")).unwrap();
-        assert!(make_algorithm(&o).is_err());
+        assert!(Registry::make_algorithm(&o.spec).is_err());
         let o = parse(&argv("--alg count-hop --adversary nope")).unwrap();
-        assert!(make_adversary(&o).is_err());
+        assert!(Registry::make_adversary(&o.spec, None).is_err());
     }
 
     #[test]
@@ -906,7 +821,7 @@ mod tests {
             "duty-cycle",
         ] {
             let o = parse(&[String::from("--alg"), alg.into()]).unwrap();
-            let built = make_algorithm(&o).unwrap();
+            let built = Registry::make_algorithm(&o.spec).unwrap();
             assert!(!built.name().is_empty());
         }
     }

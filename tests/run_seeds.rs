@@ -4,7 +4,9 @@
 //! A `--seeds` run hands one campaign row per seed to the machine-sized
 //! worker pool, so lanes finish in any order; the rows must still print
 //! in the order the seeds were given, and each must report exactly what
-//! `emac run --seed <s>` reports for that seed.
+//! `emac run --seed <s>` reports for that seed. A solo run is a one-row
+//! campaign on the same path, so both forms refuse a bad spec and turn a
+//! panic inside the scenario into exit 2.
 
 use std::process::Command;
 
@@ -88,4 +90,35 @@ fn probe_lanes_match_solo_runs_and_some_trip() {
 #[test]
 fn jammed_lanes_print_in_the_given_order() {
     assert_lanes_are_solo_runs("--rho 1/5 --jam 1/10", "3,0,2,1", &[3, 0, 2, 1]);
+}
+
+/// Run `emac <args>`, which must exit 2; returns its stderr.
+fn refused(args: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_emac"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("spawn emac");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(out.status.code(), Some(2), "emac {args}:\n{stderr}");
+    stderr
+}
+
+#[test]
+fn a_panicking_scenario_exits_2_solo_and_in_a_batch() {
+    // Jamming desyncs Count-Hop's counting protocol, which panics.
+    const JAMMED: &str = "run --alg count-hop --n 6 --rho 1/4 --beta 2 --rounds 20000 \
+                          --adversary uniform --seed 3 --jam 1/20";
+    let solo = refused(JAMMED);
+    let batch = refused(&format!("{JAMMED} --seeds 3"));
+    let want = Some("error: scenario panicked: learned in this round");
+    assert_eq!(solo.lines().last(), want, "{solo}");
+    assert_eq!(batch.lines().last(), want, "{batch}");
+}
+
+#[test]
+fn a_solo_run_is_validated_like_a_campaign_row() {
+    let err = refused("run --alg count-hop --rounds 0");
+    assert!(err.trim_end().ends_with("rounds must be positive"), "{err}");
+    let err = refused("run --alg count-hop --cap 1");
+    assert!(err.contains("cap must be at least 2"), "{err}");
 }
