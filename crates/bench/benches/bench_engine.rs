@@ -152,6 +152,16 @@ fn large_n(rounds: u64, results: &mut Vec<BenchResult>) {
             black_box(sim.metrics().delivered);
         }));
     }
+    // The construction those rows leave untimed: the k-Subsets geometry
+    // for n = 128 (127 threads per station, held in flat per-station
+    // arrays) and its simulator, the fixed cost a short scenario pays
+    // before its first round. One work item is one build, in smoke and
+    // full runs alike.
+    results.push(bench("ksubsets_build_n128", 1, || {
+        let cfg = SimConfig::new(128, 2).adversary_type(Rate::new(1, 64), Rate::integer(4));
+        let sim = Simulator::new(cfg, KSubsets::new(2).build(128), Box::new(NoInjections));
+        black_box(sim.round());
+    }));
 }
 
 fn frontier_bisect(rounds: u64, results: &mut Vec<BenchResult>) {

@@ -33,6 +33,7 @@ impl BatonList {
     }
 
     /// The current conductor (baton holder).
+    #[inline]
     pub fn conductor(&self) -> StationId {
         self.order[self.pos]
     }
@@ -40,6 +41,7 @@ impl BatonList {
     /// The conductor [`BatonList::season_end`] would leave holding the
     /// baton, without changing the list: a big conductor keeps it,
     /// otherwise it passes to the next station in cyclic list order.
+    #[inline]
     pub fn next_conductor(&self, conductor_is_big: bool) -> StationId {
         if conductor_is_big {
             self.conductor()
@@ -54,6 +56,7 @@ impl BatonList {
     }
 
     /// The list in its current order.
+    #[inline]
     pub fn order(&self) -> &[StationId] {
         &self.order
     }
@@ -62,6 +65,7 @@ impl BatonList {
     /// during the season, it moves to the front of the list and keeps the
     /// baton; otherwise the baton passes to the next station in cyclic list
     /// order.
+    #[inline]
     pub fn season_end(&mut self, conductor_was_big: bool) {
         if conductor_was_big {
             let c = self.order.remove(self.pos);

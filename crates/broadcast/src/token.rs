@@ -25,28 +25,33 @@ pub struct TokenRing {
 
 impl TokenRing {
     /// A token at position 0 of a cycle of `size` positions.
+    #[inline]
     pub fn new(size: usize) -> Self {
         assert!(size >= 1, "a token ring needs at least one position");
         Self { size, pos: 0, laps: 0 }
     }
 
     /// Current token position.
+    #[inline]
     pub fn pos(&self) -> usize {
         self.pos
     }
 
     /// Number of positions in the cycle.
+    #[inline]
     pub fn size(&self) -> usize {
         self.size
     }
 
     /// Completed cycles — the phase counter of OF-RRW.
+    #[inline]
     pub fn laps(&self) -> u64 {
         self.laps
     }
 
     /// A silent round was observed: the token advances. Returns `true` when
     /// the advance completed a full cycle (a phase boundary).
+    #[inline]
     pub fn advance(&mut self) -> bool {
         self.pos += 1;
         if self.pos == self.size {

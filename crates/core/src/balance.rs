@@ -7,38 +7,65 @@
 //! most 1 — the invariant Theorem 8's stability argument rests on, and
 //! which we property-test.
 
-/// Greedy balanced allocator over a fixed set of eligible threads.
+/// Greedy balanced allocation over fixed sets of eligible threads.
+///
+/// One allocator holds any number of equally wide *rows*, each an
+/// independent set of eligible threads with its own cumulative counts,
+/// back to back in two flat vectors: a `k-Subsets` station keeps one row
+/// per destination.
 #[derive(Clone, Debug)]
 pub struct BalancedAllocator {
+    /// Row `i` is `threads[i·width..(i+1)·width]`, ascending.
     threads: Vec<u32>,
+    /// The cumulative allocations, at the positions of `threads`.
     counts: Vec<u64>,
+    width: usize,
 }
 
 impl BalancedAllocator {
-    /// Allocator over the given eligible thread indices (must be non-empty;
-    /// kept in ascending order for deterministic tie-breaking).
+    /// One allocator over the given eligible thread indices (must be
+    /// non-empty; kept in ascending order for deterministic tie-breaking).
     pub fn new(mut threads: Vec<u32>) -> Self {
         assert!(!threads.is_empty(), "a packet with no eligible thread cannot be routed");
         threads.sort_unstable();
-        let counts = vec![0; threads.len()];
-        Self { threads, counts }
+        let width = threads.len();
+        Self::rows(threads, width)
     }
 
-    /// Allocate one packet: returns the chosen thread (least-loaded,
-    /// ties to the smallest thread index) and records it.
+    /// `threads.len() / width` allocators: row `i` spreads over
+    /// `threads[i·width..(i+1)·width]`, which must be ascending.
+    pub fn rows(threads: Vec<u32>, width: usize) -> Self {
+        assert!(width > 0, "a packet with no eligible thread cannot be routed");
+        assert!(threads.len().is_multiple_of(width), "rows must all be {width} threads wide");
+        debug_assert!(threads.chunks(width).all(|row| row.is_sorted()), "rows must be ascending");
+        Self { counts: vec![0; threads.len()], threads, width }
+    }
+
+    /// Allocate one packet in the first row: returns the chosen thread
+    /// (least-loaded, ties to the smallest thread index) and records it.
     pub fn pick(&mut self) -> u32 {
-        let i = (0..self.counts.len())
-            .min_by_key(|&i| (self.counts[i], self.threads[i]))
-            .expect("non-empty");
-        self.counts[i] += 1;
-        self.threads[i]
+        self.pick_in(0)
     }
 
-    /// Spread between the largest and smallest cumulative count.
+    /// Allocate one packet in row `row`, by the rule of
+    /// [`BalancedAllocator::pick`].
+    pub fn pick_in(&mut self, row: usize) -> u32 {
+        let start = row * self.width;
+        // The row is ascending, so the first least count is the least
+        // (count, thread) pair.
+        let best = (start..start + self.width).min_by_key(|&i| self.counts[i]).expect("non-empty");
+        self.counts[best] += 1;
+        self.threads[best]
+    }
+
+    /// The largest spread between a row's largest and smallest
+    /// cumulative count.
     pub fn imbalance(&self) -> u64 {
-        let max = *self.counts.iter().max().expect("non-empty");
-        let min = *self.counts.iter().min().expect("non-empty");
-        max - min
+        self.counts
+            .chunks(self.width)
+            .map(|row| row.iter().max().expect("non-empty") - row.iter().min().expect("non-empty"))
+            .max()
+            .expect("non-empty")
     }
 
     /// Total packets allocated.

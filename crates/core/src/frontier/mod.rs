@@ -370,7 +370,9 @@ impl FrontierSpec {
     }
 
     /// Range checks (also run by [`FrontierSpec::from_json`]); call again
-    /// after overriding `tol` or the axes in code.
+    /// after overriding `tol` or the axes in code. Besides the search's own
+    /// knobs, every map point's probes must be scenarios that
+    /// [`ScenarioSpec::validate`] accepts.
     pub fn validate(&self) -> Result<(), String> {
         if !self.tol.is_finite() || self.tol <= 0.0 {
             return Err(format!("tol must be a positive number, got {}", self.tol));
@@ -396,6 +398,25 @@ impl FrontierSpec {
             }
             if esc.step == 0 {
                 return Err("escalate step must be positive".into());
+            }
+        }
+        // Every probe is a scenario, so a point whose probes
+        // `ScenarioSpec::validate` refuses is refused here, before any
+        // output exists. Its checks are monotone along every axis, so the
+        // probes at the two bracket ends stand for all the ones between.
+        // Brackets and template expressions that do not resolve are the
+        // point search's to report.
+        for point in self.points() {
+            let env = ExprEnv::new(point.n, point.k);
+            let Ok(base) = self.template.clone().resolve_at(&env) else {
+                continue;
+            };
+            for end in [&self.lo, &self.hi] {
+                if let Ok(rate) = end.resolve(&env) {
+                    probe_at(&base, self.axis, point, rate)
+                        .validate()
+                        .map_err(|e| format!("map point n={}, k={}: {e}", point.n, point.k))?;
+                }
             }
         }
         Ok(())
@@ -890,6 +911,26 @@ struct PointSearch {
     probes: u32,
 }
 
+/// The scenario a probe of `rate` along `axis` runs at map point `point`,
+/// whose resolved template is `base`.
+fn probe_at(base: &ScenarioSpec, axis: SearchAxis, point: MapPoint, rate: Rate) -> ScenarioSpec {
+    let mut spec = base.clone();
+    match axis {
+        SearchAxis::Rho => spec.rho = rate,
+        SearchAxis::Beta => spec.beta = rate,
+        SearchAxis::K => spec.k = rate.num() as usize,
+        // The nearest achievable cap for the probed group count; where no
+        // cap yields it exactly, this runs the closest ℓ below it.
+        SearchAxis::Ell => spec.k = point.n.div_ceil(rate.num() as usize) + 1,
+        // Probes inherit the template's fault spec (seed and the other
+        // families) with only the jamming intensity overwritten.
+        SearchAxis::JamRate => {
+            spec.faults.get_or_insert_with(Default::default).jam = rate;
+        }
+    }
+    spec
+}
+
 impl PointSearch {
     fn new(spec: &FrontierSpec, index: usize, point: MapPoint) -> Result<Self, String> {
         let env = ExprEnv::new(point.n, point.k);
@@ -980,22 +1021,7 @@ impl PointSearch {
 
     /// The spec for the pending probe, or `None` when done or waiting.
     fn probe_spec(&self) -> Option<ScenarioSpec> {
-        let rate = self.pending?;
-        let mut spec = self.base.clone();
-        match self.axis {
-            SearchAxis::Rho => spec.rho = rate,
-            SearchAxis::Beta => spec.beta = rate,
-            SearchAxis::K => spec.k = rate.num() as usize,
-            // The nearest achievable cap for the probed group count; where
-            // no cap yields it exactly, this runs the closest ℓ below it.
-            SearchAxis::Ell => spec.k = self.point.n.div_ceil(rate.num() as usize) + 1,
-            // Probes inherit the template's fault spec (seed and the other
-            // families) with only the jamming intensity overwritten.
-            SearchAxis::JamRate => {
-                spec.faults.get_or_insert_with(Default::default).jam = rate;
-            }
-        }
-        Some(spec)
+        Some(probe_at(&self.base, self.axis, self.point, self.pending?))
     }
 
     /// Advance the state machine with one probe verdict, feeding the band

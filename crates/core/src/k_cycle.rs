@@ -161,6 +161,9 @@ impl OnSchedule for KCycleParams {
 struct GroupReplica {
     g: usize,
     members: Vec<usize>,
+    /// This station's position in `members`, the token position at which
+    /// it holds the token.
+    my_pos: usize,
     ring: TokenRing,
     /// Packets that arrived strictly before this round are old for the
     /// group's current phase.
@@ -189,11 +192,11 @@ impl KCycleStation {
         let reps = params
             .groups_of(id)
             .into_iter()
-            .map(|g| GroupReplica {
-                g,
-                members: params.group_members(g),
-                ring: TokenRing::new(params.k),
-                marker: 0,
+            .map(|g| {
+                let members = params.group_members(g);
+                let my_pos =
+                    members.iter().position(|&m| m == id).expect("a station is in its groups");
+                GroupReplica { g, members, my_pos, ring: TokenRing::new(params.k), marker: 0 }
             })
             .collect();
         let home = params.home(id);
@@ -223,8 +226,7 @@ impl Protocol for KCycleStation {
             // Scheduled awake only for own groups; anything else is a bug.
             return Action::Listen;
         };
-        let holder = rep.members[rep.ring.pos()];
-        if holder == ctx.id && g == home {
+        if rep.ring.pos() == rep.my_pos && g == home {
             if let Some(qp) = queue.oldest_old(rep.marker) {
                 return Action::Transmit(Message::plain(qp.packet));
             }

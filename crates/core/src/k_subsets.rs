@@ -19,10 +19,10 @@
 //! MBTF by RRW yields bounded latency `Θ(γ(n + β))` for rates strictly
 //! below the threshold — available here as [`ThreadSubroutine::Rrw`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use emac_broadcast::{BatonList, TokenRing};
+use emac_broadcast::TokenRing;
 use emac_sim::{
     Action, AlgorithmClass, BuiltAlgorithm, ControlBits, Effects, Feedback, IndexedQueue, Message,
     OnSchedule, PacketId, Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
@@ -37,7 +37,9 @@ use crate::combinatorics::{combinations, subset_masks_packed};
 pub struct KSubsetsParams {
     n: usize,
     k: usize,
-    subsets: Vec<Vec<StationId>>,
+    /// The enumeration, `k` ascending stations per subset, back to back:
+    /// `A_t` is `subsets[t·k..(t+1)·k]`.
+    subsets: Vec<StationId>,
     /// Packed membership masks, `mask_words` words per subset (row-major),
     /// so `n` is not limited by a single 64-bit word.
     masks: Vec<u64>,
@@ -50,7 +52,7 @@ impl KSubsetsParams {
     pub fn new(n: usize, k: usize) -> Self {
         assert!(k >= 2 && k < n, "need 2 <= k < n");
         let subsets = combinations(n, k);
-        let masks = subset_masks_packed(&subsets, n);
+        let masks = subset_masks_packed(subsets.chunks(k), n);
         let mask_words = emac_sim::bitset::words_for(n);
         Self { n, k, subsets, masks, mask_words }
     }
@@ -58,7 +60,13 @@ impl KSubsetsParams {
     /// Number of threads `γ = C(n, k)` (the schedule period and phase
     /// length).
     pub fn gamma(&self) -> usize {
-        self.subsets.len()
+        self.subsets.len() / self.k
+    }
+
+    /// The stations of `A_t`, ascending.
+    fn subset(&self, t: u32) -> &[StationId] {
+        let t = t as usize;
+        &self.subsets[t * self.k..(t + 1) * self.k]
     }
 
     /// Energy cap `k`.
@@ -86,8 +94,10 @@ impl KSubsetsParams {
     /// ascending order: one pass over the enumeration. Each list holds
     /// `C(n−1, k−1) = γk/n` threads.
     pub fn threads_by_station(&self) -> Vec<Vec<u32>> {
-        let mut threads = vec![Vec::with_capacity(self.gamma() * self.k / self.n); self.n];
-        for (t, subset) in self.subsets.iter().enumerate() {
+        let per_station = self.gamma() * self.k / self.n;
+        let mut threads: Vec<Vec<u32>> =
+            (0..self.n).map(|_| Vec::with_capacity(per_station)).collect();
+        for (t, subset) in self.subsets.chunks(self.k).enumerate() {
             for &station in subset {
                 threads[station].push(t as u32);
             }
@@ -103,7 +113,7 @@ impl OnSchedule for KSubsetsParams {
 
     fn on_set_into(&self, _n: usize, round: Round, out: &mut Vec<StationId>) {
         out.clear();
-        out.extend_from_slice(&self.subsets[self.thread_of_round(round) as usize]);
+        out.extend_from_slice(self.subset(self.thread_of_round(round)));
     }
 
     /// The subset enumeration repeats after `γ = C(n, k)` rounds.
@@ -124,17 +134,35 @@ pub enum ThreadSubroutine {
 }
 
 /// One station's state for one thread it belongs to. The thread's members
-/// are its subset in [`KSubsetsParams`].
+/// are its subset in [`KSubsetsParams`]; its MBTF baton list is the
+/// thread's row of the station's `batons`.
 struct ThreadState {
     /// Packets of this station allocated to this thread (id, arrival).
     queue: VecDeque<(PacketId, Round)>,
     // MBTF state
-    baton: BatonList,
+    /// The baton holder's position in this thread's baton list.
+    baton_pos: usize,
     my_big: bool,
     season_big: bool,
     // RRW state
     ring: TokenRing,
     batch_marker: Round,
+}
+
+/// The end-of-season move-big-to-front transition on one thread's baton
+/// list, held as a slice (the flat form of
+/// [`emac_broadcast::BatonList::season_end`]): a big conductor at `pos`
+/// moves to the front and keeps the baton; otherwise the baton passes to
+/// the next station in cyclic list order. Returns the new baton position.
+fn baton_season_end(order: &mut [StationId], pos: usize, conductor_was_big: bool) -> usize {
+    if conductor_was_big {
+        order[..=pos].rotate_right(1);
+        0
+    } else if pos + 1 == order.len() {
+        0
+    } else {
+        pos + 1
+    }
 }
 
 /// Where a thread-round falls in its MBTF season: `j % season_len`. Every
@@ -177,27 +205,48 @@ pub struct KSubsetsStation {
     my_threads: Vec<u32>,
     /// The state of `my_threads[i]` at position `i`.
     threads: Vec<ThreadState>,
+    /// The MBTF baton list of `my_threads[i]` at row `i`, `k` stations per
+    /// row: it starts as the thread's subset.
+    batons: Vec<StationId>,
     /// The slot of the thread this station runs next.
     cursor: usize,
     season: SeasonClock,
-    /// Per-destination balanced allocator over eligible threads.
-    alloc: HashMap<StationId, BalancedAllocator>,
+    /// Per-destination balanced allocation: row `w` spreads over the slots
+    /// of the `C(n−2, k−2)` threads containing `w` (the station's own row
+    /// is never used).
+    alloc: BalancedAllocator,
 }
 
 impl KSubsetsStation {
-    fn new(params: Arc<KSubsetsParams>, my_threads: Vec<u32>, mode: ThreadSubroutine) -> Self {
+    /// Station `id`'s protocol over its threads `my_threads` (ascending).
+    fn new(
+        params: Arc<KSubsetsParams>,
+        id: StationId,
+        my_threads: Vec<u32>,
+        mode: ThreadSubroutine,
+    ) -> Self {
+        let (n, k) = (params.n, params.k);
+        let per_dest = my_threads.len() * (k - 1) / (n - 1);
+        let mut batons = Vec::with_capacity(my_threads.len() * k);
+        let mut alloc_slots = vec![0u32; n * per_dest];
+        let mut fill = vec![0; n];
+        for (slot, &t) in my_threads.iter().enumerate() {
+            let members = params.subset(t);
+            batons.extend_from_slice(members);
+            for &w in members.iter().filter(|&&w| w != id) {
+                alloc_slots[w * per_dest + fill[w]] = slot as u32;
+                fill[w] += 1;
+            }
+        }
         let threads = my_threads
             .iter()
-            .map(|&t| {
-                let members = &params.subsets[t as usize];
-                ThreadState {
-                    queue: VecDeque::new(),
-                    baton: BatonList::with_members(members.clone()),
-                    my_big: false,
-                    season_big: false,
-                    ring: TokenRing::new(members.len()),
-                    batch_marker: 0,
-                }
+            .map(|_| ThreadState {
+                queue: VecDeque::new(),
+                baton_pos: 0,
+                my_big: false,
+                season_big: false,
+                ring: TokenRing::new(k),
+                batch_marker: 0,
             })
             .collect();
         Self {
@@ -205,9 +254,10 @@ impl KSubsetsStation {
             mode,
             my_threads,
             threads,
+            batons,
             cursor: 0,
             season: SeasonClock::default(),
-            alloc: HashMap::new(),
+            alloc: BalancedAllocator::rows(alloc_slots, per_dest),
         }
     }
 
@@ -249,16 +299,8 @@ impl Protocol for KSubsetsStation {
         _origin: emac_sim::EnqueueOrigin,
     ) {
         let w = qp.packet.dest;
-        let params = &self.params;
-        let my_threads = &self.my_threads;
-        let alloc = self.alloc.entry(w).or_insert_with(|| {
-            let eligible: Vec<u32> =
-                my_threads.iter().copied().filter(|&t| params.in_subset(t, w)).collect();
-            BalancedAllocator::new(eligible)
-        });
-        let t = alloc.pick();
-        let _ = ctx;
-        let slot = self.slot(t).expect("allocated to a thread of this station");
+        debug_assert_ne!(w, ctx.id, "self-addressed packets never queue");
+        let slot = self.alloc.pick_in(w) as usize;
         self.threads[slot].queue.push_back((qp.packet.id, qp.arrived));
     }
 
@@ -270,10 +312,9 @@ impl Protocol for KSubsetsStation {
             return Action::Listen;
         };
         let rep = &mut self.threads[slot];
-        let members = &self.params.subsets[t as usize];
         match self.mode {
             ThreadSubroutine::Mbtf => {
-                if rep.baton.conductor() != ctx.id {
+                if self.batons[slot * kk + rep.baton_pos] != ctx.id {
                     return Action::Listen;
                 }
                 if season_pos == 0 {
@@ -290,7 +331,7 @@ impl Protocol for KSubsetsStation {
                 }
             }
             ThreadSubroutine::Rrw => {
-                if members[rep.ring.pos()] != ctx.id {
+                if self.params.subset(t)[rep.ring.pos()] != ctx.id {
                     return Action::Listen;
                 }
                 match rep.queue.front() {
@@ -321,13 +362,15 @@ impl Protocol for KSubsetsStation {
         // This thread's turn ends with this round; the next thread comes next.
         self.cursor = if slot + 1 == self.my_threads.len() { 0 } else { slot + 1 };
         let rep = &mut self.threads[slot];
-        let members = &self.params.subsets[t as usize];
+        let kk = self.params.k;
+        let members = self.params.subset(t);
         match self.mode {
             ThreadSubroutine::Mbtf => {
+                let baton = &mut self.batons[slot * kk..(slot + 1) * kk];
                 match fb {
                     Feedback::Heard(m) => {
                         rep.season_big = m.control.reader().read_bit();
-                        if rep.baton.conductor() == ctx.id {
+                        if baton[rep.baton_pos] == ctx.id {
                             if let Some(p) = m.packet {
                                 debug_assert_eq!(Some(p.id), rep.queue.front().map(|&(id, _)| id));
                                 rep.queue.pop_front();
@@ -339,7 +382,7 @@ impl Protocol for KSubsetsStation {
                     Feedback::Collision => effects.flag("k-subsets: collision cannot happen"),
                 }
                 if season_pos == season_len - 1 {
-                    rep.baton.season_end(rep.season_big);
+                    rep.baton_pos = baton_season_end(baton, rep.baton_pos, rep.season_big);
                     rep.season_big = false;
                 }
             }
@@ -415,9 +458,11 @@ impl Algorithm for KSubsets {
         let protocols = params
             .threads_by_station()
             .into_iter()
-            .map(|threads| {
-                Box::new(KSubsetsStation::new(Arc::clone(&params), threads, self.subroutine))
-                    as Box<dyn Protocol>
+            .enumerate()
+            .map(|(id, threads)| {
+                let station =
+                    KSubsetsStation::new(Arc::clone(&params), id, threads, self.subroutine);
+                Box::new(station) as Box<dyn Protocol>
             })
             .collect();
         BuiltAlgorithm {
@@ -449,6 +494,74 @@ mod tests {
             let containing: Vec<u32> =
                 (0..p.gamma() as u32).filter(|&t| p.in_subset(t, station)).collect();
             assert_eq!(mine, &containing, "station {station}");
+        }
+    }
+
+    #[test]
+    fn flat_baton_order_matches_baton_list() {
+        // The flat per-thread baton rows follow `BatonList` exactly: the
+        // same conductor and the same order after every season, for random
+        // member sets and random big/not-big announcement sequences.
+        let mut rng = emac_sim::SmallRng::seed_from_u64(0xba70);
+        let mut rotated = 0;
+        for k in 2..=6usize {
+            for _case in 0..40 {
+                let mut members: Vec<StationId> = Vec::new();
+                while members.len() < k {
+                    let s = rng.random_range(0..24);
+                    if !members.contains(&s) {
+                        members.push(s);
+                    }
+                }
+                members.sort_unstable();
+                let mut list = emac_broadcast::BatonList::with_members(members.clone());
+                let (mut order, mut pos) = (members, 0);
+                for season in 0..300 {
+                    let big = rng.random_bool();
+                    rotated += usize::from(big && pos > 0);
+                    pos = baton_season_end(&mut order, pos, big);
+                    list.season_end(big);
+                    assert_eq!(order[pos], list.conductor(), "k={k} season {season}");
+                    assert_eq!(order, list.order(), "k={k} season {season}");
+                }
+            }
+        }
+        assert!(rotated > 1_000, "big conductors must often sit past the front ({rotated})");
+    }
+
+    #[test]
+    fn allocators_spread_each_destination_over_its_shared_threads() {
+        // Every destination's packets rotate over exactly the threads both
+        // endpoints share, least-loaded first, ties to the smallest thread.
+        let (n, k) = (7usize, 3usize);
+        let params = Arc::new(KSubsetsParams::new(n, k));
+        let me = 2;
+        let mine = params.threads_by_station().swap_remove(me);
+        let mut station =
+            KSubsetsStation::new(Arc::clone(&params), me, mine.clone(), ThreadSubroutine::Mbtf);
+        let ctx = ProtocolCtx { id: me, n, cap: k, round: 0, phase: 0, cycle: 0 };
+        let mut queue = IndexedQueue::new(n);
+        let mut id = 0;
+        for w in (0..n).filter(|&w| w != me) {
+            let shared: Vec<u32> =
+                mine.iter().copied().filter(|&t| params.in_subset(t, w)).collect();
+            assert_eq!(shared.len() as u64, bounds::binomial(n as u64 - 2, k as u64 - 2));
+            for lap in 0..3 {
+                for &t in &shared {
+                    let packet = emac_sim::Packet {
+                        id: PacketId(id),
+                        dest: w,
+                        injected_round: 0,
+                        origin: me,
+                    };
+                    let qp = queue.push(packet, 0);
+                    station.on_enqueued(&ctx, &qp, emac_sim::EnqueueOrigin::Injected);
+                    let slot = mine.binary_search(&t).unwrap();
+                    let back = station.threads[slot].queue.back().map(|&(pid, _)| pid);
+                    assert_eq!(back, Some(PacketId(id)), "w={w} lap {lap} thread {t}");
+                    id += 1;
+                }
+            }
         }
     }
 

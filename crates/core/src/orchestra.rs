@@ -28,8 +28,6 @@
 //! adversary of rate 1 — the maximum throughput possible. Latency may be
 //! unbounded (Table 1 row 1), which the ablation harness demonstrates.
 
-use std::collections::{HashMap, HashSet};
-
 use emac_broadcast::BatonList;
 use emac_sim::{
     bits_for, Action, AlgorithmClass, BuiltAlgorithm, ControlBits, Effects, Feedback, IndexedQueue,
@@ -54,17 +52,19 @@ pub struct OrchestraStation {
     synced_season: u64,
     /// Big flag observed for season `synced_season`.
     heard_big: bool,
-    /// Musician: conductor → first receive slot at that conductor's next
-    /// conducting season (taught at learning rounds).
-    pending_first: HashMap<StationId, u64>,
+    /// Musician: first receive slot at each conductor's next conducting
+    /// season (taught at learning rounds), indexed by conductor.
+    pending_first: Vec<Option<u64>>,
     /// Musician: my next receive slot within the current season.
     next_receive_slot: Option<u64>,
     /// Conductor: schedule being executed this conducting season.
     sched_current: Vec<Slot>,
     /// Conductor: schedule for my next conducting season (being taught).
     sched_next: Vec<Slot>,
-    /// Packets placed in either schedule (excluded from future scheduling).
-    scheduled: HashSet<PacketId>,
+    /// Packets placed in either schedule (excluded from future scheduling):
+    /// at most `2(n − 1)` ids in a fault-free run, so a linear scan beats
+    /// hashing.
+    scheduled: Vec<PacketId>,
     /// Conductor: own bigness for the current conducting season.
     my_big: bool,
     /// Which season the conductor-side init has run for.
@@ -82,11 +82,11 @@ impl OrchestraStation {
             baton: BatonList::new(n),
             synced_season: 0,
             heard_big: false,
-            pending_first: HashMap::new(),
+            pending_first: vec![None; n],
             next_receive_slot: None,
             sched_current: vec![None; n - 1],
             sched_next: vec![None; n - 1],
-            scheduled: HashSet::new(),
+            scheduled: Vec::with_capacity(2 * (n - 1)),
             my_big: false,
             init_done_for: None,
         }
@@ -140,7 +140,7 @@ impl OrchestraStation {
             // My conducting season: execute the schedule I taught last time.
             std::mem::swap(&mut self.sched_current, &mut self.sched_next);
             self.sched_next.fill(None);
-        } else if let Some(slot) = self.pending_first.remove(&cond) {
+        } else if let Some(slot) = self.pending_first[cond].take() {
             self.next_receive_slot = Some(slot);
         }
     }
@@ -173,7 +173,7 @@ impl OrchestraStation {
             }
             debug_assert_ne!(qp.packet.dest, me, "self-addressed packets never queue");
             self.sched_next[slot] = Some((qp.packet.id, qp.packet.dest));
-            self.scheduled.insert(qp.packet.id);
+            self.scheduled.push(qp.packet.id);
             slot += 1;
         }
     }
@@ -224,7 +224,7 @@ impl OrchestraStation {
             return Wake::At(next_start);
         }
         let mut first = self.learn_rank(me, next_cond);
-        if let Some(&slot) = self.pending_first.get(&next_cond) {
+        if let Some(slot) = self.pending_first[next_cond] {
             first = first.min(slot);
         }
         Wake::At(next_start + first)
@@ -304,12 +304,14 @@ impl Protocol for OrchestraStation {
                 if cond == ctx.id {
                     // My own message: the scheduled packet was transmitted.
                     if let Some((pid, _)) = self.sched_current[j as usize] {
-                        self.scheduled.remove(&pid);
+                        if let Some(i) = self.scheduled.iter().position(|&id| id == pid) {
+                            self.scheduled.swap_remove(i);
+                        }
                         self.sched_current[j as usize] = None;
                     }
                 } else {
                     if self.learner(cond, j) == ctx.id && teach_present {
-                        self.pending_first.insert(cond, teach_slot);
+                        self.pending_first[cond] = Some(teach_slot);
                     }
                     if self.next_receive_slot == Some(j) {
                         // I was this round's receiver; the packet (if any)

@@ -95,15 +95,20 @@ impl BitSet {
     #[inline]
     pub fn copy_from(&mut self, other: &BitSet) {
         debug_assert_eq!(self.len, other.len, "BitSet capacity mismatch");
-        self.words.copy_from_slice(&other.words);
+        self.copy_from_words(&other.words);
     }
 
     /// Overwrite the backing words from a packed row (e.g. one round of a
     /// precomputed schedule table). The row must have exactly
-    /// `words_for(len)` words; bits at or above `len` must be zero.
+    /// `words_for(len)` words; bits at or above `len` must be zero. A
+    /// one-word set (`n ≤ 64`, the common case) is a single store rather
+    /// than a `memcpy` call.
     #[inline]
     pub fn copy_from_words(&mut self, row: &[u64]) {
-        self.words.copy_from_slice(row);
+        match (self.words.as_mut_slice(), row) {
+            ([word], [src]) => *word = *src,
+            (words, row) => words.copy_from_slice(row),
+        }
     }
 
     /// The backing words, least-significant station first.

@@ -119,7 +119,9 @@ pub struct Simulator {
     // per-round scratch buffers, reused so the steady-state round loop
     // performs no heap allocation
     awake: Vec<StationId>,
-    transmissions: Vec<(StationId, Message)>,
+    /// Handed to every `on_feedback` call: `adopt` is reset before each
+    /// call and `flags` is left empty after it, so its capacity is reused.
+    effects: Effects,
     plan: Vec<Injection>,
     trace: Option<Trace>,
     traced_injections: Vec<(StationId, StationId)>,
@@ -187,7 +189,7 @@ impl Simulator {
             cache,
             faults,
             awake: Vec::with_capacity(n),
-            transmissions: Vec::with_capacity(n),
+            effects: Effects::default(),
             plan: Vec::new(),
             trace: None,
             traced_injections: Vec::new(),
@@ -260,27 +262,21 @@ impl Simulator {
                 on_counts: &self.on_counts,
                 last_on: &self.last_on,
             };
-            let mut plan = std::mem::take(&mut self.plan);
-            self.adversary.plan_into(r, budget, &view, &mut plan);
-            plan.truncate(budget);
-            self.bucket.debit(plan.len());
+            self.adversary.plan_into(r, budget, &view, &mut self.plan);
+            self.plan.truncate(budget);
+            self.bucket.debit(self.plan.len());
             if self.trace.is_some() {
-                self.traced_injections = plan.iter().map(|i| (i.station, i.dest)).collect();
+                self.traced_injections = self.plan.iter().map(|i| (i.station, i.dest)).collect();
             }
-            for &inj in &plan {
-                self.inject(inj, r);
+            for i in 0..self.plan.len() {
+                self.inject(self.plan[i], r);
             }
-            self.plan = plan; // keep the buffer's capacity for next round
         }
 
         // 2. Wake-set determination, into the reusable scratch buffers. For
         // cached periodic schedules this is a packed row copy; otherwise
         // the schedule (or the stations' timers) enumerates, and the mask
-        // is rebuilt bit by bit. The scratch is moved out for the duration
-        // of the round so the on-set can be borrowed while `&mut self`
-        // methods run.
-        let mut awake = std::mem::take(&mut self.awake);
-        let mut awake_mask = std::mem::replace(&mut self.awake_mask, BitSet::new(0));
+        // is rebuilt bit by bit.
         let wake_faulted = self.faults.as_ref().is_some_and(|p| p.affects_wake());
         if wake_faulted {
             // Crash and skew change the wake set per station, so the
@@ -291,8 +287,8 @@ impl Simulator {
             // state when the outage ends.
             let plan = self.faults.as_ref().expect("wake-faulted plan");
             self.hooks.wake_enum_rounds += 1;
-            awake.clear();
-            awake_mask.clear();
+            self.awake.clear();
+            self.awake_mask.clear();
             for s in 0..n {
                 if let Power::OffUntil(w) = self.power[s] {
                     if w <= r {
@@ -304,28 +300,28 @@ impl Simulator {
                     WakeMode::Adaptive => self.power[s] == Power::On,
                 };
                 if on && !plan.is_crashed(s, r) {
-                    awake.push(s);
-                    awake_mask.insert(s);
+                    self.awake.push(s);
+                    self.awake_mask.insert(s);
                 }
             }
         } else {
             match (&self.cache, &self.wake) {
                 (Some(table), _) => {
                     self.hooks.wake_table_rounds += 1;
-                    table.fill(self.clock.phase, &mut awake_mask, &mut awake)
+                    table.fill(self.clock.phase, &mut self.awake_mask, &mut self.awake)
                 }
                 (None, WakeMode::Scheduled(s)) => {
                     self.hooks.wake_enum_rounds += 1;
-                    s.on_set_into(n, r, &mut awake);
-                    awake_mask.clear();
-                    for &s in &awake {
-                        awake_mask.insert(s);
+                    s.on_set_into(n, r, &mut self.awake);
+                    self.awake_mask.clear();
+                    for &s in &self.awake {
+                        self.awake_mask.insert(s);
                     }
                 }
                 (None, WakeMode::Adaptive) => {
                     self.hooks.wake_enum_rounds += 1;
-                    awake.clear();
-                    awake_mask.clear();
+                    self.awake.clear();
+                    self.awake_mask.clear();
                     for s in 0..n {
                         if let Power::OffUntil(w) = self.power[s] {
                             if w <= r {
@@ -333,31 +329,35 @@ impl Simulator {
                             }
                         }
                         if self.power[s] == Power::On {
-                            awake.push(s);
-                            awake_mask.insert(s);
+                            self.awake.push(s);
+                            self.awake_mask.insert(s);
                         }
                     }
                 }
             }
         }
-        let awake_count = awake.len();
-        for &s in &awake {
-            self.on_counts[s] += 1;
-            self.last_on[s] = Some(r);
-        }
+        let awake_count = self.awake.len();
         if awake_count > self.cfg.cap {
             self.violations.cap_exceeded += 1;
         }
         self.metrics.energy_total += awake_count as u64;
         self.metrics.max_awake = self.metrics.max_awake.max(awake_count);
 
-        // 3. Actions.
-        self.transmissions.clear();
-        for &s in &awake {
-            let ctx = self.ctx(s);
-            match self.protocols[s].act(&ctx, &self.queues[s]) {
-                Action::Transmit(m) => self.transmissions.push((s, m)),
-                Action::Listen => {}
+        // 3. Actions, in the same pass as the adversary's view of who is
+        // on. Only a lone transmitter's message is ever heard, so the
+        // channel keeps the first one and counts the rest.
+        let mut ctx = self.ctx(0);
+        let mut transmitters = 0usize;
+        let mut sent: Option<(StationId, Message)> = None;
+        for &s in &self.awake {
+            self.on_counts[s] += 1;
+            self.last_on[s] = Some(r);
+            ctx.id = s;
+            if let Action::Transmit(m) = self.protocols[s].act(&ctx, &self.queues[s]) {
+                if transmitters == 0 {
+                    sent = Some((s, m));
+                }
+                transmitters += 1;
             }
         }
 
@@ -370,28 +370,28 @@ impl Simulator {
         // protocol flags raised against the corrupted feedback are
         // suppressed below.
         let jammed = faults.as_ref().is_some_and(|f| f.jammed);
-        let jam_transmitters = self.transmissions.len();
         let mut heard: Option<HeardInfo> = None;
         let mut message_sender: Option<StationId> = None;
         let heard_message: Option<Message> = if jammed {
             self.metrics.jammed_rounds += 1;
-            self.transmissions.clear();
             None
         } else {
-            match self.transmissions.len() {
+            match transmitters {
                 0 => {
                     self.metrics.silent_rounds += 1;
                     None
                 }
                 1 => {
-                    let (sender, mut msg) = self.transmissions.pop().expect("one transmission");
+                    let (sender, mut msg) = sent.expect("one transmission");
                     message_sender = Some(sender);
                     if self.class.plain_packet && (msg.packet.is_none() || !msg.control.is_empty())
                     {
                         self.violations.plain_packet += 1;
                     }
+                    // Custody: the heard packet leaves its sender's queue,
+                    // which must have held it.
                     if let Some(p) = msg.packet {
-                        if !self.queues[sender].contains(p.id) {
+                        if self.queues[sender].remove(p.id).is_none() {
                             debug_assert!(
                                 false,
                                 "station {sender} transmitted foreign packet {}",
@@ -406,10 +406,9 @@ impl Simulator {
                         self.metrics.control_bits_max.max(msg.control.len());
                     if let Some(p) = msg.packet {
                         self.metrics.packet_rounds += 1;
-                        self.queues[sender].remove(p.id).expect("custody verified above");
                         self.queue_sizes[sender] -= 1;
                         self.metrics.total_queued -= 1;
-                        let delivered = awake_mask.contains(p.dest);
+                        let delivered = self.awake_mask.contains(p.dest);
                         if delivered {
                             self.metrics.delivered += 1;
                             self.metrics.delivered_per_dest[p.dest] += 1;
@@ -428,7 +427,7 @@ impl Simulator {
                 }
             }
         };
-        let collided = jammed || self.transmissions.len() > 1;
+        let collided = jammed || transmitters > 1;
 
         // 5. Feedback, adoption, sleep decisions. Every switched-on station
         // observes the same channel outcome — except a deaf station, which
@@ -442,25 +441,31 @@ impl Simulator {
             (Some(m), false) => Feedback::Heard(m),
             (None, false) => Feedback::Silence,
         };
-        let deaf = faults.as_ref().and_then(|f| f.deaf).filter(|&d| awake_mask.contains(d));
+        let deaf = faults.as_ref().and_then(|f| f.deaf).filter(|&d| self.awake_mask.contains(d));
         if deaf.is_some() {
             self.metrics.deaf_rounds += 1;
         }
-        for &s in &awake {
-            let ctx = self.ctx(s);
-            let mut effects = Effects::default();
+        let adaptive = matches!(self.wake, WakeMode::Adaptive);
+        for i in 0..awake_count {
+            let s = self.awake[i];
+            ctx.id = s;
+            self.effects.adopt = false;
             let fb_s = if deaf == Some(s) { Feedback::Silence } else { fb };
-            let wake = self.protocols[s].on_feedback(&ctx, &self.queues[s], fb_s, &mut effects);
-            if jammed || deaf == Some(s) {
-                effects.flags.clear();
+            let wake =
+                self.protocols[s].on_feedback(&ctx, &self.queues[s], fb_s, &mut self.effects);
+            if !self.effects.flags.is_empty() {
+                if jammed || deaf == Some(s) {
+                    self.effects.flags.clear();
+                } else {
+                    for reason in self.effects.flags.drain(..) {
+                        self.violations.flag(r, s, reason);
+                    }
+                }
             }
-            for reason in effects.flags.drain(..) {
-                self.violations.flag(r, s, reason);
-            }
-            if effects.adopt {
+            if self.effects.adopt {
                 self.handle_adoption(s, r, &mut heard);
             }
-            if matches!(self.wake, WakeMode::Adaptive) {
+            if adaptive {
                 match wake {
                     Wake::Stay => self.power[s] = Power::On,
                     Wake::At(w) => {
@@ -478,12 +483,10 @@ impl Simulator {
 
         if self.trace.is_some() {
             let event = if jammed {
-                ChannelEvent::Jammed { transmitters: jam_transmitters }
+                ChannelEvent::Jammed { transmitters }
             } else {
                 match (&heard, &heard_message, collided) {
-                    (_, _, true) => {
-                        ChannelEvent::Collision { transmitters: self.transmissions.len() }
-                    }
+                    (_, _, true) => ChannelEvent::Collision { transmitters },
                     (Some(h), _, false) => ChannelEvent::Packet {
                         sender: h.sender,
                         packet: h.packet.id,
@@ -505,7 +508,7 @@ impl Simulator {
             };
             let injections = std::mem::take(&mut self.traced_injections);
             if let Some(trace) = self.trace.as_mut() {
-                trace.push(RoundTrace { round: r, awake: awake.to_vec(), injections, event });
+                trace.push(RoundTrace { round: r, awake: self.awake.to_vec(), injections, event });
             }
         }
 
@@ -521,9 +524,7 @@ impl Simulator {
                 .push(QueueSample { round: r, total_queued: self.metrics.total_queued });
             self.next_sample = r.saturating_add(self.cfg.sample_every);
         }
-        self.prev_awake.copy_from(&awake_mask);
-        self.awake = awake;
-        self.awake_mask = awake_mask;
+        self.prev_awake.copy_from(&self.awake_mask);
         self.round += 1;
         self.clock.advance();
     }

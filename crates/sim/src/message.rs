@@ -43,16 +43,19 @@ pub struct ControlBits {
 
 impl ControlBits {
     /// An empty control string.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Number of bits in the string.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the string is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -61,6 +64,7 @@ impl ControlBits {
     ///
     /// # Panics
     /// Panics if the string already holds [`CONTROL_BITS_CAPACITY`] bits.
+    #[inline]
     pub fn push_bit(&mut self, bit: bool) {
         self.push_uint(u64::from(bit), 1);
     }
@@ -70,6 +74,7 @@ impl ControlBits {
     /// # Panics
     /// Panics if `width > 64`, if `value` does not fit in `width` bits, or
     /// if the string would exceed [`CONTROL_BITS_CAPACITY`] bits.
+    #[inline]
     pub fn push_uint(&mut self, value: u64, width: usize) {
         assert!(width <= 64, "field width {width} exceeds 64 bits");
         assert!(
@@ -95,12 +100,14 @@ impl ControlBits {
     }
 
     /// Read the bit at position `pos`.
+    #[inline]
     pub fn bit(&self, pos: usize) -> bool {
         assert!(pos < self.len, "bit index {pos} out of range {}", self.len);
         (self.words[pos / 64] >> (pos % 64)) & 1 == 1
     }
 
     /// Start reading the string from the beginning.
+    #[inline]
     pub fn reader(&self) -> BitReader<'_> {
         BitReader { bits: self, pos: 0 }
     }
@@ -115,11 +122,13 @@ pub struct BitReader<'a> {
 
 impl BitReader<'_> {
     /// Bits remaining to be read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bits.len() - self.pos
     }
 
     /// Read one bit.
+    #[inline]
     pub fn read_bit(&mut self) -> bool {
         self.read_uint(1) == 1
     }
@@ -128,6 +137,7 @@ impl BitReader<'_> {
     ///
     /// # Panics
     /// Panics if `width > 64` or fewer than `width` bits remain.
+    #[inline]
     pub fn read_uint(&mut self, width: usize) -> u64 {
         assert!(width <= 64, "field width {width} exceeds 64 bits");
         assert!(
@@ -154,6 +164,7 @@ impl BitReader<'_> {
 }
 
 /// Number of bits needed to encode values in `[0, n)`; at least 1.
+#[inline]
 pub fn bits_for(n: u64) -> usize {
     if n <= 1 {
         1
@@ -175,21 +186,25 @@ pub struct Message {
 
 impl Message {
     /// A message consisting of a single plain packet with no control bits.
+    #[inline]
     pub fn plain(packet: Packet) -> Self {
         Self { packet: Some(packet), control: ControlBits::new() }
     }
 
     /// A light message: control bits only.
+    #[inline]
     pub fn light(control: ControlBits) -> Self {
         Self { packet: None, control }
     }
 
     /// A packet with attached control bits.
+    #[inline]
     pub fn with_control(packet: Packet, control: ControlBits) -> Self {
         Self { packet: Some(packet), control }
     }
 
     /// Whether the message is light (carries no packet).
+    #[inline]
     pub fn is_light(&self) -> bool {
         self.packet.is_none()
     }

@@ -158,26 +158,31 @@ impl IndexedQueue {
     }
 
     /// Number of queued packets.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the queue is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Whether the packet is currently queued here.
+    #[inline]
     pub fn contains(&self, id: PacketId) -> bool {
         self.slot_of.contains_key(&id)
     }
 
     /// Look up a queued packet by id.
+    #[inline]
     pub fn get(&self, id: PacketId) -> Option<&QueuedPacket> {
         self.slot_of.get(&id).map(|&i| &self.slots[i as usize].qp)
     }
 
     /// Packets destined to `dest` currently queued.
+    #[inline]
     pub fn count_for(&self, dest: StationId) -> usize {
         self.dests[dest].len as usize
     }
@@ -189,17 +194,20 @@ impl IndexedQueue {
     }
 
     /// Iterate over queued packets in arrival order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &QueuedPacket> {
         Links::<false> { slots: &self.slots, cur: self.head }
     }
 
     /// Iterate in arrival order over packets destined to `dest`.
+    #[inline]
     pub fn iter_for(&self, dest: StationId) -> impl Iterator<Item = &QueuedPacket> + '_ {
         Links::<true> { slots: &self.slots, cur: self.dests[dest].head }
     }
 
     /// Iterate in arrival order over packets that arrived strictly before
     /// `marker` (the usual "old packet" predicate of the paper's algorithms).
+    #[inline]
     pub fn iter_old(&self, marker: Round) -> impl Iterator<Item = &QueuedPacket> + '_ {
         self.iter().take_while(move |qp| qp.arrived < marker)
     }
@@ -215,30 +223,36 @@ impl IndexedQueue {
     }
 
     /// The earliest-arrived packet.
+    #[inline]
     pub fn oldest(&self) -> Option<&QueuedPacket> {
         self.qp_at(self.head)
     }
 
     /// The latest-arrived packet.
+    #[inline]
     pub fn newest(&self) -> Option<&QueuedPacket> {
         self.qp_at(self.tail)
     }
 
     /// The earliest-arrived packet destined to `dest`.
+    #[inline]
     pub fn oldest_for(&self, dest: StationId) -> Option<&QueuedPacket> {
         self.qp_at(self.dests[dest].head)
     }
 
     /// The earliest-arrived packet that arrived strictly before `marker`.
+    #[inline]
     pub fn oldest_old(&self, marker: Round) -> Option<&QueuedPacket> {
         self.oldest().filter(|qp| qp.arrived < marker)
     }
 
     /// The earliest-arrived old packet destined to `dest`.
+    #[inline]
     pub fn oldest_old_for(&self, dest: StationId, marker: Round) -> Option<&QueuedPacket> {
         self.oldest_for(dest).filter(|qp| qp.arrived < marker)
     }
 
+    #[inline]
     fn qp_at(&self, idx: u32) -> Option<&QueuedPacket> {
         (idx != NIL).then(|| &self.slots[idx as usize].qp)
     }

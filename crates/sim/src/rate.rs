@@ -151,14 +151,23 @@ impl LeakyBucket {
 
     /// Advance to the next round and return the number of whole packets that
     /// may be injected in it.
+    #[inline]
     pub fn refill(&mut self) -> usize {
         self.tokens = self.tokens.min(self.beta_units) + self.rate_units;
-        (self.tokens / self.den) as usize
+        self.available()
     }
 
     /// Whole packets injectable right now, without advancing the round.
+    /// Most rounds hold less than two tokens, so 0 and 1 are answered by
+    /// comparison, without a branch between them; only a larger balance
+    /// pays for the `u128` division.
+    #[inline]
     pub fn available(&self) -> usize {
-        (self.tokens / self.den) as usize
+        if self.tokens.saturating_sub(self.den) < self.den {
+            usize::from(self.tokens >= self.den)
+        } else {
+            (self.tokens / self.den) as usize
+        }
     }
 
     /// Spend tokens for `m` injections. Panics if `m` exceeds the budget —
@@ -277,6 +286,20 @@ mod tests {
             b.refill();
         }
         assert_eq!(b.available(), 4); // min(tokens,beta)+rho = 4.5 -> floor 4
+    }
+
+    #[test]
+    fn whole_packets_match_floor_division_at_every_balance() {
+        // Balances around 0, 1, 2 and 3 whole packets, over a few
+        // denominators: the comparison answers equal the division.
+        for (num, den) in [(1, 1), (1, 3), (2, 7), (5, 12)] {
+            let mut b = LeakyBucket::new(Rate::new(num, den), Rate::integer(3));
+            for _ in 0..40 {
+                let want = (b.tokens / b.den) as usize;
+                assert_eq!(b.available(), want, "{num}/{den} at {} units", b.tokens);
+                b.tokens += 1;
+            }
+        }
     }
 
     #[test]

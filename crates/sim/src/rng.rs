@@ -42,6 +42,7 @@ impl SmallRng {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
         let t = self.s[1] << 17;
@@ -56,6 +57,7 @@ impl SmallRng {
 
     /// Uniform draw from `[range.start, range.end)`. Panics on an empty
     /// range. Uses Lemire-style rejection for unbiased results.
+    #[inline]
     pub fn random_range(&mut self, range: std::ops::Range<usize>) -> usize {
         assert!(range.start < range.end, "empty range");
         let span = (range.end - range.start) as u64;
@@ -63,17 +65,20 @@ impl SmallRng {
     }
 
     /// Uniform draw from `[range.start, range.end)` over `u64`.
+    #[inline]
     pub fn random_range_u64(&mut self, range: std::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "empty range");
         range.start + self.random_below(range.end - range.start)
     }
 
     /// Fair coin.
+    #[inline]
     pub fn random_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
 
     /// Uniform in `[0, bound)`, unbiased.
+    #[inline]
     fn random_below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         // rejection sampling over the top of the range to remove modulo bias

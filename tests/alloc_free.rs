@@ -6,7 +6,8 @@
 //! their high-water marks), a window of thousands of `Simulator::step`
 //! calls must perform **zero** allocations and zero deallocations — while
 //! packets are still in flight, so the window exercises scheduling, queue
-//! scans, transmission, and delivery, not an idle system.
+//! scans, transmission, and delivery, not an idle system. The last case
+//! bounds the allocations of building one wide system instead.
 //!
 //! This file holds a single `#[test]`: the test harness runs tests in the
 //! same binary concurrently, so a second test's allocations would race the
@@ -215,4 +216,17 @@ fn steady_state_steps_do_not_allocate() {
     });
     observer.flush().unwrap();
     let _ = std::fs::remove_file(&log_path);
+
+    // --- Case 7: building a wide k-Subsets system. At n = 128, k = 2 there
+    // are C(128, 2) = 8128 threads, 127 per station; the subsets, the
+    // per-thread baton lists and the per-destination allocators are flat
+    // arrays, so the build and the simulator's construction cost a few
+    // allocations per station, not per thread.
+    let n = 128;
+    let cfg = emac_sim::SimConfig::new(n, 2);
+    let a0 = ALLOCS.load(Ordering::SeqCst);
+    let sim = Simulator::new(cfg, KSubsets::new(2).build(n), Box::new(NoInjections));
+    let allocs = ALLOCS.load(Ordering::SeqCst) - a0;
+    assert!(allocs <= 10 * n as u64, "k-Subsets n={n} k=2 build made {allocs} allocations");
+    drop(sim);
 }
