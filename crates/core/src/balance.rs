@@ -23,17 +23,9 @@ pub struct BalancedAllocator {
 }
 
 impl BalancedAllocator {
-    /// One allocator over the given eligible thread indices (must be
-    /// non-empty; kept in ascending order for deterministic tie-breaking).
-    pub fn new(mut threads: Vec<u32>) -> Self {
-        assert!(!threads.is_empty(), "a packet with no eligible thread cannot be routed");
-        threads.sort_unstable();
-        let width = threads.len();
-        Self::rows(threads, width)
-    }
-
-    /// `threads.len() / width` allocators: row `i` spreads over
-    /// `threads[i·width..(i+1)·width]`, which must be ascending.
+    /// `threads.len() / width` allocators: row `i` spreads over the
+    /// eligible threads `threads[i·width..(i+1)·width]`, which must be
+    /// ascending for deterministic tie-breaking.
     pub fn rows(threads: Vec<u32>, width: usize) -> Self {
         assert!(width > 0, "a packet with no eligible thread cannot be routed");
         assert!(threads.len().is_multiple_of(width), "rows must all be {width} threads wide");
@@ -41,14 +33,8 @@ impl BalancedAllocator {
         Self { counts: vec![0; threads.len()], threads, width }
     }
 
-    /// Allocate one packet in the first row: returns the chosen thread
+    /// Allocate one packet in row `row`: returns the chosen thread
     /// (least-loaded, ties to the smallest thread index) and records it.
-    pub fn pick(&mut self) -> u32 {
-        self.pick_in(0)
-    }
-
-    /// Allocate one packet in row `row`, by the rule of
-    /// [`BalancedAllocator::pick`].
     pub fn pick_in(&mut self, row: usize) -> u32 {
         let start = row * self.width;
         // The row is ascending, so the first least count is the least
@@ -80,28 +66,31 @@ mod tests {
 
     #[test]
     fn round_robins_when_fresh() {
-        let mut a = BalancedAllocator::new(vec![5, 2, 9]);
-        // ties break to the smallest thread index
-        assert_eq!(a.pick(), 2);
-        assert_eq!(a.pick(), 5);
-        assert_eq!(a.pick(), 9);
-        assert_eq!(a.pick(), 2);
+        let mut a = BalancedAllocator::rows(vec![2, 5, 9, 1, 4, 7], 3);
+        // ties break to the smallest thread index, in each row on its own
+        assert_eq!(a.pick_in(0), 2);
+        assert_eq!(a.pick_in(0), 5);
+        assert_eq!(a.pick_in(1), 1);
+        assert_eq!(a.pick_in(0), 9);
+        assert_eq!(a.pick_in(0), 2);
         assert_eq!(a.imbalance(), 1);
     }
 
     #[test]
     #[should_panic(expected = "no eligible thread")]
     fn empty_thread_set_rejected() {
-        BalancedAllocator::new(vec![]);
+        BalancedAllocator::rows(vec![], 0);
     }
 
     #[test]
     fn imbalance_never_exceeds_one() {
         // exhaustive over all the sizes the algorithms use, deep pick runs
+        // spread unevenly over three rows
         for sizes in 1usize..20 {
-            let mut a = BalancedAllocator::new((0..sizes as u32).collect());
+            let threads = (0..3).flat_map(|_| 0..sizes as u32).collect();
+            let mut a = BalancedAllocator::rows(threads, sizes);
             for picks in 1..=500usize {
-                a.pick();
+                a.pick_in([0, 0, 1, 0, 2][picks % 5]);
                 assert!(a.imbalance() <= 1, "sizes={sizes} picks={picks}");
                 assert_eq!(a.total(), picks as u64);
             }
@@ -116,10 +105,11 @@ mod tests {
             let mut t: Vec<u32> = (0..len).map(|_| rng.random_range(0..100) as u32).collect();
             t.sort_unstable();
             t.dedup();
-            let mut a = BalancedAllocator::new(t.clone());
-            let mut b = BalancedAllocator::new(t);
+            let width = t.len();
+            let mut a = BalancedAllocator::rows(t.clone(), width);
+            let mut b = BalancedAllocator::rows(t, width);
             for _ in 0..50 {
-                assert_eq!(a.pick(), b.pick());
+                assert_eq!(a.pick_in(0), b.pick_in(0));
             }
         }
     }

@@ -404,19 +404,16 @@ impl FrontierSpec {
         // `ScenarioSpec::validate` refuses is refused here, before any
         // output exists. Its checks are monotone along every axis, so the
         // probes at the two bracket ends stand for all the ones between.
-        // Brackets and template expressions that do not resolve are the
-        // point search's to report.
-        for point in self.points() {
-            let env = ExprEnv::new(point.n, point.k);
-            let Ok(base) = self.template.clone().resolve_at(&env) else {
+        // A point whose template or bracket does not resolve is the point
+        // search's to report.
+        for (i, point) in self.points().into_iter().enumerate() {
+            let Ok(search) = PointSearch::new(self, i, point) else {
                 continue;
             };
-            for end in [&self.lo, &self.hi] {
-                if let Ok(rate) = end.resolve(&env) {
-                    probe_at(&base, self.axis, point, rate)
-                        .validate()
-                        .map_err(|e| format!("map point n={}, k={}: {e}", point.n, point.k))?;
-                }
+            for rate in [search.lo, search.hi] {
+                probe_at(&search.base, self.axis, point, rate)
+                    .validate()
+                    .map_err(|e| format!("map point n={}, k={}: {e}", point.n, point.k))?;
             }
         }
         Ok(())
@@ -1841,6 +1838,14 @@ mod tests {
         let spec = FrontierSpec::parse(
             r#"{"template": {"algorithm": "a", "adversary": "b"},
                 "axis": "ell", "lo": "1", "hi": "6"}"#,
+        )
+        .unwrap();
+        let err = PointSearch::new(&spec, 0, MapPoint { n: 9, k: 3 }).unwrap_err();
+        assert!(err.contains("start at 2"), "{err}");
+        // ... including the default lo of 0: n splits into no 0 groups
+        let spec = FrontierSpec::parse(
+            r#"{"template": {"algorithm": "a", "adversary": "b"},
+                "axis": "ell", "hi": "6"}"#,
         )
         .unwrap();
         let err = PointSearch::new(&spec, 0, MapPoint { n: 9, k: 3 }).unwrap_err();

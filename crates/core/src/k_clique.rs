@@ -108,19 +108,6 @@ impl KCliqueParams {
         self.set_members(a).chain(self.set_members(b)).collect()
     }
 
-    /// Position of station `s` among the ascending members of pair `p`,
-    /// which must contain it: its own set's run comes first when that set
-    /// is the pair's lower one.
-    fn member_position(&self, p: usize, s: StationId) -> usize {
-        let (a, b) = self.pairs[p];
-        let half = self.k / 2;
-        match self.set_of(s) {
-            set if set == a => s - a * half,
-            set if set == b => half + s - b * half,
-            set => panic!("station {s} (set {set}) is not in pair {p} = sets {{{a}, {b}}}"),
-        }
-    }
-
     /// The pair in which a packet held at `v` with destination `w` is
     /// handled: the unique pair of both sets, or — when the sets coincide —
     /// the pair of `v`'s set with the cyclically next set.
@@ -204,7 +191,11 @@ impl KCliqueStation {
             .into_iter()
             .map(|p| PairReplica {
                 p,
-                my_pos: params.member_position(p, id),
+                my_pos: params
+                    .pair_members(p)
+                    .iter()
+                    .position(|&m| m == id)
+                    .expect("a station is a member of its own pairs"),
                 dests: (0..params.n).filter(|&w| params.packet_pair(id, w) == p).collect(),
                 ring: TokenRing::new(params.k),
                 marker: 0,
@@ -361,18 +352,6 @@ mod tests {
                 let members = p.pair_members(pair);
                 assert!(members.contains(&v), "v={v} w={w}");
                 assert!(members.contains(&w), "v={v} w={w}");
-            }
-        }
-    }
-
-    #[test]
-    fn member_position_indexes_the_pair_members() {
-        for (n, k) in [(6usize, 2usize), (8, 4), (12, 4), (9, 6)] {
-            let p = KCliqueParams::new(n, k);
-            for pair in 0..p.num_pairs() {
-                for (i, &s) in p.pair_members(pair).iter().enumerate() {
-                    assert_eq!(p.member_position(pair, s), i, "n={n} k={k} pair={pair}");
-                }
             }
         }
     }

@@ -28,6 +28,8 @@
 //! adversary of rate 1 — the maximum throughput possible. Latency may be
 //! unbounded (Table 1 row 1), which the ablation harness demonstrates.
 
+use std::collections::HashSet;
+
 use emac_broadcast::BatonList;
 use emac_sim::{
     bits_for, Action, AlgorithmClass, BuiltAlgorithm, ControlBits, Effects, Feedback, IndexedQueue,
@@ -61,10 +63,10 @@ pub struct OrchestraStation {
     sched_current: Vec<Slot>,
     /// Conductor: schedule for my next conducting season (being taught).
     sched_next: Vec<Slot>,
-    /// Packets placed in either schedule (excluded from future scheduling):
-    /// at most `2(n − 1)` ids in a fault-free run, so a linear scan beats
-    /// hashing.
-    scheduled: Vec<PacketId>,
+    /// Packets placed in either schedule (excluded from future scheduling).
+    /// Hashed, because a jammed slot's packet is never transmitted and
+    /// stays here: under jamming this grows with the backlog.
+    scheduled: HashSet<PacketId>,
     /// Conductor: own bigness for the current conducting season.
     my_big: bool,
     /// Which season the conductor-side init has run for.
@@ -86,7 +88,7 @@ impl OrchestraStation {
             next_receive_slot: None,
             sched_current: vec![None; n - 1],
             sched_next: vec![None; n - 1],
-            scheduled: Vec::with_capacity(2 * (n - 1)),
+            scheduled: HashSet::new(),
             my_big: false,
             init_done_for: None,
         }
@@ -173,7 +175,7 @@ impl OrchestraStation {
             }
             debug_assert_ne!(qp.packet.dest, me, "self-addressed packets never queue");
             self.sched_next[slot] = Some((qp.packet.id, qp.packet.dest));
-            self.scheduled.push(qp.packet.id);
+            self.scheduled.insert(qp.packet.id);
             slot += 1;
         }
     }
@@ -304,9 +306,7 @@ impl Protocol for OrchestraStation {
                 if cond == ctx.id {
                     // My own message: the scheduled packet was transmitted.
                     if let Some((pid, _)) = self.sched_current[j as usize] {
-                        if let Some(i) = self.scheduled.iter().position(|&id| id == pid) {
-                            self.scheduled.swap_remove(i);
-                        }
+                        self.scheduled.remove(&pid);
                         self.sched_current[j as usize] = None;
                     }
                 } else {

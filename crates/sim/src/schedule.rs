@@ -35,10 +35,6 @@ pub const MAX_TABLE_WORDS: usize = 1 << 20;
 /// station ids on 64-bit targets).
 pub const MAX_TABLE_ENTRIES: usize = 1 << 22;
 
-/// On-sets up to this length are copied into the engine's scratch one
-/// station at a time by [`ScheduleTable::fill`].
-const SHORT_ON_SET: usize = 8;
-
 /// One full period of an [`OnSchedule`], expanded into packed per-round
 /// rows: a bit-mask row (who is on) and the sorted on-set (in enumeration
 /// order), both exactly as `on_set_into` would produce them.
@@ -105,21 +101,16 @@ impl ScheduleTable {
     /// Fill the engine's per-round scratch for a round at `phase`
     /// (`round % period`, which the caller tracks): blit the mask row into
     /// `mask` and copy the on-set into `awake` (cleared first). This is the
-    /// whole steady-state wake-set determination. A short on-set (up to
-    /// eight stations, every cap the paper's tables use) is pushed station
-    /// by station, which costs less than a `memcpy` call.
+    /// whole steady-state wake-set determination. The on-set is pushed
+    /// station by station: on-sets are a cap long, and so short that a
+    /// `memcpy` call costs more than the copy.
     #[inline]
     pub fn fill(&self, phase: Round, mask: &mut BitSet, awake: &mut Vec<StationId>) {
         let r = phase as usize;
         mask.copy_from_words(&self.masks[r * self.words_per_row..(r + 1) * self.words_per_row]);
         awake.clear();
-        let on = self.on_set_row(phase);
-        if on.len() <= SHORT_ON_SET {
-            for &s in on {
-                awake.push(s);
-            }
-        } else {
-            awake.extend_from_slice(on);
+        for &s in self.on_set_row(phase) {
+            awake.push(s);
         }
     }
 }
