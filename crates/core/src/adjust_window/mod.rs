@@ -26,8 +26,6 @@
 
 pub mod params;
 
-use std::collections::HashMap;
-
 use emac_sim::{
     Action, AlgorithmClass, BuiltAlgorithm, Effects, Feedback, IndexedQueue, Message, Packet,
     PacketId, Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
@@ -608,10 +606,6 @@ impl Algorithm for AdjustWindow {
         }
     }
 }
-
-/// A `HashMap` alias kept for documentation symmetry with other modules.
-#[allow(dead_code)]
-type Unused = HashMap<(), ()>;
 
 #[cfg(test)]
 mod tests {

@@ -371,8 +371,8 @@ impl FrontierSpec {
 
     /// Range checks (also run by [`FrontierSpec::from_json`]); call again
     /// after overriding `tol` or the axes in code. Besides the search's own
-    /// knobs, every map point's probes must be scenarios that
-    /// [`ScenarioSpec::validate`] accepts.
+    /// knobs, every map point's template and bracket must resolve, and its
+    /// probes must be scenarios that [`ScenarioSpec::validate`] accepts.
     pub fn validate(&self) -> Result<(), String> {
         if !self.tol.is_finite() || self.tol <= 0.0 {
             return Err(format!("tol must be a positive number, got {}", self.tol));
@@ -400,16 +400,13 @@ impl FrontierSpec {
                 return Err("escalate step must be positive".into());
             }
         }
-        // Every probe is a scenario, so a point whose probes
-        // `ScenarioSpec::validate` refuses is refused here, before any
-        // output exists. Its checks are monotone along every axis, so the
-        // probes at the two bracket ends stand for all the ones between.
-        // A point whose template or bracket does not resolve is the point
-        // search's to report.
+        // Every probe is a scenario, so a point whose template or bracket
+        // does not resolve, or whose probes `ScenarioSpec::validate`
+        // refuses, is refused here, before any output exists. Its checks
+        // are monotone along every axis, so the probes at the two bracket
+        // ends stand for all the ones between.
         for (i, point) in self.points().into_iter().enumerate() {
-            let Ok(search) = PointSearch::new(self, i, point) else {
-                continue;
-            };
+            let search = PointSearch::new(self, i, point)?;
             for rate in [search.lo, search.hi] {
                 probe_at(&search.base, self.axis, point, rate)
                     .validate()
@@ -1810,46 +1807,40 @@ mod tests {
 
     #[test]
     fn brackets_are_validated_per_point() {
-        let spec = FrontierSpec::parse(
+        // A bracket the point search refuses is refused when the spec is
+        // parsed, before any output exists, naming the point.
+        let refused = |text: &str, needle: &str| {
+            let err = FrontierSpec::parse(text).unwrap_err();
+            assert!(err.contains("map point n=") && err.contains(needle), "{err}");
+        };
+        refused(
             r#"{"template": {"algorithm": "a", "adversary": "b"},
                 "lo": "1/2", "hi": "1/2"}"#,
-        )
-        .unwrap();
-        let err = PointSearch::new(&spec, 0, MapPoint { n: 9, k: 3 }).unwrap_err();
-        assert!(err.contains("bracket is empty"), "{err}");
-
-        let spec = FrontierSpec::parse(
-            r#"{"template": {"algorithm": "a", "adversary": "b"},
-                "hi": "2 * oblivious_threshold"}"#,
-        )
-        .unwrap();
+            "bracket is empty",
+        );
         // n=4, k=3: 2k/n = 3/2 > 1 — rho brackets must stay in [0, 1]
-        let err = PointSearch::new(&spec, 0, MapPoint { n: 4, k: 3 }).unwrap_err();
-        assert!(err.contains("within [0, 1]"), "{err}");
-
+        refused(
+            r#"{"template": {"algorithm": "a", "adversary": "b", "n": 4},
+                "hi": "2 * oblivious_threshold"}"#,
+            "within [0, 1]",
+        );
         // integer axes reject fractional and degenerate endpoints
-        let spec = FrontierSpec::parse(
+        refused(
             r#"{"template": {"algorithm": "a", "adversary": "b"},
                 "axis": "k", "lo": "1/2", "hi": "6"}"#,
-        )
-        .unwrap();
-        let err = PointSearch::new(&spec, 0, MapPoint { n: 9, k: 3 }).unwrap_err();
-        assert!(err.contains("must be integers"), "{err}");
-        let spec = FrontierSpec::parse(
+            "must be integers",
+        );
+        refused(
             r#"{"template": {"algorithm": "a", "adversary": "b"},
                 "axis": "ell", "lo": "1", "hi": "6"}"#,
-        )
-        .unwrap();
-        let err = PointSearch::new(&spec, 0, MapPoint { n: 9, k: 3 }).unwrap_err();
-        assert!(err.contains("start at 2"), "{err}");
+            "start at 2",
+        );
         // ... including the default lo of 0: n splits into no 0 groups
-        let spec = FrontierSpec::parse(
+        refused(
             r#"{"template": {"algorithm": "a", "adversary": "b"},
                 "axis": "ell", "hi": "6"}"#,
-        )
-        .unwrap();
-        let err = PointSearch::new(&spec, 0, MapPoint { n: 9, k: 3 }).unwrap_err();
-        assert!(err.contains("start at 2"), "{err}");
+            "start at 2",
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! One durable line journal: the crash contract of every progress log.
 //!
-//! The campaign checkpoint (`campaign.ckpt`), the frontier checkpoint
-//! (`frontier.ckpt`, sequential and sharded) and the fleet's claim log
-//! (`claims.log`) are the same kind of file: a three-line v1 header that
-//! binds the log to one digest and one count, then one record per line.
+//! The campaign checkpoint (`campaign.ckpt`) and the frontier checkpoint
+//! (`frontier.ckpt`, sequential and sharded) are the same kind of file: a
+//! three-line v1 header that binds the log to one digest and one count,
+//! then one record per line.
 //! This module owns that file — the header, opening, reading complete
 //! lines, appending — and the reconcile of the output a journal vouches
 //! for ([`reopen_output`]). Each log keeps its own record grammar and
@@ -11,8 +11,8 @@
 //!
 //! ```text
 //! emac-campaign-ckpt v1        magic: which log, format v1
-//! digest 4a3f9c0e12b45d67      the spec (or plan) digest it belongs to
-//! total 128                    its count: scenarios, map points or units
+//! digest 4a3f9c0e12b45d67      the spec (or shard) digest it belongs to
+//! total 128                    its count: scenarios or map points
 //! done 0                       one record per line
 //! ```
 //!
@@ -32,9 +32,7 @@
 //! * **A proper prefix of the expected header**, the empty file included.
 //!   The journal was torn while being created, before any record could
 //!   land, so it reads as absent, like a missing file: a checkpoint starts
-//!   fresh and a merge sees no records. The claim log is the exception:
-//!   concurrent workers open it, so [`ClaimTable`](crate::shard::ClaimTable)
-//!   refuses a torn header by name and never rewrites it.
+//!   fresh and a merge sees no records.
 //! * **Anything else** belongs to another run or is not a journal, and is
 //!   refused with a named error: bad magic, digest mismatch, count
 //!   mismatch, or a malformed header line.
@@ -60,7 +58,7 @@ pub(crate) struct Header {
     pub magic: &'static str,
     /// What the log is, for error messages ("campaign checkpoint").
     pub noun: &'static str,
-    /// Key of the third header line ("total", "points", "units").
+    /// Key of the third header line ("total", "points").
     pub count: &'static str,
     /// What a count mismatch is called ("scenario count").
     pub count_name: &'static str,
@@ -116,10 +114,7 @@ impl Header {
 }
 
 /// An open journal. Each [`append`](Self::append) is one `write_all` of a
-/// whole line, durable before it returns. Journals reopened with
-/// [`open`](Self::open) or created with [`create_new`](Self::create_new)
-/// append with `O_APPEND`, so processes sharing one journal through their
-/// own handles never overwrite each other's lines.
+/// whole line, durable before it returns.
 #[derive(Debug)]
 pub(crate) struct Journal {
     file: File,
@@ -135,28 +130,7 @@ impl Journal {
         digest: u64,
         count: usize,
     ) -> Result<Self, String> {
-        Self::start(File::create(path), path, header, digest, count)
-    }
-
-    /// Start a journal at `path`, which must not exist yet (`O_EXCL`).
-    pub(crate) fn create_new(
-        path: &Path,
-        header: &'static Header,
-        digest: u64,
-        count: usize,
-    ) -> Result<Self, String> {
-        let file = OpenOptions::new().append(true).create_new(true).open(path);
-        Self::start(file, path, header, digest, count)
-    }
-
-    fn start(
-        file: std::io::Result<File>,
-        path: &Path,
-        header: &'static Header,
-        digest: u64,
-        count: usize,
-    ) -> Result<Self, String> {
-        let file = file.map_err(|e| context(header, path, &e))?;
+        let file = File::create(path).map_err(|e| context(header, path, &e))?;
         let journal = Self { file, path: path.to_path_buf(), header };
         (&journal.file)
             .write_all(header.render(digest, count).as_bytes())
@@ -435,34 +409,13 @@ mod tests {
     }
 
     #[test]
-    fn claim_log_torn_in_its_header_is_refused_not_rewritten() {
-        let dir = temp_path("claims");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        ClaimTable::create(&dir, 0xc1, 4).unwrap();
-        let log = dir.join("claims.log");
-        let header = bytes(&log);
-        for cut in 0..header.len() {
-            std::fs::write(&log, &header[..cut]).unwrap();
-            let err = ClaimTable::open(&dir, 0xc1, 4).unwrap_err();
-            assert!(err.contains("torn"), "cut {cut}: {err}");
-            assert_eq!(bytes(&log), header[..cut], "cut {cut}: never rewritten");
-        }
-        std::fs::write(&log, &header).unwrap();
-        let err = ClaimTable::open(&dir, 0xc1, 5).unwrap_err();
-        assert!(err.contains("unit count mismatch"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn merge_reports_a_shard_torn_in_its_header_unfinished() {
         let spec = r#"[{"algorithm": "count-hop", "adversary": "uniform", "n": 4, "rounds": 64}]"#;
         let dir = temp_path("merge");
         let _ = std::fs::remove_dir_all(&dir);
         let plan = ShardPlan::build(spec, Format::Csv, MetricsDetail::Slim, 1).unwrap();
         plan.save(&dir).unwrap();
-        let claims = ClaimTable::open(&dir, plan.digest, 1).unwrap();
-        assert!(claims.try_claim(0, 0).unwrap());
+        assert!(ClaimTable::new(&dir, 1).try_claim(0, 0).unwrap());
         let shard_dir = dir.join("shard-0");
         std::fs::create_dir_all(&shard_dir).unwrap();
         std::fs::write(shard_dir.join("campaign.csv"), "").unwrap();

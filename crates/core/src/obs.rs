@@ -8,7 +8,7 @@
 //!
 //! * [`ObsEvent`] — the event model: run start/finish, per-row and
 //!   per-probe timings, refinement waves, escalations, durability-barrier
-//!   latency, and shard claim/steal/lease-repair. Events serialize to one
+//!   latency, and shard claims and steals. Events serialize to one
 //!   compact JSON object per line through the house [`Json`] value, so
 //!   an `events.jsonl` round-trips through the same minimal parser as
 //!   every spec file.
@@ -154,13 +154,6 @@ pub enum ObsEvent {
         /// Whether the unit lay outside the shard's own slice (a steal).
         stolen: bool,
     },
-    /// A shard re-logged a claim a crash left lease-only (lease repair).
-    LeaseRepair {
-        /// Repairing shard.
-        shard: u64,
-        /// Unit whose claim line was restored.
-        unit: u64,
-    },
 }
 
 impl ObsEvent {
@@ -216,11 +209,6 @@ impl ObsEvent {
                 ("unit", int(*unit)),
                 ("stolen", Json::Bool(*stolen)),
             ]),
-            ObsEvent::LeaseRepair { shard, unit } => obj(vec![
-                ("ev", Json::Str("lease_repair".into())),
-                ("shard", int(*shard)),
-                ("unit", int(*unit)),
-            ]),
         }
     }
 
@@ -261,9 +249,6 @@ impl ObsEvent {
                 unit: num("unit")?,
                 stolen: flag("stolen")?,
             }),
-            Some("lease_repair") => {
-                Ok(ObsEvent::LeaseRepair { shard: num("shard")?, unit: num("unit")? })
-            }
             Some(other) => Err(format!("unknown event type {other:?}")),
             None => Err("event missing \"ev\" discriminant".into()),
         }
@@ -549,8 +534,6 @@ pub struct ShardActivity {
     pub claims: u64,
     /// Claims outside the shard's own slice.
     pub steals: u64,
-    /// Lease repairs performed.
-    pub lease_repairs: u64,
 }
 
 /// Offline summary of one or more event logs: the engine behind
@@ -625,9 +608,6 @@ impl ObsReport {
                     let entry = self.shard_entry(shard);
                     entry.claims += 1;
                     entry.steals += u64::from(stolen);
-                }
-                ObsEvent::LeaseRepair { shard, .. } => {
-                    self.shard_entry(shard).lease_repairs += 1;
                 }
             }
         }
@@ -706,9 +686,8 @@ impl ObsReport {
                 };
                 let _ = writeln!(
                     out,
-                    "shard {id}: {} claim(s) ({share:.0}% of fleet), {} steal(s), \
-                     {} lease repair(s)",
-                    a.claims, a.steals, a.lease_repairs
+                    "shard {id}: {} claim(s) ({share:.0}% of fleet), {} steal(s)",
+                    a.claims, a.steals
                 );
             }
         }
@@ -725,7 +704,6 @@ mod tests {
             ObsEvent::RunStarted { kind: RunKind::Frontier, total: 4 },
             ObsEvent::Claim { shard: 1, unit: 0, stolen: false },
             ObsEvent::Claim { shard: 1, unit: 5, stolen: true },
-            ObsEvent::LeaseRepair { shard: 1, unit: 0 },
             ObsEvent::Probe { point: 0, diverging: true, lanes: 3, wall_us: 120 },
             ObsEvent::Probe { point: 1, diverging: false, lanes: 5, wall_us: 80 },
             ObsEvent::Escalation { point: 1, lanes: 5 },
@@ -777,7 +755,7 @@ mod tests {
             sample_events().iter().map(|e| e.to_json().render() + "\n").collect::<String>();
         let mut report = ObsReport::default();
         report.ingest(&text).unwrap();
-        assert_eq!(report.events, 11);
+        assert_eq!(report.events, 10);
         assert_eq!(report.rows, 1);
         assert_eq!(report.clean_rows, 1);
         assert_eq!(report.probes, 2);
@@ -787,10 +765,7 @@ mod tests {
         assert_eq!(report.fsyncs, 1);
         assert_eq!(report.runs_finished, 1);
         assert_eq!(report.rounds, 8192);
-        assert_eq!(
-            report.shards,
-            vec![(1, ShardActivity { claims: 2, steals: 1, lease_repairs: 1 })]
-        );
+        assert_eq!(report.shards, vec![(1, ShardActivity { claims: 2, steals: 1 })]);
         assert!((report.rounds_per_sec() - 8192.0 / 0.012).abs() < 1.0);
         let rendered = report.render();
         assert!(rendered.contains("probes: 2 (1 diverging)"), "{rendered}");

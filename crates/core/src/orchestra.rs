@@ -215,9 +215,6 @@ impl OrchestraStation {
             if let Some(jn) = next {
                 return Wake::At(self.season_start(season) + jn);
             }
-            if j < self.season_len - 1 {
-                // sleep to the season boundary decision point
-            }
         }
         // First event of the next season.
         let next_start = self.season_start(season + 1);

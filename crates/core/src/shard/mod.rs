@@ -5,14 +5,16 @@
 //! run would pin in its checkpoint. Each shard worker runs its slice as an
 //! ordinary checkpointed run — same sinks, same checkpoints, same
 //! torn-tail repair — and *steals* unclaimed units from other slices
-//! through the [`claims::ClaimTable`] once its own are done, so uneven
-//! probe costs don't stall static partitions. *Merge* stitches the shard
-//! outputs back together by pairing each shard's j-th output row with the
-//! j-th index its checkpoint recorded, then re-emitting all rows in
+//! once its own are done, so uneven probe costs don't stall static
+//! partitions. A claim's one record is its lease file (see [`claims`]).
+//! *Merge* reads the leases to learn each unit's shard, then stitches the
+//! shard outputs back together by pairing each shard's j-th output row
+//! with the j-th index its checkpoint recorded, and re-emits all rows in
 //! global order: the result is byte-identical to the single-process run,
 //! whatever the shard count, steal schedule, or merge order. Digest
-//! mismatches, overlapping claims, unfinished shards, and torn state that
-//! cannot be repaired are refused with named errors rather than merged.
+//! mismatches, leases naming no shard, an index produced by two shards,
+//! unfinished shards, and torn state that cannot be repaired are refused
+//! with named errors rather than merged.
 //!
 //! Work units are single scenarios (campaigns) or single map points
 //! (frontier maps) — except continuation maps, where each warm-start
@@ -27,8 +29,7 @@
 //! ```text
 //! plan-dir/
 //!   plan.json            spec text + digest + slices (created once)
-//!   claims.log           fsync'd append-only claim audit
-//!   leases/unit-N.lease  O_EXCL claim locks
+//!   leases/unit-N.lease  the owning shard's id: each claim's one record
 //!   shard-S/             one ordinary checkpointed run per shard
 //!     campaign.ckpt | frontier.ckpt
 //!     campaign.csv | campaign.jsonl | frontier.csv | frontier.jsonl
@@ -60,7 +61,7 @@ const PLAN_MAGIC: &str = "emac-shard-plan v1";
 
 /// One shard's static slice of the unit list (half-open `[lo, hi)`).
 /// Slices only seed the claim order — a shard steals beyond its slice once
-/// those units are done, and merge trusts the claim table, not the slices.
+/// those units are done, and merge trusts the leases, not the slices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSlice {
     /// Shard id (`--shard` argument; also the `shard-<id>` directory).
@@ -83,7 +84,7 @@ pub struct ShardPlan {
     pub detail: MetricsDetail,
     /// The digest an uninterrupted single-process run of this spec with
     /// this format (and detail) would pin in its checkpoint; every shard
-    /// checkpoint and the claim log derive from it.
+    /// checkpoint derives from it.
     pub digest: u64,
     /// The work units: each entry lists the global indices it covers, in
     /// ascending order. Derived from the spec, not stored in `plan.json`.
@@ -118,10 +119,11 @@ impl ShardPlan {
         Ok(plan)
     }
 
-    /// Initialise `dir` from this plan: write `plan.json` and create the
-    /// claim table. Refuses a directory that already holds a plan.
+    /// Initialise `dir` from this plan: create the empty `leases/`, then
+    /// write `plan.json`. Refuses a directory that already holds a plan.
     pub fn save(&self, dir: &Path) -> Result<(), String> {
-        std::fs::create_dir_all(dir).map_err(|e| format!("plan dir {}: {e}", dir.display()))?;
+        std::fs::create_dir_all(dir.join("leases"))
+            .map_err(|e| format!("plan dir {}: {e}", dir.display()))?;
         let path = dir.join("plan.json");
         let mut file = std::fs::OpenOptions::new()
             .write(true)
@@ -131,9 +133,7 @@ impl ShardPlan {
         file.write_all(self.to_json().render_pretty().as_bytes())
             .and_then(|()| file.write_all(b"\n"))
             .and_then(|()| file.sync_all())
-            .map_err(|e| format!("plan {}: {e}", path.display()))?;
-        ClaimTable::create(dir, self.digest, self.units.len())?;
-        Ok(())
+            .map_err(|e| format!("plan {}: {e}", path.display()))
     }
 
     /// Load and validate the plan in `dir`: the units and digest are
@@ -428,7 +428,7 @@ impl ShardRunner {
         });
         let started = Instant::now();
         let obs = Mutex::new(observer);
-        let claims = ClaimTable::open(&self.dir, self.plan.digest, self.plan.units.len())?;
+        let claims = ClaimTable::new(&self.dir, self.plan.units.len());
         let summary = match self.plan.kind {
             Kind::Campaign => self.run_campaign(factory, resume, max_units, &claims, &obs),
             Kind::Frontier => self.run_frontier(factory, resume, max_units, &claims, &obs),
@@ -551,32 +551,25 @@ impl ShardRunner {
         mut run_unit: impl FnMut(&[usize]) -> Result<usize, String>,
     ) -> Result<(), String> {
         let slice = self.plan.slice(self.shard).expect("validated in new()");
+        let owners = claims.owners()?;
         let mut claimed_new = 0usize;
         for u in self.unit_order() {
-            let owned = claims.lease_owner(u)? == Some(self.shard);
-            if owned {
-                // Ours from a previous run: restore a log line a crash may
-                // have lost, then finish whatever the checkpoint says is
-                // left (possibly nothing).
-                if claims.ensure_logged(u, self.shard)? {
-                    obs.lock().expect("observer poisoned").record(&ObsEvent::LeaseRepair {
+            match owners[u] {
+                // Ours from a previous run: finish whatever the checkpoint
+                // says is left (possibly nothing).
+                Some(owner) if owner == self.shard => {}
+                Some(_) => continue,
+                None => {
+                    if claimed_new >= max_units || !claims.try_claim(u, self.shard)? {
+                        continue;
+                    }
+                    claimed_new += 1;
+                    obs.lock().expect("observer poisoned").record(&ObsEvent::Claim {
                         shard: self.shard as u64,
                         unit: u as u64,
+                        stolen: u < slice.lo || u >= slice.hi,
                     });
                 }
-            } else {
-                if claimed_new >= max_units {
-                    continue;
-                }
-                if !claims.try_claim(u, self.shard)? {
-                    continue; // someone else's
-                }
-                claimed_new += 1;
-                obs.lock().expect("observer poisoned").record(&ObsEvent::Claim {
-                    shard: self.shard as u64,
-                    unit: u as u64,
-                    stolen: u < slice.lo || u >= slice.hi,
-                });
             }
             let rows = run_unit(&self.plan.units[u])?;
             if rows > 0 {
@@ -584,8 +577,7 @@ impl ShardRunner {
                 summary.rows += rows;
             }
         }
-        summary.exhausted = (0..self.plan.units.len())
-            .try_fold(true, |all, u| Ok::<_, String>(all && claims.lease_owner(u)?.is_some()))?;
+        summary.exhausted = claims.owners()?.iter().all(Option::is_some);
         Ok(())
     }
 }
@@ -604,57 +596,34 @@ pub struct MergeSummary {
 }
 
 /// Stitch the shard outputs in `dir` into `out`: byte-identical to an
-/// uninterrupted single-process run of the planned spec. Refuses — with
-/// named errors — digest mismatches, units claimed by two shards, units
-/// never claimed, shards whose claimed work is unfinished (a dead shard
-/// must be resumed first), missing shard directories or outputs, and
-/// shard state torn beyond the standard tail repair. A shard checkpoint
-/// missing or torn inside its header records nothing, so a shard that
-/// claimed units is then reported unfinished.
+/// uninterrupted single-process run of the planned spec. Each unit's lease
+/// names the shard whose rows it takes. Refuses — with named errors —
+/// digest mismatches, leases naming no shard, units never claimed, an
+/// index produced by two shards, shards whose claimed work is unfinished
+/// (a dead shard must be resumed first), missing shard directories or
+/// outputs, and shard state torn beyond the standard tail repair. A shard
+/// checkpoint missing or torn inside its header records nothing, so a
+/// shard that claimed units is then reported unfinished.
 pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
     let plan = ShardPlan::load(dir)?;
-    let claims = ClaimTable::open(dir, plan.digest, plan.units.len())?;
-    let logged = claims.claims()?;
-
-    // Who owns each unit? The log is the record; leases fill the
-    // crash-between-lease-and-log window. Two different claimants is an
-    // overlap — refuse rather than guess.
-    let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
-    for (u, s) in logged {
-        if let Some(&prev) = owner.get(&u) {
-            if prev != s {
-                return Err(format!(
-                    "overlapping claims: unit {u} claimed by shard {prev} and shard {s}; \
-                     refusing to merge"
-                ));
-            }
-        }
-        owner.insert(u, s);
-    }
-    for u in 0..plan.units.len() {
-        if let Some(lease) = claims.lease_owner(u)? {
-            if let Some(&prev) = owner.get(&u) {
-                if prev != lease {
-                    return Err(format!(
-                        "overlapping claims: unit {u} logged to shard {prev} but leased to \
-                         shard {lease}; refusing to merge"
-                    ));
-                }
-            }
-            owner.insert(u, lease);
-        }
-        if !owner.contains_key(&u) {
-            return Err(format!(
-                "unit {u} was never claimed; run `emac shard run` until the plan is \
-                 exhausted before merging"
-            ));
-        }
-    }
+    let owner: Vec<usize> = ClaimTable::new(dir, plan.units.len())
+        .owners()?
+        .into_iter()
+        .enumerate()
+        .map(|(u, shard)| {
+            shard.ok_or_else(|| {
+                format!(
+                    "unit {u} was never claimed; run `emac shard run` until the plan is \
+                     exhausted before merging"
+                )
+            })
+        })
+        .collect::<Result<_, _>>()?;
 
     // Collect each contributing shard's (ordered row indices, output
     // lines) and pair them positionally.
     let mut rows: BTreeMap<usize, String> = BTreeMap::new();
-    let mut shards: Vec<usize> = owner.values().copied().collect();
+    let mut shards = owner.clone();
     shards.sort_unstable();
     shards.dedup();
     let mut probes = 0usize;
@@ -673,7 +642,7 @@ pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
         // Completeness: every index of every unit this shard claimed must
         // be recorded, or the shard died mid-work and must be resumed.
         let done: std::collections::BTreeSet<usize> = recorded.iter().copied().collect();
-        for (&u, _) in owner.iter().filter(|&(_, &o)| o == s) {
+        for (u, _) in owner.iter().enumerate().filter(|&(_, &o)| o == s) {
             if let Some(&missing) = plan.units[u].iter().find(|i| !done.contains(i)) {
                 return Err(format!(
                     "shard {s} is unfinished (unit {u}, index {missing} not recorded); \
@@ -750,16 +719,7 @@ pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
 /// A human-readable progress report for the plan in `dir`.
 pub fn status(dir: &Path) -> Result<String, String> {
     let plan = ShardPlan::load(dir)?;
-    let claims = ClaimTable::open(dir, plan.digest, plan.units.len())?;
-    let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
-    for (u, s) in claims.claims()? {
-        owner.insert(u, s);
-    }
-    for u in 0..plan.units.len() {
-        if let Some(s) = claims.lease_owner(u)? {
-            owner.entry(u).or_insert(s);
-        }
-    }
+    let owners = ClaimTable::new(dir, plan.units.len()).owners()?;
     let mut report = format!(
         "{} plan: {} units ({} indices), {} shards, digest {:016x}\n",
         plan.kind.name(),
@@ -769,7 +729,7 @@ pub fn status(dir: &Path) -> Result<String, String> {
         plan.digest
     );
     for slice in &plan.slices {
-        let claimed = owner.values().filter(|&&s| s == slice.id).count();
+        let claimed = owners.iter().filter(|&&s| s == Some(slice.id)).count();
         let recorded = match plan.read_shard(dir, slice.id) {
             Ok(Some((_, rows))) => format!("{} rows recorded", rows.len()),
             Ok(None) => "not started".to_string(),
@@ -793,8 +753,8 @@ pub fn status(dir: &Path) -> Result<String, String> {
                             .map(|&(_, a)| a)
                             .unwrap_or_default();
                         format!(
-                            "{} row(s)/{} probe(s) logged, {} steal(s), {} lease repair(s)",
-                            events.rows, events.probes, a.steals, a.lease_repairs
+                            "{} row(s)/{} probe(s) logged, {} steal(s)",
+                            events.rows, events.probes, a.steals
                         )
                     }
                     Err(e) => format!("event log unreadable ({e}); claim-table view only"),
@@ -807,7 +767,7 @@ pub fn status(dir: &Path) -> Result<String, String> {
             slice.id, slice.lo, slice.hi
         ));
     }
-    let unclaimed = (0..plan.units.len()).filter(|u| !owner.contains_key(u)).count();
+    let unclaimed = owners.iter().filter(|s| s.is_none()).count();
     report.push_str(&format!("  unclaimed units: {unclaimed}\n"));
     Ok(report)
 }

@@ -184,7 +184,7 @@ pub fn parse_frontier(args: &[String]) -> Result<FrontierOpts, String> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardAction {
     /// `emac shard plan SPEC --dir DIR --shards D`: write the plan and
-    /// claim table.
+    /// empty lease directory.
     Plan,
     /// `emac shard run SPEC --dir DIR --shard S`: execute one shard.
     Run,

@@ -1,7 +1,8 @@
 //! `emac frontier` at the binary: a template whose probes are scenarios
 //! `ScenarioSpec::validate` refuses is refused the way `emac campaign`
 //! refuses such a row — exit 2, one error line naming the scenario once —
-//! before the checkpoint or the map file exists.
+//! before the checkpoint or the map file exists. So is a bracket the
+//! point search refuses, by `emac frontier` and `emac shard plan` alike.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -44,4 +45,37 @@ fn a_template_refused_as_a_scenario_exits_2_before_any_output() {
         assert!(!out.exists(), "{case}: {} was created", out.display());
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_bracket_the_point_search_refuses_exits_2_before_any_output() {
+    let dir = scratch("ell-bracket");
+    let spec = dir.join("frontier.json");
+    std::fs::write(
+        &spec,
+        r#"{"template": {"algorithm": "k-cycle", "adversary": "uniform", "n": 9, "k": 3,
+                         "rounds": 2000},
+            "axis": "ell", "hi": "6", "tol": 1}"#,
+    )
+    .expect("write spec");
+    let out = dir.join("out");
+    let plan = dir.join("plan");
+    let mut frontier = Command::new(env!("CARGO_BIN_EXE_emac"));
+    frontier.arg("frontier").arg(&spec).arg("--out").arg(&out);
+    let mut shard_plan = Command::new(env!("CARGO_BIN_EXE_emac"));
+    shard_plan.args(["shard", "plan"]).arg(&spec).arg("--dir").arg(&plan).args(["--shards", "2"]);
+    for (name, mut command) in [("frontier", frontier), ("shard plan", shard_plan)] {
+        let run = command.output().expect("spawn emac");
+        let stderr = String::from_utf8(run.stderr).expect("utf-8 stderr");
+        assert_eq!(run.status.code(), Some(2), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains("ell bracket must start at 2 or above, lo is 0"),
+            "{name}: {stderr}"
+        );
+    }
+    assert!(!out.exists(), "{} was created", out.display());
+    assert!(!plan.exists(), "{} was created", plan.display());
+    let _ = std::fs::remove_dir_all(&dir);
 }

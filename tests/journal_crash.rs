@@ -1,17 +1,17 @@
 //! Crash consistency at every byte offset of every durable journal.
 //!
 //! A kill or power loss can stop an append-only log at any byte. For each
-//! log the CLI keeps — `campaign.ckpt`, `frontier.ckpt`, a shard's
-//! checkpoint and the fleet's `claims.log` — this suite records one
-//! uninterrupted run, then for every offset `L` copies that run, cuts the
-//! log to `L` bytes, resumes through the `emac` binary (merging, for a
-//! fleet) and compares the final output with the uninterrupted bytes.
+//! log the CLI keeps — `campaign.ckpt`, `frontier.ckpt` and a shard's
+//! checkpoint — this suite records one uninterrupted run, then for every
+//! offset `L` copies that run, cuts the log to `L` bytes, resumes through
+//! the `emac` binary (merging, for a fleet) and compares the final output
+//! with the uninterrupted bytes.
 //!
 //! No cut may ever give different output. Every cut of a checkpoint must
 //! resume to identical output, including cuts inside its header, which
-//! read as a checkpoint torn while being created. The claim log, which
-//! concurrent workers share, must merge identically from every cut past
-//! its header and refuse a cut inside it by naming the tear.
+//! read as a checkpoint torn while being created. A fleet's claims are
+//! lease files, not a log; `tests/shard_claims.rs` kills a claim at each
+//! of its steps instead.
 //!
 //! Outputs are compared, not checkpoints: after a resume, probe waves
 //! pair differently and probe lines may legitimately reorder, while the
@@ -153,9 +153,9 @@ fn frontier_checkpoint_resumes_identically_from_every_byte_offset() {
 }
 
 /// A 2-shard fleet over [`GRID`], run one shard after the other: shard 1
-/// claims its own slice and then steals shard 0's, so its checkpoint and
-/// the claim log record units out of ascending order, and shard 0's
-/// checkpoint holds only its header.
+/// claims its own slice and then steals shard 0's, so its checkpoint
+/// records units out of ascending order, and shard 0's checkpoint holds
+/// only its header.
 fn fleet(dir: &Path) -> (PathBuf, PathBuf, Vec<u8>) {
     let spec = dir.join("grid.json");
     std::fs::write(&spec, GRID).unwrap();
@@ -204,25 +204,6 @@ fn shard_checkpoints_resume_identically_from_every_byte_offset() {
         assert_eq!(size(&plan.join(&log)), bytes, "shard 0 holds only its header, 1 8 records");
         let refused = sweep(&plan, &log, &expected, |work| resume_and_merge(&spec, work, shard));
         assert_eq!(refused, vec![], "every cut of {log} resumes and merges");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn claim_log_merges_identically_past_its_header_and_refuses_a_torn_one() {
-    let dir = scratch("claims");
-    let (spec, plan, expected) = fleet(&dir);
-    assert_eq!(size(&plan.join("claims.log")), 133, "53-byte header + 8 claims of 10 bytes");
-    let refused = sweep(&plan, "claims.log", &expected, |work| resume_and_merge(&spec, work, "1"));
-    // Workers open the claim log concurrently, so one torn inside its
-    // 53-byte header is refused by name rather than rewritten; every cut
-    // past the header merges identically.
-    assert_eq!(
-        refused.iter().map(|(cut, _)| *cut).collect::<Vec<_>>(),
-        (0..53).collect::<Vec<_>>()
-    );
-    for (cut, err) in &refused {
-        assert!(err.contains("torn"), "claims.log cut at {cut}: {err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,8 +11,8 @@
 //!   single-process bytes;
 //! * the same holds for a frontier map whose continuation chain spans
 //!   the whole unit list;
-//! * the claim table records every unit exactly once, no matter how many
-//!   contending claimants race for it.
+//! * every unit's lease names exactly the claimant that won it, no matter
+//!   how many contending claimants race for it.
 
 use std::path::PathBuf;
 
@@ -108,14 +108,13 @@ fn run_interleaved(dir: &std::path::Path, plan: &ShardPlan, rng: &mut Rng) {
     }
 }
 
-/// Every unit must end up claimed by exactly one shard.
+/// Every unit must end up leased to exactly one shard of the plan.
 fn assert_exactly_once(dir: &std::path::Path, plan: &ShardPlan) {
-    let claims = ClaimTable::open(dir, plan.digest, plan.units.len()).unwrap();
-    let mut seen = vec![0usize; plan.units.len()];
-    for (unit, _) in claims.claims().unwrap() {
-        seen[unit] += 1;
-    }
-    assert!(seen.iter().all(|&c| c == 1), "every unit claimed exactly once, got {seen:?}");
+    let owners = ClaimTable::new(dir, plan.units.len()).owners().unwrap();
+    assert!(
+        owners.iter().all(|o| o.is_some_and(|s| plan.slice(s).is_ok())),
+        "every unit leased to a shard of the plan, got {owners:?}"
+    );
 }
 
 #[test]
@@ -196,8 +195,7 @@ fn contending_claimants_leave_every_unit_claimed_exactly_once() {
         let units = 3 + rng.below(14) as usize;
         let claimants = 2 + rng.below(5) as usize;
         let dir = scratch("claims", round);
-        std::fs::create_dir_all(&dir).unwrap();
-        ClaimTable::create(&dir, 0xfeed, units).unwrap();
+        std::fs::create_dir_all(dir.join("leases")).unwrap();
 
         // Each claimant walks the units in its own random order.
         let orders: Vec<Vec<usize>> = (0..claimants)
@@ -209,34 +207,29 @@ fn contending_claimants_leave_every_unit_claimed_exactly_once() {
                 order
             })
             .collect();
-        let wins: Vec<usize> = std::thread::scope(|scope| {
+        let wins: Vec<Vec<usize>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..claimants)
                 .map(|c| {
                     let order = &orders[c];
                     let dir = &dir;
                     scope.spawn(move || {
-                        let table = ClaimTable::open(dir, 0xfeed, units).unwrap();
-                        order.iter().filter(|&&u| table.try_claim(u, c).unwrap()).count()
+                        let table = ClaimTable::new(dir, units);
+                        order.iter().copied().filter(|&u| table.try_claim(u, c).unwrap()).collect()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(
-            wins.iter().sum::<usize>(),
-            units,
-            "round {round}: wins {wins:?} must partition {units} units"
-        );
-        let table = ClaimTable::open(&dir, 0xfeed, units).unwrap();
-        let mut seen = vec![0usize; units];
-        for (unit, shard) in table.claims().unwrap() {
-            assert!(shard < claimants);
-            seen[unit] += 1;
+        // The wins partition the units, and each lease names its winner.
+        let mut owners = vec![None; units];
+        for (c, won) in wins.iter().enumerate() {
+            for &unit in won {
+                assert_eq!(owners[unit], None, "round {round}: unit {unit} won twice: {wins:?}");
+                owners[unit] = Some(c);
+            }
         }
-        assert!(seen.iter().all(|&c| c == 1), "round {round}: log {seen:?}");
-        for unit in 0..units {
-            assert!(table.lease_owner(unit).unwrap().is_some(), "unit {unit} leased");
-        }
+        assert!(owners.iter().all(Option::is_some), "round {round}: wins {wins:?}");
+        assert_eq!(ClaimTable::new(&dir, units).owners().unwrap(), owners, "round {round}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
