@@ -70,7 +70,7 @@ impl Protocol for Mbtf {
         let mut bits = ControlBits::new();
         bits.push_bit(self.my_big);
         match queue.oldest() {
-            Some(qp) => Action::Transmit(Message::with_control(qp.packet, bits)),
+            Some(qp) => Action::Transmit(Message::with_control(qp, bits)),
             None => Action::Transmit(Message::light(bits)),
         }
     }

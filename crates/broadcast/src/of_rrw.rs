@@ -38,7 +38,7 @@ impl Protocol for OfRrw {
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
         if self.ring.pos() == ctx.id {
             if let Some(qp) = queue.oldest_old(self.phase_marker) {
-                return Action::Transmit(Message::plain(qp.packet));
+                return Action::Transmit(Message::plain(qp));
             }
         }
         Action::Listen

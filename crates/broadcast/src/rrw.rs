@@ -37,7 +37,7 @@ impl Protocol for Rrw {
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
         if self.ring.pos() == ctx.id {
             if let Some(qp) = queue.oldest_old(self.batch_marker) {
-                return Action::Transmit(Message::plain(qp.packet));
+                return Action::Transmit(Message::plain(qp));
             }
         }
         Action::Listen

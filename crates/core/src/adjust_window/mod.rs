@@ -27,8 +27,8 @@
 pub mod params;
 
 use emac_sim::{
-    Action, AlgorithmClass, BuiltAlgorithm, Effects, Feedback, IndexedQueue, Message, Packet,
-    PacketId, Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
+    Action, AlgorithmClass, BuiltAlgorithm, Effects, EnqueueOrigin, Feedback, Handle, IndexedQueue,
+    Message, Protocol, ProtocolCtx, QueuedPacket, Round, StationId, Wake, WakeMode,
 };
 
 use crate::algorithm::Algorithm;
@@ -41,8 +41,11 @@ struct Snapshot {
     small: bool,
     over_l: bool,
     /// Snapshot packets sorted by (destination, arrival) — the common Main
-    /// schedule order. Spent entries are detected by absence from the queue.
-    list: Vec<(PacketId, StationId)>,
+    /// schedule order. An entry is spent once its handle no longer
+    /// resolves: the packet left the queue, so its slot reads as dead or
+    /// holds a later packet. A spent packet adopted back during Gossip is
+    /// a new queue entry, delivered from `adopted`.
+    list: Vec<(Handle, StationId)>,
     /// Old packets per destination.
     count_for: Vec<u64>,
     /// Old packets with destination strictly below each index.
@@ -96,9 +99,11 @@ pub struct AdjustWindowStation {
     win: WindowCfg,
     snap: Option<Snapshot>,
     rx: GossipRx,
-    /// Packets adopted during this window's Gossip (id, destination) —
-    /// delivered in this window's Auxiliary stage.
-    adopted: Vec<(PacketId, StationId)>,
+    /// Packets adopted during this window's Gossip (handle, destination) —
+    /// delivered in this window's Auxiliary stage. An entry names one stay
+    /// in the queue: a packet that leaves and is adopted again is a new
+    /// entry.
+    adopted: Vec<(Handle, StationId)>,
     plan: Option<MainPlan>,
 }
 
@@ -153,9 +158,9 @@ impl AdjustWindowStation {
             return;
         }
         let w0 = self.win.w0;
-        let mut entries: Vec<(StationId, u64, PacketId)> =
-            queue.iter_old(w0).map(|qp| (qp.packet.dest, qp.seq, qp.packet.id)).collect();
-        entries.sort_unstable();
+        let mut entries: Vec<(StationId, u32, Handle)> =
+            queue.iter_old(w0).map(|qp| (qp.packet.dest, qp.seq, qp.handle())).collect();
+        entries.sort_unstable_by_key(|&(d, seq, _)| (d, seq));
         let mut count_for = vec![0u64; self.n];
         for &(d, _, _) in &entries {
             count_for[d] += 1;
@@ -169,7 +174,7 @@ impl AdjustWindowStation {
             size,
             small: size < self.win.small_threshold(self.n),
             over_l: size > self.win.l,
-            list: entries.into_iter().map(|(d, _, p)| (p, d)).collect(),
+            list: entries.into_iter().map(|(d, _, h)| (h, d)).collect(),
             count_for,
             count_below,
         });
@@ -246,42 +251,36 @@ impl AdjustWindowStation {
     /// Packet to spend on one gossip transmission to `j`: a new packet if
     /// any, else an old packet destined to `j` (a delivery), else the last
     /// surviving snapshot packet (its relay delivers it in Auxiliary).
-    fn pick_gossip_packet(&self, j: StationId, queue: &IndexedQueue) -> Option<Packet> {
+    fn pick_gossip_packet<'q>(
+        &self,
+        j: StationId,
+        queue: &'q IndexedQueue,
+    ) -> Option<&'q QueuedPacket> {
         let w0 = self.win.w0;
-        if let Some(qp) = queue.newest() {
-            if qp.arrived >= w0 {
-                return Some(qp.packet);
-            }
+        if let Some(qp) = queue.newest().filter(|qp| qp.arrived >= w0) {
+            return Some(qp);
         }
         if let Some(qp) = queue.oldest_old_for(j, w0) {
-            return Some(qp.packet);
+            return Some(qp);
         }
         let snap = self.snap.as_ref().expect("snapshot exists");
-        for &(pid, _) in snap.list.iter().rev() {
-            if let Some(qp) = queue.get(pid) {
-                return Some(qp.packet);
-            }
-        }
-        None
+        snap.list.iter().rev().find_map(|&(h, _)| queue.get(h))
     }
 
     /// Deliverable packet for `j` in the Auxiliary stage: an old packet if
     /// this station is small, else a gossip-adopted packet addressed to `j`.
-    fn aux_deliverable(&self, j: StationId, queue: &IndexedQueue) -> Option<Packet> {
+    fn aux_deliverable<'q>(
+        &self,
+        j: StationId,
+        queue: &'q IndexedQueue,
+    ) -> Option<&'q QueuedPacket> {
         let snap = self.snap.as_ref().expect("snapshot exists");
         if snap.small {
             if let Some(qp) = queue.oldest_old_for(j, self.win.w0) {
-                return Some(qp.packet);
+                return Some(qp);
             }
         }
-        for &(pid, dest) in &self.adopted {
-            if dest == j {
-                if let Some(qp) = queue.get(pid) {
-                    return Some(qp.packet);
-                }
-            }
-        }
-        None
+        self.adopted.iter().filter(|&&(_, dest)| dest == j).find_map(|&(h, _)| queue.get(h))
     }
 
     /// Stations other than `i_star` in name order (dedicated-mode listener
@@ -453,8 +452,8 @@ impl Protocol for AdjustWindowStation {
             if i == ctx.id && j != ctx.id {
                 let snap = self.snap.as_ref().expect("ensured");
                 if !snap.small && self.gossip_bit(j, off) {
-                    if let Some(p) = self.pick_gossip_packet(j, queue) {
-                        return Action::Transmit(Message::plain(p));
+                    if let Some(qp) = self.pick_gossip_packet(j, queue) {
+                        return Action::Transmit(Message::plain(qp));
                     }
                 }
             }
@@ -470,10 +469,10 @@ impl Protocol for AdjustWindowStation {
                 MainMode::Dedicated(i_star) if i_star == ctx.id => {
                     let listener = self.dedicated_listener(i_star, t);
                     if let Some(qp) = queue.oldest_for(listener) {
-                        return Action::Transmit(Message::plain(qp.packet));
+                        return Action::Transmit(Message::plain(qp));
                     }
                     if let Some(qp) = queue.oldest() {
-                        return Action::Transmit(Message::plain(qp.packet));
+                        return Action::Transmit(Message::plain(qp));
                     }
                     return Action::Listen;
                 }
@@ -483,9 +482,9 @@ impl Protocol for AdjustWindowStation {
                     if !snap.small && !snap.over_l && t < plan.cutoff {
                         let s = plan.prefix[ctx.id];
                         if t >= s && t < s + snap.size {
-                            let (pid, _) = snap.list[(t - s) as usize];
-                            if let Some(qp) = queue.get(pid) {
-                                return Action::Transmit(Message::plain(qp.packet));
+                            let (h, _) = snap.list[(t - s) as usize];
+                            if let Some(qp) = queue.get(h) {
+                                return Action::Transmit(Message::plain(qp));
                             }
                             // spent during gossip: its relay delivers it
                         }
@@ -500,8 +499,8 @@ impl Protocol for AdjustWindowStation {
         let off = ra % nn;
         let (i, j) = ((off / self.n as u64) as usize, (off % self.n as u64) as usize);
         if i == ctx.id && j != ctx.id {
-            if let Some(p) = self.aux_deliverable(j, queue) {
-                return Action::Transmit(Message::plain(p));
+            if let Some(qp) = self.aux_deliverable(j, queue) {
+                return Action::Transmit(Message::plain(qp));
             }
         }
         Action::Listen
@@ -538,11 +537,12 @@ impl Protocol for AdjustWindowStation {
                         }
                     }
                 }
+                // The adopted packet enters `adopted` in `on_enqueued`,
+                // once the queue has named it.
                 if let Feedback::Heard(m) = fb {
                     if let Some(p) = m.packet {
                         if p.dest != ctx.id {
                             effects.adopt_heard();
-                            self.adopted.push((p.id, p.dest));
                         }
                     }
                 }
@@ -568,6 +568,15 @@ impl Protocol for AdjustWindowStation {
             }
         }
         self.plan_wake(ctx.id, ctx.round)
+    }
+
+    /// A packet adopted during Gossip is an Auxiliary-stage deliverable;
+    /// the engine enqueues it right after this round's `on_feedback`, so
+    /// the window is current.
+    fn on_enqueued(&mut self, ctx: &ProtocolCtx, qp: &QueuedPacket, origin: EnqueueOrigin) {
+        if origin == EnqueueOrigin::Adopted && self.gossip_pos(ctx.round).is_some() {
+            self.adopted.push((qp.handle(), qp.packet.dest));
+        }
     }
 }
 

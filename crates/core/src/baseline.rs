@@ -104,7 +104,7 @@ impl Protocol for DutyCycleStation {
         if let Some(qp) = queue.oldest() {
             let coin = mix(self.seed ^ mix(ctx.id as u64) ^ ctx.round);
             if coin & 1 == 1 {
-                return Action::Transmit(Message::plain(qp.packet));
+                return Action::Transmit(Message::plain(qp));
             }
         }
         Action::Listen

@@ -195,7 +195,9 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-/// Append the decimal digits of `v`, without going through `fmt`.
+/// Append the decimal digits of `v`, without going through `fmt`. The
+/// digits are ASCII, so each becomes a `char` directly, with no UTF-8
+/// check.
 pub(crate) fn write_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
@@ -207,7 +209,7 @@ pub(crate) fn write_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// Append `v` as a JSON integer.
@@ -515,6 +517,16 @@ mod tests {
             let mut s = String::new();
             write_json_u64(&mut s, v);
             assert_eq!(s, super::super::json_u64(v).render(), "{v}");
+        }
+        // Every number up to five digits, then every digit count at and
+        // around its power of ten.
+        let mut s = String::new();
+        let powers = (0..20).map(|e| 10u64.pow(e));
+        let around = powers.flat_map(|p| [p - 1, p, p + 1, p.saturating_mul(10) - 1]);
+        for v in (0..100_000).chain(around) {
+            s.clear();
+            write_u64(&mut s, v);
+            assert_eq!(s, v.to_string());
         }
     }
 

@@ -222,7 +222,7 @@ impl Protocol for CountHopStation {
                 Action::Listen
             } else {
                 match queue.oldest_old_for(v, self.phase_start) {
-                    Some(qp) => Action::Transmit(Message::plain(qp.packet)),
+                    Some(qp) => Action::Transmit(Message::plain(qp)),
                     None => Action::Listen, // cannot happen if counts are exact
                 }
             }

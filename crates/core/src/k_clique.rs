@@ -228,7 +228,7 @@ impl Protocol for KCliqueStation {
         };
         if rep.ring.pos() == rep.my_pos {
             if let Some(qp) = rep.oldest_old(queue) {
-                return Action::Transmit(Message::plain(qp.packet));
+                return Action::Transmit(Message::plain(qp));
             }
         }
         Action::Listen
@@ -395,7 +395,7 @@ mod tests {
                 assert_eq!(station.reps.len(), params.sets() - 1, "one replica per pair of v");
                 for _case in 0..24 {
                     let mut queue = IndexedQueue::new(n);
-                    let mut ids = Vec::new();
+                    let mut handles = Vec::new();
                     let first = rng.random_range_u64(1..20);
                     let mut round = first;
                     for id in 0..rng.random_range(1..80) as u64 {
@@ -403,13 +403,12 @@ mod tests {
                         let dest = (v + 1 + rng.random_range(0..n - 1)) % n;
                         let packet =
                             Packet { id: PacketId(id), dest, injected_round: round, origin: v };
-                        queue.push(packet, round);
-                        ids.push(id);
+                        handles.push(queue.push(packet, round).handle());
                     }
                     // drop about a third, from anywhere in the queue
-                    for _ in 0..ids.len() / 3 {
-                        let id = ids.swap_remove(rng.random_range(0..ids.len()));
-                        queue.remove(PacketId(id)).expect("queued");
+                    for _ in 0..handles.len() / 3 {
+                        let h = handles.swap_remove(rng.random_range(0..handles.len()));
+                        queue.remove(h).expect("queued");
                     }
                     let inside = first + rng.random_range_u64(0..round - first + 1);
                     for marker in [0, first, inside, round, round + 1] {

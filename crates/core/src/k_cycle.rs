@@ -228,7 +228,7 @@ impl Protocol for KCycleStation {
         };
         if rep.ring.pos() == rep.my_pos && g == home {
             if let Some(qp) = queue.oldest_old(rep.marker) {
-                return Action::Transmit(Message::plain(qp.packet));
+                return Action::Transmit(Message::plain(qp));
             }
         }
         Action::Listen

@@ -24,8 +24,8 @@ use std::sync::Arc;
 
 use emac_broadcast::TokenRing;
 use emac_sim::{
-    Action, AlgorithmClass, BuiltAlgorithm, ControlBits, Effects, Feedback, IndexedQueue, Message,
-    OnSchedule, PacketId, Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
+    Action, AlgorithmClass, BuiltAlgorithm, ControlBits, Effects, Feedback, Handle, IndexedQueue,
+    Message, OnSchedule, Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
 };
 
 use crate::algorithm::Algorithm;
@@ -137,8 +137,8 @@ pub enum ThreadSubroutine {
 /// are its subset in [`KSubsetsParams`]; its MBTF baton list is the
 /// thread's row of the station's `batons`.
 struct ThreadState {
-    /// Packets of this station allocated to this thread (id, arrival).
-    queue: VecDeque<(PacketId, Round)>,
+    /// Packets of this station allocated to this thread (handle, arrival).
+    queue: VecDeque<(Handle, Round)>,
     // MBTF state
     /// The baton holder's position in this thread's baton list.
     baton_pos: usize,
@@ -147,6 +147,15 @@ struct ThreadState {
     // RRW state
     ring: TokenRing,
     batch_marker: Round,
+}
+
+impl ThreadState {
+    /// Drop the front packet, which this station just transmitted: the
+    /// engine has taken it from the queue, so its handle no longer resolves.
+    fn pop_sent(&mut self, queue: &IndexedQueue) {
+        let sent = self.queue.pop_front();
+        debug_assert!(sent.is_some_and(|(h, _)| queue.get(h).is_none()), "sent {sent:?}");
+    }
 }
 
 /// The end-of-season move-big-to-front transition on one thread's baton
@@ -301,7 +310,7 @@ impl Protocol for KSubsetsStation {
         let w = qp.packet.dest;
         debug_assert_ne!(w, ctx.id, "self-addressed packets never queue");
         let slot = self.alloc.pick_in(w) as usize;
-        self.threads[slot].queue.push_back((qp.packet.id, qp.arrived));
+        self.threads[slot].queue.push_back((qp.handle(), qp.arrived));
     }
 
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
@@ -323,8 +332,8 @@ impl Protocol for KSubsetsStation {
                 let mut bits = ControlBits::new();
                 bits.push_bit(rep.my_big);
                 match rep.queue.front() {
-                    Some(&(pid, _)) => match queue.get(pid) {
-                        Some(qp) => Action::Transmit(Message::with_control(qp.packet, bits)),
+                    Some(&(h, _)) => match queue.get(h) {
+                        Some(qp) => Action::Transmit(Message::with_control(qp, bits)),
                         None => Action::Listen, // custody desync; validator will flag
                     },
                     None => Action::Transmit(Message::light(bits)),
@@ -335,8 +344,8 @@ impl Protocol for KSubsetsStation {
                     return Action::Listen;
                 }
                 match rep.queue.front() {
-                    Some(&(pid, arrived)) if arrived < rep.batch_marker => match queue.get(pid) {
-                        Some(qp) => Action::Transmit(Message::plain(qp.packet)),
+                    Some(&(h, arrived)) if arrived < rep.batch_marker => match queue.get(h) {
+                        Some(qp) => Action::Transmit(Message::plain(qp)),
                         None => Action::Listen,
                     },
                     _ => Action::Listen,
@@ -348,7 +357,7 @@ impl Protocol for KSubsetsStation {
     fn on_feedback(
         &mut self,
         ctx: &ProtocolCtx,
-        _queue: &IndexedQueue,
+        queue: &IndexedQueue,
         fb: Feedback<'_>,
         effects: &mut Effects,
     ) -> Wake {
@@ -370,11 +379,8 @@ impl Protocol for KSubsetsStation {
                 match fb {
                     Feedback::Heard(m) => {
                         rep.season_big = m.control.reader().read_bit();
-                        if baton[rep.baton_pos] == ctx.id {
-                            if let Some(p) = m.packet {
-                                debug_assert_eq!(Some(p.id), rep.queue.front().map(|&(id, _)| id));
-                                rep.queue.pop_front();
-                            }
+                        if baton[rep.baton_pos] == ctx.id && m.packet.is_some() {
+                            rep.pop_sent(queue);
                         }
                     }
                     // the conductor transmits every thread-round
@@ -394,11 +400,8 @@ impl Protocol for KSubsetsStation {
                     }
                 }
                 Feedback::Heard(m) => {
-                    if members[rep.ring.pos()] == ctx.id {
-                        if let Some(p) = m.packet {
-                            debug_assert_eq!(Some(p.id), rep.queue.front().map(|&(id, _)| id));
-                            rep.queue.pop_front();
-                        }
+                    if members[rep.ring.pos()] == ctx.id && m.packet.is_some() {
+                        rep.pop_sent(queue);
                     }
                 }
                 Feedback::Collision => effects.flag("k-subsets: collision cannot happen"),
@@ -549,7 +552,7 @@ mod tests {
             for lap in 0..3 {
                 for &t in &shared {
                     let packet = emac_sim::Packet {
-                        id: PacketId(id),
+                        id: emac_sim::PacketId(id),
                         dest: w,
                         injected_round: 0,
                         origin: me,
@@ -557,8 +560,8 @@ mod tests {
                     let qp = queue.push(packet, 0);
                     station.on_enqueued(&ctx, &qp, emac_sim::EnqueueOrigin::Injected);
                     let slot = mine.binary_search(&t).unwrap();
-                    let back = station.threads[slot].queue.back().map(|&(pid, _)| pid);
-                    assert_eq!(back, Some(PacketId(id)), "w={w} lap {lap} thread {t}");
+                    let back = station.threads[slot].queue.back().map(|&(h, _)| h);
+                    assert_eq!(back, Some(qp.handle()), "w={w} lap {lap} thread {t}");
                     id += 1;
                 }
             }

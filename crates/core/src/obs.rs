@@ -403,15 +403,17 @@ impl Observer {
         Self::default()
     }
 
-    /// Attach a durable event log.
+    /// Attach a durable event log; starts the boundary clock.
     pub fn with_log(mut self, log: EventLog) -> Self {
         self.log = Some(log);
+        self.boundary = Some(Instant::now());
         self
     }
 
-    /// Attach a live stderr progress line.
+    /// Attach a live stderr progress line; starts the boundary clock.
     pub fn with_progress(mut self, progress: Progress) -> Self {
         self.progress = Some(progress);
+        self.boundary = Some(Instant::now());
         self
     }
 
@@ -820,7 +822,7 @@ mod tests {
         let mut armed = Observer::new().with_log(EventLog::create(&path).unwrap());
         assert!(armed.is_armed());
         armed.boundary_us();
-        let us = armed.boundary_us(); // second sample measures a real span
+        let us = armed.boundary_us(); // a later sample measures a real span
         armed.record(&ObsEvent::Row { index: 0, rounds: 1, clean: true, wall_us: us });
         armed
             .finish(&ObsEvent::RunFinished {
@@ -832,6 +834,24 @@ mod tests {
             .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_first_boundary_after_arming_measures_the_span_since_arming() {
+        let pause = Duration::from_millis(3);
+        let path = std::env::temp_dir()
+            .join(format!("emac-obs-unit-{}-first-boundary.jsonl", std::process::id()));
+        let armings: [fn(Observer, &std::path::Path) -> Observer; 2] = [
+            |o, path| o.with_log(EventLog::create(path).unwrap()),
+            |o, _| o.with_progress(Progress::new(RunKind::Campaign, 1)),
+        ];
+        for arm in armings {
+            let mut observer = arm(Observer::new(), &path);
+            std::thread::sleep(pause);
+            let us = observer.boundary_us();
+            assert!(us >= pause.as_micros() as u64, "first boundary read {us} us");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

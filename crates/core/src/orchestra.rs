@@ -28,18 +28,16 @@
 //! adversary of rate 1 — the maximum throughput possible. Latency may be
 //! unbounded (Table 1 row 1), which the ablation harness demonstrates.
 
-use std::collections::HashSet;
-
 use emac_broadcast::BatonList;
 use emac_sim::{
-    bits_for, Action, AlgorithmClass, BuiltAlgorithm, ControlBits, Effects, Feedback, IndexedQueue,
-    Message, PacketId, Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
+    bits_for, Action, AlgorithmClass, BuiltAlgorithm, ControlBits, Effects, Feedback, Handle,
+    IndexedQueue, Message, Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
 };
 
 use crate::algorithm::Algorithm;
 
 /// One scheduled transmission: the packet and its destination.
-type Slot = Option<(PacketId, StationId)>;
+type Slot = Option<(Handle, StationId)>;
 
 /// Per-station `Orchestra` replica.
 pub struct OrchestraStation {
@@ -63,10 +61,12 @@ pub struct OrchestraStation {
     sched_current: Vec<Slot>,
     /// Conductor: schedule for my next conducting season (being taught).
     sched_next: Vec<Slot>,
-    /// Packets placed in either schedule (excluded from future scheduling).
-    /// Hashed, because a jammed slot's packet is never transmitted and
-    /// stays here: under jamming this grows with the backlog.
-    scheduled: HashSet<PacketId>,
+    /// Packets placed in either schedule (excluded from future scheduling),
+    /// as one mark per queue slot: the handle of the scheduled packet in
+    /// that slot. A mark whose packet has left never matches the slot's
+    /// next occupant. A jammed slot's packet is never transmitted, so it
+    /// stays marked.
+    scheduled: Vec<Option<Handle>>,
     /// Conductor: own bigness for the current conducting season.
     my_big: bool,
     /// Which season the conductor-side init has run for.
@@ -88,7 +88,7 @@ impl OrchestraStation {
             next_receive_slot: None,
             sched_current: vec![None; n - 1],
             sched_next: vec![None; n - 1],
-            scheduled: HashSet::new(),
+            scheduled: Vec::new(),
             my_big: false,
             init_done_for: None,
         }
@@ -170,13 +170,32 @@ impl OrchestraStation {
             if slot >= self.n - 1 {
                 break;
             }
-            if self.scheduled.contains(&qp.packet.id) {
+            let h = qp.handle();
+            if self.is_scheduled(h) {
                 continue;
             }
             debug_assert_ne!(qp.packet.dest, me, "self-addressed packets never queue");
-            self.sched_next[slot] = Some((qp.packet.id, qp.packet.dest));
-            self.scheduled.insert(qp.packet.id);
+            self.sched_next[slot] = Some((h, qp.packet.dest));
+            self.mark(h);
             slot += 1;
+        }
+    }
+
+    /// Whether the packet `h` names sits in either schedule.
+    fn is_scheduled(&self, h: Handle) -> bool {
+        self.scheduled.get(h.slot()) == Some(&Some(h))
+    }
+
+    fn mark(&mut self, h: Handle) {
+        if h.slot() >= self.scheduled.len() {
+            self.scheduled.resize(h.slot() + 1, None);
+        }
+        self.scheduled[h.slot()] = Some(h);
+    }
+
+    fn unmark(&mut self, h: Handle) {
+        if self.is_scheduled(h) {
+            self.scheduled[h.slot()] = None;
         }
     }
 
@@ -265,8 +284,8 @@ impl Protocol for OrchestraStation {
         bits.push_uint(next_for_receiver.unwrap_or(0), w);
 
         match slot {
-            Some((pid, _)) => match queue.get(pid) {
-                Some(qp) => Action::Transmit(Message::with_control(qp.packet, bits)),
+            Some((h, _)) => match queue.get(h) {
+                Some(qp) => Action::Transmit(Message::with_control(qp, bits)),
                 None => Action::Transmit(Message::light(bits)), // custody bug; validator flags
             },
             None => Action::Transmit(Message::light(bits)),
@@ -302,9 +321,8 @@ impl Protocol for OrchestraStation {
                 self.heard_big = big;
                 if cond == ctx.id {
                     // My own message: the scheduled packet was transmitted.
-                    if let Some((pid, _)) = self.sched_current[j as usize] {
-                        self.scheduled.remove(&pid);
-                        self.sched_current[j as usize] = None;
+                    if let Some((h, _)) = self.sched_current[j as usize].take() {
+                        self.unmark(h);
                     }
                 } else {
                     if self.learner(cond, j) == ctx.id && teach_present {

@@ -30,7 +30,7 @@ use crate::protocol::{
     Action, Adversary, AlgorithmClass, BuiltAlgorithm, Effects, EnqueueOrigin, Feedback, Protocol,
     ProtocolCtx, SystemView, Wake, WakeMode,
 };
-use crate::queue::IndexedQueue;
+use crate::queue::{IndexedQueue, QueuedPacket};
 use crate::rate::LeakyBucket;
 use crate::schedule::ScheduleTable;
 use crate::trace::{ChannelEvent, PacketOutcome, RoundTrace, Trace};
@@ -240,8 +240,8 @@ impl Simulator {
             let retain = self.faults.as_ref().is_none_or(|p| p.retain_queue());
             if !retain {
                 let dropped = self.queues[crashed].len() as u64;
-                while let Some(id) = self.queues[crashed].oldest().map(|qp| qp.packet.id) {
-                    self.queues[crashed].remove(id);
+                while let Some(h) = self.queues[crashed].oldest().map(QueuedPacket::handle) {
+                    self.queues[crashed].remove(h);
                 }
                 self.queue_sizes[crashed] = 0;
                 self.metrics.total_queued -= dropped;
@@ -389,14 +389,16 @@ impl Simulator {
                         self.violations.plain_packet += 1;
                     }
                     // Custody: the heard packet leaves its sender's queue,
-                    // which must have held it.
+                    // which must hold it. One probe of the slot the
+                    // message's handle names: the slot must be live and
+                    // hold the handle's `seq` and the packet's id, so a
+                    // stale or foreign handle is a custody violation and
+                    // nothing is delivered.
                     if let Some(p) = msg.packet {
-                        if self.queues[sender].remove(p.id).is_none() {
-                            debug_assert!(
-                                false,
-                                "station {sender} transmitted foreign packet {}",
-                                p.id
-                            );
+                        let queue = &mut self.queues[sender];
+                        if queue.get(msg.handle).is_some_and(|qp| qp.packet.id == p.id) {
+                            queue.remove(msg.handle);
+                        } else {
                             self.violations.custody += 1;
                             msg.packet = None;
                         }
@@ -685,7 +687,6 @@ mod tests {
     use super::*;
     use crate::message::ControlBits;
     use crate::protocol::OnSchedule;
-    use crate::queue::QueuedPacket;
     use crate::rate::Rate;
 
     /// Round-robin transmitter: station `r mod n` transmits its oldest
@@ -695,7 +696,7 @@ mod tests {
         fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
             if ctx.round as usize % ctx.n == ctx.id {
                 if let Some(qp) = queue.oldest() {
-                    return Action::Transmit(Message::plain(qp.packet));
+                    return Action::Transmit(Message::plain(qp));
                 }
             }
             Action::Listen
@@ -848,7 +849,7 @@ mod tests {
         fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
             if ctx.id == 0 {
                 if let Some(qp) = queue.oldest() {
-                    return Action::Transmit(Message::plain(qp.packet));
+                    return Action::Transmit(Message::plain(qp));
                 }
             }
             Action::Listen
@@ -896,7 +897,7 @@ mod tests {
         fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
             if ctx.round as usize % ctx.n == ctx.id {
                 if let Some(qp) = queue.oldest() {
-                    return Action::Transmit(Message::plain(qp.packet));
+                    return Action::Transmit(Message::plain(qp));
                 }
             }
             Action::Listen
@@ -1002,6 +1003,85 @@ mod tests {
         assert!(rendered.contains("inj[1->3]"), "{rendered}");
     }
 
+    /// Every station shares station 0's first packet; what each sends is
+    /// scripted by round. Round 1: station 0 sends it (a fresh handle).
+    /// Round 2: again, its slot freed. Round 3: station 1 sends it, and its
+    /// own first packet holds the same slot and `seq`. Round 5: station 0
+    /// again, after the round-4 packet reused the slot. Round 6: station
+    /// 0's live handle under the first packet's id.
+    struct Custodian {
+        kept: std::sync::Arc<std::sync::Mutex<Option<QueuedPacket>>>,
+    }
+
+    impl Protocol for Custodian {
+        fn on_enqueued(&mut self, ctx: &ProtocolCtx, qp: &QueuedPacket, _o: EnqueueOrigin) {
+            if ctx.id == 0 {
+                self.kept.lock().unwrap().get_or_insert(*qp);
+            }
+        }
+        fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
+            let Some(first) = *self.kept.lock().unwrap() else {
+                return Action::Listen;
+            };
+            match (ctx.id, ctx.round) {
+                (0, 1 | 2 | 5) | (1, 3) => Action::Transmit(Message::plain(&first)),
+                (0, 6) => {
+                    let mut forged = Message::plain(queue.oldest().expect("round-4 packet"));
+                    forged.packet = Some(first.packet);
+                    Action::Transmit(forged)
+                }
+                _ => Action::Listen,
+            }
+        }
+        fn on_feedback(
+            &mut self,
+            _ctx: &ProtocolCtx,
+            _q: &IndexedQueue,
+            _fb: Feedback<'_>,
+            _e: &mut Effects,
+        ) -> Wake {
+            Wake::Stay
+        }
+    }
+
+    #[test]
+    fn stale_and_foreign_handles_are_custody_violations() {
+        // Round 0 injects into stations 0 and 1, round 4 into station 0;
+        // station 2, the destination, is always on.
+        struct Script;
+        impl Adversary for Script {
+            fn plan(&mut self, r: Round, _budget: usize, _v: &SystemView<'_>) -> Vec<Injection> {
+                match r {
+                    0 => vec![Injection::new(0, 2), Injection::new(1, 2)],
+                    4 => vec![Injection::new(0, 2)],
+                    _ => vec![],
+                }
+            }
+        }
+        let kept = std::sync::Arc::default();
+        let built = BuiltAlgorithm {
+            name: "custodian".into(),
+            protocols: (0..3)
+                .map(|_| {
+                    Box::new(Custodian { kept: std::sync::Arc::clone(&kept) }) as Box<dyn Protocol>
+                })
+                .collect(),
+            wake: WakeMode::Adaptive,
+            class: AlgorithmClass { oblivious: false, plain_packet: true, direct: true },
+        };
+        let cfg = SimConfig::new(3, 3).adversary_type(Rate::one(), Rate::integer(2));
+        let mut sim = Simulator::new(cfg, built, Box::new(Script));
+        sim.run(2);
+        assert_eq!((sim.metrics().delivered, sim.violations().custody), (1, 0), "fresh handle");
+        sim.run(5);
+        let v = sim.violations();
+        assert_eq!(v.custody, 4, "freed, foreign, reused and forged handles: {v}");
+        assert_eq!(sim.metrics().delivered, 1, "a refused handle delivers nothing");
+        assert_eq!(sim.metrics().light_rounds, 4, "a refused message is heard without its packet");
+        assert_eq!(sim.total_queued(), 2, "the packets the bad handles named stay queued");
+        assert_eq!(sim.queues[0].len() + sim.queues[1].len(), 2);
+    }
+
     /// Calls a [`ClockProbe`] made, per callback: `first_wake`,
     /// `on_enqueued`, `act`, `on_feedback`.
     #[derive(Default)]
@@ -1046,7 +1126,7 @@ mod tests {
             self.check(2, ctx);
             match queue.oldest() {
                 Some(qp) if ctx.round as usize % ctx.n == ctx.id => {
-                    Action::Transmit(Message::plain(qp.packet))
+                    Action::Transmit(Message::plain(qp))
                 }
                 _ => Action::Listen,
             }

@@ -34,7 +34,7 @@
 //!     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
 //!         if ctx.round as usize % ctx.n == ctx.id {
 //!             if let Some(qp) = queue.oldest() {
-//!                 return Action::Transmit(Message::plain(qp.packet));
+//!                 return Action::Transmit(Message::plain(qp));
 //!             }
 //!         }
 //!         Action::Listen
@@ -98,7 +98,7 @@ pub use protocol::{
     Action, Adversary, AlgorithmClass, AlwaysListen, BuiltAlgorithm, Effects, EnqueueOrigin,
     Feedback, NoInjections, OnSchedule, Protocol, ProtocolCtx, SystemView, Wake, WakeMode,
 };
-pub use queue::{IndexedQueue, QueuedPacket};
+pub use queue::{Handle, IndexedQueue, QueuedPacket};
 pub use rate::{LeakyBucket, Rate};
 pub use rng::SmallRng;
 pub use schedule::ScheduleTable;

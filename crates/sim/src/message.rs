@@ -20,6 +20,7 @@
 //! past the capacity panics.
 
 use crate::packet::Packet;
+use crate::queue::{Handle, QueuedPacket};
 
 /// How many control bits one message can carry.
 pub const CONTROL_BITS_CAPACITY: usize = 256;
@@ -174,6 +175,10 @@ pub fn bits_for(n: u64) -> usize {
 }
 
 /// A message as transmitted on the channel in one round.
+///
+/// A message with a packet is built from the sender's [`QueuedPacket`]
+/// and carries its [`Handle`], so the engine finds the packet in the
+/// sender's queue with one slot probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Message {
     /// The packet carried by the message, if any. A message without a packet
@@ -182,25 +187,28 @@ pub struct Message {
     pub packet: Option<Packet>,
     /// Control bits attached to the message.
     pub control: ControlBits,
+    /// Where `packet` sits in the sender's queue ([`Handle::NONE`] for a
+    /// light message).
+    pub(crate) handle: Handle,
 }
 
 impl Message {
     /// A message consisting of a single plain packet with no control bits.
     #[inline]
-    pub fn plain(packet: Packet) -> Self {
-        Self { packet: Some(packet), control: ControlBits::new() }
+    pub fn plain(qp: &QueuedPacket) -> Self {
+        Self::with_control(qp, ControlBits::new())
     }
 
     /// A light message: control bits only.
     #[inline]
     pub fn light(control: ControlBits) -> Self {
-        Self { packet: None, control }
+        Self { packet: None, control, handle: Handle::NONE }
     }
 
     /// A packet with attached control bits.
     #[inline]
-    pub fn with_control(packet: Packet, control: ControlBits) -> Self {
-        Self { packet: Some(packet), control }
+    pub fn with_control(qp: &QueuedPacket, control: ControlBits) -> Self {
+        Self { packet: Some(qp.packet), control, handle: qp.handle() }
     }
 
     /// Whether the message is light (carries no packet).
@@ -214,9 +222,11 @@ impl Message {
 mod tests {
     use super::*;
     use crate::packet::{Packet, PacketId};
+    use crate::queue::IndexedQueue;
 
-    fn pkt() -> Packet {
-        Packet { id: PacketId(1), dest: 2, injected_round: 0, origin: 0 }
+    fn queued() -> QueuedPacket {
+        let packet = Packet { id: PacketId(1), dest: 2, injected_round: 0, origin: 0 };
+        IndexedQueue::new(3).push(packet, 0)
     }
 
     #[test]
@@ -339,13 +349,19 @@ mod tests {
 
     #[test]
     fn message_kinds() {
-        assert!(!Message::plain(pkt()).is_light());
-        assert!(Message::light(ControlBits::new()).is_light());
+        let qp = queued();
+        let plain = Message::plain(&qp);
+        assert!(!plain.is_light());
+        assert_eq!(plain.handle, qp.handle());
+        let light = Message::light(ControlBits::new());
+        assert!(light.is_light());
+        assert_eq!(light.handle, Handle::NONE);
         let mut c = ControlBits::new();
         c.push_bit(true);
-        let m = Message::with_control(pkt(), c);
+        let m = Message::with_control(&qp, c);
         assert_eq!(m.control.len(), 1);
-        assert!(m.packet.is_some());
+        assert_eq!(m.packet, Some(qp.packet));
+        assert_eq!(m.handle, qp.handle());
     }
 
     #[test]

@@ -53,9 +53,10 @@ pub struct ProtocolCtx {
 /// What a switched-on station does in a round: transmit or listen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
-    /// Transmit `message`. If the message is to carry a packet, the packet
-    /// must currently be in this station's queue; the engine verifies
-    /// custody and removes the packet once the message is heard.
+    /// Transmit `message`. A message carrying a packet is built from the
+    /// station's [`QueuedPacket`] and carries its handle; the engine
+    /// verifies through the handle that the packet is still in this
+    /// station's queue, and removes it once the message is heard.
     Transmit(Message),
     /// Sense the channel.
     Listen,

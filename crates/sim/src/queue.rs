@@ -3,7 +3,7 @@
 //! A station's queue is its private memory of injected and adopted packets
 //! (paper §2). A station may transmit queued packets in arbitrary order and
 //! can scan its queue in negligible time, so the queue offers arrival-order
-//! iteration, per-destination counting, and removal by packet id.
+//! iteration, per-destination counting, and lookup and removal by handle.
 //!
 //! The queue is owned by the simulator, not by the algorithm: the engine is
 //! the single source of truth for packet custody, which is what lets it
@@ -17,9 +17,22 @@
 //! `u32` links into two intrusive doubly-linked lists — the queue's arrival
 //! order, and the arrival order of the packets bound for the same
 //! destination (one head/tail/length entry per destination). Removed slots
-//! are recycled through a free list, and a multiply-mix-hashed index maps
-//! packet ids to slots. Once the slab and the id index have grown to the
-//! execution's high-water queue length, no queue operation allocates.
+//! are recycled through a free list. There is no index by packet id: once
+//! the slab has grown to the execution's high-water queue length, no queue
+//! operation allocates, and the queue's memory is the slab plus the
+//! per-destination lists.
+//!
+//! # Handles
+//!
+//! Every queued packet is named by a [`Handle`]: its slot index and the
+//! arrival `seq` the queue stamped on it. Sequence numbers are never
+//! reused, so the `seq` is the handle's generation: a handle resolves only
+//! while its packet sits in the slot. Once the packet leaves, the freed
+//! slot reads as dead, and a later packet reusing the slot carries a new
+//! `seq`; either way the old handle no longer resolves. Protocols keep
+//! handles to the packets they plan to send, and a transmitted
+//! [`Message`](crate::Message) carries the handle of its packet, which is
+//! how the engine checks custody with one slot probe.
 //!
 //! **Arrival invariant.** [`IndexedQueue::push`] asserts that no packet
 //! arrives before the newest packet already queued, so both lists are
@@ -34,7 +47,8 @@
 //!
 //! | operation                                        | cost                  |
 //! |--------------------------------------------------|-----------------------|
-//! | `push`, `remove`, `get`, `contains`              | O(1), one hash lookup |
+//! | `push`                                           | O(1)                  |
+//! | `get`, `remove` (by handle)                      | O(1), one slot probe  |
 //! | `len`, `count_for`, `oldest`, `newest`           | O(1)                  |
 //! | `oldest_for`, `oldest_old`, `oldest_old_for`     | O(1)                  |
 //! | `iter_old`, `count_old`                          | O(old + 1)            |
@@ -43,39 +57,29 @@
 //! | `count_below(dest)`                              | O(dest)               |
 //! | `iter`                                           | O(len)                |
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::packet::{Packet, Round, StationId};
 
-use crate::packet::{Packet, PacketId, Round, StationId};
-
-/// Multiply-mix hasher for the `PacketId → slot` index. Packet ids are
-/// dense sequential `u64`s and the map is only ever point-queried (never
-/// iterated), so the default SipHash buys nothing here but costs a
-/// meaningful slice of every delivery; one odd-constant multiply mixes the
-/// id into the table's high bits deterministically on every platform.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // generic fallback (FNV-1a); the id index only ever hashes u64s
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        let mut h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^= h >> 29;
-        self.0 = h;
-    }
+/// Names one queued packet: its slot in the station's queue and the
+/// arrival `seq` the queue gave it. Obtained from
+/// [`QueuedPacket::handle`]; resolves through [`IndexedQueue::get`] only
+/// while that packet is still queued in that slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Handle {
+    slot: u32,
+    seq: u32,
 }
 
-type IdIndex = HashMap<PacketId, u32, BuildHasherDefault<IdHasher>>;
+impl Handle {
+    /// A handle that never resolves: the handle of a light message.
+    pub(crate) const NONE: Handle = Handle { slot: NIL, seq: DEAD };
+
+    /// The slot index: below the queue's high-water length, so it keys a
+    /// dense per-slot side table.
+    #[inline]
+    pub fn slot(self) -> usize {
+        self.slot as usize
+    }
+}
 
 /// A packet at rest in a station's queue, with arrival bookkeeping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,18 +89,32 @@ pub struct QueuedPacket {
     /// Round the packet arrived at this station (injection or adoption).
     pub arrived: Round,
     /// Arrival sequence number local to this station; strictly increasing,
-    /// breaks ties between packets arriving in the same round.
-    pub seq: u64,
+    /// never reused, breaks ties between packets arriving in the same round.
+    pub seq: u32,
+    /// The slab slot holding the packet.
+    slot: u32,
+}
+
+impl QueuedPacket {
+    /// The handle naming this packet in its station's queue.
+    #[inline]
+    pub fn handle(&self) -> Handle {
+        Handle { slot: self.slot, seq: self.seq }
+    }
 }
 
 /// Sentinel "no slot" index for the intrusive links; slot indices stay
 /// below it.
 const NIL: u32 = u32::MAX;
 
+/// The `seq` of a freed slot. The queue never issues it, so no handle
+/// resolves to a freed slot.
+const DEAD: u32 = u32::MAX;
+
 /// One slab slot: a queued packet threaded into the arrival-order list
 /// (`prev`/`next`) and its destination's list (`dprev`/`dnext`). Freed
-/// slots keep their (stale) payload and reuse `next` as the free-list
-/// link; only slots reachable from `head` are live.
+/// slots have `qp.seq == DEAD` and reuse `next` as the free-list link;
+/// only slots reachable from `head` are live.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     qp: QueuedPacket,
@@ -106,7 +124,7 @@ struct Slot {
     dnext: u32,
 }
 
-// `u32` links keep a slot within one cache line; `usize` links would not.
+// `u32` links, slot index and `seq` keep a slot within one cache line.
 const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
 
 /// Ends and length of one destination's list.
@@ -119,8 +137,8 @@ struct DestList {
 
 const EMPTY_LIST: DestList = DestList { head: NIL, tail: NIL, len: 0 };
 
-/// Arrival-ordered queue with per-destination lists, O(1) push/removal by
-/// packet id, and steady-state allocation-free operation.
+/// Arrival-ordered queue with per-destination lists, O(1) push and
+/// removal by handle, and steady-state allocation-free operation.
 #[derive(Clone, Debug)]
 pub struct IndexedQueue {
     slots: Vec<Slot>,
@@ -131,9 +149,8 @@ pub struct IndexedQueue {
     /// Newest live slot (back of the arrival order).
     tail: u32,
     len: usize,
-    slot_of: IdIndex,
     dests: Vec<DestList>,
-    next_seq: u64,
+    next_seq: u32,
 }
 
 impl Default for IndexedQueue {
@@ -151,7 +168,6 @@ impl IndexedQueue {
             head: NIL,
             tail: NIL,
             len: 0,
-            slot_of: IdIndex::default(),
             dests: vec![EMPTY_LIST; n],
             next_seq: 0,
         }
@@ -169,16 +185,10 @@ impl IndexedQueue {
         self.len == 0
     }
 
-    /// Whether the packet is currently queued here.
+    /// The queued packet `h` names, if it is still queued here.
     #[inline]
-    pub fn contains(&self, id: PacketId) -> bool {
-        self.slot_of.contains_key(&id)
-    }
-
-    /// Look up a queued packet by id.
-    #[inline]
-    pub fn get(&self, id: PacketId) -> Option<&QueuedPacket> {
-        self.slot_of.get(&id).map(|&i| &self.slots[i as usize].qp)
+    pub fn get(&self, h: Handle) -> Option<&QueuedPacket> {
+        self.slots.get(h.slot as usize).map(|s| &s.qp).filter(|qp| qp.seq == h.seq)
     }
 
     /// Packets destined to `dest` currently queued.
@@ -257,7 +267,8 @@ impl IndexedQueue {
         (idx != NIL).then(|| &self.slots[idx as usize].qp)
     }
 
-    /// Enqueue a packet arriving in round `arrived`.
+    /// Enqueue a packet arriving in round `arrived`; the returned copy's
+    /// [`handle`](QueuedPacket::handle) names it.
     ///
     /// Queue mutation is the engine's job during simulation — protocols only
     /// ever see `&IndexedQueue` — but the methods are public so the data
@@ -267,7 +278,7 @@ impl IndexedQueue {
     ///
     /// If `arrived` is earlier than the newest queued packet's arrival (the
     /// old-packet queries rely on arrival order), or if the queue would
-    /// outgrow the `u32` slot range.
+    /// outgrow the `u32` slot or arrival-sequence range.
     pub fn push(&mut self, packet: Packet, arrived: Round) -> QueuedPacket {
         if let Some(newest) = self.newest() {
             assert!(
@@ -279,23 +290,26 @@ impl IndexedQueue {
             );
         }
         let seq = self.next_seq;
-        self.next_seq += 1;
-        let qp = QueuedPacket { packet, arrived, seq };
-        let dprev = self.dests[packet.dest].tail;
-        let slot = Slot { qp, prev: self.tail, next: NIL, dprev, dnext: NIL };
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.slots[idx as usize].next;
-            self.slots[idx as usize] = slot;
-            idx
+        assert!(seq != DEAD, "station queue outgrew the u32 range of its arrival sequence");
+        self.next_seq = seq + 1;
+        let reuse = self.free_head != NIL;
+        let idx = if reuse {
+            self.free_head
         } else {
-            let idx = u32::try_from(self.slots.len())
+            u32::try_from(self.slots.len())
                 .ok()
                 .filter(|&i| i != NIL)
-                .expect("station queue outgrew the u32 slot range of its links");
-            self.slots.push(slot);
-            idx
+                .expect("station queue outgrew the u32 slot range of its links")
         };
+        let qp = QueuedPacket { packet, arrived, seq, slot: idx };
+        let dprev = self.dests[packet.dest].tail;
+        let slot = Slot { qp, prev: self.tail, next: NIL, dprev, dnext: NIL };
+        if reuse {
+            self.free_head = self.slots[idx as usize].next;
+            self.slots[idx as usize] = slot;
+        } else {
+            self.slots.push(slot);
+        }
         if self.tail != NIL {
             self.slots[self.tail as usize].next = idx;
         } else {
@@ -310,16 +324,15 @@ impl IndexedQueue {
         }
         list.tail = idx;
         list.len += 1;
-        let prev = self.slot_of.insert(packet.id, idx);
-        debug_assert!(prev.is_none(), "packet {} enqueued twice", packet.id);
         self.len += 1;
         qp
     }
 
-    /// Remove a packet by id.
-    pub fn remove(&mut self, id: PacketId) -> Option<QueuedPacket> {
-        let idx = self.slot_of.remove(&id)?;
-        let Slot { qp, prev, next, dprev, dnext } = self.slots[idx as usize];
+    /// Remove the packet `h` names, if it is still queued here.
+    pub fn remove(&mut self, h: Handle) -> Option<QueuedPacket> {
+        let qp = *self.get(h)?;
+        let idx = h.slot;
+        let Slot { prev, next, dprev, dnext, .. } = self.slots[idx as usize];
         if prev != NIL {
             self.slots[prev as usize].next = next;
         } else {
@@ -342,7 +355,9 @@ impl IndexedQueue {
             list.tail = dprev;
         }
         list.len -= 1;
-        self.slots[idx as usize].next = self.free_head;
+        let freed = &mut self.slots[idx as usize];
+        freed.qp.seq = DEAD;
+        freed.next = self.free_head;
         self.free_head = idx;
         self.len -= 1;
         Some(qp)
@@ -372,30 +387,37 @@ impl<'a, const DEST: bool> Iterator for Links<'a, DEST> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketId;
 
     fn pkt(id: u64, dest: StationId) -> Packet {
         Packet { id: PacketId(id), dest, injected_round: 0, origin: 0 }
     }
 
-    fn filled() -> IndexedQueue {
+    /// Four packets and their handles.
+    fn filled() -> (IndexedQueue, [Handle; 4]) {
         let mut q = IndexedQueue::new(4);
-        q.push(pkt(0, 1), 0);
-        q.push(pkt(1, 2), 0);
-        q.push(pkt(2, 1), 3);
-        q.push(pkt(3, 3), 5);
-        q
+        let hs = [
+            q.push(pkt(0, 1), 0).handle(),
+            q.push(pkt(1, 2), 0).handle(),
+            q.push(pkt(2, 1), 3).handle(),
+            q.push(pkt(3, 3), 5).handle(),
+        ];
+        (q, hs)
+    }
+
+    fn ids(q: &IndexedQueue) -> Vec<u64> {
+        q.iter().map(|qp| qp.packet.id.0).collect()
     }
 
     #[test]
     fn arrival_order_is_preserved() {
-        let q = filled();
-        let ids: Vec<u64> = q.iter().map(|qp| qp.packet.id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
+        let (q, _) = filled();
+        assert_eq!(ids(&q), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn per_destination_counts() {
-        let q = filled();
+        let (q, _) = filled();
         assert_eq!(q.count_for(1), 2);
         assert_eq!(q.count_for(2), 1);
         assert_eq!(q.count_for(0), 0);
@@ -405,7 +427,7 @@ mod tests {
 
     #[test]
     fn old_packet_predicates() {
-        let q = filled();
+        let (q, _) = filled();
         assert_eq!(q.count_old(3), 2);
         assert_eq!(q.count_old_for(1, 4), 2);
         assert_eq!(q.count_old_for(1, 1), 1);
@@ -416,13 +438,13 @@ mod tests {
 
     #[test]
     fn remove_updates_everything() {
-        let mut q = filled();
-        let removed = q.remove(PacketId(0)).unwrap();
+        let (mut q, hs) = filled();
+        let removed = q.remove(hs[0]).unwrap();
         assert_eq!(removed.packet.dest, 1);
         assert_eq!(q.len(), 3);
         assert_eq!(q.count_for(1), 1);
-        assert!(!q.contains(PacketId(0)));
-        assert!(q.remove(PacketId(0)).is_none());
+        assert!(q.get(hs[0]).is_none(), "a freed slot reads as dead");
+        assert!(q.remove(hs[0]).is_none());
         assert_eq!(q.oldest().unwrap().packet.id.0, 1);
         assert_eq!(q.oldest_for(1).unwrap().packet.id.0, 2);
     }
@@ -430,17 +452,30 @@ mod tests {
     #[test]
     fn seq_is_monotonic_across_removals() {
         let mut q = IndexedQueue::new(2);
-        q.push(pkt(0, 1), 0);
-        q.remove(PacketId(0));
+        let h = q.push(pkt(0, 1), 0).handle();
+        q.remove(h);
         let qp = q.push(pkt(1, 1), 1);
         assert_eq!(qp.seq, 1);
     }
 
     #[test]
-    fn get_by_id() {
-        let q = filled();
-        assert_eq!(q.get(PacketId(2)).unwrap().arrived, 3);
-        assert!(q.get(PacketId(9)).is_none());
+    fn get_by_handle() {
+        let (q, hs) = filled();
+        assert_eq!(q.get(hs[2]).unwrap().arrived, 3);
+        assert_eq!(q.get(hs[2]).unwrap().handle(), hs[2]);
+        assert!(q.get(Handle::NONE).is_none());
+    }
+
+    #[test]
+    fn a_reused_slot_does_not_resolve_the_old_handle() {
+        let (mut q, hs) = filled();
+        let old = q.remove(hs[1]).unwrap();
+        let new = q.push(pkt(9, 2), 6);
+        assert_eq!(new.handle().slot(), old.handle().slot(), "the freed slot is reused");
+        assert!(q.get(hs[1]).is_none(), "the old handle names a packet that left");
+        assert!(q.remove(hs[1]).is_none());
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.get(new.handle()).unwrap().packet.id.0, 9);
     }
 
     #[test]
@@ -448,39 +483,35 @@ mod tests {
         // Churn far more packets than the peak queue length: the slab must
         // stay at the high-water mark, recycling freed slots.
         let mut q = IndexedQueue::new(2);
-        for id in 0..4 {
-            q.push(pkt(id, 1), id);
-        }
+        let mut live: std::collections::VecDeque<Handle> =
+            (0..4).map(|id| q.push(pkt(id, 1), id).handle()).collect();
         for id in 4..1_000 {
-            q.remove(PacketId(id - 4)).expect("oldest still queued");
-            q.push(pkt(id, 1), id);
+            q.remove(live.pop_front().unwrap()).expect("oldest still queued");
+            live.push_back(q.push(pkt(id, 1), id).handle());
             assert_eq!(q.len(), 4);
         }
         assert_eq!(q.slots.len(), 4, "slab must not grow past the high-water mark");
-        let ids: Vec<u64> = q.iter().map(|qp| qp.packet.id.0).collect();
-        assert_eq!(ids, vec![996, 997, 998, 999], "arrival order survives recycling");
+        assert_eq!(ids(&q), vec![996, 997, 998, 999], "arrival order survives recycling");
         assert_eq!(q.newest().unwrap().packet.id.0, 999);
     }
 
     #[test]
     fn interior_removal_keeps_links_consistent() {
-        let mut q = filled();
-        q.remove(PacketId(1)).unwrap(); // interior
-        q.remove(PacketId(3)).unwrap(); // tail
-        let ids: Vec<u64> = q.iter().map(|qp| qp.packet.id.0).collect();
-        assert_eq!(ids, vec![0, 2]);
+        let (mut q, hs) = filled();
+        q.remove(hs[1]).unwrap(); // interior
+        q.remove(hs[3]).unwrap(); // tail
+        assert_eq!(ids(&q), vec![0, 2]);
         assert_eq!(q.newest().unwrap().packet.id.0, 2);
         q.push(pkt(9, 3), 9);
-        let ids: Vec<u64> = q.iter().map(|qp| qp.packet.id.0).collect();
-        assert_eq!(ids, vec![0, 2, 9]);
+        assert_eq!(ids(&q), vec![0, 2, 9]);
         assert_eq!(q.len(), 3);
     }
 
     #[test]
     fn drain_to_empty_and_refill() {
-        let mut q = filled();
-        for id in 0..4 {
-            q.remove(PacketId(id)).unwrap();
+        let (mut q, hs) = filled();
+        for h in hs {
+            q.remove(h).unwrap();
         }
         assert!(q.is_empty());
         assert!(q.oldest().is_none());
@@ -494,7 +525,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "queue arrivals must not decrease")]
     fn out_of_order_push_is_refused() {
-        let mut q = filled(); // newest packet arrived in round 5
+        let (mut q, _) = filled(); // newest packet arrived in round 5
         q.push(pkt(4, 2), 4);
     }
 }

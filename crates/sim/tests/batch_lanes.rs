@@ -46,7 +46,7 @@ impl Protocol for TokenProto {
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
         if ctx.round as usize % ctx.n == ctx.id {
             if let Some(qp) = queue.oldest() {
-                return Action::Transmit(Message::plain(qp.packet));
+                return Action::Transmit(Message::plain(qp));
             }
         }
         Action::Listen

@@ -1,9 +1,11 @@
 //! Model-based property test: `IndexedQueue` against a naive reference
 //! implementation (a plain `Vec` in arrival order), driven by random but
 //! seeded operation sequences. Every query the algorithms rely on must
-//! agree after every operation.
+//! agree after every operation, and every handle must resolve exactly
+//! while its packet is queued: a handle to a packet that left — its slot
+//! freed, or reused by a later push — never resolves again.
 
-use emac_sim::{IndexedQueue, Packet, PacketId, SmallRng, StationId};
+use emac_sim::{Handle, IndexedQueue, Packet, PacketId, SmallRng, StationId};
 
 const N: usize = 8;
 
@@ -23,16 +25,18 @@ enum Op {
     Remove { index: usize },
     /// Remove a packet at a chosen position of one destination's list.
     RemoveInDest { dest: StationId, pos: Pos },
+    /// Remove through the handle of a packet that already left.
+    RemoveStale { index: usize },
 }
 
 fn random_ops(rng: &mut SmallRng) -> Vec<Op> {
     let len = rng.random_range(1..160);
     (0..len)
-        .map(|_| match rng.random_range(0..8) {
+        .map(|_| match rng.random_range(0..9) {
             // pushes three times as likely as removals
             0..6 => Op::Push { dest: rng.random_range(0..N), advance: rng.random_range_u64(0..4) },
             6 => Op::Remove { index: rng.random_range(0..64) },
-            _ => {
+            7 => {
                 let pos = match rng.random_range(0..3) {
                     0 => Pos::Head,
                     1 => Pos::Tail,
@@ -40,31 +44,23 @@ fn random_ops(rng: &mut SmallRng) -> Vec<Op> {
                 };
                 Op::RemoveInDest { dest: rng.random_range(0..N), pos }
             }
+            _ => Op::RemoveStale { index: rng.random_range(0..64) },
         })
         .collect()
 }
 
-/// The reference: packets in arrival order with their metadata.
+/// The reference: packets in arrival order with their metadata and the
+/// handles the queue gave them, plus the handles of every packet that
+/// left.
 #[derive(Default)]
 struct Model {
-    items: Vec<(Packet, u64)>, // (packet, arrived), arrival order
+    items: Vec<(Packet, u64, Handle)>, // (packet, arrived, handle), arrival order
+    gone: Vec<Handle>,
 }
 
 impl Model {
-    fn push(&mut self, p: Packet, arrived: u64) {
-        self.items.push((p, arrived));
-    }
-    fn remove(&mut self, id: PacketId) -> bool {
-        match self.items.iter().position(|(p, _)| p.id == id) {
-            Some(i) => {
-                self.items.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
     fn ids(&self, keep: impl Fn(&Packet, u64) -> bool) -> Vec<u64> {
-        self.items.iter().filter(|&&(p, a)| keep(&p, a)).map(|(p, _)| p.id.0).collect()
+        self.items.iter().filter(|&&(p, a, _)| keep(&p, a)).map(|(p, _, _)| p.id.0).collect()
     }
     fn iter_for(&self, d: StationId) -> Vec<u64> {
         self.ids(|p, _| p.dest == d)
@@ -86,8 +82,15 @@ fn ids<'a>(it: impl Iterator<Item = &'a emac_sim::QueuedPacket>) -> Vec<u64> {
 fn assert_agrees(q: &IndexedQueue, m: &Model, clock: u64) {
     assert_eq!(q.len(), m.items.len());
     assert_eq!(ids(q.iter()), m.ids(|_, _| true), "arrival order must match");
-    assert_eq!(q.oldest().map(|qp| qp.packet.id.0), m.items.first().map(|(p, _)| p.id.0));
-    assert_eq!(q.newest().map(|qp| qp.packet.id.0), m.items.last().map(|(p, _)| p.id.0));
+    assert_eq!(q.oldest().map(|qp| qp.packet.id.0), m.items.first().map(|(p, _, _)| p.id.0));
+    assert_eq!(q.newest().map(|qp| qp.packet.id.0), m.items.last().map(|(p, _, _)| p.id.0));
+    for &(p, arrived, h) in &m.items {
+        let qp = q.get(h).unwrap_or_else(|| panic!("live handle {h:?} of {} resolves", p.id));
+        assert_eq!((qp.packet, qp.arrived, qp.handle()), (p, arrived, h));
+    }
+    for &h in &m.gone {
+        assert!(q.get(h).is_none(), "handle {h:?} of a packet that left must not resolve");
+    }
     for d in 0..N {
         let want = m.iter_for(d);
         assert_eq!(ids(q.iter_for(d)), want, "iter_for({d})");
@@ -123,28 +126,34 @@ impl Harness {
         Self { q: IndexedQueue::new(N), m: Model::default(), next_id: 0, clock: 0 }
     }
 
-    fn push(&mut self, dest: StationId, advance: u64) {
+    fn push(&mut self, dest: StationId, advance: u64) -> Handle {
         self.clock += advance;
         let p = Packet { id: PacketId(self.next_id), dest, injected_round: self.clock, origin: 0 };
         self.next_id += 1;
-        self.q.push(p, self.clock);
-        self.m.push(p, self.clock);
+        let h = self.q.push(p, self.clock).handle();
+        self.m.items.push((p, self.clock, h));
+        h
     }
 
-    fn remove(&mut self, id: PacketId) {
-        let was_in_model = self.m.remove(id);
-        let removed = self.q.remove(id);
-        assert_eq!(was_in_model, removed.is_some());
-        assert_eq!(removed.map(|qp| qp.packet.id), was_in_model.then_some(id));
+    /// Remove the model's `at`-th packet (arrival order) through its
+    /// handle; the handle must not remove anything a second time.
+    fn remove_at(&mut self, at: usize) -> Handle {
+        let (p, _, h) = self.m.items.remove(at);
+        let removed = self.q.remove(h);
+        assert_eq!(removed.map(|qp| (qp.packet, qp.handle())), Some((p, h)));
+        assert!(self.q.remove(h).is_none(), "a handle removes its packet once");
+        self.m.gone.push(h);
+        h
     }
 
     fn apply(&mut self, op: Op) {
         match op {
-            Op::Push { dest, advance } => self.push(dest, advance),
+            Op::Push { dest, advance } => {
+                self.push(dest, advance);
+            }
             Op::Remove { index } => {
                 if !self.m.items.is_empty() {
-                    let id = self.m.items[index % self.m.items.len()].0.id;
-                    self.remove(id);
+                    self.remove_at(index % self.m.items.len());
                 }
             }
             Op::RemoveInDest { dest, pos } => {
@@ -157,7 +166,15 @@ impl Harness {
                         Pos::Interior(i) if list.len() > 2 => 1 + i % (list.len() - 2),
                         Pos::Interior(i) => i % list.len(),
                     };
-                    self.remove(PacketId(list[at]));
+                    let id = list[at];
+                    let at = self.m.items.iter().position(|(p, _, _)| p.id.0 == id).unwrap();
+                    self.remove_at(at);
+                }
+            }
+            Op::RemoveStale { index } => {
+                if !self.m.gone.is_empty() {
+                    let h = self.m.gone[index % self.m.gone.len()];
+                    assert!(self.q.remove(h).is_none(), "stale handle {h:?} removed a packet");
                 }
             }
         }
@@ -178,7 +195,9 @@ fn queue_agrees_with_reference_model() {
 
 /// Slots freed by one destination's packets are reused by others': fill,
 /// then repeatedly remove a random packet and push one bound for a
-/// different destination, so every recycled slot changes lists.
+/// different destination, so every recycled slot changes lists. The new
+/// packet takes the freed slot, and the old handle to that slot no longer
+/// resolves.
 #[test]
 fn recycled_slots_move_between_destination_lists() {
     let mut rng = SmallRng::seed_from_u64(0x0ef0);
@@ -188,10 +207,13 @@ fn recycled_slots_move_between_destination_lists() {
             s.push(rng.random_range(0..N), rng.random_range_u64(0..3));
         }
         for _ in 0..200 {
-            let (p, _) = s.m.items[rng.random_range(0..s.m.items.len())];
-            s.remove(p.id);
-            let dest = (p.dest + 1 + rng.random_range(0..N - 1)) % N;
-            s.push(dest, rng.random_range_u64(0..3));
+            let at = rng.random_range(0..s.m.items.len());
+            let dest = (s.m.items[at].0.dest + 1 + rng.random_range(0..N - 1)) % N;
+            let old = s.remove_at(at);
+            let new = s.push(dest, rng.random_range_u64(0..3));
+            assert_eq!(new.slot(), old.slot(), "the freed slot is the next one pushed into");
+            assert_ne!(new, old);
+            assert!(s.q.get(old).is_none(), "the reused slot's old handle must not resolve");
             assert_agrees(&s.q, &s.m, s.clock);
         }
     }

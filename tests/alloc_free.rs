@@ -2,12 +2,14 @@
 //! allocation-free in steady state.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up phase (scratch buffers sized, queue slabs and id indexes at
-//! their high-water marks), a window of thousands of `Simulator::step`
-//! calls must perform **zero** allocations and zero deallocations — while
-//! packets are still in flight, so the window exercises scheduling, queue
-//! scans, transmission, and delivery, not an idle system. The last case
-//! bounds the allocations of building one wide system instead.
+//! warm-up phase (scratch buffers sized, queue slabs at their high-water
+//! marks), a window of thousands of `Simulator::step` calls must perform
+//! **zero** allocations and zero deallocations — while packets are still
+//! in flight, so the window exercises scheduling, queue scans,
+//! transmission, and delivery, not an idle system. Case 7 bounds the
+//! allocations of building one wide system instead. The allocator also
+//! tracks live heap bytes, and the last case bounds what a queue holding
+//! Table 1's largest backlog keeps on the heap.
 //!
 //! This file holds a single `#[test]`: the test harness runs tests in the
 //! same binary concurrently, so a second test's allocations would race the
@@ -18,33 +20,47 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use emac::prelude::*;
 use emac_adversary::Scripted;
-use emac_sim::{BuiltAlgorithm, NoInjections, Simulator};
+use emac_sim::{BuiltAlgorithm, IndexedQueue, NoInjections, Packet, PacketId, Simulator};
 
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated (wrapping: only differences are read).
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
+}
+
+/// Live heap bytes `make` leaves allocated in what it returns.
+fn live_bytes_of<T>(make: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    let made = make();
+    (made, LIVE_BYTES.load(Ordering::SeqCst).wrapping_sub(before))
 }
 
 #[global_allocator]
@@ -229,4 +245,33 @@ fn steady_state_steps_do_not_allocate() {
     let allocs = ALLOCS.load(Ordering::SeqCst) - a0;
     assert!(allocs <= 10 * n as u64, "k-Subsets n={n} k=2 build made {allocs} allocations");
     drop(sim);
+
+    // --- Case 8: what a queue keeps on the heap. Table 1's diverging rows
+    // hold backlogs of up to 35,014 packets, so a queue of 35,000 must
+    // hold its slab — a vector of 64-byte slots, grown by the same pushes
+    // — plus the per-destination lists an empty queue holds, and nothing
+    // per packet besides its slot: no index by packet id.
+    const BACKLOG: u64 = 35_000;
+    let n = 9;
+    let (_, lists) = live_bytes_of(|| IndexedQueue::new(n));
+    let (slab_twin, slab) = live_bytes_of(|| {
+        let mut twin: Vec<[u8; 64]> = Vec::new();
+        (0..BACKLOG).for_each(|_| twin.push([0; 64]));
+        twin
+    });
+    let (queue, held) = live_bytes_of(|| {
+        let mut q = IndexedQueue::new(n);
+        for id in 0..BACKLOG {
+            let dest = 1 + id as usize % (n - 1);
+            q.push(Packet { id: PacketId(id), dest, injected_round: id, origin: 0 }, id);
+        }
+        q
+    });
+    assert_eq!(queue.len(), BACKLOG as usize);
+    assert!(
+        held <= slab + lists,
+        "a queue of {BACKLOG} packets holds {held} heap bytes, over its slab ({slab}) plus \
+         its per-destination lists ({lists})"
+    );
+    drop((queue, slab_twin));
 }
