@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of three design choices:
 //!
 //! * **A1** — Orchestra without the move-big-to-front rule: the bigness
 //!   mechanism is what buys rate-1 stability.

@@ -1,4 +1,4 @@
-//! Generate the figure-style CSV series (F1–F5 in DESIGN.md). The paper
+//! Generate the figure-style CSV series F1–F5, declared below. The paper
 //! itself has no figures — its evaluation is Table 1 — so these series
 //! visualise the behaviours behind the bounds: bounded vs unbounded queue
 //! growth, the 1/(1−ρ) latency blow-up, scaling in n, the stability

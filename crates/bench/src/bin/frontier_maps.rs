@@ -57,7 +57,7 @@ fn run_map(
         String::new()
     };
     println!(
-        "\n{name}: {} map point(s), {} probe(s) over {} wave(s){escalated}",
+        "\n{name}: {} map point(s), {} probe(s), {} deep{escalated}",
         summary.points, summary.probes_run, summary.waves
     );
     for row in &rows {

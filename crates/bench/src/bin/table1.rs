@@ -97,7 +97,7 @@ fn main() -> ExitCode {
     // ---- Row 4: Adjust-Window latency <= (18 n^3 log^2 n + 2 beta)/(1-rho) ----
     // The paper's bound is asymptotic in n (it replaces lg L by Θ(log n));
     // the exact bound of this implementation is 2·L*, the steady window
-    // size. Both ratios are reported; EXPERIMENTS.md E4 discusses them.
+    // size. Both ratios are reported; `steady_window_size`'s doc explains them.
     let mut plans = Vec::new();
     for n in [3usize, 4, 5] {
         for (p, q) in [(1u64, 2u64), (3, 4)] {

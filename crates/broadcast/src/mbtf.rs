@@ -5,7 +5,7 @@
 //! the paradigm `Orchestra` (paper §3.1) adapts to energy cap 3, and the
 //! subroutine `k-Subsets` (paper §6) instantiates once per thread.
 //!
-//! Reconstruction (DESIGN.md §4.8): an execution is split into *seasons* of
+//! Reconstruction (\[17\], paper §3.1): an execution is split into *seasons* of
 //! `n−1` rounds. A shared baton list orders the stations; the conductor of
 //! a season transmits in every round of the season — its queued packets
 //! oldest-first, or a *light* message when empty — and announces via a

@@ -16,7 +16,7 @@
 //!   counts and deliver old packets directly, sender and destination
 //!   switched on per round. If some queue exceeds `L`, the stage is instead
 //!   dedicated to draining the smallest-named such station through a
-//!   rotating listener (DESIGN.md §4.4).
+//!   rotating listener (`tests::concentrated_flood_triggers_dedicated_mode_and_survives`).
 //! * **Auxiliary** — `8n·lgL` round-robin phases of `n²` rounds deliver the
 //!   old packets of *small* stations and everything adopted during Gossip.
 //!

@@ -5,7 +5,7 @@
 //! with `lg x = ⌈log₂(x+1)⌉`. The initial `L` is the smallest natural
 //! number whose Main stage occupies at least half the window — computed
 //! exactly rather than with the paper's "sufficiently large n" closed form
-//! (DESIGN.md §4.6).
+//! (`tests::initial_size_satisfies_half_condition`).
 
 use emac_sim::{Rate, Round};
 
@@ -60,7 +60,7 @@ pub fn initial_window_size(n: usize) -> u64 {
 /// windows, so `2·L*` bounds the latency of *this implementation* exactly
 /// (the paper's `(18n³log²n + 2β)/(1−ρ)` is the same quantity evaluated
 /// asymptotically, where `lg L = Θ(log n)`; at small `n`, `lg L` is a
-/// sizeable constant instead — see EXPERIMENTS.md E4).
+/// sizeable constant instead — Table 1 row 4 reports both ratios).
 pub fn steady_window_size(n: usize, rho: Rate, beta: u64) -> u64 {
     let mut cfg = WindowCfg::first(n);
     loop {

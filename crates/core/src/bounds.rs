@@ -43,7 +43,7 @@ pub fn count_hop_latency_bound(n: u64, rho: f64, beta: f64) -> f64 {
 /// covers the counting substage only; an executable protocol also needs the
 /// offset substage (another `n(n−1)` rounds) so every station can track the
 /// variable-length stage timeline. The asymptotic shape is unchanged; the
-/// `n²` coefficient doubles. See EXPERIMENTS.md (E3).
+/// `n²` coefficient doubles. Table 1 row 3 and Count-Hop's latency test use it.
 pub fn count_hop_impl_latency_bound(n: u64, rho: f64, beta: f64) -> f64 {
     2.0 * ((2 * n * n) as f64 + beta) / (1.0 - rho)
 }

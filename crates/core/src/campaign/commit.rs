@@ -1,18 +1,11 @@
-//! The campaign's commit stage behind
-//! [`Campaign::run_subset`](super::Campaign::run_subset), whose docs state
-//! the contract: a reorder window of `workers + K` rows, one committer,
-//! and a durability barrier per block of `K` rows.
-//!
-//! Workers share one [`Window`] under a lock. A finished run parks in the
-//! ring slot of its position; the window admits only `workers + K`
-//! consecutive positions, so their slots never collide. The sink and the
-//! checkpoint form a [`Stage`], parked in the window while no worker
-//! commits. The worker that parks position `a` takes the stage if it is
-//! free; a committer parks it again in the same critical section in which
-//! it finds position `a` still running, so the worker that later parks
-//! that row finds the stage free and no finished row is stranded.
+//! The one worker pool behind campaign rows (whose commit contract
+//! [`Campaign::run_subset`](super::Campaign::run_subset) states) and
+//! frontier lanes. Workers share one [`Queue`] under a lock: each pops a
+//! unit, runs it without the lock, and parks the result. The calling thread
+//! is the only committer: it takes parked results, hands them to the sink,
+//! the checkpoint and the observer, and admits or queues more units.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use super::checkpoint::Checkpoint;
@@ -22,177 +15,224 @@ use super::ScenarioRun;
 /// Rows per commit block, and the window's slack beyond one row per worker.
 const K: usize = 8;
 
-const POISONED: &str = "commit window poisoned";
+const POISONED: &str = "worker pool poisoned";
 
-/// The sink side, owned by whichever worker holds the committer role and
-/// parked in [`Window::stage`] while none does.
-struct Stage<'a> {
-    sink: &'a mut dyn ResultSink,
-    checkpoint: Option<&'a mut Checkpoint>,
-    /// Spec indices accepted since the last barrier, in acceptance order.
-    block: Vec<usize>,
+/// The work a [`Pool`] runs, shared by its workers and its committer under
+/// one lock.
+pub(crate) trait Queue: Send {
+    /// What a worker runs.
+    type Unit: Send;
+    /// What running a unit gave.
+    type Done: Send;
+
+    /// The next unit a worker may start now, if any.
+    fn pop(&mut self) -> Option<Self::Unit>;
+
+    /// File a finished unit's result for the committer, and say whom that
+    /// concerns, if anyone yet.
+    fn park(&mut self, unit: Self::Unit, done: Self::Done) -> Option<Wake>;
 }
 
-impl Stage<'_> {
-    /// Make the block durable: sync the output, then record the block in
-    /// the checkpoint, and report the pair's time through
-    /// [`ResultSink::committed`]. Without a checkpoint nothing vouches for
-    /// the output, so nothing is synced.
-    fn barrier(&mut self) -> Result<(), String> {
-        let Some(checkpoint) = self.checkpoint.as_deref_mut() else {
-            self.block.clear();
-            return Ok(());
-        };
-        if self.block.is_empty() {
-            return Ok(());
+/// Whom a parked result concerns, so only they are woken.
+pub(crate) enum Wake {
+    /// The committer, which can take something now.
+    Committer,
+    /// Idle workers: the park queued more units.
+    Workers,
+}
+
+/// The committer's handle on a running pool.
+pub(crate) struct Pool<Q> {
+    state: Mutex<State<Q>>,
+    /// Wakes idle workers: the queue changed, or the pool closed.
+    changed: Condvar,
+    /// Wakes the committer: a parked result concerns it, or the pool closed.
+    parked: Condvar,
+}
+
+struct State<Q> {
+    queue: Q,
+    /// Set once the committer returns or any thread stops: nothing starts.
+    closed: bool,
+}
+
+impl<Q: Queue> Pool<Q> {
+    /// Wait until `take` finds a parked result; `None` once a panicking
+    /// worker closed the pool (the scope then re-raises its panic).
+    pub(crate) fn take<T>(&self, mut take: impl FnMut(&mut Q) -> Option<T>) -> Option<T> {
+        let mut state = self.state.lock().expect(POISONED);
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(done) = take(&mut state.queue) {
+                return Some(done);
+            }
+            state = self.parked.wait(state).expect(POISONED);
         }
-        let started = Instant::now();
-        self.sink.sync()?;
-        checkpoint.record_all(&self.block)?;
-        self.block.clear();
-        self.sink.committed(started.elapsed());
-        Ok(())
+    }
+
+    /// Change the queue, admitting or adding units, and wake idle workers.
+    pub(crate) fn update<T>(&self, update: impl FnOnce(&mut Q) -> T) -> T {
+        let out = update(&mut self.state.lock().expect(POISONED).queue);
+        self.changed.notify_all();
+        out
+    }
+
+    /// Pop, run and park units until the pool closes.
+    fn work(&self, execute: &(impl Fn(&Q::Unit) -> Q::Done + Sync)) {
+        let _close = Close(self);
+        let mut state = self.state.lock().expect(POISONED);
+        while !state.closed {
+            let Some(unit) = state.queue.pop() else {
+                state = self.changed.wait(state).expect(POISONED);
+                continue;
+            };
+            drop(state);
+            let done = execute(&unit);
+            state = self.state.lock().expect(POISONED);
+            match state.queue.park(unit, done) {
+                Some(Wake::Committer) => self.parked.notify_one(),
+                Some(Wake::Workers) => self.changed.notify_all(),
+                None => {}
+            }
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.changed.notify_all();
+        self.parked.notify_all();
     }
 }
 
-/// What the workers share, under one lock.
-struct Window<'a> {
+/// Closes the pool when the committer or a worker stops, even by a panic,
+/// so no thread waits for work that will never come.
+struct Close<'p, Q: Queue>(&'p Pool<Q>);
+
+impl<Q: Queue> Drop for Close<'_, Q> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// Run `commit` on the calling thread beside `workers` scoped threads that
+/// run `execute` on the units of `queue` (see the module docs); its result
+/// comes back once the pool is closed and every worker has exited.
+pub(crate) fn pool<Q, E, C, T>(workers: usize, queue: Q, execute: E, commit: C) -> T
+where
+    Q: Queue,
+    E: Fn(&Q::Unit) -> Q::Done + Sync,
+    C: FnOnce(&Pool<Q>) -> T,
+{
+    let pool = Pool {
+        state: Mutex::new(State { queue, closed: false }),
+        changed: Condvar::new(),
+        parked: Condvar::new(),
+    };
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..workers).map(|_| scope.spawn(|| pool.work(&execute))).collect();
+        let out = {
+            let _close = Close(&pool);
+            commit(&pool)
+        };
+        // The scope waits only for the closures; a worker still exiting
+        // holds its allocator arena, and the next pool would grow new ones.
+        for worker in workers {
+            worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        out
+    })
+}
+
+/// A campaign's queue, a reorder window: `todo` position `p` may start only
+/// while `p < a + workers + K`, so parked runs never share a ring slot.
+struct Window {
     /// The next `todo` position to start.
     next: usize,
+    /// `todo.len()`.
+    len: usize,
     /// Rows the sink has accepted (`a`).
     accepted: usize,
     /// Finished runs waiting for their turn; position `p` parks at
     /// `p % ring.len()`.
     ring: Vec<Option<ScenarioRun>>,
-    /// The sink side, while no worker is committing.
-    stage: Option<Stage<'a>>,
-    /// The first sink or checkpoint error; it stops every worker.
-    error: Option<String>,
+}
+
+impl Queue for Window {
+    type Unit = usize;
+    type Done = ScenarioRun;
+
+    fn pop(&mut self) -> Option<usize> {
+        let pos = self.next;
+        let admitted = pos < self.len && pos < self.accepted + self.ring.len();
+        self.next += usize::from(admitted);
+        admitted.then_some(pos)
+    }
+
+    fn park(&mut self, pos: usize, run: ScenarioRun) -> Option<Wake> {
+        let slots = self.ring.len();
+        self.ring[pos % slots] = Some(run);
+        (pos == self.accepted).then_some(Wake::Committer)
+    }
 }
 
 /// Run `execute` on the spec index at every `todo` position over `workers`
 /// threads, committing each run to `sink` and `checkpoint` in `todo` order
-/// (see the module docs). [`ResultSink::finish`] runs only on success.
+/// as [`Campaign::run_subset`](super::Campaign::run_subset) states.
+/// [`ResultSink::finish`] runs only on success.
 pub(super) fn run<E>(
     todo: &[usize],
     workers: usize,
     sink: &mut dyn ResultSink,
-    checkpoint: Option<&mut Checkpoint>,
+    mut checkpoint: Option<&mut Checkpoint>,
     execute: E,
 ) -> Result<(), String>
 where
     E: Fn(usize) -> ScenarioRun + Sync,
 {
     let slots = workers + K;
-    let window = Mutex::new(Window {
-        next: 0,
-        accepted: 0,
-        ring: (0..slots).map(|_| None).collect(),
-        stage: Some(Stage { sink, checkpoint, block: Vec::with_capacity(K) }),
-        error: None,
-    });
-    let admitted = Condvar::new();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _stop = StopOnPanic { window: &window, admitted: &admitted };
-                let mut w = window.lock().expect(POISONED);
-                loop {
-                    while w.error.is_none() && w.next < todo.len() && w.next >= w.accepted + slots {
-                        w = admitted.wait(w).expect(POISONED);
-                    }
-                    if w.error.is_some() || w.next >= todo.len() {
-                        break;
-                    }
-                    let pos = w.next;
-                    w.next += 1;
-                    drop(w);
-                    let run = execute(todo[pos]);
-                    w = window.lock().expect(POISONED);
-                    if w.error.is_some() {
-                        break;
-                    }
-                    w.ring[pos % slots] = Some(run);
-                    if pos == w.accepted {
-                        if let Some(stage) = w.stage.take() {
-                            w = commit(w, stage, &window, &admitted, todo);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let window = window.into_inner().expect(POISONED);
-    match window.error {
-        Some(e) => Err(e),
-        None => window.stage.expect("the committer parks the stage").sink.finish(),
-    }
-}
-
-/// Hold the committer role: hand the parked rows from position `a` on to
-/// the sink in order, with a barrier after each block edge, until the next
-/// row is still running or an error stops the run. Returns the lock with
-/// the stage parked again.
-fn commit<'w, 'a>(
-    mut w: MutexGuard<'w, Window<'a>>,
-    mut stage: Stage<'a>,
-    window: &'w Mutex<Window<'a>>,
-    admitted: &Condvar,
-    todo: &[usize],
-) -> MutexGuard<'w, Window<'a>> {
-    let slots = w.ring.len();
-    loop {
-        let pos = w.accepted;
-        let Some(run) = w.ring[pos % slots].take() else { break };
-        drop(w);
-        let index = todo[pos];
-        let outcome = match stage.sink.accept(index, run) {
-            Ok(()) => {
-                stage.block.push(index);
-                w = window.lock().expect(POISONED);
-                w.accepted += 1;
-                admitted.notify_all();
-                if !(pos + 1).is_multiple_of(K) && pos + 1 != todo.len() {
-                    continue;
-                }
-                drop(w);
-                stage.barrier()
-            }
-            Err(e) => {
+    let ring = (0..slots).map(|_| None).collect();
+    let window = Window { next: 0, len: todo.len(), accepted: 0, ring };
+    let run_at = |&pos: &usize| execute(todo[pos]);
+    pool(workers, window, run_at, |pool| {
+        let mut block = Vec::with_capacity(K);
+        for (pos, &index) in todo.iter().enumerate() {
+            let run =
+                pool.take(|w| w.ring[pos % slots].take()).ok_or("a campaign worker panicked")?;
+            if let Err(e) = sink.accept(index, run) {
                 // Abort, but first record the block's accepted rows if
                 // their sync succeeds: exactly the accepted rows are then
                 // recorded, as if the run had been killed right here.
-                let _ = stage.barrier();
-                Err(e)
+                let _ = barrier(sink, checkpoint.as_deref_mut(), &mut block);
+                return Err(e);
             }
-        };
-        w = window.lock().expect(POISONED);
-        if let Err(e) = outcome {
-            w.error = Some(e);
-            admitted.notify_all();
-            break;
+            block.push(index);
+            pool.update(|w| w.accepted += 1);
+            if (pos + 1).is_multiple_of(K) || pos + 1 == todo.len() {
+                barrier(sink, checkpoint.as_deref_mut(), &mut block)?;
+            }
         }
-    }
-    w.stage = Some(stage);
-    w
+        sink.finish()
+    })
 }
 
-/// Stops the other workers when this one unwinds (a panicking sink), so
-/// the scope joins them and re-raises the panic instead of leaving them
-/// waiting for a row that will never be accepted.
-struct StopOnPanic<'w, 'a> {
-    window: &'w Mutex<Window<'a>>,
-    admitted: &'w Condvar,
-}
-
-impl Drop for StopOnPanic<'_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut w = self.window.lock().unwrap_or_else(PoisonError::into_inner);
-            w.error.get_or_insert_with(|| "a campaign worker panicked".into());
-            self.admitted.notify_all();
-        }
+/// Make the block of rows accepted since the last barrier durable: sync the
+/// output, record the block in the checkpoint, and report the pair's time
+/// ([`ResultSink::committed`]). Without a checkpoint nothing is synced.
+fn barrier(
+    sink: &mut dyn ResultSink,
+    checkpoint: Option<&mut Checkpoint>,
+    block: &mut Vec<usize>,
+) -> Result<(), String> {
+    if let Some(checkpoint) = checkpoint.filter(|_| !block.is_empty()) {
+        let started = Instant::now();
+        sink.sync()?;
+        checkpoint.record_all(block)?;
+        sink.committed(started.elapsed());
     }
+    block.clear();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -207,6 +247,7 @@ mod tests {
     use super::*;
     use crate::campaign::checkpoint::read_done;
     use crate::campaign::{Campaign, FnSink, ScenarioFactory, ScenarioSpec};
+    use crate::frontier::{Frontier, FrontierCheckpoint, FrontierSpec, MapRow, MapSink};
     use crate::{Algorithm, CountHop};
 
     /// `count` short scenarios; each one's seed is its position.
@@ -414,6 +455,142 @@ mod tests {
         let panicked = outcome
             .recv_timeout(Duration::from_secs(10))
             .expect("the campaign hung after its sink panicked");
+        assert!(panicked, "the sink's panic reaches the caller");
+    }
+
+    /// A solo map over `Idle` runs at the system sizes `ns`: every probe
+    /// reads stable, so each point probes `lo`, then `hi`, and finishes
+    /// all-stable.
+    fn idle_map(ns: &str) -> FrontierSpec {
+        FrontierSpec::parse(&format!(
+            r#"{{"template": {{"algorithm": "count-hop", "adversary": "none", "rounds": 64}},
+                "lo": "1/4", "hi": "1/2", "map": {{"n": {ns}}}}}"#
+        ))
+        .unwrap()
+    }
+
+    /// Holds the first lane of the `n = 4` point inside its factory call
+    /// until the `n = 6` point's second probe has been built, or a
+    /// deadline passes.
+    #[derive(Default)]
+    struct HoldPointZero {
+        /// The system size of every lane built so far.
+        built: Mutex<Vec<usize>>,
+        progress: Condvar,
+        /// The deadline passed before the other point's second probe.
+        overran: AtomicBool,
+    }
+
+    impl ScenarioFactory for HoldPointZero {
+        fn algorithm(&self, spec: &ScenarioSpec) -> Result<Box<dyn Algorithm>, String> {
+            let mut built = self.built.lock().unwrap();
+            built.push(spec.n);
+            self.progress.notify_all();
+            let of = |built: &[usize], n: usize| built.iter().filter(|&&b| b == n).count();
+            if spec.n == 4 && of(&built, 4) == 1 {
+                let deadline = Duration::from_secs(10);
+                let (built, wait) = self
+                    .progress
+                    .wait_timeout_while(built, deadline, |built| of(built, 6) < 2)
+                    .unwrap();
+                drop(built);
+                self.overran.store(wait.timed_out(), Ordering::SeqCst);
+            }
+            Ok(Box::new(CountHop::new()))
+        }
+
+        fn adversary(
+            &self,
+            spec: &ScenarioSpec,
+            schedule: Option<&Arc<dyn OnSchedule>>,
+        ) -> Result<Box<dyn Adversary>, String> {
+            Idle.adversary(spec, schedule)
+        }
+    }
+
+    /// Two independent points at two workers: while one point's first
+    /// probe runs, the other's probes keep coming, so no probe waits for
+    /// another point's.
+    #[test]
+    fn a_point_probes_on_while_another_points_probe_runs() {
+        let spec = idle_map("[4, 6]");
+        let factory = HoldPointZero::default();
+        let mut sink = RowLog::default();
+        let summary =
+            Frontier::new().threads(2).run_into(&spec, &factory, &mut sink, None).unwrap();
+        assert_eq!((summary.completed, summary.probes_run, summary.waves), (2, 4, 2));
+        assert!(
+            !factory.overran.load(Ordering::SeqCst),
+            "the n = 6 point's second probe waited for the n = 4 point's first"
+        );
+    }
+
+    /// Keeps the indices of the rows it accepts; fails or panics at a
+    /// given row when asked to.
+    #[derive(Default)]
+    struct RowLog {
+        rows: Vec<usize>,
+        fail_at: Option<usize>,
+        panic_at: Option<usize>,
+    }
+
+    impl MapSink for RowLog {
+        fn accept(&mut self, row: &MapRow) -> Result<(), String> {
+            assert_ne!(self.panic_at, Some(row.index), "sink gives up at row {}", row.index);
+            if self.fail_at == Some(row.index) {
+                return Err("simulated crash".into());
+            }
+            self.rows.push(row.index);
+            Ok(())
+        }
+    }
+
+    /// A map sink error aborts the map with exactly the rows before it
+    /// recorded, at any thread count.
+    #[test]
+    fn a_failing_map_sink_records_exactly_the_rows_before_it() {
+        let spec = idle_map("[4, 5, 6]");
+        let (digest, points) = (spec.digest("csv"), spec.points().len());
+        for threads in [1, 4] {
+            for fail_at in 0..points {
+                let path = temp_ckpt(&format!("map-abort-{threads}-{fail_at}"));
+                let mut ckpt = FrontierCheckpoint::fresh(&path, digest, points).unwrap();
+                let mut sink = RowLog { fail_at: Some(fail_at), ..Default::default() };
+                let err = Frontier::new()
+                    .threads(threads)
+                    .run_into(&spec, &Idle, &mut sink, Some(&mut ckpt))
+                    .unwrap_err();
+                assert!(err.contains("simulated crash"), "{err}");
+                let before: Vec<usize> = (0..fail_at).collect();
+                assert_eq!(sink.rows, before, "{threads} threads, failing at {fail_at}");
+                drop(ckpt);
+                let on_disk = FrontierCheckpoint::resume(&path, digest, points).unwrap();
+                assert_eq!(
+                    on_disk.row_indices(),
+                    before,
+                    "{threads} threads, failing at {fail_at}"
+                );
+                let _ = std::fs::remove_file(&path);
+            }
+        }
+    }
+
+    /// A panicking map sink re-raises its panic from the map instead of
+    /// leaving the pool's workers waiting for a committer that is gone.
+    #[test]
+    fn a_panicking_map_sink_stops_every_worker() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                let spec = idle_map("[4, 5, 6]");
+                let mut sink = RowLog { panic_at: Some(1), ..Default::default() };
+                Frontier::new().threads(4).run_into(&spec, &Idle, &mut sink, None)
+            });
+            let _ = done.send(run.is_err());
+        });
+        let panicked = outcome
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the map hung after its sink panicked");
         assert!(panicked, "the sink's panic reaches the caller");
     }
 }

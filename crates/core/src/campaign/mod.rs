@@ -62,7 +62,7 @@
 //! ```
 
 pub mod checkpoint;
-mod commit;
+pub(crate) mod commit;
 pub mod expr;
 pub mod json;
 pub mod row;
@@ -985,11 +985,11 @@ impl Campaign {
     /// each completed run into `sink` in `todo` order and recording it in
     /// `checkpoint` (when given) once the output holding it is durable.
     ///
-    /// Work is distributed over a scoped worker pool; each worker builds
-    /// its scenario's algorithm and adversary via `factory` on its own
-    /// thread, so nothing but plain data and the factory reference crosses
-    /// threads. Panics inside a scenario are contained and reported as that
-    /// scenario's error.
+    /// Work is distributed over the scoped worker pool frontier lanes run
+    /// on; each worker builds its scenario's algorithm and adversary via
+    /// `factory` on its own thread, so nothing but plain data and the
+    /// factory reference crosses threads. Panics inside a scenario are
+    /// contained and reported as that scenario's error.
     ///
     /// Finished runs pass through one commit stage:
     ///
@@ -1000,9 +1000,9 @@ impl Campaign {
     ///   scenarios are ever started but unaccepted, so however uneven
     ///   scenario durations are, a streaming campaign's memory does not
     ///   grow with its width.
-    /// * **One committer.** The worker that parks position `a` hands the
-    ///   consecutive parked rows to the sink in order while the others
-    ///   keep simulating.
+    /// * **One committer.** The calling thread hands the parked rows to
+    ///   the sink in order, and alone touches the sink and the checkpoint,
+    ///   while every worker keeps simulating.
     /// * **Fixed commit blocks.** With a checkpoint, after `todo` positions
     ///   `K − 1, 2K − 1, …` and the last one the committer calls
     ///   [`ResultSink::sync`] once and then appends the block's records

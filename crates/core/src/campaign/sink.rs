@@ -38,10 +38,9 @@ use super::{CampaignResult, ScenarioRun};
 
 /// Consumer of completed scenarios, invoked in spec order by the executor.
 ///
-/// `Send` is required because the hand-off happens on worker threads (one
-/// committer at a time — implementations need no internal
-/// synchronization).
-pub trait ResultSink: Send {
+/// Only the executor's calling thread, its committer, calls a sink, so
+/// implementations need neither internal synchronization nor `Send`.
+pub trait ResultSink {
     /// Consume one completed scenario. `index` is the scenario's position
     /// in the campaign's spec list (not the execution order, which equals
     /// it anyway, and not the position within a resumed subset).

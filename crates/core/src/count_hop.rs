@@ -15,7 +15,7 @@
 //!    offset of its transmission slot in substage 3 together with the total
 //!    `T(v)`; the last round addresses `v` itself, which needs `T(v)` to
 //!    know how long to listen. Carrying `T(v)` in every offset message
-//!    keeps the global timeline common knowledge (DESIGN.md §4.3).
+//!    keeps the global timeline common knowledge (`bounds::count_hop_impl_latency_bound`).
 //! 3. **Data** — the coordinator first transmits its own old packets for
 //!    `v` (the paper leaves the coordinator's packets unspecified), then
 //!    each station transmits its announced packets in its slot while `v`

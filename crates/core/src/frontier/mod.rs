@@ -11,14 +11,15 @@
 //! *map axes* (`n`, `k`) to emit a frontier map — one row
 //! `(n, k, lo, hi, boundary, probes, status)` per map point.
 //!
-//! The search runs in refinement waves: each wave takes every unfinished
-//! point's next probe and runs it as *lanes* — one solo scenario run per
-//! seed, through the campaign's per-scenario executor — on a pool of
-//! workers fed by one `(probe, seed)` queue. Lanes are deterministic and
-//! their tallies are recorded in wave order once the pool drains, so a
-//! frontier map is **byte-identical at any thread count**, and a killed
-//! map resumes mid-bisection from its [`FrontierCheckpoint`] to the same
-//! bytes as an uninterrupted run.
+//! Every probe runs as *lanes* — one solo scenario run per seed, through
+//! the campaign's per-scenario executor — on the one worker pool campaign
+//! rows run on. No probe waits for another point's: when a probe's last
+//! lane lands, the calling thread records and applies it, emits the rows
+//! now due in map order, and queues that point's next probe. Lanes are
+//! deterministic and each point's probes apply in its own bisection order,
+//! so a frontier map is **byte-identical at any thread count**, and a
+//! killed map resumes mid-bisection from its [`FrontierCheckpoint`] to the
+//! same bytes as an uninterrupted run.
 //!
 //! [`Frontier::run_into`] maps every point, [`Frontier::run_into_observed`]
 //! adds an [`Observer`], and [`Frontier::run_subset_into_observed`] maps
@@ -107,11 +108,11 @@ pub mod checkpoint;
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use emac_sim::Rate;
 
+use crate::campaign::commit::{self, Queue, Wake};
 use crate::campaign::expr::{gcd, ExprEnv, RateAxis};
 use crate::campaign::json::Json;
 use crate::campaign::rate_str;
@@ -616,7 +617,7 @@ pub trait MapSink {
     }
 
     /// Called once after the last row of a *complete* map (not after a
-    /// wave-bounded partial run).
+    /// depth-bounded partial run).
     fn finish(&mut self) -> Result<(), String> {
         Ok(())
     }
@@ -1147,12 +1148,13 @@ pub struct FrontierSummary {
     /// Map points in the spec.
     pub points: usize,
     /// Points whose rows are in the output (equal to `points` for a
-    /// complete run; fewer after a wave-bounded partial run).
+    /// complete run; fewer after a depth-bounded partial run).
     pub completed: usize,
     /// Probes executed **by this run** (excludes probes replayed from a
     /// checkpoint).
     pub probes_run: usize,
-    /// Refinement waves executed by this run.
+    /// The deepest probe this run executed ([`Frontier::max_waves`]): the
+    /// waves a search probing every point in lock step would have needed.
     pub waves: usize,
     /// Probes (of `probes_run`) whose execution violated a model
     /// invariant. Their verdicts still drive the bisection — violations
@@ -1165,7 +1167,7 @@ pub struct FrontierSummary {
     pub escalated_probes: usize,
 }
 
-/// A wave probe's lanes, tallied as they land (see [`run_wave`]).
+/// A probe's lanes, tallied as they land.
 #[derive(Debug, Default)]
 struct ProbeTally {
     /// Lanes queued or running.
@@ -1235,95 +1237,60 @@ impl ProbeTally {
     }
 }
 
-/// The lane pool's shared state: the unit queue, each probe's tally, and
-/// the number of lanes running.
-struct LanePool {
-    /// `(wave slot, seed)` units still to run.
+/// A frontier run's queue: the lanes of each point's probe in flight, each
+/// a solo run of the probe with its seed swapped in. When a probe's last
+/// lane lands, its worker applies the escalation rule and pushes only the
+/// new lanes to the *front*, so one worker runs lanes probe by probe; a
+/// probe with nothing to add is handed to the committer.
+struct Lanes {
+    /// `(point, seed)` lanes still to start.
     queue: VecDeque<(usize, u64)>,
-    tallies: Vec<ProbeTally>,
-    in_flight: usize,
+    /// Each map point's probe in flight: its scenario and its tally.
+    probes: Vec<Option<(ScenarioSpec, ProbeTally)>>,
+    /// Points whose probe has landed, in landing order.
+    landed: VecDeque<usize>,
+    escalate: Option<EscalateSpec>,
 }
 
-/// Run one wave's `probes` as a pool of `(probe, seed)` lanes drained by
-/// up to `threads` workers, and return each probe's final tally in wave
-/// order.
-///
-/// A lane is a solo run of its probe's spec with the seed swapped in,
-/// through the campaign's executor (as `emac run --seeds` runs its
-/// lanes). Lanes share no state, so the tallies do not depend on how
-/// lanes are scheduled. The queue starts with every
-/// probe's base seeds in wave order: `seeds`, or the probe's own seed
-/// when `seeds` is empty. When a probe's last outstanding lane lands,
-/// its worker applies the escalation rule and pushes only the new lanes
-/// to the *front* of the queue, so at one worker lanes run probe by
-/// probe, base seeds first. Idle workers wait while lanes are in flight,
-/// since a landing lane may enqueue more.
-fn run_wave<F>(
-    probes: &[ScenarioSpec],
-    seeds: &[u64],
-    escalate: Option<EscalateSpec>,
-    threads: usize,
-    factory: &F,
-) -> Vec<ProbeTally>
-where
-    F: ScenarioFactory + Sync,
-{
-    let mut queue = VecDeque::new();
-    let mut tallies = Vec::with_capacity(probes.len());
-    for (slot, probe) in probes.iter().enumerate() {
+impl Lanes {
+    /// Queue `probe` of map point `point` at the back, one lane per base
+    /// seed: `seeds`, or the probe's own seed when `seeds` is empty.
+    fn queue_probe(&mut self, point: usize, probe: ScenarioSpec, seeds: &[u64]) {
         let base = if seeds.is_empty() { std::slice::from_ref(&probe.seed) } else { seeds };
-        queue.extend(base.iter().map(|&seed| (slot, seed)));
-        tallies.push(ProbeTally::new(base));
+        self.queue.extend(base.iter().map(|&seed| (point, seed)));
+        let tally = ProbeTally::new(base);
+        self.probes[point] = Some((probe, tally));
     }
-    let workers = threads.min(queue.len()).max(1);
-    let pool = Mutex::new(LanePool { queue, tallies, in_flight: 0 });
-    let landed = Condvar::new();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let (slot, seed) = {
-                    let mut state = pool.lock().expect("lane pool poisoned");
-                    loop {
-                        if let Some(unit) = state.queue.pop_front() {
-                            state.in_flight += 1;
-                            break unit;
-                        }
-                        if state.in_flight == 0 {
-                            return;
-                        }
-                        state = landed.wait(state).expect("lane pool poisoned");
-                    }
-                };
-                let mut lane = probes[slot].clone();
-                lane.seed = seed;
-                // Wall time never enters a verdict or the checkpoint; it
-                // only feeds `Probe` events.
-                let started = Instant::now();
-                let run = crate::campaign::execute_one(&lane, factory);
-                let wall_us = started.elapsed().as_micros() as u64;
+}
 
-                let mut state = pool.lock().expect("lane pool poisoned");
-                let LanePool { queue, tallies, in_flight } = &mut *state;
-                *in_flight -= 1;
-                let tally = &mut tallies[slot];
-                tally.land(run, wall_us);
-                // Waiters need waking when lanes arrive or none remain.
-                let mut wake = *in_flight == 0;
-                if tally.outstanding == 0 {
-                    let added = tally.escalation(escalate);
-                    wake |= !added.is_empty();
-                    for seed in added.into_iter().rev() {
-                        queue.push_front((slot, seed));
-                    }
-                }
-                drop(state);
-                if wake {
-                    landed.notify_all();
-                }
-            });
+impl Queue for Lanes {
+    type Unit = (usize, ScenarioSpec);
+    type Done = (ScenarioRun, u64);
+
+    fn pop(&mut self) -> Option<Self::Unit> {
+        let (point, seed) = self.queue.pop_front()?;
+        let (probe, _) = self.probes[point].as_ref().expect("a queued lane's probe is in flight");
+        let mut lane = probe.clone();
+        lane.seed = seed;
+        Some((point, lane))
+    }
+
+    fn park(&mut self, (point, _): Self::Unit, (run, wall_us): Self::Done) -> Option<Wake> {
+        let (_, tally) = self.probes[point].as_mut().expect("a running lane's probe is in flight");
+        tally.land(run, wall_us);
+        if tally.outstanding > 0 {
+            return None;
         }
-    });
-    pool.into_inner().expect("lane pool poisoned").tallies
+        let added = tally.escalation(self.escalate);
+        if added.is_empty() {
+            self.landed.push_back(point);
+            return Some(Wake::Committer);
+        }
+        for seed in added.into_iter().rev() {
+            self.queue.push_front((point, seed));
+        }
+        Some(Wake::Workers)
+    }
 }
 
 /// The adaptive frontier search engine.
@@ -1353,9 +1320,11 @@ impl Frontier {
         self
     }
 
-    /// Stop after at most this many refinement waves, leaving the
+    /// Start no probe deeper than `max_waves`, then stop with the
     /// checkpoint (when given) positioned for a later resume — the
-    /// bounded-work knob mirroring `emac campaign --limit`.
+    /// bounded-work knob mirroring `emac campaign --limit`. A point's probes
+    /// have depths 1, 2, … in this run; a continuation point's count on
+    /// from its predecessor's last.
     pub fn max_waves(mut self, max_waves: usize) -> Self {
         self.max_waves = Some(max_waves);
         self
@@ -1368,11 +1337,11 @@ impl Frontier {
     /// have reconciled an appendable output with
     /// [`FrontierCheckpoint::rows_written`] first (the CLI does).
     ///
-    /// Each refinement wave runs every unfinished point's next probe as
-    /// lanes built through `factory`, spread over the workers; per-point
+    /// Probes run as lanes built through `factory` on one worker pool, and
+    /// no probe waits for another point's (see the module docs). Per-point
     /// probe *sequences* depend only on that point's own verdicts, so the
-    /// final map is byte-identical across thread counts and interruption
-    /// patterns.
+    /// map and each point's probe records are identical across thread
+    /// counts and interruption patterns; only their interleaving may differ.
     pub fn run_into<F>(
         &self,
         spec: &FrontierSpec,
@@ -1387,12 +1356,12 @@ impl Frontier {
     }
 
     /// [`Frontier::run_into`] with an observability seam: probe verdicts
-    /// (with the summed worker time of their lanes), refinement waves,
-    /// escalations, emitted rows (with the rounds their lanes simulated),
-    /// and checkpoint fsync latency are recorded on `obs` as they happen.
-    /// Telemetry only — the sink bytes and checkpoint contents are
-    /// identical to an unobserved run, and wall time is sampled around
-    /// lanes and at row boundaries, never inside the round loop.
+    /// (with the summed worker time of their lanes), escalations, emitted
+    /// rows (with the rounds their lanes simulated), and the latency of
+    /// every checkpoint append are recorded on `obs` as they happen.
+    /// Telemetry only — the sink bytes and checkpoint records are those
+    /// of an unobserved run, and wall time is sampled around lanes and at
+    /// probe and row boundaries, never inside the round loop.
     pub fn run_into_observed<F>(
         &self,
         spec: &FrontierSpec,
@@ -1533,8 +1502,11 @@ impl Frontier {
             }
         }
 
-        // Simulated rounds per map point, over the lanes this run ran.
+        // Per map point: rounds simulated by the lanes this run ran, and
+        // probe depth (see `max_waves`).
         let mut point_rounds = vec![0u64; searches.len()];
+        let mut depth = vec![0usize; searches.len()];
+        let max_depth = self.max_waves.unwrap_or(usize::MAX);
         let mut summary = FrontierSummary {
             points: indices.len(),
             completed: emitted,
@@ -1543,16 +1515,30 @@ impl Frontier {
             unclean_probes: 0,
             escalated_probes: 0,
         };
-        loop {
+        let lanes = Lanes {
+            queue: VecDeque::new(),
+            probes: (0..searches.len()).map(|_| None).collect(),
+            landed: VecDeque::new(),
+            escalate,
+        };
+        let execute = |(_, lane): &(usize, ScenarioSpec)| {
+            // Wall time never enters a verdict or the checkpoint; it only
+            // feeds `Probe` events.
+            let started = Instant::now();
+            let run = crate::campaign::execute_one(lane, factory);
+            (run, started.elapsed().as_micros() as u64)
+        };
+        commit::pool(self.threads, lanes, execute, |pool| loop {
             // Activate continuation points whose predecessor finished —
             // the warm bracket depends only on that point's final state,
-            // never on wave or thread scheduling.
+            // never on scheduling.
             for &i in indices {
                 if searches[i].phase == Phase::Waiting {
                     let pred = searches[i].waiting_on.expect("waiting points have a predecessor");
                     if let Phase::Done(status) = searches[pred].phase {
                         let (pred_lo, pred_hi) = (searches[pred].lo, searches[pred].hi);
                         searches[i].activate(status, pred_lo, pred_hi);
+                        depth[i] = depth[pred];
                     }
                 }
             }
@@ -1577,76 +1563,78 @@ impl Frontier {
                 summary.completed = emitted;
             }
 
-            if indices.iter().all(|&i| searches[i].done()) {
-                break;
-            }
-            let wave: Vec<usize> =
-                indices.iter().copied().filter(|&i| searches[i].pending.is_some()).collect();
-            if wave.is_empty() {
-                // Unreachable by construction: a continuation point's
-                // predecessor always precedes it, so some probe is always
-                // runnable while any point is unfinished.
-                return Err("frontier stalled: unfinished points but no runnable probes".into());
-            }
-            if let Some(max) = self.max_waves {
-                if summary.waves >= max {
-                    return Ok(summary); // partial: no sink.finish()
+            // Queue each idle point's next probe behind the lanes already
+            // queued, unless it would run deeper than `max_waves`.
+            let busy = pool.update(|lanes| {
+                for &i in indices {
+                    if lanes.probes[i].is_none() && depth[i] < max_depth {
+                        if let Some(probe) = searches[i].probe_spec() {
+                            depth[i] += 1;
+                            lanes.queue_probe(i, probe, &spec.seeds);
+                        }
+                    }
                 }
+                lanes.probes.iter().any(Option::is_some)
+            });
+            if !busy {
+                break Ok(());
             }
 
-            let specs: Vec<ScenarioSpec> = wave
-                .iter()
-                .map(|&i| searches[i].probe_spec().expect("wave points have a pending probe"))
-                .collect();
-            let tallies = run_wave(&specs, &spec.seeds, escalate, self.threads, factory);
-            // Tallies are recorded and applied in wave order, so the
-            // checkpoint and the bisection see the same sequence at any
-            // thread count. An ensemble probe counts as above the
-            // boundary on the strict-majority verdict of its lanes.
-            for (&i, tally) in wave.iter().zip(tallies) {
-                if let Some(e) = tally.error {
-                    return Err(e);
-                }
-                // Surfaced through the summary (and the CLI exit code)
-                // rather than dropped — see
-                // [`FrontierSummary::unclean_probes`].
-                summary.unclean_probes += usize::from(tally.unclean);
-                let (verdict, lanes) = if ensemble {
-                    if tally.lanes > spec.seeds.len() {
-                        summary.escalated_probes += 1;
-                        obs.record(&ObsEvent::Escalation {
-                            point: i as u64,
-                            lanes: tally.lanes as u64,
-                        });
-                    }
-                    let split = (tally.diverging, tally.lanes);
-                    (majority_verdict(tally.diverging, tally.lanes), Some(split))
-                } else {
-                    (tally.verdict.expect("a landed solo probe has a verdict"), None)
-                };
-                if let Some(ck) = checkpoint.as_deref_mut() {
-                    match lanes {
-                        Some((diverging, lanes)) => {
-                            ck.record_ensemble_probe(i, verdict, diverging, lanes)?
-                        }
-                        None => ck.record_probe(i, verdict)?,
-                    }
-                }
-                obs.record(&ObsEvent::Probe {
-                    point: i as u64,
-                    diverging: verdict == Verdict::Diverging,
-                    lanes: tally.lanes as u64,
-                    wall_us: tally.wall_us,
-                });
-                searches[i].apply_probe(verdict, lanes, spec.tol)?;
-                point_rounds[i] += tally.rounds;
-                summary.probes_run += 1;
+            let (i, tally) = pool
+                .take(|lanes| {
+                    let i = lanes.landed.pop_front()?;
+                    Some((i, lanes.probes[i].take().expect("a landed probe is in flight").1))
+                })
+                .ok_or("a frontier worker panicked")?;
+            if let Some(e) = tally.error {
+                break Err(e);
             }
-            summary.waves += 1;
-            obs.record(&ObsEvent::Wave { wave: summary.waves as u64, probes: wave.len() as u64 });
+            // Surfaced through the summary (and the CLI exit code) rather
+            // than dropped — see [`FrontierSummary::unclean_probes`].
+            summary.unclean_probes += usize::from(tally.unclean);
+            // An ensemble probe counts as above the boundary on the
+            // strict-majority verdict of its lanes.
+            let point = i as u64;
+            let (verdict, lanes) = if ensemble {
+                if tally.lanes > spec.seeds.len() {
+                    summary.escalated_probes += 1;
+                    obs.record(&ObsEvent::Escalation { point, lanes: tally.lanes as u64 });
+                }
+                let split = (tally.diverging, tally.lanes);
+                (majority_verdict(tally.diverging, tally.lanes), Some(split))
+            } else {
+                (tally.verdict.expect("a landed solo probe has a verdict"), None)
+            };
+            obs.record(&ObsEvent::Probe {
+                point,
+                diverging: verdict == Verdict::Diverging,
+                lanes: tally.lanes as u64,
+                wall_us: tally.wall_us,
+            });
+            if let Some(ck) = checkpoint.as_deref_mut() {
+                let barrier = Instant::now();
+                match lanes {
+                    Some((diverging, lanes)) => {
+                        ck.record_ensemble_probe(i, verdict, diverging, lanes)?
+                    }
+                    None => ck.record_probe(i, verdict)?,
+                }
+                obs.record(&ObsEvent::Fsync { wall_us: barrier.elapsed().as_micros() as u64 });
+            }
+            searches[i].apply_probe(verdict, lanes, spec.tol)?;
+            point_rounds[i] += tally.rounds;
+            summary.probes_run += 1;
+            summary.waves = summary.waves.max(depth[i]);
+        })?;
+
+        if indices.iter().all(|&i| searches[i].done()) {
+            sink.finish()?;
+        } else if indices.iter().all(|&i| searches[i].pending.is_none()) {
+            // Unreachable by construction: a continuation point's
+            // predecessor always precedes it, so some probe is runnable.
+            return Err("frontier stalled: unfinished points but no runnable probes".into());
         }
-        sink.finish()?;
-        Ok(summary)
+        Ok(summary) // partial if `max_waves` held a probe back: no `sink.finish()`
     }
 }
 

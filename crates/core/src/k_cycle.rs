@@ -418,7 +418,7 @@ mod tests {
         assert_eq!(sim.metrics().delivered, sim.metrics().injected);
     }
 
-    /// Reproduction finding (EXPERIMENTS.md, F4): Theorem 5 claims
+    /// Reproduction finding (this test pins it): Theorem 5 claims
     /// stability for every `(ρ, β)` adversary with `ρ < (k−1)/(n−1)`, but a
     /// station transmits only while its home group is active — a fixed
     /// `1/ℓ ≈ (k−1)/n` share of rounds — so an adversary that concentrates

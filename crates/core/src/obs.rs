@@ -7,11 +7,10 @@
 //! and nothing here ever feeds a row. The pieces:
 //!
 //! * [`ObsEvent`] — the event model: run start/finish, per-row and
-//!   per-probe timings, refinement waves, escalations, durability-barrier
-//!   latency, and shard claims and steals. Events serialize to one
-//!   compact JSON object per line through the house [`Json`] value, so
-//!   an `events.jsonl` round-trips through the same minimal parser as
-//!   every spec file.
+//!   per-probe timings, escalations, durability-barrier latency, and shard
+//!   claims and steals. Events serialize to one compact JSON object per
+//!   line through the house [`Json`] value, so an `events.jsonl`
+//!   round-trips through the same minimal parser as every spec file.
 //! * [`EventLog`] — where events go: a buffered, append-only JSONL writer
 //!   that fsyncs on [`EventLog::flush`] and reopens through the
 //!   [journal](crate::journal)'s torn-tail cut (headerless: every
@@ -114,7 +113,8 @@ pub enum ObsEvent {
         /// Wall-clock time since the previous row boundary, µs.
         wall_us: u64,
     },
-    /// A frontier probe verdict was applied, in wave order.
+    /// A frontier probe verdict was applied; probes land in the order
+    /// their lanes finish, each point's in its own bisection order.
     Probe {
         /// Map-point index the probe belongs to.
         point: u64,
@@ -125,13 +125,6 @@ pub enum ObsEvent {
         /// Worker-measured wall time summed over the probe's lanes, µs.
         wall_us: u64,
     },
-    /// A refinement wave completed.
-    Wave {
-        /// 1-based wave number within this run.
-        wave: u64,
-        /// Probes the wave executed.
-        probes: u64,
-    },
     /// A probe escalated beyond its base seed ensemble.
     Escalation {
         /// Map-point index that escalated.
@@ -139,8 +132,9 @@ pub enum ObsEvent {
         /// Final lane count after escalation.
         lanes: u64,
     },
-    /// A durability barrier completed: in a campaign, one commit block's
-    /// output sync and checkpoint append, timed together.
+    /// A durability barrier completed: a campaign commit block's or a
+    /// frontier row's output sync and checkpoint append, or a frontier
+    /// probe record's checkpoint append.
     Fsync {
         /// Wall-clock barrier latency, µs.
         wall_us: u64,
@@ -190,11 +184,6 @@ impl ObsEvent {
                 ("lanes", int(*lanes)),
                 ("wall_us", int(*wall_us)),
             ]),
-            ObsEvent::Wave { wave, probes } => obj(vec![
-                ("ev", Json::Str("wave".into())),
-                ("wave", int(*wave)),
-                ("probes", int(*probes)),
-            ]),
             ObsEvent::Escalation { point, lanes } => obj(vec![
                 ("ev", Json::Str("escalation".into())),
                 ("point", int(*point)),
@@ -239,7 +228,6 @@ impl ObsEvent {
                 lanes: num("lanes")?,
                 wall_us: num("wall_us")?,
             }),
-            Some("wave") => Ok(ObsEvent::Wave { wave: num("wave")?, probes: num("probes")? }),
             Some("escalation") => {
                 Ok(ObsEvent::Escalation { point: num("point")?, lanes: num("lanes")? })
             }
@@ -285,8 +273,8 @@ impl EventLog {
         Ok(Self { out: std::io::BufWriter::new(file), path: path.to_path_buf() })
     }
 
-    /// Record one event. Executors record from one thread at a time (the
-    /// campaign's committer, or the coordinating thread).
+    /// Record one event. Executors record from one thread only: the
+    /// calling thread, which commits.
     pub fn record(&mut self, event: &ObsEvent) {
         // Buffered append; an I/O error surfaces at the next flush.
         let _ = writeln!(self.out, "{}", event.to_json().render());
@@ -552,8 +540,6 @@ pub struct ObsReport {
     pub probes: u64,
     /// Probes whose verdict was "diverging".
     pub diverging_probes: u64,
-    /// Refinement waves observed.
-    pub waves: u64,
     /// Escalations observed.
     pub escalations: u64,
     /// Fsync barriers observed.
@@ -594,7 +580,6 @@ impl ObsReport {
                     self.diverging_probes += u64::from(diverging);
                     self.probe_us.record(wall_us);
                 }
-                ObsEvent::Wave { .. } => self.waves += 1,
                 ObsEvent::Escalation { .. } => self.escalations += 1,
                 ObsEvent::Fsync { wall_us } => {
                     self.fsyncs += 1;
@@ -659,11 +644,9 @@ impl ObsReport {
         if self.probes > 0 {
             let _ = writeln!(
                 out,
-                "probes: {} ({} diverging) over {} wave(s), {} escalation(s) | \
-                 wall/probe p50 {} us, p99 {} us",
+                "probes: {} ({} diverging), {} escalation(s) | wall/probe p50 {} us, p99 {} us",
                 self.probes,
                 self.diverging_probes,
-                self.waves,
                 self.escalations,
                 self.probe_us.quantile(0.5),
                 self.probe_us.quantile(0.99)
@@ -709,7 +692,6 @@ mod tests {
             ObsEvent::Probe { point: 0, diverging: true, lanes: 3, wall_us: 120 },
             ObsEvent::Probe { point: 1, diverging: false, lanes: 5, wall_us: 80 },
             ObsEvent::Escalation { point: 1, lanes: 5 },
-            ObsEvent::Wave { wave: 1, probes: 2 },
             ObsEvent::Row { index: 0, rounds: 4096, clean: true, wall_us: 900 },
             ObsEvent::Fsync { wall_us: 35 },
             ObsEvent::RunFinished { kind: RunKind::Frontier, done: 4, wall_ms: 12, rounds: 8192 },
@@ -748,6 +730,8 @@ mod tests {
         let mut report = ObsReport::default();
         assert!(report.ingest("{\"ev\":\"fsync\",\"wall_us\":1}\n{torn").is_err());
         assert!(ObsReport::default().ingest("{\"ev\":\"mystery\"}").is_err());
+        // logs written while frontier maps ran in waves are refused too
+        assert!(ObsReport::default().ingest("{\"ev\":\"wave\",\"wave\":1,\"probes\":2}").is_err());
         assert!(ObsReport::default().ingest("{\"wall_us\":3}").is_err());
     }
 
@@ -757,12 +741,11 @@ mod tests {
             sample_events().iter().map(|e| e.to_json().render() + "\n").collect::<String>();
         let mut report = ObsReport::default();
         report.ingest(&text).unwrap();
-        assert_eq!(report.events, 10);
+        assert_eq!(report.events, 9);
         assert_eq!(report.rows, 1);
         assert_eq!(report.clean_rows, 1);
         assert_eq!(report.probes, 2);
         assert_eq!(report.diverging_probes, 1);
-        assert_eq!(report.waves, 1);
         assert_eq!(report.escalations, 1);
         assert_eq!(report.fsyncs, 1);
         assert_eq!(report.runs_finished, 1);
@@ -802,7 +785,7 @@ mod tests {
         // append on a missing path creates the file
         let _ = std::fs::remove_file(&path);
         let mut log = EventLog::append(&path).unwrap();
-        log.record(&ObsEvent::Wave { wave: 1, probes: 0 });
+        log.record(&ObsEvent::Fsync { wall_us: 3 });
         log.flush().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
         let _ = std::fs::remove_file(&path);
@@ -813,7 +796,7 @@ mod tests {
         let mut disarmed = Observer::new();
         assert!(!disarmed.is_armed());
         assert_eq!(disarmed.boundary_us(), 0); // no syscall when disarmed
-        disarmed.record(&ObsEvent::Wave { wave: 1, probes: 0 });
+        disarmed.record(&ObsEvent::Fsync { wall_us: 1 });
         disarmed.flush().unwrap();
 
         let path = std::env::temp_dir()

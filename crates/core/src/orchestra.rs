@@ -16,13 +16,13 @@
 //! one message, so the schedule is taught as a linked list of wake-ups: the
 //! learning round carries the musician's *first* receive round of the next
 //! season, and every received packet carries that musician's *next* receive
-//! round (DESIGN.md §4.1).
+//! round (`tests::delivers_a_scripted_packet` follows one packet through).
 //!
 //! A conductor with at least `n² − 1` old packets announces itself *big*
 //! via a toggle bit; at season end every station moves it to the front of
 //! its private baton list and it keeps the baton while big. Every station
 //! hears the conductor at least once per season (its learning round), so
-//! all private lists evolve identically (DESIGN.md §4.2).
+//! all private lists evolve identically (paper §3.1).
 //!
 //! Theorem 1: at most `2n³ + β` packets are ever queued against any
 //! adversary of rate 1 — the maximum throughput possible. Latency may be
@@ -45,7 +45,7 @@ pub struct OrchestraStation {
     season_len: u64,
     big_threshold: usize,
     /// Ablation switch: when false, bigness is never announced and the
-    /// baton always rotates (DESIGN.md experiment A1).
+    /// baton always rotates (ablation A1 in `crates/bench/src/bin/ablations.rs`).
     move_big: bool,
     baton: BatonList,
     /// The baton list reflects the start of this season.

@@ -2,7 +2,8 @@
 //!
 //! The simulator is deliberately deterministic: same algorithm, same
 //! adversary seed, same configuration ⇒ bit-identical metrics. This is
-//! what makes every number in EXPERIMENTS.md reproducible, and it doubles
+//! what makes every number the experiment binaries and the committed specs
+//! produce reproducible, and it doubles
 //! as a regression net: any behavioural change to an algorithm shows up as
 //! a metrics diff.
 

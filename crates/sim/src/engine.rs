@@ -571,7 +571,7 @@ impl Simulator {
         assert!(inj.station < self.cfg.n && inj.dest < self.cfg.n, "injection out of range");
         if inj.station == inj.dest {
             // A packet injected into its own destination is consumed
-            // immediately with delay 0 (DESIGN.md §3).
+            // immediately with delay 0 (`tests::self_addressed_packet_consumed_instantly`).
             self.metrics.self_delivered += 1;
             return;
         }

@@ -3,8 +3,9 @@
 //! `(k−1)/(n−1)` (Theorem 5) and proven-unstable `k/n` (Theorem 6) — but
 //! under a flood *concentrated* into the least-on station the measured
 //! frontier sits at that station's activity share `1/ℓ ≈ (k−1)/n`, *below*
-//! the Theorem-5 claim (the reproduction finding recorded in
-//! EXPERIMENTS.md, Row 5/F4). This probe locates it precisely.
+//! the Theorem-5 claim (the reproduction finding pinned by
+//! `k_cycle::tests::concentrated_flood_frontier_sits_at_group_share`).
+//! This probe locates it precisely.
 //!
 //! ```text
 //! cargo run --release --example stability_probe
@@ -56,7 +57,7 @@ fn main() {
         share.as_f64()
     );
     println!(
-        "claimed {:.3} — the concentration gap documented in EXPERIMENTS.md Row 5/F4);",
+        "claimed {:.3} — the concentration gap specs/frontier_theorem5.json maps);",
         lower.as_f64()
     );
     println!("well below the Theorem-6 impossibility bound {:.3}.", upper.as_f64());

@@ -488,7 +488,7 @@ fn frontier(args: &[String]) -> ExitCode {
         String::new()
     };
     println!(
-        "{} of {} map point(s) complete in {} ({} probe(s) over {} wave(s) this run{escalated})",
+        "{} of {} map point(s) complete in {} ({} probe(s), {} deep, this run{escalated})",
         summary.completed,
         summary.points,
         out_path.display(),

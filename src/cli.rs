@@ -113,8 +113,8 @@ pub struct FrontierOpts {
     pub format: Format,
     /// Resume from `frontier.ckpt` instead of starting fresh.
     pub resume: bool,
-    /// Run at most this many refinement waves, then stop with the
-    /// checkpoint intact — bounded work chunks for wide maps.
+    /// Start no probe deeper than this (see `Frontier::max_waves`), then
+    /// stop with the checkpoint intact — bounded work chunks for wide maps.
     pub max_waves: Option<usize>,
     /// Render a live progress line on stderr (`--progress`).
     pub progress: bool,

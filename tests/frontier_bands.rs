@@ -15,13 +15,15 @@
 //!    `frontier.ckpt` — lane tallies included — to byte-identical
 //!    output without re-running any probe;
 //! 5. escalation builds every lane once: it adds lanes to a contested
-//!    probe instead of re-running the ones that already landed, and one
-//!    worker still runs lanes probe by probe in checkpoint order.
+//!    probe instead of re-running the ones that already landed, one
+//!    worker still runs lanes probe by probe in checkpoint order, and each
+//!    point's probe records are the same at any thread count.
 
 use std::sync::{Arc, Mutex};
 
 use emac::registry::Registry;
 use emac_core::campaign::{ScenarioFactory, ScenarioSpec};
+use emac_core::frontier::checkpoint::ProbeRecord;
 use emac_core::frontier::{
     CsvMapSink, Frontier, FrontierCheckpoint, FrontierSpec, FrontierSummary,
 };
@@ -45,7 +47,7 @@ const DISAGREEING: &str = r#"{
 }"#;
 
 /// The committed band spec: adds the n=13 continuation point, whose
-/// bisection trips escalation mid-map (not just on its final wave) —
+/// bisection trips escalation mid-map (not just on its final probe) —
 /// which is what makes the kill/resume test able to capture a recorded
 /// escalation event inside the interrupt window.
 const CONTINUED: &str = r#"{
@@ -218,9 +220,9 @@ impl ScenarioFactory for LaneLog {
     }
 }
 
-/// Four map points probed side by side (no continuation), so a wave
-/// holds several probes and the lanes escalation adds must jump the
-/// queue to keep one worker's lanes in probe order.
+/// Four map points probed side by side (no continuation), so several
+/// probes are in flight at once and the lanes escalation adds must jump
+/// the queue to keep one worker's lanes in probe order.
 const SIDE_BY_SIDE: &str = r#"{
   "template": {"algorithm": "k-cycle", "adversary": "uniform",
                "rounds": 2000, "probe_cap": 1000},
@@ -258,8 +260,20 @@ fn escalation_builds_every_lane_exactly_once() {
         let final_lanes: usize = tallies.iter().map(|&(_, lanes)| lanes).sum();
         assert_eq!(serial.len(), final_lanes, "{tag}: every lane is built once, none re-run");
 
+        // Points' probes interleave by timing at 4 workers, so the records
+        // are compared point by point.
         let (parallel, parallel_probes) = run(4);
-        assert_eq!(parallel_probes, probes, "{tag}: the checkpoint must not depend on threads");
+        for point in 0..spec.points().len() {
+            let of = |records: &[ProbeRecord]| -> Vec<ProbeRecord> {
+                records.iter().filter(|rec| rec.point == point).copied().collect()
+            };
+            assert_eq!(
+                of(&parallel_probes),
+                of(&probes),
+                "{tag}: point {point}'s probe records must not depend on threads"
+            );
+        }
+        assert_eq!(parallel_probes.len(), probes.len(), "{tag}: no probe record out of place");
         assert_eq!(
             parallel.len(),
             serial.len(),

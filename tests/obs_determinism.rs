@@ -179,9 +179,14 @@ fn armed_frontier_bytes_match_disarmed_and_probes_are_conserved() {
     let report = ingest(&events);
     let ckpt = std::fs::read_to_string(dir.join("on/frontier.ckpt")).unwrap();
     let ckpt_probes = ckpt.lines().filter(|l| l.starts_with("probe ")).count();
+    let ckpt_rows = ckpt.lines().filter(|l| l.starts_with("row ")).count();
     assert_eq!(report.probes as usize, ckpt_probes, "Probe events must match the checkpoint");
     assert_eq!(report.rows, 4, "one Row event per map point");
-    assert!(report.waves > 0, "bisection must report refinement waves");
+    assert_eq!(
+        report.fsyncs as usize,
+        ckpt_probes + ckpt_rows,
+        "every checkpoint append, probe or row, is one timed Fsync event"
+    );
     assert_eq!(report.runs_finished, 1, "exactly one RunFinished event");
     let _ = std::fs::remove_dir_all(&dir);
 }
