@@ -174,7 +174,7 @@ impl Planned {
 /// block of reports), independent of sweep width. Bench
 /// sweeps are statically known-good, so a scenario error (an impossible
 /// name, say) aborts with a message.
-pub fn run_streamed(specs: &[ScenarioSpec], consume: impl FnMut(usize, RunReport) + Send) {
+pub fn run_streamed(specs: &[ScenarioSpec], consume: impl FnMut(usize, RunReport)) {
     run_streamed_with(MetricsDetail::Slim, specs, consume);
 }
 
@@ -183,7 +183,7 @@ pub fn run_streamed(specs: &[ScenarioSpec], consume: impl FnMut(usize, RunReport
 pub fn run_streamed_with(
     detail: MetricsDetail,
     specs: &[ScenarioSpec],
-    mut consume: impl FnMut(usize, RunReport) + Send,
+    mut consume: impl FnMut(usize, RunReport),
 ) {
     let mut sink = FnSink(|index: usize, run: ScenarioRun| match run.outcome {
         Ok(report) => {

@@ -177,7 +177,7 @@ impl Algorithm for DutyCycle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Runner;
+    use crate::campaign::ScenarioSpec;
     use emac_adversary::UniformRandom;
     use emac_sim::Rate;
 
@@ -211,8 +211,9 @@ mod tests {
     fn baseline_loses_packets_and_collides() {
         // The point of the baseline: at a load the paper's cap-4 algorithms
         // handle cleanly, uncoordinated duty-cycling drops traffic.
-        let report = Runner::new(8)
-            .rate(Rate::new(1, 10))
+        let report = ScenarioSpec::new("duty-cycle", "uniform")
+            .n(8)
+            .rho(Rate::new(1, 10))
             .beta(2)
             .rounds(50_000)
             .run(&DutyCycle::new(4), Box::new(UniformRandom::new(3)));

@@ -13,9 +13,10 @@
 //! * [`Campaign`] — a worker-pool executor (`std::thread::scope`) that
 //!   runs scenarios in parallel and hands every completed run, **in spec
 //!   order**, to a [`ResultSink`];
-//! * [`sink`] — where results go: buffered ([`MemorySink`]) behind the
-//!   [`CampaignResult`] JSON/CSV API, or streamed in constant memory
-//!   ([`CsvStreamSink`], [`JsonLinesSink`]) for sweeps too wide to hold;
+//! * [`sink`] — where results go: streamed in constant memory as CSV or
+//!   JSON Lines ([`CsvStreamSink`], [`JsonLinesSink`], whose rows
+//!   [`row`] writes), or handed to a closure ([`FnSink`]);
+//!   [`Campaign::run`] collects them into a [`CampaignResult`];
 //! * [`checkpoint`] — an fsync'd append-only progress file so a killed
 //!   campaign resumes where it stopped instead of restarting from zero;
 //! * [`MetricsDetail`] — `Full` keeps every per-run series; `Slim` drops
@@ -27,9 +28,8 @@
 //! at most `workers + 8` reports are ever in flight — see
 //! [`Campaign::run_subset`]), and every component of a run is
 //! deterministic in the spec (seeded adversaries, deterministic
-//! algorithms), so a parallel campaign is byte-identical to the same
-//! scenarios run serially, and a streamed export is byte-identical to
-//! serializing a buffered one — `crates/core/tests/campaign.rs` and
+//! algorithms), so a parallel campaign writes the same bytes as the same
+//! scenarios run serially — `crates/core/tests/campaign.rs` and
 //! `crates/core/tests/streaming.rs` assert exactly that.
 //!
 //! ```
@@ -74,15 +74,13 @@ use std::sync::Arc;
 use emac_sim::{Adversary, FaultSpec, OnSchedule, Rate};
 
 use crate::algorithm::Algorithm;
-use crate::runner::{RunReport, Runner};
+use crate::runner::RunReport;
 use json::Json;
 
 pub use checkpoint::{campaign_digest, spec_list_digest, Checkpoint};
 pub use expr::{Expr, ExprEnv, RateAxis};
 pub use row::CSV_HEADER;
-pub use sink::{
-    CsvStreamSink, DurableFile, FnSink, JsonLinesSink, MemorySink, ResultSink, TallySink,
-};
+pub use sink::{CsvStreamSink, DurableFile, FnSink, JsonLinesSink, ResultSink, TallySink};
 
 /// One fully-described experiment run.
 ///
@@ -124,10 +122,16 @@ pub struct ScenarioSpec {
     /// (`least-on`, `least-on-pair`).
     pub horizon: Option<u64>,
     /// Stability-probe queue cap: stop the run early (verdict `Diverging`)
-    /// once this many packets are queued — see [`Runner::probe_cap`].
+    /// once more than this many packets are queued — see
+    /// [`ScenarioSpec::drive`]. Above-boundary probes then cost a fraction
+    /// of the horizon, which the frontier bisection leans on; the cap must
+    /// sit far above the scenario's steady-state queue.
     pub probe_cap: Option<u64>,
     /// Deterministic fault injection (jamming, crash/restart, deaf rounds,
-    /// clock skew) — see [`emac_sim::faults`]. Omitted ⇒ fault-free.
+    /// clock skew) — see [`emac_sim::faults`]. Omitted ⇒ fault-free. The
+    /// fault stream is seeded from the fault spec's own seed, never
+    /// [`seed`](Self::seed), so every seed of an ensemble sees the same
+    /// fault schedule.
     pub faults: Option<FaultSpec>,
 }
 
@@ -288,26 +292,6 @@ impl ScenarioSpec {
             f.validate().map_err(|e| format!("{}: faults: {e}", self.display_label()))?;
         }
         Ok(())
-    }
-
-    /// The [`Runner`] this spec describes: rate, β, rounds, and the drain,
-    /// cap, probe-cap and fault settings it sets. The seed, algorithm and
-    /// adversary reach the run through a [`ScenarioFactory`].
-    pub fn runner(&self) -> Runner {
-        let mut runner = Runner::new(self.n).rate(self.rho).beta(self.beta).rounds(self.rounds);
-        if let Some(drain) = self.drain {
-            runner = runner.drain(drain);
-        }
-        if let Some(cap) = self.cap {
-            runner = runner.cap(cap);
-        }
-        if let Some(probe_cap) = self.probe_cap {
-            runner = runner.probe_cap(probe_cap);
-        }
-        if let Some(faults) = &self.faults {
-            runner = runner.faults(faults.clone());
-        }
-        runner
     }
 
     /// Serialize to a JSON object. Optional fields are omitted when unset.
@@ -952,16 +936,19 @@ impl Campaign {
         self
     }
 
-    /// Execute every spec and return the outcomes **in spec order** —
-    /// the buffered convenience API over [`Campaign::run_into`] with a
-    /// [`MemorySink`].
+    /// Execute every spec and return the outcomes **in spec order**:
+    /// [`Campaign::run_into`] with an [`FnSink`] that collects them.
     pub fn run<F>(&self, specs: &[ScenarioSpec], factory: &F) -> CampaignResult
     where
         F: ScenarioFactory + Sync,
     {
-        let mut sink = MemorySink::new();
-        self.run_into(specs, factory, &mut sink).expect("memory sink is infallible");
-        sink.into_result()
+        let mut runs = Vec::with_capacity(specs.len());
+        let mut collect = FnSink(|_, run| {
+            runs.push(run);
+            Ok(())
+        });
+        self.run_into(specs, factory, &mut collect).expect("collecting sink is infallible");
+        CampaignResult { runs }
     }
 
     /// Execute every spec, streaming each completed run into `sink` in
@@ -1051,8 +1038,9 @@ pub(crate) fn execute_one<F: ScenarioFactory>(spec: &ScenarioSpec, factory: &F) 
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<RunReport, String> {
         spec.validate()?;
         let algorithm = factory.algorithm(spec)?;
-        spec.runner()
-            .try_run_against(algorithm.as_ref(), |schedule| factory.adversary(spec, schedule))
+        let mut sim =
+            spec.simulator(algorithm.as_ref(), |schedule| factory.adversary(spec, schedule))?;
+        Ok(spec.drive(&mut sim))
     }))
     .unwrap_or_else(|panic| {
         let msg = panic
@@ -1086,43 +1074,6 @@ impl CampaignResult {
     /// First error, if any scenario failed to run.
     pub fn first_error(&self) -> Option<&str> {
         self.runs.iter().find_map(|r| r.outcome.as_ref().err().map(String::as_str))
-    }
-
-    /// One human summary line.
-    pub fn summary(&self) -> String {
-        let total = self.runs.len();
-        let failed = self.runs.iter().filter(|r| r.outcome.is_err()).count();
-        let unclean =
-            self.runs.iter().filter(|r| matches!(&r.outcome, Ok(rep) if !rep.clean())).count();
-        format!(
-            "{total} scenarios: {} ok, {unclean} with violations, {failed} failed",
-            total - failed - unclean
-        )
-    }
-
-    /// Flat CSV export (header [`CSV_HEADER`]), one [`row::csv_row`] per
-    /// scenario — byte-identical to what a [`CsvStreamSink`] wrote while
-    /// the same campaign streamed.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(CSV_HEADER);
-        out.push('\n');
-        for run in &self.runs {
-            out.push_str(&row::csv_row(run));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// JSON-Lines export, one compact [`row::write_run_json`] object per
-    /// line — byte-identical to what a [`JsonLinesSink`] wrote while the
-    /// same campaign streamed.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (i, run) in self.runs.iter().enumerate() {
-            row::write_run_json(&mut out, i, run);
-            out.push('\n');
-        }
-        out
     }
 }
 

@@ -1,23 +1,15 @@
-//! Shared result-row formatting: the **single** place where a scenario
-//! outcome becomes a CSV row ([`csv_row`]) or a JSON Lines row
-//! ([`write_run_json`]).
+//! Result-row formatting: the **single** place where a scenario outcome
+//! becomes a CSV row ([`csv_row`]) or a JSON Lines row
+//! ([`write_run_json`]), called by the streaming sinks ([`CsvStreamSink`],
+//! [`JsonLinesSink`]) as each row commits. The JSON row writer appends
+//! straight into a caller's buffer — the sink reuses one `String` for
+//! every row — and streams the queue series and delay buckets sample by
+//! sample, building no JSON tree for the report; only the small spec
+//! object goes through [`Json`](super::json::Json). Derived columns —
+//! latency, mean delay, peak queue, energy per round, the stability slope
+//! — are computed here once, from the report's scalar fields, never
+//! re-derived from `queue_series` (which the `Slim` metrics detail drops).
 //!
-//! Both the in-memory exports ([`CampaignResult::to_csv`],
-//! [`CampaignResult::to_jsonl`]) and the streaming sinks
-//! ([`CsvStreamSink`], [`JsonLinesSink`]) route through these helpers, so
-//! the two paths cannot drift: a streamed campaign is byte-identical to
-//! serializing the buffered result after the fact
-//! (`crates/core/tests/streaming.rs` asserts exactly that). The JSON row
-//! writer appends straight into a caller's buffer — the sink reuses one
-//! `String` for every row — and streams the queue series and delay
-//! buckets sample by sample, building no JSON tree for the report; only
-//! the small spec object goes through [`Json`](super::json::Json). Derived columns — latency,
-//! mean delay, peak queue, energy per round, the stability slope — are
-//! computed here once, from the report's scalar fields, never re-derived
-//! from `queue_series` (which the `Slim` metrics detail drops).
-//!
-//! [`CampaignResult::to_csv`]: super::CampaignResult::to_csv
-//! [`CampaignResult::to_jsonl`]: super::CampaignResult::to_jsonl
 //! [`CsvStreamSink`]: super::sink::CsvStreamSink
 //! [`JsonLinesSink`]: super::sink::JsonLinesSink
 
@@ -29,7 +21,7 @@ use super::json::{write_escaped, write_f64, write_i64, write_json_u64};
 use super::{push_rate, rate_str, ScenarioRun};
 use crate::runner::RunReport;
 
-/// Columns of every CSV export (in-memory and streamed).
+/// Columns of every campaign CSV export.
 pub const CSV_HEADER: &str = "label,algorithm,adversary,n,k,rho,beta,rounds,seed,cap,\
      injected,delivered,latency_max,delay_mean,max_queue,energy_per_round,slope,verdict,\
      clean,drained,error";
@@ -75,8 +67,8 @@ pub fn csv_row(run: &ScenarioRun) -> String {
 /// Append one scenario outcome to `out` as a compact JSON object, without
 /// a newline: `index` (position in the spec list), the `spec`, and either
 /// the `report` or the `error`. This is the line format of
-/// [`JsonLinesSink`] and [`CampaignResult::to_jsonl`], and the one place
-/// that fixes a row's keys, their order and their formatting.
+/// [`JsonLinesSink`], and the one place that fixes a row's keys, their
+/// order and their formatting.
 ///
 /// The report's fields are written in this order: the scalars always, then
 /// `violations` when the run is unclean, `drained` when a drain ran, the
@@ -86,7 +78,6 @@ pub fn csv_row(run: &ScenarioRun) -> String {
 /// `out`, one sample at a time.
 ///
 /// [`JsonLinesSink`]: super::sink::JsonLinesSink
-/// [`CampaignResult::to_jsonl`]: super::CampaignResult::to_jsonl
 pub fn write_run_json(out: &mut String, index: usize, run: &ScenarioRun) {
     out.push_str("{\"index\":");
     write_i64(out, index as i64);

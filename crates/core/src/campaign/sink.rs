@@ -7,16 +7,14 @@
 //! block of 8 rows durable with one [`ResultSink::sync`] (see
 //! [`Campaign::run_subset`]). A sink decides what to keep:
 //!
-//! * [`MemorySink`] — buffer everything; backs [`Campaign::run`]'s
-//!   [`CampaignResult`] API.
 //! * [`CsvStreamSink`] / [`JsonLinesSink`] — constant-memory streaming:
-//!   format each run through the shared [`row`](super::row) helpers,
-//!   write, and drop it. Bytes are identical to serializing a
-//!   [`MemorySink`]'s result after the fact. The CLI and the shard worker
+//!   write each run through the [`row`](super::row) writers and drop it.
+//!   These are the only campaign renderers. The CLI and the shard worker
 //!   get theirs from
 //!   [`Format::campaign_sink`](crate::output::Format::campaign_sink).
-//! * [`FnSink`] — hand each run to a closure (the bench binaries score
-//!   reports into comparisons this way and keep only scalars).
+//! * [`FnSink`] — hand each run to a closure: [`Campaign::run`] collects
+//!   runs into a [`CampaignResult`] this way, and the bench binaries score
+//!   reports into comparisons and keep only scalars.
 //! * [`TallySink`] — a transparent wrapper counting ok / violating /
 //!   failed runs for progress summaries and exit codes.
 //!
@@ -34,7 +32,7 @@ use std::io::Write;
 use std::time::Duration;
 
 use super::row::{csv_row, write_run_json, CSV_HEADER};
-use super::{CampaignResult, ScenarioRun};
+use super::ScenarioRun;
 
 /// Consumer of completed scenarios, invoked in spec order by the executor.
 ///
@@ -124,45 +122,16 @@ impl Write for DurableFile {
     }
 }
 
-/// Buffer every run; the collect-then-export behavior behind
-/// [`Campaign::run`](super::Campaign::run).
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    runs: Vec<(usize, ScenarioRun)>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The buffered outcomes as a [`CampaignResult`], in acceptance (=
-    /// spec) order. For a **full** campaign the buffer positions equal the
-    /// spec indices, so the result's exports match the streaming sinks
-    /// byte for byte.
-    pub fn into_result(self) -> CampaignResult {
-        CampaignResult { runs: self.runs.into_iter().map(|(_, run)| run).collect() }
-    }
-}
-
-impl ResultSink for MemorySink {
-    fn accept(&mut self, index: usize, run: ScenarioRun) -> Result<(), String> {
-        self.runs.push((index, run));
-        Ok(())
-    }
-}
-
 /// Constant-memory CSV writer: header (see [`CSV_HEADER`]) plus one row
 /// per scenario, formatted by the shared [`row`](super::row) helper and
 /// dropped immediately.
 #[derive(Debug)]
-pub struct CsvStreamSink<W: Write + Send> {
+pub struct CsvStreamSink<W: Write> {
     out: W,
     header_pending: bool,
 }
 
-impl<W: Write + Send> CsvStreamSink<W> {
+impl<W: Write> CsvStreamSink<W> {
     /// A sink that writes the CSV header before the first row.
     pub fn new(out: W) -> Self {
         Self { out, header_pending: true }
@@ -180,7 +149,7 @@ impl<W: Write + Send> CsvStreamSink<W> {
     }
 }
 
-impl<W: Write + Send> ResultSink for CsvStreamSink<W> {
+impl<W: Write> ResultSink for CsvStreamSink<W> {
     fn accept(&mut self, _index: usize, run: ScenarioRun) -> Result<(), String> {
         if self.header_pending {
             self.header_pending = false;
@@ -204,20 +173,17 @@ impl<W: Write + Send> ResultSink for CsvStreamSink<W> {
 }
 
 /// Constant-memory JSON-Lines writer: one compact
-/// `{"index":…,"spec":…,"report":…|"error":…}` object per line (the
-/// line format of [`CampaignResult::to_jsonl`]). Each row is written by
-/// [`row::write_run_json`](super::row::write_run_json) into one reused
-/// buffer and handed to the writer in a single `write_all`.
-///
-/// [`CampaignResult::to_jsonl`]: super::CampaignResult::to_jsonl
+/// `{"index":…,"spec":…,"report":…|"error":…}` object per line. Each row
+/// is written by [`row::write_run_json`](super::row::write_run_json) into
+/// one reused buffer and handed to the writer in a single `write_all`.
 #[derive(Debug)]
-pub struct JsonLinesSink<W: Write + Send> {
+pub struct JsonLinesSink<W: Write> {
     out: W,
     /// The row being written; cleared, not freed, between rows.
     line: String,
 }
 
-impl<W: Write + Send> JsonLinesSink<W> {
+impl<W: Write> JsonLinesSink<W> {
     /// A sink writing to `out`. JSON Lines has no header, so fresh and
     /// resumed campaigns construct it the same way.
     pub fn new(out: W) -> Self {
@@ -230,7 +196,7 @@ impl<W: Write + Send> JsonLinesSink<W> {
     }
 }
 
-impl<W: Write + Send> ResultSink for JsonLinesSink<W> {
+impl<W: Write> ResultSink for JsonLinesSink<W> {
     fn accept(&mut self, index: usize, run: ScenarioRun) -> Result<(), String> {
         self.line.clear();
         write_run_json(&mut self.line, index, &run);
@@ -252,11 +218,11 @@ impl<W: Write + Send> ResultSink for JsonLinesSink<W> {
 /// the report.
 pub struct FnSink<F>(pub F)
 where
-    F: FnMut(usize, ScenarioRun) -> Result<(), String> + Send;
+    F: FnMut(usize, ScenarioRun) -> Result<(), String>;
 
 impl<F> ResultSink for FnSink<F>
 where
-    F: FnMut(usize, ScenarioRun) -> Result<(), String> + Send,
+    F: FnMut(usize, ScenarioRun) -> Result<(), String>,
 {
     fn accept(&mut self, index: usize, run: ScenarioRun) -> Result<(), String> {
         (self.0)(index, run)
@@ -294,23 +260,6 @@ impl<S: ResultSink> TallySink<S> {
     /// Scenarios that failed to run (bad name, bad parameters, panic).
     pub fn failed(&self) -> usize {
         self.failed
-    }
-
-    /// Total scenarios tallied.
-    pub fn total(&self) -> usize {
-        self.ok + self.unclean + self.failed
-    }
-
-    /// One human summary line (same shape as
-    /// [`CampaignResult::summary`](super::CampaignResult::summary)).
-    pub fn summary(&self) -> String {
-        format!(
-            "{} scenarios: {} ok, {} with violations, {} failed",
-            self.total(),
-            self.ok,
-            self.unclean,
-            self.failed
-        )
     }
 
     /// Unwrap the inner sink.
@@ -391,11 +340,11 @@ mod tests {
 
     #[test]
     fn tally_counts_failures_and_delegates() {
-        let mut sink = TallySink::new(MemorySink::new());
+        let mut sink = TallySink::new(JsonLinesSink::new(Vec::new()));
         sink.accept(0, failed_run("x")).unwrap();
         sink.accept(1, failed_run("y")).unwrap();
         assert_eq!((sink.ok(), sink.unclean(), sink.failed()), (0, 0, 2));
-        assert!(sink.summary().contains("2 failed"));
-        assert_eq!(sink.into_inner().into_result().runs.len(), 2);
+        let text = String::from_utf8(sink.into_inner().into_inner()).unwrap();
+        assert_eq!(text.lines().count(), 2);
     }
 }

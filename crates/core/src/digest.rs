@@ -165,8 +165,8 @@ pub fn report_digest_hex(r: &RunReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::ScenarioSpec;
     use crate::count_hop::CountHop;
-    use crate::runner::Runner;
     use emac_adversary::UniformRandom;
     use emac_sim::Rate;
 
@@ -181,8 +181,9 @@ mod tests {
     #[test]
     fn identical_runs_digest_identically_and_fields_matter() {
         let run = |rounds: u64| {
-            Runner::new(4)
-                .rate(Rate::new(1, 2))
+            ScenarioSpec::new("count-hop", "uniform")
+                .n(4)
+                .rho(Rate::new(1, 2))
                 .beta(2)
                 .rounds(rounds)
                 .run(&CountHop::new(), Box::new(UniformRandom::new(7)))
@@ -196,7 +197,10 @@ mod tests {
 
     #[test]
     fn hex_rendering_is_fixed_width() {
-        let r = Runner::new(4).rounds(1_000).run(&CountHop::new(), Box::new(UniformRandom::new(1)));
+        let r = ScenarioSpec::new("count-hop", "uniform")
+            .n(4)
+            .rounds(1_000)
+            .run(&CountHop::new(), Box::new(UniformRandom::new(1)));
         let hex = report_digest_hex(&r);
         assert_eq!(hex.len(), 16);
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));

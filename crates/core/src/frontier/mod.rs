@@ -52,7 +52,7 @@
 //! sample 16 queue points) is treated as stable — give templates a real
 //! horizon. The template's `probe_cap` makes above-boundary probes cheap:
 //! they exit as soon as the queue blows past the cap
-//! ([`Runner::probe_cap`](crate::runner::Runner::probe_cap)).
+//! ([`ScenarioSpec::probe_cap`](crate::campaign::ScenarioSpec::probe_cap)).
 //!
 //! The integer axes (`"axis": "k"` or `"ell"`) bisect a spec field
 //! instead of a rate: bracket expressions must evaluate to integers,

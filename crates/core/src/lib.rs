@@ -2,7 +2,7 @@
 //!
 //! The paper's six deterministic distributed routing algorithms for
 //! multiple access channels under energy caps, plus the Table-1 bound
-//! formulas, a stability detector, and a high-level experiment runner.
+//! formulas, a stability detector, and the run path every scenario takes.
 //!
 //! | Algorithm | §: | Cap | Class | Guarantee |
 //! |-----------|----|-----|-------|-----------|
@@ -20,8 +20,9 @@
 //!
 //! // k-Cycle at 3/4 of its stability threshold, with a drain check.
 //! let rho = bounds::k_cycle_rate_threshold(9, 3).scaled(3, 4);
-//! let report = Runner::new(9)
-//!     .rate(rho)
+//! let report = ScenarioSpec::new("k-cycle", "uniform")
+//!     .n(9)
+//!     .rho(rho)
 //!     .beta(2)
 //!     .rounds(30_000)
 //!     .drain(30_000)
@@ -59,8 +60,8 @@ pub use adjust_window::AdjustWindow;
 pub use algorithm::Algorithm;
 pub use baseline::DutyCycle;
 pub use campaign::{
-    Campaign, CampaignResult, Checkpoint, CsvStreamSink, Grid, JsonLinesSink, MemorySink,
-    MetricsDetail, ResultSink, ScenarioFactory, ScenarioRun, ScenarioSpec,
+    Campaign, CampaignResult, Checkpoint, CsvStreamSink, Grid, JsonLinesSink, MetricsDetail,
+    ResultSink, ScenarioFactory, ScenarioRun, ScenarioSpec,
 };
 pub use count_hop::CountHop;
 pub use digest::{report_digest, report_digest_hex, Fnv64};
@@ -70,7 +71,7 @@ pub use k_cycle::KCycle;
 pub use k_subsets::{KSubsets, ThreadSubroutine};
 pub use obs::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
 pub use orchestra::Orchestra;
-pub use runner::{RunReport, Runner};
+pub use runner::RunReport;
 pub use stability::{StabilityReport, Verdict};
 
 /// Common imports for experiments.
@@ -80,8 +81,8 @@ pub mod prelude {
     pub use crate::baseline::DutyCycle;
     pub use crate::bounds;
     pub use crate::campaign::{
-        Campaign, CampaignResult, Checkpoint, CsvStreamSink, Grid, JsonLinesSink, MemorySink,
-        MetricsDetail, ResultSink, ScenarioFactory, ScenarioSpec,
+        Campaign, CampaignResult, Checkpoint, CsvStreamSink, Grid, JsonLinesSink, MetricsDetail,
+        ResultSink, ScenarioFactory, ScenarioSpec,
     };
     pub use crate::count_hop::CountHop;
     pub use crate::digest::{report_digest, report_digest_hex};
@@ -90,6 +91,6 @@ pub mod prelude {
     pub use crate::k_cycle::KCycle;
     pub use crate::k_subsets::{KSubsets, ThreadSubroutine};
     pub use crate::orchestra::Orchestra;
-    pub use crate::runner::{RunReport, Runner};
+    pub use crate::runner::RunReport;
     pub use crate::stability::{StabilityReport, Verdict};
 }

@@ -97,7 +97,7 @@ impl Format {
 
     /// The streaming campaign sink writing this format to `out`. `header`
     /// writes the CSV header before the first row; JSON Lines has none.
-    pub fn campaign_sink<'a, W: Write + Send + 'a>(
+    pub fn campaign_sink<'a, W: Write + 'a>(
         self,
         out: W,
         header: bool,

@@ -1,173 +1,38 @@
-//! High-level experiment runner.
+//! Running a scenario: the simulator a [`ScenarioSpec`] describes, the one
+//! drive path every run takes, and the [`RunReport`] it yields.
 //!
-//! Wraps the simulator in the workflow every experiment shares: build the
-//! algorithm, wire an adversary (possibly one that inspects the oblivious
-//! schedule, as the lower-bound constructions do), run for a number of
-//! rounds, optionally drain, and classify stability.
+//! Every campaign row, `emac run --seeds` lane and frontier probe, and
+//! `emac run --trace`, build their simulator with
+//! [`ScenarioSpec::simulator`] and run it with [`ScenarioSpec::drive`]:
+//! the horizon (cut short by the probe cap), then the drain, then the
+//! stability verdict. [`ScenarioSpec::run`] is both steps for callers that
+//! already hold the algorithm and adversary objects.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
-use emac_sim::{
-    Adversary, FaultSpec, Metrics, OnSchedule, Rate, SimConfig, Simulator, Violations, WakeMode,
-};
+use emac_sim::{Adversary, Metrics, OnSchedule, Rate, SimConfig, Simulator, Violations, WakeMode};
 
 use crate::algorithm::Algorithm;
-use crate::stability::{classify, StabilityReport};
+use crate::campaign::ScenarioSpec;
+use crate::stability::{classify, StabilityReport, Verdict};
 
-/// Experiment parameters.
-#[derive(Clone, Debug)]
-pub struct Runner {
-    n: usize,
-    rho: Rate,
-    beta: Rate,
-    rounds: u64,
-    cap_override: Option<usize>,
-    drain_rounds: Option<u64>,
-    probe_cap: Option<u64>,
-    faults: Option<FaultSpec>,
-}
-
-impl Runner {
-    /// Runner for `n` stations with defaults: `ρ = 1/2`, `β = 1`, 100 000
-    /// rounds, no drain phase.
-    pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            rho: Rate::new(1, 2),
-            beta: Rate::integer(1),
-            rounds: 100_000,
-            cap_override: None,
-            drain_rounds: None,
-            probe_cap: None,
-            faults: None,
-        }
-    }
-
-    /// Set the injection rate ρ.
-    pub fn rate(mut self, rho: Rate) -> Self {
-        self.rho = rho;
-        self
-    }
-
-    /// Set the burstiness coefficient β. Accepts anything convertible to a
-    /// [`Rate`]: an integer (`.beta(2)`) as before, or a general rational
-    /// (`.beta(Rate::new(3, 2))`) matching the paper's β ∈ ℚ and
-    /// `SimConfig`.
-    pub fn beta(mut self, beta: impl Into<Rate>) -> Self {
-        self.beta = beta.into();
-        self
-    }
-
-    /// Set the number of rounds to simulate.
-    pub fn rounds(mut self, rounds: u64) -> Self {
-        self.rounds = rounds;
-        self
-    }
-
-    /// Override the energy cap (default: the algorithm's requirement).
-    pub fn cap(mut self, cap: usize) -> Self {
-        self.cap_override = Some(cap);
-        self
-    }
-
-    /// After the main run, stop injections and let the system drain for at
-    /// most this many rounds, recording whether it emptied.
-    pub fn drain(mut self, max_rounds: u64) -> Self {
-        self.drain_rounds = Some(max_rounds);
-        self
-    }
-
-    /// Run as a stability *probe*: stop early once the total queued packets
-    /// exceed `queue_cap` and classify the run as [`Verdict::Diverging`].
-    /// Above-boundary probes then cost a fraction of the full horizon — the
-    /// knob the frontier bisection leans on. Stable runs are unaffected
-    /// (the cap must sit far above the scenario's steady-state queue).
-    ///
-    /// [`Verdict::Diverging`]: crate::stability::Verdict::Diverging
-    pub fn probe_cap(mut self, queue_cap: u64) -> Self {
-        self.probe_cap = Some(queue_cap);
-        self
-    }
-
-    /// Inject deterministic faults (jamming, crash/restart, deaf rounds,
-    /// clock skew) described by `spec`; see [`emac_sim::faults`]. The fault
-    /// stream is derived from `spec.seed`, never the scenario seed, so every
-    /// seed of an ensemble sees the identical fault schedule.
-    pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = Some(spec);
-        self
-    }
-
-    /// Run `algorithm` against a fixed adversary.
-    pub fn run(&self, algorithm: &dyn Algorithm, adversary: Box<dyn Adversary>) -> RunReport {
-        self.run_against(algorithm, |_| adversary)
-    }
-
-    /// Run `algorithm` against an adversary built from the algorithm's
-    /// oblivious schedule (`None` for adaptive algorithms) — the entry
-    /// point for the Theorem 6 / Theorem 9 attack adversaries.
-    pub fn run_against(
-        &self,
-        algorithm: &dyn Algorithm,
-        make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Box<dyn Adversary>,
-    ) -> RunReport {
-        let run: Result<RunReport, std::convert::Infallible> =
-            self.try_run_against(algorithm, |s| Ok(make_adversary(s)));
-        match run {
-            Ok(report) => report,
-        }
-    }
-
-    /// Like [`Runner::run_against`], but the adversary constructor may fail
-    /// (e.g. a name registry rejecting a schedule-aware adversary for an
-    /// adaptive algorithm). Nothing is simulated when it does.
-    pub fn try_run_against<E>(
-        &self,
-        algorithm: &dyn Algorithm,
-        make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Result<Box<dyn Adversary>, E>,
-    ) -> Result<RunReport, E> {
-        let mut sim = self.simulator(algorithm, make_adversary)?;
-        let tripped_round = match self.probe_cap {
-            Some(queue_cap) => sim.run_probe_round(self.rounds, queue_cap),
-            None => {
-                sim.run(self.rounds);
-                None
-            }
-        };
-        let drained = self.drain_rounds.map(|max| sim.run_until_drained(max));
-        let metrics = sim.metrics().clone();
-        let mut stability = classify(&metrics);
-        if tripped_round.is_some() {
-            // The probe cap is evidence of divergence in itself; a tripped
-            // run may have too few samples for the slope classifier.
-            stability.verdict = crate::stability::Verdict::Diverging;
-        }
-        Ok(RunReport {
-            algorithm: sim.algorithm_name().to_string(),
-            n: self.n,
-            cap: sim.config().cap,
-            rho: self.rho,
-            beta: self.beta,
-            rounds: self.rounds,
-            stability,
-            metrics,
-            violations: sim.violations().clone(),
-            drained,
-            tripped_round,
-        })
-    }
-
-    /// The simulator this runner describes, before its first round: the
-    /// algorithm built for `n` stations under the cap in force, against an
-    /// adversary built from the algorithm's oblivious schedule (`None` for
-    /// adaptive algorithms). The queue series takes about 2048 samples
-    /// over `rounds`.
+impl ScenarioSpec {
+    /// The simulator this spec describes, before its first round: the
+    /// algorithm built for `n` stations under the cap in force (the
+    /// spec's `cap`, or the algorithm's requirement), with the spec's
+    /// rate, burstiness and faults, against an adversary built from the
+    /// algorithm's oblivious schedule (`None` for adaptive algorithms).
+    /// The queue series takes about 2048 samples over `rounds`. The
+    /// spec's names and seed are not read: they reach the run through the
+    /// objects passed in. Nothing is simulated when `make_adversary`
+    /// fails.
     pub fn simulator<E>(
         &self,
         algorithm: &dyn Algorithm,
         make_adversary: impl FnOnce(Option<&Arc<dyn OnSchedule>>) -> Result<Box<dyn Adversary>, E>,
     ) -> Result<Simulator, E> {
-        let cap = self.cap_override.unwrap_or_else(|| algorithm.required_cap(self.n));
+        let cap = self.cap.unwrap_or_else(|| algorithm.required_cap(self.n));
         let mut cfg = SimConfig::new(self.n, cap)
             .adversary_type(self.rho, self.beta)
             .sample_every((self.rounds / 2_048).max(1));
@@ -180,6 +45,49 @@ impl Runner {
             WakeMode::Adaptive => make_adversary(None)?,
         };
         Ok(Simulator::new(cfg, built, adversary))
+    }
+
+    /// Run `sim`, built by [`ScenarioSpec::simulator`], through this spec:
+    /// `rounds` rounds, stopping after the round that queues more than
+    /// `probe_cap` packets; then, with a `drain` budget, at most that many
+    /// rounds without injections; then classify stability. A tripped
+    /// probe cap reads [`Verdict::Diverging`] whatever the slope.
+    pub fn drive(&self, sim: &mut Simulator) -> RunReport {
+        let tripped_round = match self.probe_cap {
+            Some(queue_cap) => sim.run_probe_round(self.rounds, queue_cap),
+            None => {
+                sim.run(self.rounds);
+                None
+            }
+        };
+        let drained = self.drain.map(|max| sim.run_until_drained(max));
+        let metrics = sim.metrics().clone();
+        let mut stability = classify(&metrics);
+        if tripped_round.is_some() {
+            // The probe cap is evidence of divergence in itself; a tripped
+            // run may have too few samples for the slope classifier.
+            stability.verdict = Verdict::Diverging;
+        }
+        RunReport {
+            algorithm: sim.algorithm_name().to_string(),
+            n: self.n,
+            cap: sim.config().cap,
+            rho: self.rho,
+            beta: self.beta,
+            rounds: self.rounds,
+            stability,
+            metrics,
+            violations: sim.violations().clone(),
+            drained,
+            tripped_round,
+        }
+    }
+
+    /// Run `algorithm` against `adversary` as this spec describes: its
+    /// [`simulator`](Self::simulator), then [`drive`](Self::drive).
+    pub fn run(&self, algorithm: &dyn Algorithm, adversary: Box<dyn Adversary>) -> RunReport {
+        let Ok(mut sim) = self.simulator(algorithm, |_| Ok::<_, Infallible>(adversary));
+        self.drive(&mut sim)
     }
 }
 
@@ -260,13 +168,12 @@ mod tests {
     use super::*;
     use crate::count_hop::CountHop;
     use crate::k_cycle::KCycle;
-    use crate::stability::Verdict;
     use emac_adversary::{LeastOnStation, UniformRandom};
 
     #[test]
     fn runs_adaptive_algorithm_end_to_end() {
-        let report = Runner::new(4)
-            .rate(Rate::new(1, 2))
+        let report = ScenarioSpec::new("count-hop", "uniform")
+            .n(4)
             .beta(2)
             .rounds(20_000)
             .drain(5_000)
@@ -285,14 +192,16 @@ mod tests {
     #[test]
     fn schedule_reaches_attack_adversaries() {
         let alg = KCycle::new(3);
-        let report = Runner::new(9)
-            .rate(Rate::new(5, 12)) // > k/n = 1/3
+        let spec = ScenarioSpec::new("k-cycle", "least-on")
+            .n(9)
+            .rho(Rate::new(5, 12)) // > k/n = 1/3
             .beta(2)
-            .rounds(60_000)
-            .run_against(&alg, |schedule| {
-                let s = schedule.expect("k-Cycle is oblivious").clone();
-                Box::new(LeastOnStation::new(&s, 9, 10_000))
-            });
+            .rounds(60_000);
+        let Ok(mut sim) = spec.simulator(&alg, |schedule| {
+            let s = schedule.expect("k-Cycle is oblivious");
+            Ok::<_, Infallible>(Box::new(LeastOnStation::new(s, 9, 10_000)))
+        });
+        let report = spec.drive(&mut sim);
         assert_eq!(report.stability.verdict, Verdict::Diverging, "{report}");
     }
 }

@@ -150,18 +150,20 @@ mod tests {
         // The verdict machinery assumes the queue series is sampled at
         // strictly increasing, evenly spaced rounds; pin the engine's
         // sampling contract end to end.
+        use crate::campaign::ScenarioSpec;
         use crate::count_hop::CountHop;
-        use crate::runner::Runner;
         use emac_adversary::UniformRandom;
         use emac_sim::Rate;
 
-        let report = Runner::new(4)
-            .rate(Rate::new(1, 2))
+        let report = ScenarioSpec::new("count-hop", "uniform")
+            .n(4)
+            .rho(Rate::new(1, 2))
             .beta(1)
             .rounds(10_000)
             .run(&CountHop::new(), Box::new(UniformRandom::new(3)));
         let series = &report.metrics.queue_series;
-        // sample_every derives to max(rounds/2048, 1) = 4 in Runner.
+        // sample_every derives to max(rounds/2048, 1) = 4 in
+        // ScenarioSpec::simulator.
         assert_eq!(series.first().map(|s| s.round), Some(0));
         assert!(series.len() >= 16, "long runs must clear the short-run guard");
         for w in series.windows(2) {

@@ -4,7 +4,6 @@
 
 use emac_adversary::{Alternating, Bursty, RoundRobinLoad, SingleTarget, UniformRandom};
 use emac_core::prelude::*;
-use emac_core::Runner;
 use emac_sim::{Adversary, Rate};
 
 struct Case {
@@ -89,8 +88,9 @@ fn adversary_for(tag: usize, n: usize) -> Box<dyn Adversary> {
 fn matrix_runs_clean_and_drains() {
     for case in cases() {
         for adv_tag in 0..4 {
-            let report = Runner::new(case.n)
-                .rate(case.rho)
+            let report = ScenarioSpec::new(case.alg.name(), format!("adv#{adv_tag}"))
+                .n(case.n)
+                .rho(case.rho)
                 .beta(3)
                 .rounds(case.rounds)
                 .drain(case.drain)
@@ -122,8 +122,13 @@ fn alternating_hotspots_are_survivable_everywhere() {
         (Box::new(CountHop::new()), 4, Rate::new(4, 5)),
         (Box::new(KCycle::new(3)), 5, bounds::k_cycle_rate_threshold(5, 3).scaled(1, 2)),
     ] {
-        let report =
-            Runner::new(n).rate(rho).beta(4).rounds(80_000).drain(80_000).run(alg.as_ref(), alt());
+        let report = ScenarioSpec::new(alg.name(), "alternating")
+            .n(n)
+            .rho(rho)
+            .beta(4)
+            .rounds(80_000)
+            .drain(80_000)
+            .run(alg.as_ref(), alt());
         assert!(report.clean(), "{}: {}", report.algorithm, report.violations);
         assert_eq!(report.drained, Some(true), "{}", report.algorithm);
     }
@@ -133,8 +138,9 @@ fn alternating_hotspots_are_survivable_everywhere() {
 fn fairness_is_high_for_universal_algorithms_under_uniform_load() {
     // Universal algorithms deliver everything, so per-destination service
     // under uniform traffic must be near-even.
-    let report = Runner::new(8)
-        .rate(Rate::new(1, 2))
+    let report = ScenarioSpec::new("count-hop", "uniform")
+        .n(8)
+        .rho(Rate::new(1, 2))
         .beta(2)
         .rounds(100_000)
         .run(&CountHop::new(), Box::new(UniformRandom::new(7)));
@@ -147,8 +153,9 @@ fn energy_is_exactly_the_awake_sets() {
     // Scheduled algorithms: total energy equals the sum of schedule widths.
     let alg = KClique::new(4);
     let m = alg.params(8).num_pairs() as u64;
-    let report = Runner::new(8)
-        .rate(Rate::new(1, 50))
+    let report = ScenarioSpec::new("k-clique", "uniform")
+        .n(8)
+        .rho(Rate::new(1, 50))
         .beta(1)
         .rounds(m * 100)
         .run(&alg, Box::new(UniformRandom::new(3)));

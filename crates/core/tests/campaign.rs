@@ -5,7 +5,10 @@
 use std::sync::Arc;
 
 use emac_adversary::{LeastOnStation, SingleTarget, UniformRandom};
-use emac_core::campaign::{parse_campaign_spec, Campaign, Grid, ScenarioFactory, ScenarioSpec};
+use emac_core::campaign::{
+    parse_campaign_spec, Campaign, CsvStreamSink, Grid, JsonLinesSink, ScenarioFactory,
+    ScenarioSpec, TallySink,
+};
 use emac_core::prelude::*;
 use emac_sim::{Adversary, OnSchedule, Rate};
 
@@ -59,21 +62,29 @@ fn sweep() -> Vec<ScenarioSpec> {
     specs
 }
 
+/// The JSON Lines and CSV bytes the streaming sinks write for `specs` on
+/// `threads` workers.
+fn streamed(specs: &[ScenarioSpec], threads: usize) -> (String, String) {
+    let campaign = Campaign::new().threads(threads);
+    let mut jsonl = JsonLinesSink::new(Vec::new());
+    campaign.run_into(specs, &TestFactory, &mut jsonl).unwrap();
+    let mut csv = CsvStreamSink::new(Vec::new());
+    campaign.run_into(specs, &TestFactory, &mut csv).unwrap();
+    (String::from_utf8(jsonl.into_inner()).unwrap(), String::from_utf8(csv.into_inner()).unwrap())
+}
+
 /// The tentpole guarantee: a parallel campaign yields byte-identical
 /// reports to the same scenarios run serially.
 #[test]
 fn parallel_campaign_is_byte_identical_to_serial() {
     let specs = sweep();
-    let serial = Campaign::new().threads(1).run(&specs, &TestFactory);
-    let parallel = Campaign::new().threads(4).run(&specs, &TestFactory);
-    assert_eq!(serial.runs.len(), specs.len());
-    let serial_jsonl = serial.to_jsonl();
-    let parallel_jsonl = parallel.to_jsonl();
+    let (serial_jsonl, serial_csv) = streamed(&specs, 1);
+    let (parallel_jsonl, parallel_csv) = streamed(&specs, 4);
+    assert_eq!(serial_jsonl.lines().count(), specs.len());
     assert_eq!(serial_jsonl, parallel_jsonl, "parallel execution changed results");
-    assert_eq!(serial.to_csv(), parallel.to_csv());
-    // and twice in parallel for schedule-jitter flakes
-    let again = Campaign::new().threads(3).run(&specs, &TestFactory);
-    assert_eq!(again.to_jsonl(), serial_jsonl);
+    assert_eq!(serial_csv, parallel_csv);
+    // and again in parallel for schedule-jitter flakes
+    assert_eq!(streamed(&specs, 3).0, serial_jsonl);
 }
 
 #[test]
@@ -116,9 +127,11 @@ fn errors_are_contained_per_scenario() {
     assert!(!result.all_clean());
     assert!(result.first_error().is_some());
     assert_eq!(result.reports().count(), 1);
-    assert!(result.summary().contains("3 failed"), "{}", result.summary());
-    // the failures appear in the exports rather than poisoning them
-    let csv = result.to_csv();
+    // the failures appear in the export rather than poisoning it
+    let mut sink = TallySink::new(CsvStreamSink::new(Vec::new()));
+    Campaign::new().threads(2).run_into(&specs, &TestFactory, &mut sink).unwrap();
+    assert_eq!((sink.ok(), sink.unclean(), sink.failed()), (1, 0, 3));
+    let csv = String::from_utf8(sink.into_inner().into_inner()).unwrap();
     assert_eq!(csv.lines().count(), 1 + 4);
     assert!(csv.contains("unknown algorithm"));
 }

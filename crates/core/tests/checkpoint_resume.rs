@@ -91,8 +91,14 @@ fn resume_is_byte_identical_and_reexecutes_only_the_remainder() {
     let campaign = Campaign::new().threads(4);
 
     // Uninterrupted reference (CSV and JSONL).
-    let reference = campaign.run(&specs, &CountingFactory::new());
-    let (ref_csv, ref_jsonl) = (reference.to_csv(), reference.to_jsonl());
+    let mut csv = CsvStreamSink::new(Vec::new());
+    campaign.run_into(&specs, &CountingFactory::new(), &mut csv).unwrap();
+    let mut jsonl = JsonLinesSink::new(Vec::new());
+    campaign.run_into(&specs, &CountingFactory::new(), &mut jsonl).unwrap();
+    let (ref_csv, ref_jsonl) = (
+        String::from_utf8(csv.into_inner()).unwrap(),
+        String::from_utf8(jsonl.into_inner()).unwrap(),
+    );
 
     for jsonl in [false, true] {
         let path = temp_ckpt(if jsonl { "jsonl" } else { "csv" });

@@ -9,12 +9,12 @@
 
 use emac_adversary::{Scripted, UniformRandom};
 use emac_core::prelude::*;
-use emac_core::Runner;
 use emac_sim::Rate;
 
 fn run_once(alg: &dyn Algorithm, n: usize, rho: Rate, seed: u64) -> (u64, u64, u64, u64) {
-    let r = Runner::new(n)
-        .rate(rho)
+    let r = ScenarioSpec::new(alg.name(), "uniform")
+        .n(n)
+        .rho(rho)
         .beta(2)
         .rounds(30_000)
         .run(alg, Box::new(UniformRandom::new(seed)));
@@ -54,8 +54,9 @@ fn mbtf_and_rrw_subsets_deliver_the_same_packets() {
         .collect();
     let mut totals = Vec::new();
     for alg in [KSubsets::new(3), KSubsets::with_rrw(3)] {
-        let r = Runner::new(6)
-            .rate(Rate::new(1, 5))
+        let r = ScenarioSpec::new(alg.name(), "scripted")
+            .n(6)
+            .rho(Rate::new(1, 5))
             .beta(4)
             .rounds(3_000)
             .drain(200_000)
@@ -73,8 +74,9 @@ fn mbtf_and_rrw_subsets_deliver_the_same_packets() {
 
 #[test]
 fn report_numbers_are_internally_consistent() {
-    let r = Runner::new(6)
-        .rate(Rate::new(1, 2))
+    let r = ScenarioSpec::new("count-hop", "uniform")
+        .n(6)
+        .rho(Rate::new(1, 2))
         .beta(2)
         .rounds(50_000)
         .drain(20_000)

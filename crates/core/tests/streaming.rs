@@ -1,5 +1,5 @@
-//! Streaming-pipeline tests: the constant-memory sinks are byte-identical
-//! to the buffered path, the commit stage's reorder window bounds
+//! Streaming-pipeline tests: the constant-memory sinks write the same
+//! bytes at every thread count, the commit stage's reorder window bounds
 //! in-flight reports to `THREADS + K` whatever the campaign's width, and
 //! `Slim` metrics detail changes no scalar.
 
@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use emac_adversary::{SingleTarget, UniformRandom};
 use emac_core::campaign::{
-    Campaign, CsvStreamSink, JsonLinesSink, MetricsDetail, ResultSink, ScenarioFactory,
+    Campaign, CsvStreamSink, FnSink, JsonLinesSink, MetricsDetail, ResultSink, ScenarioFactory,
     ScenarioRun, ScenarioSpec,
 };
 use emac_core::prelude::*;
@@ -62,42 +62,29 @@ fn mixed_sweep() -> Vec<ScenarioSpec> {
     specs
 }
 
-/// Tentpole differential: the bytes a streaming sink writes while the
-/// campaign runs are identical to serializing the buffered result after
-/// the fact, at every thread count.
+/// The CSV and JSON Lines bytes the streaming sinks write while
+/// `campaign` runs `specs`.
+fn streamed(campaign: &Campaign, specs: &[ScenarioSpec]) -> (String, String) {
+    let mut csv = CsvStreamSink::new(Vec::new());
+    campaign.run_into(specs, &TestFactory, &mut csv).unwrap();
+    let mut jsonl = JsonLinesSink::new(Vec::new());
+    campaign.run_into(specs, &TestFactory, &mut jsonl).unwrap();
+    (String::from_utf8(csv.into_inner()).unwrap(), String::from_utf8(jsonl.into_inner()).unwrap())
+}
+
+/// The bytes a streaming sink writes while the campaign runs are the same
+/// at every thread count, error rows included.
 #[test]
-fn stream_bytes_equal_buffered_serialization_across_thread_counts() {
+fn stream_bytes_are_identical_across_thread_counts() {
     let specs = mixed_sweep();
-    let mut reference: Option<(String, String)> = None;
-    for threads in [1usize, 4, 8] {
-        let campaign = Campaign::new().threads(threads);
-        let result = campaign.run(&specs, &TestFactory);
-        let (csv, jsonl) = (result.to_csv(), result.to_jsonl());
-
-        let mut csv_sink = CsvStreamSink::new(Vec::new());
-        campaign.run_into(&specs, &TestFactory, &mut csv_sink).unwrap();
-        assert_eq!(
-            String::from_utf8(csv_sink.into_inner()).unwrap(),
-            csv,
-            "CSV stream diverged from buffered export at {threads} threads"
-        );
-
-        let mut jsonl_sink = JsonLinesSink::new(Vec::new());
-        campaign.run_into(&specs, &TestFactory, &mut jsonl_sink).unwrap();
-        assert_eq!(
-            String::from_utf8(jsonl_sink.into_inner()).unwrap(),
-            jsonl,
-            "JSONL stream diverged from buffered export at {threads} threads"
-        );
-
-        // and every thread count produces the same bytes
-        match &reference {
-            None => reference = Some((csv, jsonl)),
-            Some((ref_csv, ref_jsonl)) => {
-                assert_eq!(&csv, ref_csv, "thread count changed CSV bytes");
-                assert_eq!(&jsonl, ref_jsonl, "thread count changed JSONL bytes");
-            }
-        }
+    let (csv, jsonl) = streamed(&Campaign::new().threads(1), &specs);
+    assert_eq!(csv.lines().count(), specs.len() + 1, "a header and one row per scenario");
+    assert_eq!(jsonl.lines().count(), specs.len());
+    assert_eq!(jsonl.matches("\"error\":").count(), 2, "both failing scenarios stream");
+    for threads in [4usize, 8] {
+        let (c, j) = streamed(&Campaign::new().threads(threads), &specs);
+        assert_eq!(c, csv, "{threads} threads changed the CSV bytes");
+        assert_eq!(j, jsonl, "{threads} threads changed the JSONL bytes");
     }
 }
 
@@ -180,18 +167,19 @@ fn slim_detail_preserves_every_scalar_and_drops_series() {
         .rhos([Rate::new(1, 2)])
         .seeds([1, 2])
         .expand();
-    let full = Campaign::new().threads(2).run(&specs, &TestFactory);
-    let slim = Campaign::new().threads(2).detail(MetricsDetail::Slim).run(&specs, &TestFactory);
+    let full = Campaign::new().threads(2);
+    let slim = Campaign::new().threads(2).detail(MetricsDetail::Slim);
+    let (full_csv, full_jsonl) = streamed(&full, &specs);
+    let (slim_csv, slim_jsonl) = streamed(&slim, &specs);
 
-    assert_eq!(full.to_csv(), slim.to_csv(), "Slim changed a scalar CSV column");
+    assert_eq!(full_csv, slim_csv, "Slim changed a scalar CSV column");
 
-    let full_jsonl = full.to_jsonl();
-    let slim_jsonl = slim.to_jsonl();
     assert!(full_jsonl.contains("queue_series"));
     assert!(full_jsonl.contains("delay_log2_buckets"));
     assert!(!slim_jsonl.contains("queue_series"));
     assert!(!slim_jsonl.contains("delay_log2_buckets"));
 
+    let (full, slim) = (full.run(&specs, &TestFactory), slim.run(&specs, &TestFactory));
     for (f, s) in full.reports().zip(slim.reports()) {
         assert_eq!(f.metrics.injected, s.metrics.injected);
         assert_eq!(f.metrics.delivered, s.metrics.delivered);
@@ -283,7 +271,7 @@ fn sink_error_aborts_campaign() {
 #[test]
 fn run_subset_validates_indices() {
     let specs = Grid::new(ScenarioSpec::new("count-hop", "uniform").rounds(50)).ns([4]).expand();
-    let mut sink = emac_core::campaign::MemorySink::new();
+    let mut sink = FnSink(|_, _| Ok(()));
     let err =
         Campaign::new().run_subset(&specs, &[0, 7], &TestFactory, &mut sink, None).unwrap_err();
     assert!(err.contains("out of range"), "{err}");

@@ -12,8 +12,9 @@ use emac::sim::Rate;
 
 fn main() {
     // A (rho, beta) = (1/2, 2) adversary injecting uniformly at random.
-    let report = Runner::new(8)
-        .rate(Rate::new(1, 2))
+    let report = ScenarioSpec::new("count-hop", "uniform")
+        .n(8)
+        .rho(Rate::new(1, 2))
         .beta(2)
         .rounds(200_000)
         .drain(20_000)

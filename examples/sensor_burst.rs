@@ -40,8 +40,12 @@ fn main() {
     for (alg, rho) in cases {
         // sensors burst every 64 rounds from station 1 — every packet for the sink
         let adversary = Box::new(Bursty::new(1, 64));
-        let report =
-            Runner::new(n).rate(rho).beta(beta).rounds(250_000).run(alg.as_ref(), adversary);
+        let report = ScenarioSpec::new(alg.name(), "bursty")
+            .n(n)
+            .rho(rho)
+            .beta(beta)
+            .rounds(250_000)
+            .run(alg.as_ref(), adversary);
         println!(
             "{:<34} {:>5} {:>9.4} {:>12} {:>12} {:>10}",
             report.algorithm,

@@ -55,7 +55,9 @@ use emac::core::frontier::{EscalateSpec, Frontier, FrontierCheckpoint, FrontierS
 use emac::core::journal::reopen_output;
 use emac::core::output::Kind;
 use emac::core::shard::{ShardPlan, ShardRunner};
-use emac::core::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
+use emac::core::{
+    EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind, RunReport,
+};
 use emac::registry::{Registry, ADVERSARIES, ALGORITHMS};
 
 fn main() -> ExitCode {
@@ -699,19 +701,7 @@ fn run(args: &[String]) -> ExitCode {
             );
         }
     } else {
-        let report = result.reports().next().expect("the one row ran without an error");
-        println!("{report}");
-        if let Some(r) = report.tripped_round {
-            println!("  probe: queue cap tripped at round {r}");
-        }
-        let m = &report.metrics;
-        if m.jammed_rounds != 0 || m.crashes != 0 || m.deaf_rounds != 0 {
-            println!(
-                "  faults: {} jammed round(s), {} crash(es), {} deaf round(s)",
-                m.jammed_rounds, m.crashes, m.deaf_rounds
-            );
-        }
-        println!("  digest: {}", emac::core::digest::report_digest_hex(report));
+        print_report(result.reports().next().expect("the one row ran without an error"));
     }
     if result.all_clean() {
         ExitCode::SUCCESS
@@ -720,12 +710,31 @@ fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// `emac run --trace N`: step a simulator directly, since the trace ring
-/// lives in it, and print the last `N` rounds. The spec is validated
-/// first, as a campaign row is; a panic inside the run still aborts.
+/// The report of one `emac run` execution, traced or not: the run report,
+/// then the probe, fault and digest lines.
+fn print_report(report: &RunReport) {
+    println!("{report}");
+    if let Some(r) = report.tripped_round {
+        println!("  probe: queue cap tripped at round {r}");
+    }
+    let m = &report.metrics;
+    if m.jammed_rounds != 0 || m.crashes != 0 || m.deaf_rounds != 0 {
+        println!(
+            "  faults: {} jammed round(s), {} crash(es), {} deaf round(s)",
+            m.jammed_rounds, m.crashes, m.deaf_rounds
+        );
+    }
+    println!("  digest: {}", emac::core::digest::report_digest_hex(report));
+}
+
+/// `emac run --trace N`: the run a campaign row would make of `spec`
+/// (the same simulator and drive), on a simulator of its own, since the
+/// trace ring lives in it. Prints the last `N` rounds, then the report a
+/// solo run prints. The spec is validated first, as a campaign row is; a
+/// panic inside the run still aborts.
 fn trace(spec: &ScenarioSpec, capacity: usize) -> ExitCode {
     let sim = spec.validate().and_then(|()| Registry::make_algorithm(spec)).and_then(|alg| {
-        spec.runner().simulator(alg.as_ref(), |schedule| Registry::make_adversary(spec, schedule))
+        spec.simulator(alg.as_ref(), |schedule| Registry::make_adversary(spec, schedule))
     });
     let mut sim = match sim {
         Ok(sim) => sim,
@@ -735,18 +744,11 @@ fn trace(spec: &ScenarioSpec, capacity: usize) -> ExitCode {
         }
     };
     sim.enable_trace(capacity);
-    sim.run(spec.rounds);
+    let report = spec.drive(&mut sim);
     println!("last {capacity} rounds:");
     print!("{}", sim.trace().expect("enabled").render());
-    println!(
-        "delivered {}/{} | latency max {} | max queue {} | invariants: {}",
-        sim.metrics().delivered,
-        sim.metrics().injected,
-        sim.metrics().delay.max(),
-        sim.metrics().max_total_queued,
-        sim.violations()
-    );
-    if sim.violations().is_clean() {
+    print_report(&report);
+    if report.clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -350,7 +350,9 @@ pub struct Opts {
     /// and print per-lane verdict/digest rows, in the given seed order,
     /// instead of one full report.
     pub seeds: Option<Vec<u64>>,
-    /// Optional trace window size.
+    /// Trace window (`--trace N`, positive): run the scenario on one
+    /// simulator with the last `N` rounds kept, and print them before the
+    /// report.
     pub trace: Option<usize>,
 }
 
@@ -403,6 +405,9 @@ pub fn parse(args: &[String]) -> Result<Opts, String> {
     }
     if spec.probe_cap == Some(0) {
         return Err("--probe-cap must be positive".into());
+    }
+    if trace == Some(0) {
+        return Err("--trace must be positive".into());
     }
     match (jam, &mut spec.faults) {
         (Some(_), Some(_)) => {
@@ -800,6 +805,8 @@ mod tests {
         assert!(parse(&argv("--alg count-hop --n 1")).is_err(), "n too small");
         assert!(parse(&argv("--alg count-hop --bogus 1")).is_err(), "unknown flag");
         assert!(parse(&argv("--alg count-hop --n")).is_err(), "missing value");
+        let err = parse(&argv("--alg count-hop --trace 0")).unwrap_err();
+        assert_eq!(err, "--trace must be positive");
         let o = parse(&argv("--alg nope")).unwrap();
         assert!(Registry::make_algorithm(&o.spec).is_err());
         let o = parse(&argv("--alg count-hop --adversary nope")).unwrap();

@@ -14,7 +14,7 @@
 //! * [`broadcast`] — the broadcast building blocks from the cited prior
 //!   work (RRW, OF-RRW, MBTF);
 //! * [`core`] — the paper's six routing algorithms, the Table-1 bound
-//!   formulas, and the experiment runner.
+//!   formulas, and the scenario run path and campaigns.
 //!
 //! See the `examples/` directory for runnable scenarios and
 //! `crates/bench` for the Table-1 reproduction harness.

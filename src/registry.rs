@@ -130,7 +130,7 @@ fn oblivious_only(spec: &ScenarioSpec) -> String {
     format!(
         "adversary {:?} needs a precomputed on/off schedule, but none was supplied — \
          either {:?} is adaptive (it has no schedule), or this entry point does not \
-         provide schedules (use `emac campaign` or `Runner::run_against`)",
+         provide schedules (use `emac campaign` or `ScenarioSpec::simulator`)",
         spec.adversary, spec.algorithm
     )
 }

@@ -19,8 +19,13 @@ fn adversaries(n: usize) -> Vec<(&'static str, Box<dyn Adversary>)> {
 
 fn check(alg: &dyn Algorithm, n: usize, rho: Rate, rounds: u64, drain: u64, expect_drain: bool) {
     for (tag, adversary) in adversaries(n) {
-        let report =
-            Runner::new(n).rate(rho).beta(2).rounds(rounds).drain(drain).run(alg, adversary);
+        let report = ScenarioSpec::new(alg.name(), tag)
+            .n(n)
+            .rho(rho)
+            .beta(2)
+            .rounds(rounds)
+            .drain(drain)
+            .run(alg, adversary);
         assert!(report.clean(), "{} vs {tag}: {}", report.algorithm, report.violations);
         assert!(
             report.metrics.max_awake <= report.cap,

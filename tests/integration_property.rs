@@ -21,8 +21,9 @@ fn count_hop_random_regimes() {
         let beta = rng.random_range_u64(1..6);
         let seed = rng.random_range_u64(0..1_000);
         let rho = Rate::new(num, 10); // 0.1 .. 0.8
-        let report = Runner::new(n)
-            .rate(rho)
+        let report = ScenarioSpec::new("count-hop", "uniform")
+            .n(n)
+            .rho(rho)
             .beta(beta)
             .rounds(30_000)
             .drain(15_000)
@@ -43,8 +44,9 @@ fn orchestra_random_rate_one() {
         let n = rng.random_range(3..8);
         let beta = rng.random_range_u64(1..8);
         let seed = rng.random_range_u64(0..1_000);
-        let report = Runner::new(n)
-            .rate(Rate::one())
+        let report = ScenarioSpec::new("orchestra", "uniform")
+            .n(n)
+            .rho(Rate::one())
             .beta(beta)
             .rounds(40_000)
             .run(&Orchestra::new(), Box::new(UniformRandom::new(seed)));
@@ -70,8 +72,9 @@ fn k_cycle_random_geometry() {
         let alg = KCycle::new(k);
         let eff_k = alg.params(n).k();
         let rho = bounds::k_cycle_rate_threshold(n as u64, eff_k as u64).scaled(3, 4);
-        let report = Runner::new(n)
-            .rate(rho)
+        let report = ScenarioSpec::new("k-cycle", "uniform")
+            .n(n)
+            .rho(rho)
             .beta(2)
             .rounds(40_000)
             .run(&alg, Box::new(UniformRandom::new(seed)));
@@ -91,8 +94,9 @@ fn k_clique_random_geometry() {
         let alg = KClique::new(k);
         let eff_k = alg.params(n).k();
         let rho = bounds::k_clique_rate_for_latency(n as u64, eff_k as u64);
-        let report = Runner::new(n)
-            .rate(rho)
+        let report = ScenarioSpec::new("k-clique", "uniform")
+            .n(n)
+            .rho(rho)
             .beta(2)
             .rounds(60_000)
             .run(&alg, Box::new(UniformRandom::new(seed)));

@@ -3,24 +3,33 @@
 //! claimed region and unstable outside the matching impossibility bound,
 //! and the regions nest the way Table 1 says they do.
 
+use std::convert::Infallible;
+use std::sync::Arc;
+
 use emac::adversary::{LeastOnPair, LeastOnStation};
 use emac::core::prelude::*;
-use emac::sim::Rate;
+use emac::sim::{Adversary, OnSchedule, Rate};
 
 const N: usize = 9;
 const K: usize = 3;
+
+/// Run `alg` as `spec` describes, against an attack built from the
+/// algorithm's oblivious schedule.
+fn attacked(
+    spec: &ScenarioSpec,
+    alg: &dyn Algorithm,
+    attack: impl FnOnce(&Arc<dyn OnSchedule>) -> Box<dyn Adversary>,
+) -> RunReport {
+    let Ok(mut sim) = spec.simulator(alg, |s| Ok::<_, Infallible>(attack(s.expect("oblivious"))));
+    spec.drive(&mut sim)
+}
 
 fn k_cycle_slope(rho: Rate) -> f64 {
     let alg = KCycle::new(K);
     let p = alg.params(N);
     let horizon = p.delta() * p.groups() as u64;
-    Runner::new(N)
-        .rate(rho)
-        .beta(2)
-        .rounds(150_000)
-        .run_against(&alg, |s| Box::new(LeastOnStation::new(s.expect("oblivious"), N, horizon)))
-        .stability
-        .slope
+    let spec = ScenarioSpec::new("k-cycle", "least-on").n(N).rho(rho).beta(2).rounds(150_000);
+    attacked(&spec, &alg, |s| Box::new(LeastOnStation::new(s, N, horizon))).stability.slope
 }
 
 #[test]
@@ -40,19 +49,14 @@ fn k_subsets_attains_exactly_its_threshold() {
     let alg = KSubsets::new(k);
     let thr = bounds::k_subsets_rate_threshold(n as u64, k as u64);
     // stable AT the threshold (Theorem 8) ...
-    let at = Runner::new(n)
-        .rate(thr)
-        .beta(2)
-        .rounds(200_000)
-        .run_against(&alg, |s| Box::new(LeastOnPair::new(s.expect("oblivious"), n, 5_000)));
+    let spec = ScenarioSpec::new("k-subsets", "least-on-pair").n(n).beta(2).rounds(200_000);
+    let least_on_pair =
+        |s: &Arc<dyn OnSchedule>| -> Box<dyn Adversary> { Box::new(LeastOnPair::new(s, n, 5_000)) };
+    let at = attacked(&spec.clone().rho(thr), &alg, least_on_pair);
     assert!(at.clean(), "{}", at.violations);
     assert!(at.stability.slope.abs() < 0.01, "at threshold: {}", at.stability);
     // ... and unstable 50% above it (Theorem 9)
-    let above = Runner::new(n)
-        .rate(thr.scaled(3, 2))
-        .beta(2)
-        .rounds(200_000)
-        .run_against(&alg, |s| Box::new(LeastOnPair::new(s.expect("oblivious"), n, 5_000)));
+    let above = attacked(&spec.rho(thr.scaled(3, 2)), &alg, least_on_pair);
     assert!(above.stability.slope > 0.01, "above threshold: {}", above.stability);
 }
 
@@ -76,15 +80,17 @@ fn thresholds_nest_as_in_table1() {
 fn cap2_rate_one_is_impossible_but_rate_below_one_is_fine() {
     use emac::adversary::SleeperTargeting;
     // Theorem 2 via the sleeper-targeting adversary on a cap-2 algorithm.
-    let diverging = Runner::new(6)
-        .rate(Rate::one())
+    let diverging = ScenarioSpec::new("count-hop", "sleeper")
+        .n(6)
+        .rho(Rate::one())
         .beta(2)
         .rounds(150_000)
         .run(&CountHop::new(), Box::new(SleeperTargeting::new()));
     assert!(diverging.stability.slope > 0.005, "{}", diverging.stability);
     // same algorithm, same adversary, rho = 0.9: stable.
-    let stable = Runner::new(6)
-        .rate(Rate::new(9, 10))
+    let stable = ScenarioSpec::new("count-hop", "sleeper")
+        .n(6)
+        .rho(Rate::new(9, 10))
         .beta(2)
         .rounds(150_000)
         .run(&CountHop::new(), Box::new(SleeperTargeting::new()));

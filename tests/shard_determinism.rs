@@ -214,8 +214,7 @@ fn jsonl_output_shards_byte_identically_too() {
 
 /// The registry-wide campaign grid of `tests/golden_determinism.rs`,
 /// as a spec document: sharding must merge to the same pinned digest
-/// the buffered `to_csv`, the streaming sink, and the slim-detail run
-/// all produce.
+/// the streaming sink writes there, at full and at slim detail.
 const GOLDEN_GRID_SPEC: &str = r#"{
   "grids": [
     {"algorithms": ["orchestra", "orchestra-nomb", "count-hop", "adjust-window",
