@@ -126,8 +126,89 @@ const GOLDEN: &[(&str, &str)] = &[
 
 #[test]
 fn run_report_digests_match_golden() {
-    let specs = matrix();
-    let result = Campaign::new().threads(4).run(&specs, &Registry);
+    assert_digests("GOLDEN", &matrix(), GOLDEN);
+}
+
+/// k-Subsets paths the matrix above does not reach: a system past one mask
+/// word (n = 128, k = 2, 8,128 threads), once under the `ksubsets_n128`
+/// bench's uniform load and once under a one-station flood that stacks
+/// dozens of packets in each of that station's thread lists; n = 16, k = 3
+/// under the least-on-pair flood in both thread subroutines; MBTF under
+/// crashes that lose the queue, clock skew and deaf rounds; and RRW under
+/// clock skew. The deaf rounds stall MBTF threads (a deaf baton holder
+/// never pops the packet the channel heard); that stall is pinned as it
+/// stands.
+fn ksubsets_matrix() -> Vec<ScenarioSpec> {
+    use emac_sim::FaultSpec;
+
+    let wide = |adv: &str, rho: Rate| {
+        ScenarioSpec::new("k-subsets", adv)
+            .n(128)
+            .k(2)
+            .rho(rho)
+            .beta(Rate::integer(4))
+            .rounds(16_384)
+            .seed(3)
+            .label(format!("k-subsets|{adv}|n=128|k=2"))
+    };
+    let least_pair = |alg: &str| {
+        ScenarioSpec::new(alg, "least-on-pair")
+            .n(16)
+            .k(3)
+            .rho(Rate::new(1, 20))
+            .beta(Rate::integer(2))
+            .rounds(40_000)
+            .seed(7)
+            .label(format!("{alg}|least-on-pair|n=16|k=3"))
+    };
+    let faulted = |alg: &str, faults: FaultSpec, label: &str| {
+        ScenarioSpec::new(alg, "uniform")
+            .n(8)
+            .k(3)
+            .rho(Rate::new(1, 8))
+            .beta(Rate::integer(2))
+            .rounds(16_384)
+            .seed(7)
+            .faults(FaultSpec { seed: 9, ..faults })
+            .label(format!("{alg}|uniform|{label}"))
+    };
+    let crash_skew_deaf = FaultSpec {
+        crash: Rate::new(1, 500),
+        crash_len: 48,
+        retain_queue: false,
+        deaf: Rate::new(1, 40),
+        skew: 2,
+        ..FaultSpec::default()
+    };
+    vec![
+        wide("uniform", Rate::new(1, 64)),
+        wide("spread-from-one", Rate::new(1, 2)),
+        least_pair("k-subsets"),
+        least_pair("k-subsets-rrw"),
+        faulted("k-subsets", crash_skew_deaf, "crash,skew,deaf"),
+        faulted("k-subsets-rrw", FaultSpec { skew: 2, ..FaultSpec::default() }, "skew"),
+    ]
+}
+
+/// Pinned digests, one per [`ksubsets_matrix`] entry, in order.
+const KSUBSETS_GOLDEN: &[(&str, &str)] = &[
+    ("k-subsets|uniform|n=128|k=2", "0af71cca90d2bb92"),
+    ("k-subsets|spread-from-one|n=128|k=2", "42de06d10ff71a8b"),
+    ("k-subsets|least-on-pair|n=16|k=3", "5072560e0def0859"),
+    ("k-subsets-rrw|least-on-pair|n=16|k=3", "8adc1cbca5df2fcc"),
+    ("k-subsets|uniform|crash,skew,deaf", "8c040cd39312dda5"),
+    ("k-subsets-rrw|uniform|skew", "79b2c0087e344000"),
+];
+
+#[test]
+fn ksubsets_digests_match_golden() {
+    assert_digests("KSUBSETS_GOLDEN", &ksubsets_matrix(), KSUBSETS_GOLDEN);
+}
+
+/// Run `specs` and compare every report's digest with `golden`, in order;
+/// on any difference, print the re-pin table for the constant `name`.
+fn assert_digests(name: &str, specs: &[ScenarioSpec], golden: &[(&str, &str)]) {
+    let result = Campaign::new().threads(4).run(specs, &Registry);
     assert_eq!(result.first_error(), None, "every golden scenario must run");
     let actual: Vec<(String, String)> = result
         .runs
@@ -138,9 +219,9 @@ fn run_report_digests_match_golden() {
         })
         .collect();
     let expected: Vec<(String, String)> =
-        GOLDEN.iter().map(|&(l, d)| (l.to_string(), d.to_string())).collect();
+        golden.iter().map(|&(l, d)| (l.to_string(), d.to_string())).collect();
     if actual != expected {
-        println!("const GOLDEN: &[(&str, &str)] = &[");
+        println!("const {name}: &[(&str, &str)] = &[");
         for (label, digest) in &actual {
             println!("    ({label:?}, {digest:?}),");
         }
@@ -152,7 +233,7 @@ fn run_report_digests_match_golden() {
             .map(|(a, _)| a.0.as_str())
             .collect();
         panic!(
-            "{} of {} golden digests diverged (first: {:?}); \
+            "{} of {} {name} digests diverged (first: {:?}); \
              full re-pin table printed above",
             divergent
                 .len()
