@@ -10,15 +10,19 @@
 /// Greedy balanced allocation over fixed sets of eligible threads.
 ///
 /// One allocator holds any number of equally wide *rows*, each an
-/// independent set of eligible threads with its own cumulative counts,
-/// back to back in two flat vectors: a `k-Subsets` station keeps one row
-/// per destination.
+/// independent set of eligible threads, back to back in one flat vector:
+/// a `k-Subsets` station keeps one row per destination. Picking the
+/// least-loaded thread, ties to the smallest, from all-zero counts visits
+/// a row's threads in ascending order and then starts over, so each row
+/// keeps only the position its next packet goes to, not its counts.
 #[derive(Clone, Debug)]
 pub struct BalancedAllocator {
     /// Row `i` is `threads[i·width..(i+1)·width]`, ascending.
     threads: Vec<u32>,
-    /// The cumulative allocations, at the positions of `threads`.
-    counts: Vec<u64>,
+    /// Per row, the position in the row of the thread its next packet
+    /// goes to: every position before it has one allocation more than
+    /// every position from it on.
+    next: Vec<u32>,
     width: usize,
 }
 
@@ -30,39 +34,29 @@ impl BalancedAllocator {
         assert!(width > 0, "a packet with no eligible thread cannot be routed");
         assert!(threads.len().is_multiple_of(width), "rows must all be {width} threads wide");
         debug_assert!(threads.chunks(width).all(|row| row.is_sorted()), "rows must be ascending");
-        Self { counts: vec![0; threads.len()], threads, width }
+        Self { next: vec![0; threads.len() / width], threads, width }
     }
 
     /// Allocate one packet in row `row`: returns the chosen thread
     /// (least-loaded, ties to the smallest thread index) and records it.
     pub fn pick_in(&mut self, row: usize) -> u32 {
-        let start = row * self.width;
-        // The row is ascending, so the first least count is the least
-        // (count, thread) pair.
-        let best = (start..start + self.width).min_by_key(|&i| self.counts[i]).expect("non-empty");
-        self.counts[best] += 1;
-        self.threads[best]
-    }
-
-    /// The largest spread between a row's largest and smallest
-    /// cumulative count.
-    pub fn imbalance(&self) -> u64 {
-        self.counts
-            .chunks(self.width)
-            .map(|row| row.iter().max().expect("non-empty") - row.iter().min().expect("non-empty"))
-            .max()
-            .expect("non-empty")
-    }
-
-    /// Total packets allocated.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        let at = self.next[row] as usize;
+        self.next[row] = if at + 1 == self.width { 0 } else { at as u32 + 1 };
+        self.threads[row * self.width + at]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The greedy rule on explicit counts: the first least count in a row
+    /// of ascending threads is the least (count, thread) pair.
+    fn greedy_pick(counts: &mut [u64]) -> usize {
+        let best = (0..counts.len()).min_by_key(|&i| counts[i]).expect("non-empty");
+        counts[best] += 1;
+        best
+    }
 
     #[test]
     fn round_robins_when_fresh() {
@@ -73,7 +67,7 @@ mod tests {
         assert_eq!(a.pick_in(1), 1);
         assert_eq!(a.pick_in(0), 9);
         assert_eq!(a.pick_in(0), 2);
-        assert_eq!(a.imbalance(), 1);
+        assert_eq!(a.pick_in(1), 4);
     }
 
     #[test]
@@ -85,14 +79,19 @@ mod tests {
     #[test]
     fn imbalance_never_exceeds_one() {
         // exhaustive over all the sizes the algorithms use, deep pick runs
-        // spread unevenly over three rows
+        // spread unevenly over three rows: every pick is the greedy
+        // least-loaded pick, so the counts never differ by more than one
         for sizes in 1usize..20 {
             let threads = (0..3).flat_map(|_| 0..sizes as u32).collect();
             let mut a = BalancedAllocator::rows(threads, sizes);
+            let mut counts = vec![vec![0u64; sizes]; 3];
             for picks in 1..=500usize {
-                a.pick_in([0, 0, 1, 0, 2][picks % 5]);
-                assert!(a.imbalance() <= 1, "sizes={sizes} picks={picks}");
-                assert_eq!(a.total(), picks as u64);
+                let row = [0, 0, 1, 0, 2][picks % 5];
+                let greedy = greedy_pick(&mut counts[row]);
+                assert_eq!(a.pick_in(row), greedy as u32, "sizes={sizes} picks={picks}");
+                let spread = |c: &Vec<u64>| c.iter().max().unwrap() - c.iter().min().unwrap();
+                assert!(counts.iter().all(|c| spread(c) <= 1), "sizes={sizes} picks={picks}");
+                assert_eq!(counts.iter().flatten().sum::<u64>(), picks as u64);
             }
         }
     }

@@ -41,25 +41,6 @@ pub fn combinations(n: usize, k: usize) -> Vec<usize> {
     }
 }
 
-/// Packed multi-word bitmask representation for arbitrary `n`: each subset
-/// becomes `words_for(n)` consecutive `u64` words (row-major). Membership
-/// of `x` in subset `i` is `out[i * words + x / 64] >> (x % 64) & 1`.
-pub fn subset_masks_packed<'a>(
-    subsets: impl ExactSizeIterator<Item = &'a [usize]>,
-    n: usize,
-) -> Vec<u64> {
-    let words = emac_sim::bitset::words_for(n);
-    let mut out = vec![0u64; subsets.len() * words];
-    for (i, subset) in subsets.enumerate() {
-        let row = &mut out[i * words..(i + 1) * words];
-        for &x in subset {
-            assert!(x < n, "subset member {x} out of range for n = {n}");
-            emac_sim::bitset::row_set(row, x);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,30 +75,6 @@ mod tests {
         for v in 0..n {
             let count = c.chunks(k).filter(|s| s.contains(&v)).count() as u64;
             assert_eq!(count, binomial((n - 1) as u64, (k - 1) as u64));
-        }
-    }
-
-    #[test]
-    fn packed_masks_roundtrip_across_word_boundaries() {
-        // subsets straddling the 64-bit word boundary (n = 70 > 64)
-        let n = 70;
-        let subsets = [vec![0, 63, 64], vec![1, 69], vec![]];
-        let words = emac_sim::bitset::words_for(n);
-        assert_eq!(words, 2);
-        let m = subset_masks_packed(subsets.iter().map(Vec::as_slice), n);
-        assert_eq!(m.len(), subsets.len() * words);
-        for (i, s) in subsets.iter().enumerate() {
-            for v in 0..n {
-                let bit = m[i * words + (v >> 6)] >> (v & 63) & 1 != 0;
-                assert_eq!(s.contains(&v), bit, "subset {i} member {v}");
-            }
-        }
-        // for n <= 64 each subset is exactly one word of its member bits
-        let c = combinations(6, 3);
-        let packed = subset_masks_packed(c.chunks(3), 6);
-        assert_eq!(packed.len(), c.len() / 3);
-        for (s, &word) in c.chunks(3).zip(&packed) {
-            assert_eq!(word, s.iter().fold(0u64, |m, &x| m | (1 << x)));
         }
     }
 }

@@ -18,11 +18,22 @@
 //! direct algorithm can beat that rate. The paper also notes that replacing
 //! MBTF by RRW yields bounded latency `Θ(γ(n + β))` for rates strictly
 //! below the threshold — available here as [`ThreadSubroutine::Rrw`].
+//!
+//! # Representation
+//!
+//! A station is in `C(n−1, k−1)` threads (127 at n = 128, k = 2), so its
+//! memory is one thread's share times that count. Each thread has one
+//! fixed-size record of its subroutine's state: 16 bytes for MBTF (the
+//! ends and length of its packet list, the baton position and the two big
+//! bits), 24 for RRW (the list, the token position and the batch marker).
+//! The packet lists of all of a station's threads are threaded through one
+//! pool of nodes, MBTF baton rows hold `u32` station ids, and the balanced
+//! allocator keeps one position per destination. Built with its simulator,
+//! the n = 128, k = 2 system holds about 1.19 MB of heap
+//! (`tests/alloc_free.rs` bounds it at 1.4 MB).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use emac_broadcast::TokenRing;
 use emac_sim::{
     Action, AlgorithmClass, BuiltAlgorithm, ControlBits, Effects, Feedback, Handle, IndexedQueue,
     Message, OnSchedule, Protocol, ProtocolCtx, Round, StationId, Wake, WakeMode,
@@ -30,20 +41,18 @@ use emac_sim::{
 
 use crate::algorithm::Algorithm;
 use crate::balance::BalancedAllocator;
-use crate::combinatorics::{combinations, subset_masks_packed};
+use crate::combinatorics::combinations;
 
-/// Shared geometry: the subset enumeration and the thread schedule.
+/// Shared geometry: the subset enumeration and the thread schedule. The
+/// engine expands the schedule into its own packed table, so the geometry
+/// keeps only the enumeration, as `u32` station ids.
 #[derive(Debug)]
 pub struct KSubsetsParams {
     n: usize,
     k: usize,
-    /// The enumeration, `k` ascending stations per subset, back to back:
-    /// `A_t` is `subsets[t·k..(t+1)·k]`.
-    subsets: Vec<StationId>,
-    /// Packed membership masks, `mask_words` words per subset (row-major),
-    /// so `n` is not limited by a single 64-bit word.
-    masks: Vec<u64>,
-    mask_words: usize,
+    /// The enumeration, `k` ascending station ids per subset, back to
+    /// back: `A_t` is `subsets[t·k..(t+1)·k]`.
+    subsets: Vec<u32>,
 }
 
 impl KSubsetsParams {
@@ -51,10 +60,8 @@ impl KSubsetsParams {
     /// `C(n, k)` is guarded by [`combinations`]).
     pub fn new(n: usize, k: usize) -> Self {
         assert!(k >= 2 && k < n, "need 2 <= k < n");
-        let subsets = combinations(n, k);
-        let masks = subset_masks_packed(subsets.chunks(k), n);
-        let mask_words = emac_sim::bitset::words_for(n);
-        Self { n, k, subsets, masks, mask_words }
+        let subsets = combinations(n, k).into_iter().map(|s| s as u32).collect();
+        Self { n, k, subsets }
     }
 
     /// Number of threads `γ = C(n, k)` (the schedule period and phase
@@ -64,7 +71,7 @@ impl KSubsetsParams {
     }
 
     /// The stations of `A_t`, ascending.
-    fn subset(&self, t: u32) -> &[StationId] {
+    fn subset(&self, t: u32) -> &[u32] {
         let t = t as usize;
         &self.subsets[t * self.k..(t + 1) * self.k]
     }
@@ -84,10 +91,9 @@ impl KSubsetsParams {
         (round % self.gamma() as u64) as u32
     }
 
-    /// Whether `station ∈ A_t`.
+    /// Whether `station ∈ A_t`: a scan of the subset's `k` members.
     pub fn in_subset(&self, t: u32, station: StationId) -> bool {
-        let row = &self.masks[t as usize * self.mask_words..(t as usize + 1) * self.mask_words];
-        emac_sim::bitset::row_get(row, station)
+        u32::try_from(station).is_ok_and(|s| self.subset(t).contains(&s))
     }
 
     /// Every station's threads, those whose subset contains it, in
@@ -99,7 +105,7 @@ impl KSubsetsParams {
             (0..self.n).map(|_| Vec::with_capacity(per_station)).collect();
         for (t, subset) in self.subsets.chunks(self.k).enumerate() {
             for &station in subset {
-                threads[station].push(t as u32);
+                threads[station as usize].push(t as u32);
             }
         }
         threads
@@ -113,7 +119,7 @@ impl OnSchedule for KSubsetsParams {
 
     fn on_set_into(&self, _n: usize, round: Round, out: &mut Vec<StationId>) {
         out.clear();
-        out.extend_from_slice(self.subset(self.thread_of_round(round)));
+        out.extend(self.subset(self.thread_of_round(round)).iter().map(|&s| s as StationId));
     }
 
     /// The subset enumeration repeats after `γ = C(n, k)` rounds.
@@ -133,29 +139,118 @@ pub enum ThreadSubroutine {
     Rrw,
 }
 
-/// One station's state for one thread it belongs to. The thread's members
-/// are its subset in [`KSubsetsParams`]; its MBTF baton list is the
-/// thread's row of the station's `batons`.
-struct ThreadState {
-    /// Packets of this station allocated to this thread (handle, arrival).
-    queue: VecDeque<(Handle, Round)>,
-    // MBTF state
-    /// The baton holder's position in this thread's baton list.
-    baton_pos: usize,
+/// Sentinel "no node" link in a [`ListPool`].
+const NIL: u32 = u32::MAX;
+
+/// One thread's packet list in its station's [`ListPool`]: the ends and
+/// the length of a FIFO of the handles of the station's packets allocated
+/// to that thread.
+#[derive(Clone, Copy, Debug)]
+struct ThreadList {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY_LIST: ThreadList = ThreadList { head: NIL, tail: NIL, len: 0 };
+
+/// A station's per-thread packet FIFOs, threaded through one pool of
+/// nodes: a thread's list costs its [`ThreadList`] plus one node per
+/// listed packet, and popped nodes go on a free list for the next push,
+/// so a pool at its high-water mark does not allocate. The pool is the
+/// station's own, not keyed by queue slot: a handle the queue no longer
+/// resolves (a crash emptied the queue, or a deaf round hid the
+/// transmission) stays listed until its thread pops it.
+struct ListPool {
+    /// Node `i`: a listed handle and the next node of its list, or, while
+    /// free, the next free node.
+    nodes: Vec<(Handle, u32)>,
+    free: u32,
+}
+
+impl ListPool {
+    fn new() -> Self {
+        Self { nodes: Vec::new(), free: NIL }
+    }
+
+    fn push_back(&mut self, list: &mut ThreadList, h: Handle) {
+        let node = if self.free == NIL {
+            self.nodes.push((h, NIL));
+            u32::try_from(self.nodes.len() - 1).expect("thread lists outgrew the u32 node range")
+        } else {
+            let node = self.free;
+            self.free = self.nodes[node as usize].1;
+            self.nodes[node as usize] = (h, NIL);
+            node
+        };
+        match list.tail {
+            NIL => list.head = node,
+            tail => self.nodes[tail as usize].1 = node,
+        }
+        list.tail = node;
+        list.len += 1;
+    }
+
+    fn front(&self, list: &ThreadList) -> Option<Handle> {
+        (list.head != NIL).then(|| self.nodes[list.head as usize].0)
+    }
+
+    /// Drop the front of `list`, the packet this station just transmitted:
+    /// the engine has taken it from the queue, so its handle no longer
+    /// resolves.
+    fn pop_sent(&mut self, list: &mut ThreadList, queue: &IndexedQueue) {
+        let sent = self.front(list);
+        debug_assert!(sent.is_some_and(|h| queue.get(h).is_none()), "sent {sent:?}");
+        if sent.is_some() {
+            let node = list.head;
+            list.head = self.nodes[node as usize].1;
+            if list.head == NIL {
+                list.tail = NIL;
+            }
+            list.len -= 1;
+            self.nodes[node as usize].1 = self.free;
+            self.free = node;
+        }
+    }
+}
+
+/// One station's MBTF state for one of its threads. The thread's baton
+/// list is the thread's row of the station's baton rows.
+#[derive(Clone, Copy, Debug)]
+struct MbtfThread {
+    list: ThreadList,
+    /// The baton holder's position in the thread's baton row.
+    baton_pos: u16,
     my_big: bool,
     season_big: bool,
-    // RRW state
-    ring: TokenRing,
+}
+
+/// One station's RRW state for one of its threads.
+#[derive(Clone, Copy, Debug)]
+struct RrwThread {
+    list: ThreadList,
+    /// The token's position in the thread's subset.
+    token: u32,
+    /// The station's packets that arrived before this round make up its
+    /// batch for its next token visit.
     batch_marker: Round,
 }
 
-impl ThreadState {
-    /// Drop the front packet, which this station just transmitted: the
-    /// engine has taken it from the queue, so its handle no longer resolves.
-    fn pop_sent(&mut self, queue: &IndexedQueue) {
-        let sent = self.queue.pop_front();
-        debug_assert!(sent.is_some_and(|(h, _)| queue.get(h).is_none()), "sent {sent:?}");
-    }
+// The records stay a quarter and three eighths of a cache line.
+const _: () = assert!(std::mem::size_of::<MbtfThread>() == 16);
+const _: () = assert!(std::mem::size_of::<RrwThread>() == 24);
+
+/// A station's threads, in the order of its `my_threads`, with the state
+/// its subroutine keeps for each.
+enum Threads {
+    Mbtf {
+        threads: Vec<MbtfThread>,
+        /// The baton list of `my_threads[i]` at row `i`, `k` station ids
+        /// per row: it starts as the thread's subset.
+        batons: Vec<u32>,
+        season: SeasonClock,
+    },
+    Rrw(Vec<RrwThread>),
 }
 
 /// The end-of-season move-big-to-front transition on one thread's baton
@@ -163,7 +258,7 @@ impl ThreadState {
 /// [`emac_broadcast::BatonList::season_end`]): a big conductor at `pos`
 /// moves to the front and keeps the baton; otherwise the baton passes to
 /// the next station in cyclic list order. Returns the new baton position.
-fn baton_season_end(order: &mut [StationId], pos: usize, conductor_was_big: bool) -> usize {
+fn baton_season_end(order: &mut [u32], pos: usize, conductor_was_big: bool) -> usize {
     if conductor_was_big {
         order[..=pos].rotate_right(1);
         0
@@ -209,17 +304,14 @@ impl SeasonClock {
 /// Per-station `k-Subsets` protocol.
 pub struct KSubsetsStation {
     params: Arc<KSubsetsParams>,
-    mode: ThreadSubroutine,
     /// The threads whose subset contains this station (ascending).
     my_threads: Vec<u32>,
     /// The state of `my_threads[i]` at position `i`.
-    threads: Vec<ThreadState>,
-    /// The MBTF baton list of `my_threads[i]` at row `i`, `k` stations per
-    /// row: it starts as the thread's subset.
-    batons: Vec<StationId>,
+    threads: Threads,
+    /// Every thread's packet list.
+    lists: ListPool,
     /// The slot of the thread this station runs next.
     cursor: usize,
-    season: SeasonClock,
     /// Per-destination balanced allocation: row `w` spreads over the slots
     /// of the `C(n−2, k−2)` threads containing `w` (the station's own row
     /// is never used).
@@ -236,36 +328,40 @@ impl KSubsetsStation {
     ) -> Self {
         let (n, k) = (params.n, params.k);
         let per_dest = my_threads.len() * (k - 1) / (n - 1);
-        let mut batons = Vec::with_capacity(my_threads.len() * k);
         let mut alloc_slots = vec![0u32; n * per_dest];
         let mut fill = vec![0; n];
         for (slot, &t) in my_threads.iter().enumerate() {
-            let members = params.subset(t);
-            batons.extend_from_slice(members);
-            for &w in members.iter().filter(|&&w| w != id) {
+            for w in params.subset(t).iter().map(|&w| w as usize).filter(|&w| w != id) {
                 alloc_slots[w * per_dest + fill[w]] = slot as u32;
                 fill[w] += 1;
             }
         }
-        let threads = my_threads
-            .iter()
-            .map(|_| ThreadState {
-                queue: VecDeque::new(),
-                baton_pos: 0,
-                my_big: false,
-                season_big: false,
-                ring: TokenRing::new(k),
-                batch_marker: 0,
-            })
-            .collect();
+        let threads = match mode {
+            ThreadSubroutine::Mbtf => {
+                assert!(k <= 1 << 16, "an MBTF baton position is a u16, so k <= 65536");
+                let mut batons = Vec::with_capacity(my_threads.len() * k);
+                for &t in &my_threads {
+                    batons.extend_from_slice(params.subset(t));
+                }
+                let thread =
+                    MbtfThread { list: EMPTY_LIST, baton_pos: 0, my_big: false, season_big: false };
+                Threads::Mbtf {
+                    threads: vec![thread; my_threads.len()],
+                    batons,
+                    season: SeasonClock::default(),
+                }
+            }
+            ThreadSubroutine::Rrw => {
+                let thread = RrwThread { list: EMPTY_LIST, token: 0, batch_marker: 0 };
+                Threads::Rrw(vec![thread; my_threads.len()])
+            }
+        };
         Self {
             params,
-            mode,
             my_threads,
             threads,
-            batons,
+            lists: ListPool::new(),
             cursor: 0,
-            season: SeasonClock::default(),
             alloc: BalancedAllocator::rows(alloc_slots, per_dest),
         }
     }
@@ -310,44 +406,48 @@ impl Protocol for KSubsetsStation {
         let w = qp.packet.dest;
         debug_assert_ne!(w, ctx.id, "self-addressed packets never queue");
         let slot = self.alloc.pick_in(w) as usize;
-        self.threads[slot].queue.push_back((qp.handle(), qp.arrived));
+        let list = match &mut self.threads {
+            Threads::Mbtf { threads, .. } => &mut threads[slot].list,
+            Threads::Rrw(threads) => &mut threads[slot].list,
+        };
+        self.lists.push_back(list, qp.handle());
     }
 
     fn act(&mut self, ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
         let (t, j) = self.thread_round(ctx);
-        let season_pos = self.season.at(j, self.season_len());
+        let season_len = self.season_len();
         let kk = self.params.k;
         let Some(slot) = self.active_slot(t) else {
             return Action::Listen;
         };
-        let rep = &mut self.threads[slot];
-        match self.mode {
-            ThreadSubroutine::Mbtf => {
-                if self.batons[slot * kk + rep.baton_pos] != ctx.id {
+        match &mut self.threads {
+            Threads::Mbtf { threads, batons, season } => {
+                let rec = &mut threads[slot];
+                if batons[slot * kk + usize::from(rec.baton_pos)] as StationId != ctx.id {
                     return Action::Listen;
                 }
-                if season_pos == 0 {
-                    rep.my_big = rep.queue.len() >= kk * kk - 1;
+                if season.at(j, season_len) == 0 {
+                    rec.my_big = rec.list.len as usize >= kk * kk - 1;
                 }
                 let mut bits = ControlBits::new();
-                bits.push_bit(rep.my_big);
-                match rep.queue.front() {
-                    Some(&(h, _)) => match queue.get(h) {
+                bits.push_bit(rec.my_big);
+                match self.lists.front(&rec.list) {
+                    Some(h) => match queue.get(h) {
                         Some(qp) => Action::Transmit(Message::with_control(qp, bits)),
                         None => Action::Listen, // custody desync; validator will flag
                     },
                     None => Action::Transmit(Message::light(bits)),
                 }
             }
-            ThreadSubroutine::Rrw => {
-                if self.params.subset(t)[rep.ring.pos()] != ctx.id {
+            Threads::Rrw(threads) => {
+                let rec = &threads[slot];
+                if self.params.subset(t)[rec.token as usize] as StationId != ctx.id {
                     return Action::Listen;
                 }
-                match rep.queue.front() {
-                    Some(&(h, arrived)) if arrived < rep.batch_marker => match queue.get(h) {
-                        Some(qp) => Action::Transmit(Message::plain(qp)),
-                        None => Action::Listen,
-                    },
+                match self.lists.front(&rec.list).and_then(|h| queue.get(h)) {
+                    Some(qp) if qp.arrived < rec.batch_marker => {
+                        Action::Transmit(Message::plain(qp))
+                    }
                     _ => Action::Listen,
                 }
             }
@@ -363,49 +463,54 @@ impl Protocol for KSubsetsStation {
     ) -> Wake {
         let (t, j) = self.thread_round(ctx);
         let season_len = self.season_len();
-        let season_pos = self.season.at(j, season_len);
         let Some(slot) = self.active_slot(t) else {
             effects.flag("k-subsets: awake outside own threads");
             return Wake::Stay;
         };
         // This thread's turn ends with this round; the next thread comes next.
         self.cursor = if slot + 1 == self.my_threads.len() { 0 } else { slot + 1 };
-        let rep = &mut self.threads[slot];
         let kk = self.params.k;
-        let members = self.params.subset(t);
-        match self.mode {
-            ThreadSubroutine::Mbtf => {
-                let baton = &mut self.batons[slot * kk..(slot + 1) * kk];
+        let id = ctx.id;
+        match &mut self.threads {
+            Threads::Mbtf { threads, batons, season } => {
+                let rec = &mut threads[slot];
+                let baton = &mut batons[slot * kk..(slot + 1) * kk];
                 match fb {
                     Feedback::Heard(m) => {
-                        rep.season_big = m.control.reader().read_bit();
-                        if baton[rep.baton_pos] == ctx.id && m.packet.is_some() {
-                            rep.pop_sent(queue);
+                        rec.season_big = m.control.reader().read_bit();
+                        let holder = baton[usize::from(rec.baton_pos)] as StationId;
+                        if holder == id && m.packet.is_some() {
+                            self.lists.pop_sent(&mut rec.list, queue);
                         }
                     }
                     // the conductor transmits every thread-round
                     Feedback::Silence => effects.flag("k-subsets: mbtf thread went silent"),
                     Feedback::Collision => effects.flag("k-subsets: collision cannot happen"),
                 }
-                if season_pos == season_len - 1 {
-                    rep.baton_pos = baton_season_end(baton, rep.baton_pos, rep.season_big);
-                    rep.season_big = false;
+                if season.at(j, season_len) == season_len - 1 {
+                    let pos = baton_season_end(baton, rec.baton_pos.into(), rec.season_big);
+                    rec.baton_pos = pos as u16;
+                    rec.season_big = false;
                 }
             }
-            ThreadSubroutine::Rrw => match fb {
-                Feedback::Silence => {
-                    rep.ring.advance();
-                    if members[rep.ring.pos()] == ctx.id {
-                        rep.batch_marker = ctx.round + 1;
+            Threads::Rrw(threads) => {
+                let rec = &mut threads[slot];
+                let members = self.params.subset(t);
+                match fb {
+                    Feedback::Silence => {
+                        rec.token = if rec.token as usize + 1 == kk { 0 } else { rec.token + 1 };
+                        if members[rec.token as usize] as StationId == id {
+                            rec.batch_marker = ctx.round + 1;
+                        }
                     }
-                }
-                Feedback::Heard(m) => {
-                    if members[rep.ring.pos()] == ctx.id && m.packet.is_some() {
-                        rep.pop_sent(queue);
+                    Feedback::Heard(m) => {
+                        if members[rec.token as usize] as StationId == id && m.packet.is_some() {
+                            self.lists.pop_sent(&mut rec.list, queue);
+                        }
                     }
+                    Feedback::Collision => effects.flag("k-subsets: collision cannot happen"),
                 }
-                Feedback::Collision => effects.flag("k-subsets: collision cannot happen"),
-            },
+            }
         }
         Wake::Stay
     }
@@ -518,14 +623,16 @@ mod tests {
                 }
                 members.sort_unstable();
                 let mut list = emac_broadcast::BatonList::with_members(members.clone());
-                let (mut order, mut pos) = (members, 0);
+                let mut order: Vec<u32> = members.iter().map(|&s| s as u32).collect();
+                let mut pos = 0;
                 for season in 0..300 {
                     let big = rng.random_bool();
                     rotated += usize::from(big && pos > 0);
                     pos = baton_season_end(&mut order, pos, big);
                     list.season_end(big);
-                    assert_eq!(order[pos], list.conductor(), "k={k} season {season}");
-                    assert_eq!(order, list.order(), "k={k} season {season}");
+                    assert_eq!(order[pos] as StationId, list.conductor(), "k={k} season {season}");
+                    let ids: Vec<StationId> = order.iter().map(|&s| s as StationId).collect();
+                    assert_eq!(ids, list.order(), "k={k} season {season}");
                 }
             }
         }
@@ -560,8 +667,9 @@ mod tests {
                     let qp = queue.push(packet, 0);
                     station.on_enqueued(&ctx, &qp, emac_sim::EnqueueOrigin::Injected);
                     let slot = mine.binary_search(&t).unwrap();
-                    let back = station.threads[slot].queue.back().map(|&(h, _)| h);
-                    assert_eq!(back, Some(qp.handle()), "w={w} lap {lap} thread {t}");
+                    let Threads::Mbtf { threads, .. } = &station.threads else { unreachable!() };
+                    let back = station.lists.nodes[threads[slot].list.tail as usize].0;
+                    assert_eq!(back, qp.handle(), "w={w} lap {lap} thread {t}");
                     id += 1;
                 }
             }

@@ -100,13 +100,14 @@ impl BitSet {
 
     /// Overwrite the backing words from a packed row (e.g. one round of a
     /// precomputed schedule table). The row must have exactly
-    /// `words_for(len)` words; bits at or above `len` must be zero. A
-    /// one-word set (`n ≤ 64`, the common case) is a single store rather
-    /// than a `memcpy` call.
+    /// `words_for(len)` words; bits at or above `len` must be zero. A set
+    /// of one or two words (`n ≤ 128`, every committed scale) is copied by
+    /// plain stores rather than a `memcpy` call.
     #[inline]
     pub fn copy_from_words(&mut self, row: &[u64]) {
         match (self.words.as_mut_slice(), row) {
             ([word], [src]) => *word = *src,
+            ([w0, w1], [s0, s1]) => (*w0, *w1) = (*s0, *s1),
             (words, row) => words.copy_from_slice(row),
         }
     }
@@ -203,6 +204,17 @@ mod tests {
         let mut c = BitSet::new(65);
         c.copy_from_words(a.words());
         assert_eq!(a, c);
+        // one, two and three words: the store paths and the slice copy
+        for n in [64usize, 128, 129] {
+            let mut src = BitSet::new(n);
+            for i in [0, n / 2, n - 1] {
+                src.insert(i);
+            }
+            let mut dst = BitSet::new(n);
+            dst.insert(1);
+            dst.copy_from(&src);
+            assert_eq!(dst, src, "n={n}");
+        }
         // copying an empty set over a full one clears it
         let empty = BitSet::new(65);
         b.copy_from(&empty);

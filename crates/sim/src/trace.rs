@@ -78,10 +78,12 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// A trace keeping the last `capacity` rounds.
+    /// A trace keeping the last `capacity` rounds. The ring grows as
+    /// rounds are recorded, so it never holds more than the run executes,
+    /// whatever `capacity` says.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        Self { capacity, rounds: std::collections::VecDeque::with_capacity(capacity) }
+        Self { capacity, rounds: std::collections::VecDeque::new() }
     }
 
     /// Record a round (evicting the oldest beyond capacity).

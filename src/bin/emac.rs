@@ -729,9 +729,10 @@ fn print_report(report: &RunReport) {
 
 /// `emac run --trace N`: the run a campaign row would make of `spec`
 /// (the same simulator and drive), on a simulator of its own, since the
-/// trace ring lives in it. Prints the last `N` rounds, then the report a
-/// solo run prints. The spec is validated first, as a campaign row is; a
-/// panic inside the run still aborts.
+/// trace ring lives in it. Prints the last `N` rounds, or all of them when
+/// `N` exceeds the rounds the run can execute (`rounds + drain`), then the
+/// report a solo run prints. The spec is validated first, as a campaign
+/// row is; a panic inside the run still aborts.
 fn trace(spec: &ScenarioSpec, capacity: usize) -> ExitCode {
     let sim = spec.validate().and_then(|()| Registry::make_algorithm(spec)).and_then(|alg| {
         spec.simulator(alg.as_ref(), |schedule| Registry::make_adversary(spec, schedule))
@@ -743,9 +744,11 @@ fn trace(spec: &ScenarioSpec, capacity: usize) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    sim.enable_trace(capacity);
+    let executable = spec.rounds.saturating_add(spec.drain.unwrap_or(0));
+    let window = capacity.min(usize::try_from(executable).unwrap_or(usize::MAX));
+    sim.enable_trace(window);
     let report = spec.drive(&mut sim);
-    println!("last {capacity} rounds:");
+    println!("last {window} rounds:");
     print!("{}", sim.trace().expect("enabled").render());
     print_report(&report);
     if report.clean() {

@@ -7,7 +7,7 @@
 //! **zero** allocations and zero deallocations — while packets are still
 //! in flight, so the window exercises scheduling, queue scans,
 //! transmission, and delivery, not an idle system. Case 7 bounds the
-//! allocations of building one wide system instead. The allocator also
+//! allocations and the live heap of building one wide system instead. The allocator also
 //! tracks live heap bytes, and the last case bounds what a queue holding
 //! Table 1's largest backlog keeps on the heap.
 //!
@@ -237,13 +237,17 @@ fn steady_state_steps_do_not_allocate() {
     // are C(128, 2) = 8128 threads, 127 per station; the subsets, the
     // per-thread baton lists and the per-destination allocators are flat
     // arrays, so the build and the simulator's construction cost a few
-    // allocations per station, not per thread.
+    // allocations per station, not per thread. A thread is one 16-byte
+    // MBTF record plus its `u32` baton row and its share of the allocator,
+    // so the system with its simulator holds about 1.19 MB of heap.
     let n = 128;
     let cfg = emac_sim::SimConfig::new(n, 2);
     let a0 = ALLOCS.load(Ordering::SeqCst);
-    let sim = Simulator::new(cfg, KSubsets::new(2).build(n), Box::new(NoInjections));
+    let (sim, held) =
+        live_bytes_of(|| Simulator::new(cfg, KSubsets::new(2).build(n), Box::new(NoInjections)));
     let allocs = ALLOCS.load(Ordering::SeqCst) - a0;
     assert!(allocs <= 10 * n as u64, "k-Subsets n={n} k=2 build made {allocs} allocations");
+    assert!(held <= 1_400_000, "k-Subsets n={n} k=2 system holds {held} heap bytes, over 1.4 MB");
     drop(sim);
 
     // --- Case 8: what a queue keeps on the heap. Table 1's diverging rows

@@ -68,3 +68,19 @@ fn a_zero_trace_window_is_refused() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.starts_with("error: --trace must be positive\n"), "{stderr}");
 }
+
+#[test]
+fn a_trace_window_past_the_run_holds_every_round() {
+    // The ring holds at most the rounds the run executes, so a window of
+    // u64::MAX rounds neither reserves that many up front nor overflows.
+    let scenario = "--alg count-hop --n 4 --rounds 100";
+    let solo = stdout(&format!("run {scenario}"));
+    let traced = stdout(&format!("run {scenario} --trace {}", u64::MAX));
+    let lines: Vec<&str> = traced.lines().collect();
+    assert_eq!(lines[0], "last 100 rounds:", "{traced}");
+    let table: Vec<&str> = lines[1..].iter().copied().take_while(|l| l.starts_with('r')).collect();
+    assert_eq!(table.len(), 100, "{traced}");
+    assert!(table[0].starts_with("r0 ") && table[99].starts_with("r99 "), "{traced}");
+    let report: String = lines[101..].iter().map(|l| format!("{l}\n")).collect();
+    assert_eq!(report, solo, "the traced run's report differs from the solo run's");
+}
