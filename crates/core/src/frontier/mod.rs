@@ -1533,119 +1533,115 @@ impl Frontier {
             let run = crate::campaign::execute_one(lane, factory);
             (run, started.elapsed().as_micros() as u64)
         };
-        commit::pool(self.threads, lanes, execute, |pool| {
-            // The last probe to land, its verdict applied but its record not
-            // yet durable: the record waits until the next probes are
-            // queued, so the workers run them while the committer syncs.
-            let mut unrecorded: Option<Applied> = None;
-            loop {
-                // Activate continuation points whose predecessor finished —
-                // the warm bracket depends only on that point's final state,
-                // never on scheduling.
+        // The last probe to land, its verdict applied but its record not yet
+        // durable: the record waits until the next probes are queued, so
+        // the workers run them while the committer syncs.
+        let mut unrecorded: Option<Applied> = None;
+        commit::pool(self.threads, lanes, execute, |pool| loop {
+            // Activate continuation points whose predecessor finished —
+            // the warm bracket depends only on that point's final state,
+            // never on scheduling.
+            for &i in indices {
+                if searches[i].phase == Phase::Waiting {
+                    let pred = searches[i].waiting_on.expect("waiting points have a predecessor");
+                    if let Phase::Done(status) = searches[pred].phase {
+                        let (pred_lo, pred_hi) = (searches[pred].lo, searches[pred].hi);
+                        searches[i].activate(status, pred_lo, pred_hi);
+                        depth[i] = depth[pred];
+                    }
+                }
+            }
+
+            // Queue each idle point's next probe behind the lanes already
+            // queued, unless it would run deeper than `max_waves`.
+            let busy = pool.update(|lanes| {
                 for &i in indices {
-                    if searches[i].phase == Phase::Waiting {
-                        let pred =
-                            searches[i].waiting_on.expect("waiting points have a predecessor");
-                        if let Phase::Done(status) = searches[pred].phase {
-                            let (pred_lo, pred_hi) = (searches[pred].lo, searches[pred].hi);
-                            searches[i].activate(status, pred_lo, pred_hi);
-                            depth[i] = depth[pred];
+                    if lanes.probes[i].is_none() && depth[i] < max_depth {
+                        if let Some(probe) = searches[i].probe_spec() {
+                            depth[i] += 1;
+                            lanes.queue_probe(i, probe, &spec.seeds);
                         }
                     }
                 }
+                lanes.probes.iter().any(Option::is_some)
+            });
 
-                // Queue each idle point's next probe behind the lanes already
-                // queued, unless it would run deeper than `max_waves`.
-                let busy = pool.update(|lanes| {
-                    for &i in indices {
-                        if lanes.probes[i].is_none() && depth[i] < max_depth {
-                            if let Some(probe) = searches[i].probe_spec() {
-                                depth[i] += 1;
-                                lanes.queue_probe(i, probe, &spec.seeds);
-                            }
-                        }
+            // Make the landed probe durable, then the rows it unlocks: a
+            // point's records keep their order, since its next probe is
+            // taken only on a later pass, and a row never precedes the
+            // probe records that finished it.
+            if let (Some((i, verdict, lanes)), Some(ck)) =
+                (unrecorded.take(), checkpoint.as_deref_mut())
+            {
+                let barrier = Instant::now();
+                match lanes {
+                    Some((diverging, lanes)) => {
+                        ck.record_ensemble_probe(i, verdict, diverging, lanes)?
                     }
-                    lanes.probes.iter().any(Option::is_some)
-                });
+                    None => ck.record_probe(i, verdict)?,
+                }
+                obs.record(&ObsEvent::Fsync { wall_us: barrier.elapsed().as_micros() as u64 });
+            }
 
-                // Make the landed probe durable, then the rows it unlocks: a
-                // point's records keep their order, since its next probe is
-                // taken only on a later pass, and a row never precedes the
-                // probe records that finished it.
-                if let (Some((i, verdict, lanes)), Some(ck)) =
-                    (unrecorded.take(), checkpoint.as_deref_mut())
-                {
+            // Emit rows in map order as soon as every earlier point is out
+            // of the way — resumed and uninterrupted runs write identical
+            // bytes because this cursor never skips ahead.
+            while emitted < indices.len() && searches[indices[emitted]].done() {
+                let g = indices[emitted];
+                let row = searches[g].row(g);
+                sink.accept(&row)?;
+                let wall_us = obs.boundary_us();
+                let rounds = point_rounds[g];
+                obs.record(&ObsEvent::Row { index: g as u64, rounds, clean: true, wall_us });
+                if let Some(ck) = checkpoint.as_deref_mut() {
                     let barrier = Instant::now();
-                    match lanes {
-                        Some((diverging, lanes)) => {
-                            ck.record_ensemble_probe(i, verdict, diverging, lanes)?
-                        }
-                        None => ck.record_probe(i, verdict)?,
-                    }
+                    sink.sync()?;
+                    ck.record_row(g)?;
                     obs.record(&ObsEvent::Fsync { wall_us: barrier.elapsed().as_micros() as u64 });
                 }
-
-                // Emit rows in map order as soon as every earlier point is
-                // out of the way — resumed and uninterrupted runs write
-                // identical bytes because this cursor never skips ahead.
-                while emitted < indices.len() && searches[indices[emitted]].done() {
-                    let g = indices[emitted];
-                    let row = searches[g].row(g);
-                    sink.accept(&row)?;
-                    let wall_us = obs.boundary_us();
-                    let rounds = point_rounds[g];
-                    obs.record(&ObsEvent::Row { index: g as u64, rounds, clean: true, wall_us });
-                    if let Some(ck) = checkpoint.as_deref_mut() {
-                        let barrier = Instant::now();
-                        sink.sync()?;
-                        ck.record_row(g)?;
-                        let wall_us = barrier.elapsed().as_micros() as u64;
-                        obs.record(&ObsEvent::Fsync { wall_us });
-                    }
-                    emitted += 1;
-                    summary.completed = emitted;
-                }
-                if !busy {
-                    break Ok(());
-                }
-
-                let (i, tally) = pool
-                    .take(|lanes| {
-                        let i = lanes.landed.pop_front()?;
-                        Some((i, lanes.probes[i].take().expect("a landed probe is in flight").1))
-                    })
-                    .ok_or("a frontier worker panicked")?;
-                if let Some(e) = tally.error {
-                    break Err(e);
-                }
-                // Surfaced through the summary (and the CLI exit code) rather
-                // than dropped — see [`FrontierSummary::unclean_probes`].
-                summary.unclean_probes += usize::from(tally.unclean);
-                // An ensemble probe counts as above the boundary on the
-                // strict-majority verdict of its lanes.
-                let point = i as u64;
-                let (verdict, lanes) = if ensemble {
-                    if tally.lanes > spec.seeds.len() {
-                        summary.escalated_probes += 1;
-                        obs.record(&ObsEvent::Escalation { point, lanes: tally.lanes as u64 });
-                    }
-                    let split = (tally.diverging, tally.lanes);
-                    (majority_verdict(tally.diverging, tally.lanes), Some(split))
-                } else {
-                    (tally.verdict.expect("a landed solo probe has a verdict"), None)
-                };
-                obs.record(&ObsEvent::Probe {
-                    point,
-                    diverging: verdict == Verdict::Diverging,
-                    lanes: tally.lanes as u64,
-                    wall_us: tally.wall_us,
-                });
-                searches[i].apply_probe(verdict, lanes, spec.tol)?;
-                unrecorded = Some((i, verdict, lanes));
-                point_rounds[i] += tally.rounds;
-                summary.probes_run += 1;
-                summary.waves = summary.waves.max(depth[i]);
+                emitted += 1;
+                summary.completed = emitted;
             }
+            if !busy {
+                break Ok(());
+            }
+
+            let (i, tally) = pool
+                .take(|lanes| {
+                    let i = lanes.landed.pop_front()?;
+                    Some((i, lanes.probes[i].take().expect("a landed probe is in flight").1))
+                })
+                .ok_or("a frontier worker panicked")?;
+            if let Some(e) = tally.error {
+                break Err(e);
+            }
+            // Surfaced through the summary (and the CLI exit code) rather
+            // than dropped — see [`FrontierSummary::unclean_probes`].
+            summary.unclean_probes += usize::from(tally.unclean);
+            // An ensemble probe counts as above the boundary on the
+            // strict-majority verdict of its lanes.
+            let point = i as u64;
+            let (verdict, lanes) = if ensemble {
+                if tally.lanes > spec.seeds.len() {
+                    summary.escalated_probes += 1;
+                    obs.record(&ObsEvent::Escalation { point, lanes: tally.lanes as u64 });
+                }
+                let split = (tally.diverging, tally.lanes);
+                (majority_verdict(tally.diverging, tally.lanes), Some(split))
+            } else {
+                (tally.verdict.expect("a landed solo probe has a verdict"), None)
+            };
+            obs.record(&ObsEvent::Probe {
+                point,
+                diverging: verdict == Verdict::Diverging,
+                lanes: tally.lanes as u64,
+                wall_us: tally.wall_us,
+            });
+            searches[i].apply_probe(verdict, lanes, spec.tol)?;
+            unrecorded = Some((i, verdict, lanes));
+            point_rounds[i] += tally.rounds;
+            summary.probes_run += 1;
+            summary.waves = summary.waves.max(depth[i]);
         })?;
 
         if indices.iter().all(|&i| searches[i].done()) {

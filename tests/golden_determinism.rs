@@ -137,7 +137,9 @@ fn run_report_digests_match_golden() {
 /// crashes that lose the queue, clock skew and deaf rounds; and RRW under
 /// clock skew. The deaf rounds stall MBTF threads (a deaf baton holder
 /// never pops the packet the channel heard); that stall is pinned as it
-/// stands.
+/// stands. RRW is pinned under skew alone because a crash or a deaf round
+/// desynchronizes its token, and a member that then pops a packet it did
+/// not send trips a debug assertion.
 fn ksubsets_matrix() -> Vec<ScenarioSpec> {
     use emac_sim::FaultSpec;
 
