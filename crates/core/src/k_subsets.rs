@@ -176,7 +176,10 @@ impl ListPool {
     fn push_back(&mut self, list: &mut ThreadList, h: Handle) {
         let node = if self.free == NIL {
             self.nodes.push((h, NIL));
-            u32::try_from(self.nodes.len() - 1).expect("thread lists outgrew the u32 node range")
+            u32::try_from(self.nodes.len() - 1)
+                .ok()
+                .filter(|&node| node != NIL)
+                .expect("thread lists outgrew the u32 node range")
         } else {
             let node = self.free;
             self.free = self.nodes[node as usize].1;
