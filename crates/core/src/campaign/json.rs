@@ -195,21 +195,27 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
+/// Number of decimal digits of `v`.
+fn digit_count(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |e| e as usize + 1)
+}
+
+/// Fill `slots` with the last `slots.len()` decimal digits of `v`.
+fn put_digits(mut v: u64, slots: &mut [u8]) {
+    for slot in slots.iter_mut().rev() {
+        *slot = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+}
+
 /// Append the decimal digits of `v`, without going through `fmt`. The
 /// digits are ASCII, so each becomes a `char` directly, with no UTF-8
 /// check.
-pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+pub(crate) fn write_u64(out: &mut String, v: u64) {
     let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+    let digits = &mut digits[..digit_count(v)];
+    put_digits(v, digits);
+    out.extend(digits.iter().map(|&d| char::from(d)));
 }
 
 /// Append `v` as a JSON integer.
@@ -229,6 +235,69 @@ pub(crate) fn write_json_u64(out: &mut String, v: u64) {
         out.push('"');
         write_u64(out, v);
         out.push('"');
+    }
+}
+
+/// Bytes an [`AsciiChunks`] gathers before it appends them.
+const CHUNK: usize = 1024;
+
+/// The longest `u64` rendering of [`write_json_u64`]: 20 digits, quoted.
+const JSON_U64_MAX_LEN: usize = 22;
+
+/// ASCII gathered in a stack buffer and appended to a `String` a chunk at
+/// a time: one UTF-8 check and one copy per chunk instead of a `char` push
+/// per byte, with no `unsafe`. Long number series (a report's queue
+/// series) render through it. Call [`AsciiChunks::finish`] to append the
+/// last chunk.
+pub(crate) struct AsciiChunks<'a> {
+    out: &'a mut String,
+    buf: [u8; CHUNK],
+    len: usize,
+}
+
+impl<'a> AsciiChunks<'a> {
+    pub(crate) fn new(out: &'a mut String) -> Self {
+        Self { out, buf: [0; CHUNK], len: 0 }
+    }
+
+    /// Append the ASCII byte `byte`.
+    #[inline]
+    pub(crate) fn push(&mut self, byte: u8) {
+        debug_assert!(byte.is_ascii());
+        if self.len == CHUNK {
+            self.flush();
+        }
+        self.buf[self.len] = byte;
+        self.len += 1;
+    }
+
+    /// Append `v` as [`write_json_u64`] renders it: an integer up to
+    /// `i64::MAX`, a decimal string beyond.
+    #[inline]
+    pub(crate) fn json_u64(&mut self, v: u64) {
+        if CHUNK - self.len < JSON_U64_MAX_LEN {
+            self.flush();
+        }
+        let quoted = i64::try_from(v).is_err();
+        let start = self.len + usize::from(quoted);
+        let end = start + digit_count(v);
+        put_digits(v, &mut self.buf[start..end]);
+        if quoted {
+            self.buf[self.len] = b'"';
+            self.buf[end] = b'"';
+        }
+        self.len = end + usize::from(quoted);
+    }
+
+    fn flush(&mut self) {
+        let ascii = std::str::from_utf8(&self.buf[..self.len]).expect("only ASCII is gathered");
+        self.out.push_str(ascii);
+        self.len = 0;
+    }
+
+    /// Append what is still gathered.
+    pub(crate) fn finish(mut self) {
+        self.flush();
     }
 }
 
@@ -528,6 +597,31 @@ mod tests {
             write_u64(&mut s, v);
             assert_eq!(s, v.to_string());
         }
+    }
+
+    #[test]
+    fn chunked_numbers_render_as_write_json_u64_does() {
+        // Enough numbers to fill many chunks, with every digit count, the
+        // quoting edge at `i64::MAX` and separators between them.
+        let edges = [0, 9, 10, i64::MAX as u64 - 1, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX];
+        let values: Vec<u64> = (0..20)
+            .map(|e| 10u64.pow(e))
+            .flat_map(|p| [p - 1, p, p + 1])
+            .chain(edges)
+            .cycle()
+            .take(3 * CHUNK)
+            .collect();
+        let (mut chunked, mut reference) = (String::from("prefix"), String::from("prefix"));
+        let mut chunks = AsciiChunks::new(&mut chunked);
+        for &v in &values {
+            chunks.json_u64(v);
+            chunks.push(b',');
+            write_json_u64(&mut reference, v);
+            reference.push(',');
+        }
+        chunks.finish();
+        assert!(reference.len() > 20 * CHUNK, "the series spans many chunks");
+        assert_eq!(chunked, reference);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! ([`write_run_json`]), called by the streaming sinks ([`CsvStreamSink`],
 //! [`JsonLinesSink`]) as each row commits. The JSON row writer appends
 //! straight into a caller's buffer — the sink reuses one `String` for
-//! every row — and streams the queue series and delay buckets sample by
-//! sample, building no JSON tree for the report; only the small spec
+//! every row — and streams the queue series and delay buckets through a
+//! stack buffer of ASCII bytes a chunk at a time, building no JSON tree
+//! for the report; only the small spec
 //! object goes through [`Json`](super::json::Json). Derived columns —
 //! latency, mean delay, peak queue, energy per round, the stability slope
 //! — are computed here once, from the report's scalar fields, never
@@ -17,7 +18,7 @@ use std::fmt::Write as _;
 
 use emac_sim::Rate;
 
-use super::json::{write_escaped, write_f64, write_i64, write_json_u64};
+use super::json::{write_escaped, write_f64, write_i64, write_json_u64, AsciiChunks};
 use super::{push_rate, rate_str, ScenarioRun};
 use crate::runner::RunReport;
 
@@ -74,8 +75,8 @@ pub fn csv_row(run: &ScenarioRun) -> String {
 /// `violations` when the run is unclean, `drained` when a drain ran, the
 /// bulky series — `queue_series` and `delay_log2_buckets` — only when
 /// present (the `Slim` metrics detail clears them before export), and the
-/// fault counters only when nonzero. The series stream straight into
-/// `out`, one sample at a time.
+/// fault counters only when nonzero. The series stream into `out` a chunk
+/// of bytes at a time.
 ///
 /// [`JsonLinesSink`]: super::sink::JsonLinesSink
 pub fn write_run_json(out: &mut String, index: usize, run: &ScenarioRun) {
@@ -161,30 +162,34 @@ fn write_report(out: &mut String, r: &RunReport) {
     }
     if !m.queue_series.is_empty() {
         key(out, "queue_series");
-        out.push('[');
+        let mut series = AsciiChunks::new(out);
+        series.push(b'[');
         for (i, s) in m.queue_series.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                series.push(b',');
             }
-            out.push('[');
-            write_json_u64(out, s.round);
-            out.push(',');
-            write_json_u64(out, s.total_queued);
-            out.push(']');
+            series.push(b'[');
+            series.json_u64(s.round);
+            series.push(b',');
+            series.json_u64(s.total_queued);
+            series.push(b']');
         }
-        out.push(']');
+        series.push(b']');
+        series.finish();
     }
     let buckets = m.delay.log2_buckets();
     if let Some(last) = buckets.iter().rposition(|&c| c != 0) {
         key(out, "delay_log2_buckets");
-        out.push('[');
+        let mut series = AsciiChunks::new(out);
+        series.push(b'[');
         for (i, &count) in buckets[..=last].iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                series.push(b',');
             }
-            write_json_u64(out, count);
+            series.json_u64(count);
         }
-        out.push(']');
+        series.push(b']');
+        series.finish();
     }
     // Fault telemetry, emitted only when nonzero: fault-free rows (and all
     // Slim rows — `Metrics::slim` zeroes these) keep their exact bytes.

@@ -29,8 +29,8 @@
 //! The packet lists of all of a station's threads are threaded through one
 //! pool of nodes, MBTF baton rows hold `u32` station ids, and the balanced
 //! allocator keeps one position per destination. Built with its simulator,
-//! the n = 128, k = 2 system holds about 1.19 MB of heap
-//! (`tests/alloc_free.rs` bounds it at 1.4 MB).
+//! before any packet arrives, the n = 128, k = 2 system holds about
+//! 0.99 MB of heap (`tests/alloc_free.rs` bounds it at 1.0 MB).
 
 use std::sync::Arc;
 
@@ -253,7 +253,14 @@ enum Threads {
         batons: Vec<u32>,
         season: SeasonClock,
     },
-    Rrw(Vec<RrwThread>),
+    Rrw {
+        threads: Vec<RrwThread>,
+        /// Whether this station transmitted in the current round: set by
+        /// `act`, taken by `on_feedback`. A station pops a thread list
+        /// only for a packet it sent itself, so a token that a crash or a
+        /// deaf round desynchronized never pops another member's packet.
+        sent: bool,
+    },
 }
 
 /// The end-of-season move-big-to-front transition on one thread's baton
@@ -356,7 +363,7 @@ impl KSubsetsStation {
             }
             ThreadSubroutine::Rrw => {
                 let thread = RrwThread { list: EMPTY_LIST, token: 0, batch_marker: 0 };
-                Threads::Rrw(vec![thread; my_threads.len()])
+                Threads::Rrw { threads: vec![thread; my_threads.len()], sent: false }
             }
         };
         Self {
@@ -411,7 +418,7 @@ impl Protocol for KSubsetsStation {
         let slot = self.alloc.pick_in(w) as usize;
         let list = match &mut self.threads {
             Threads::Mbtf { threads, .. } => &mut threads[slot].list,
-            Threads::Rrw(threads) => &mut threads[slot].list,
+            Threads::Rrw { threads, .. } => &mut threads[slot].list,
         };
         self.lists.push_back(list, qp.handle());
     }
@@ -442,13 +449,14 @@ impl Protocol for KSubsetsStation {
                     None => Action::Transmit(Message::light(bits)),
                 }
             }
-            Threads::Rrw(threads) => {
+            Threads::Rrw { threads, sent } => {
                 let rec = &threads[slot];
                 if self.params.subset(t)[rec.token as usize] as StationId != ctx.id {
                     return Action::Listen;
                 }
                 match self.lists.front(&rec.list).and_then(|h| queue.get(h)) {
                     Some(qp) if qp.arrived < rec.batch_marker => {
+                        *sent = true;
                         Action::Transmit(Message::plain(qp))
                     }
                     _ => Action::Listen,
@@ -496,7 +504,8 @@ impl Protocol for KSubsetsStation {
                     rec.season_big = false;
                 }
             }
-            Threads::Rrw(threads) => {
+            Threads::Rrw { threads, sent } => {
+                let sent = std::mem::take(sent);
                 let rec = &mut threads[slot];
                 let members = self.params.subset(t);
                 match fb {
@@ -507,7 +516,7 @@ impl Protocol for KSubsetsStation {
                         }
                     }
                     Feedback::Heard(m) => {
-                        if members[rec.token as usize] as StationId == id && m.packet.is_some() {
+                        if sent && m.packet.is_some() {
                             self.lists.pop_sent(&mut rec.list, queue);
                         }
                     }

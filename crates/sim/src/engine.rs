@@ -70,6 +70,13 @@ impl ScheduleClock {
             self.cycle += 1;
         }
     }
+
+    /// Move `rounds` rounds ahead on a clock without a period, whose phase
+    /// is the round.
+    fn skip(&mut self, rounds: u64) {
+        debug_assert_eq!(self.period, u64::MAX, "only a clock without a period skips");
+        self.phase += rounds;
+    }
 }
 
 struct HeardInfo {
@@ -628,16 +635,78 @@ impl Simulator {
 
     /// Disable injections and run until every queue is empty or `max_rounds`
     /// more rounds have elapsed. Returns whether the system drained.
+    ///
+    /// The drain fast-forwards where nothing can happen. Under adaptive
+    /// wake, with no fault plan and no trace ring armed, a stretch of
+    /// rounds in which every station's wake-up timer lies ahead is passed
+    /// over in one jump, to the earliest wake-up or the end of the budget.
+    /// Such a round injects nothing, wakes nobody and is silent, so the
+    /// jump adds exactly what stepping it would: the round and
+    /// silent-round counts, the queue-series samples due in it, the clock
+    /// and empty awake sets. [`SimHooks::skipped_rounds`] counts the rounds
+    /// jumped over; they count toward [`SimHooks::rounds`] too, but not
+    /// toward `wake_enum_rounds`.
     pub fn run_until_drained(&mut self, max_rounds: u64) -> bool {
         self.set_injections(false);
         self.reserve_series(max_rounds);
-        for _ in 0..max_rounds {
-            if self.metrics.total_queued == 0 {
-                return true;
+        let mut left = max_rounds;
+        while left > 0 && self.metrics.total_queued > 0 {
+            match self.asleep_rounds(left) {
+                0 => {
+                    self.step();
+                    left -= 1;
+                }
+                rounds => {
+                    self.skip_asleep(rounds);
+                    left -= rounds;
+                }
             }
-            self.step();
         }
         self.metrics.total_queued == 0
+    }
+
+    /// How many rounds of a drain from the current one, up to `budget`,
+    /// no station can wake in: 0 unless wake is adaptive, no fault plan or
+    /// trace ring is armed, and every station's timer lies past the
+    /// current round.
+    fn asleep_rounds(&self, budget: u64) -> u64 {
+        debug_assert!(!self.injections_on, "only a drain skips rounds");
+        if self.faults.is_some() || self.trace.is_some() || !matches!(self.wake, WakeMode::Adaptive)
+        {
+            return 0;
+        }
+        let mut wake = u64::MAX;
+        for &power in &self.power {
+            match power {
+                Power::On => return 0,
+                Power::OffUntil(w) => wake = wake.min(w),
+            }
+        }
+        wake.saturating_sub(self.round).min(budget)
+    }
+
+    /// Pass over `rounds` rounds that [`Simulator::asleep_rounds`] found
+    /// empty, adding what stepping each would have added.
+    fn skip_asleep(&mut self, rounds: u64) {
+        let end = self.round + rounds;
+        self.hooks.rounds += rounds;
+        self.hooks.skipped_rounds += rounds;
+        self.metrics.rounds += rounds;
+        self.metrics.silent_rounds += rounds;
+        self.metrics.max_total_queued =
+            self.metrics.max_total_queued.max(self.metrics.total_queued);
+        while self.next_sample < end {
+            self.metrics.queue_series.push(QueueSample {
+                round: self.next_sample,
+                total_queued: self.metrics.total_queued,
+            });
+            self.next_sample = self.next_sample.saturating_add(self.cfg.sample_every);
+        }
+        self.awake.clear();
+        self.awake_mask.clear();
+        self.prev_awake.clear();
+        self.round = end;
+        self.clock.skip(rounds);
     }
 
     /// Current round (the next one to execute).
@@ -1250,6 +1319,71 @@ mod tests {
         let (_, calls) = run_clock_probe(4, WakeMode::Adaptive, None, None, 200);
         assert_eq!(calls[0], 4, "first_wake once per station");
         assert!(calls.iter().all(|&c| c > 0), "every callback ran: {calls:?}");
+    }
+
+    /// Sends its oldest packet whenever it wakes, then sleeps for
+    /// `37 + 13·id` rounds, so every station sleeps through most rounds.
+    struct Napper;
+    impl Protocol for Napper {
+        fn first_wake(&mut self, ctx: &ProtocolCtx) -> Wake {
+            Wake::At(5 + ctx.id as u64)
+        }
+        fn act(&mut self, _ctx: &ProtocolCtx, queue: &IndexedQueue) -> Action {
+            queue.oldest().map_or(Action::Listen, |qp| Action::Transmit(Message::plain(qp)))
+        }
+        fn on_feedback(
+            &mut self,
+            ctx: &ProtocolCtx,
+            _q: &IndexedQueue,
+            _fb: Feedback<'_>,
+            _e: &mut Effects,
+        ) -> Wake {
+            Wake::sleep_for(ctx.round, 37 + 13 * ctx.id as u64)
+        }
+    }
+
+    #[test]
+    fn a_drain_passes_over_exactly_the_rounds_in_which_every_station_sleeps() {
+        let drain = |fast: bool| {
+            let built = BuiltAlgorithm {
+                name: "napper".into(),
+                protocols: (0..3).map(|_| Box::new(Napper) as Box<dyn Protocol>).collect(),
+                wake: WakeMode::Adaptive,
+                class: AlgorithmClass { oblivious: false, plain_packet: true, direct: true },
+            };
+            let cfg =
+                SimConfig::new(3, 3).adversary_type(Rate::one(), Rate::integer(8)).sample_every(7);
+            let mut sim = Simulator::new(cfg, built, Box::new(FloodZero));
+            sim.run(30);
+            let drained = if fast {
+                sim.run_until_drained(5_000)
+            } else {
+                sim.set_injections(false);
+                for _ in 0..5_000 {
+                    if sim.total_queued() == 0 {
+                        break;
+                    }
+                    sim.step();
+                }
+                sim.total_queued() == 0
+            };
+            assert!(drained);
+            sim
+        };
+        let (fast, slow) = (drain(true), drain(false));
+        let show = |sim: &Simulator| format!("{:?} {:?}", sim.metrics(), sim.violations());
+        assert_eq!(show(&fast), show(&slow));
+        assert_eq!((fast.round(), fast.hooks().rounds), (slow.round(), slow.hooks().rounds));
+        assert_eq!(fast.clock.phase, fast.round(), "a clock without a period is the round");
+        assert_eq!(
+            fast.prev_awake.iter().collect::<Vec<_>>(),
+            slow.prev_awake.iter().collect::<Vec<_>>()
+        );
+        let (f, s) = (fast.hooks(), slow.hooks());
+        assert!(f.skipped_rounds > fast.round() / 2, "{f:?}");
+        assert_eq!(f.wake_enum_rounds + f.skipped_rounds, s.wake_enum_rounds);
+        assert_eq!(s.skipped_rounds, 0);
+        assert!(fast.metrics().queue_series.len() > 20, "samples fall in skipped rounds");
     }
 
     #[test]

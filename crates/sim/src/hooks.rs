@@ -16,7 +16,8 @@
 /// diverge from. Aggregate lanes with [`SimHooks::merge`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimHooks {
-    /// Rounds executed through the engine's step loop.
+    /// Rounds executed: stepped, or passed over by a drain's fast-forward
+    /// (`skipped_rounds`).
     pub rounds: u64,
     /// Rounds that rolled a fault plan (phase 0 took the faulted branch).
     pub fault_rounds: u64,
@@ -25,6 +26,11 @@ pub struct SimHooks {
     /// Rounds whose wake set was enumerated station by station (adaptive
     /// timers, uncached schedules, or wake-affecting faults).
     pub wake_enum_rounds: u64,
+    /// Drain rounds in which every station slept, passed over in one jump
+    /// instead of stepped (see `Simulator::run_until_drained`). Every
+    /// round is counted by exactly one of `wake_table_rounds`,
+    /// `wake_enum_rounds` and this field.
+    pub skipped_rounds: u64,
     /// Always 0: no engine path reads a shared wake set since lockstep
     /// seed batches were retired. Kept because the end-to-end benchmark
     /// still reports it.
@@ -42,6 +48,7 @@ impl SimHooks {
         self.fault_rounds += other.fault_rounds;
         self.wake_table_rounds += other.wake_table_rounds;
         self.wake_enum_rounds += other.wake_enum_rounds;
+        self.skipped_rounds += other.skipped_rounds;
         self.wake_shared_rounds += other.wake_shared_rounds;
         self.feedback_calls += other.feedback_calls;
     }
@@ -58,6 +65,7 @@ mod tests {
             fault_rounds: 2,
             wake_table_rounds: 3,
             wake_enum_rounds: 4,
+            skipped_rounds: 7,
             wake_shared_rounds: 5,
             feedback_calls: 6,
         };
@@ -66,6 +74,7 @@ mod tests {
             fault_rounds: 20,
             wake_table_rounds: 30,
             wake_enum_rounds: 40,
+            skipped_rounds: 70,
             wake_shared_rounds: 50,
             feedback_calls: 60,
         };
@@ -77,6 +86,7 @@ mod tests {
                 fault_rounds: 22,
                 wake_table_rounds: 33,
                 wake_enum_rounds: 44,
+                skipped_rounds: 77,
                 wake_shared_rounds: 55,
                 feedback_calls: 66,
             }

@@ -77,16 +77,15 @@ impl ControlBits {
     /// if the string would exceed [`CONTROL_BITS_CAPACITY`] bits.
     #[inline]
     pub fn push_uint(&mut self, value: u64, width: usize) {
-        assert!(width <= 64, "field width {width} exceeds 64 bits");
-        assert!(
-            width == 64 || value < (1u64 << width),
-            "value {value} does not fit in {width} bits"
-        );
-        assert!(
-            self.len + width <= CONTROL_BITS_CAPACITY,
-            "{} + {width} control bits exceed the {CONTROL_BITS_CAPACITY}-bit capacity of a message",
-            self.len
-        );
+        if width > 64 {
+            field_too_wide(width);
+        }
+        if width < 64 && value >= 1u64 << width {
+            value_too_wide(value, width);
+        }
+        if self.len + width > CONTROL_BITS_CAPACITY {
+            over_capacity(self.len, width);
+        }
         if width == 0 {
             return;
         }
@@ -140,13 +139,12 @@ impl BitReader<'_> {
     /// Panics if `width > 64` or fewer than `width` bits remain.
     #[inline]
     pub fn read_uint(&mut self, width: usize) -> u64 {
-        assert!(width <= 64, "field width {width} exceeds 64 bits");
-        assert!(
-            width <= self.remaining(),
-            "reading {width} bits at bit {} runs past the end {}",
-            self.pos,
-            self.bits.len()
-        );
+        if width > 64 {
+            field_too_wide(width);
+        }
+        if width > self.remaining() {
+            read_past_end(width, self.pos, self.bits.len());
+        }
         if width == 0 {
             return 0;
         }
@@ -162,6 +160,35 @@ impl BitReader<'_> {
             v & ((1u64 << width) - 1)
         }
     }
+}
+
+// The panics of `push_uint` and `read_uint`, formatted out of line so the
+// checks cost the inlined fast path one compare each.
+
+#[cold]
+#[inline(never)]
+fn field_too_wide(width: usize) -> ! {
+    panic!("field width {width} exceeds 64 bits")
+}
+
+#[cold]
+#[inline(never)]
+fn value_too_wide(value: u64, width: usize) -> ! {
+    panic!("value {value} does not fit in {width} bits")
+}
+
+#[cold]
+#[inline(never)]
+fn over_capacity(len: usize, width: usize) -> ! {
+    panic!(
+        "{len} + {width} control bits exceed the {CONTROL_BITS_CAPACITY}-bit capacity of a message"
+    )
+}
+
+#[cold]
+#[inline(never)]
+fn read_past_end(width: usize, pos: usize, len: usize) -> ! {
+    panic!("reading {width} bits at bit {pos} runs past the end {len}")
 }
 
 /// Number of bits needed to encode values in `[0, n)`; at least 1.
@@ -334,6 +361,37 @@ mod tests {
     fn overflow_field_panics() {
         let mut c = ControlBits::new();
         c.push_uint(8, 3);
+    }
+
+    /// Check that `f` panics with exactly `text`.
+    fn assert_panics(text: &str, f: impl FnOnce() + std::panic::UnwindSafe) {
+        let payload = std::panic::catch_unwind(f).expect_err("the call must panic");
+        let got = match payload.downcast::<String>() {
+            Ok(got) => *got,
+            Err(payload) => payload.downcast_ref::<&str>().expect("a text payload").to_string(),
+        };
+        assert_eq!(got, text);
+    }
+
+    #[test]
+    fn every_field_check_panics_with_its_text() {
+        assert_panics("field width 65 exceeds 64 bits", || ControlBits::new().push_uint(0, 65));
+        assert_panics("value 8 does not fit in 3 bits", || ControlBits::new().push_uint(8, 3));
+        assert_panics("256 + 1 control bits exceed the 256-bit capacity of a message", || {
+            let mut c = ControlBits::new();
+            (0..WORDS).for_each(|_| c.push_uint(u64::MAX, 64));
+            c.push_bit(false);
+        });
+        assert_panics("field width 65 exceeds 64 bits", || {
+            ControlBits::new().reader().read_uint(65);
+        });
+        assert_panics("reading 4 bits at bit 1 runs past the end 4", || {
+            let mut c = ControlBits::new();
+            c.push_uint(5, 4);
+            let mut r = c.reader();
+            r.read_bit();
+            r.read_uint(4);
+        });
     }
 
     #[test]

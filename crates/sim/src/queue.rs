@@ -20,7 +20,9 @@
 //! are recycled through a free list. There is no index by packet id: once
 //! the slab has grown to the execution's high-water queue length, no queue
 //! operation allocates, and the queue's memory is the slab plus the
-//! per-destination lists.
+//! per-destination lists. Those lists, one per station of the system, are
+//! allocated by the queue's first push, so a queue that never held a
+//! packet holds no heap memory and reads as empty for every destination.
 //!
 //! # Handles
 //!
@@ -149,7 +151,11 @@ pub struct IndexedQueue {
     /// Newest live slot (back of the arrival order).
     tail: u32,
     len: usize,
-    dests: Vec<DestList>,
+    /// One list per destination, allocated by the first push; until then
+    /// empty, and every destination's list reads as empty.
+    dests: Box<[DestList]>,
+    /// Stations in the system: the number of destination lists.
+    n: usize,
     next_seq: u32,
 }
 
@@ -168,7 +174,8 @@ impl IndexedQueue {
             head: NIL,
             tail: NIL,
             len: 0,
-            dests: vec![EMPTY_LIST; n],
+            dests: Box::default(),
+            n,
             next_seq: 0,
         }
     }
@@ -191,16 +198,30 @@ impl IndexedQueue {
         self.slots.get(h.slot as usize).map(|s| &s.qp).filter(|qp| qp.seq == h.seq)
     }
 
+    /// The list of the packets bound for `dest`: empty before the first
+    /// push allocates the lists.
+    #[inline]
+    fn list(&self, dest: StationId) -> DestList {
+        match self.dests.get(dest) {
+            Some(&list) => list,
+            None => {
+                assert!(dest < self.n, "destination {dest} out of range for {} stations", self.n);
+                EMPTY_LIST
+            }
+        }
+    }
+
     /// Packets destined to `dest` currently queued.
     #[inline]
     pub fn count_for(&self, dest: StationId) -> usize {
-        self.dests[dest].len as usize
+        self.list(dest).len as usize
     }
 
     /// Packets destined to stations with a name strictly below `dest`
     /// (used by Adjust-Window gossip).
     pub fn count_below(&self, dest: StationId) -> usize {
-        self.dests[..dest].iter().map(|l| l.len as usize).sum()
+        assert!(dest <= self.n, "destination {dest} out of range for {} stations", self.n);
+        self.dests.get(..dest).map_or(0, |lists| lists.iter().map(|l| l.len as usize).sum())
     }
 
     /// Iterate over queued packets in arrival order.
@@ -212,7 +233,7 @@ impl IndexedQueue {
     /// Iterate in arrival order over packets destined to `dest`.
     #[inline]
     pub fn iter_for(&self, dest: StationId) -> impl Iterator<Item = &QueuedPacket> + '_ {
-        Links::<true> { slots: &self.slots, cur: self.dests[dest].head }
+        Links::<true> { slots: &self.slots, cur: self.list(dest).head }
     }
 
     /// Iterate in arrival order over packets that arrived strictly before
@@ -247,7 +268,7 @@ impl IndexedQueue {
     /// The earliest-arrived packet destined to `dest`.
     #[inline]
     pub fn oldest_for(&self, dest: StationId) -> Option<&QueuedPacket> {
-        self.qp_at(self.dests[dest].head)
+        self.qp_at(self.list(dest).head)
     }
 
     /// The earliest-arrived packet that arrived strictly before `marker`.
@@ -288,6 +309,9 @@ impl IndexedQueue {
                 packet.id,
                 newest.arrived
             );
+        }
+        if self.dests.is_empty() {
+            self.dests = vec![EMPTY_LIST; self.n].into_boxed_slice();
         }
         let seq = self.next_seq;
         assert!(seq != DEAD, "station queue outgrew the u32 range of its arrival sequence");
@@ -520,6 +544,32 @@ mod tests {
         let qp = q.push(pkt(7, 2), 11);
         assert_eq!(qp.seq, 4, "sequence numbers keep increasing");
         assert_eq!(q.oldest().unwrap().packet.id.0, 7);
+    }
+
+    #[test]
+    fn a_queue_allocates_its_lists_on_its_first_push() {
+        let mut q = IndexedQueue::new(4);
+        assert!(q.dests.is_empty(), "an empty queue holds no lists");
+        for dest in 0..4 {
+            assert_eq!(q.count_for(dest), 0);
+            assert_eq!(q.count_old_for(dest, 9), 0);
+            assert_eq!(q.iter_for(dest).count(), 0);
+            assert!(q.oldest_for(dest).is_none());
+            assert!(q.oldest_old_for(dest, 9).is_none());
+        }
+        assert_eq!(q.count_below(4), 0);
+        let h = q.push(pkt(0, 3), 0).handle();
+        assert_eq!(q.dests.len(), 4, "the first push allocates one list per station");
+        assert_eq!((q.count_for(3), q.count_below(4), q.count_below(3)), (1, 1, 0));
+        q.remove(h);
+        assert_eq!(q.dests.len(), 4, "an emptied queue keeps its lists");
+        assert_eq!(q.count_for(3), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination 4 out of range for 4 stations")]
+    fn an_empty_queue_refuses_a_destination_out_of_range() {
+        IndexedQueue::new(4).count_for(4);
     }
 
     #[test]

@@ -239,7 +239,8 @@ fn steady_state_steps_do_not_allocate() {
     // arrays, so the build and the simulator's construction cost a few
     // allocations per station, not per thread. A thread is one 16-byte
     // MBTF record plus its `u32` baton row and its share of the allocator,
-    // so the system with its simulator holds about 1.19 MB of heap.
+    // and no queue holds a packet yet, so none holds its per-destination
+    // lists: the system with its simulator holds about 0.99 MB of heap.
     let n = 128;
     let cfg = emac_sim::SimConfig::new(n, 2);
     let a0 = ALLOCS.load(Ordering::SeqCst);
@@ -247,17 +248,22 @@ fn steady_state_steps_do_not_allocate() {
         live_bytes_of(|| Simulator::new(cfg, KSubsets::new(2).build(n), Box::new(NoInjections)));
     let allocs = ALLOCS.load(Ordering::SeqCst) - a0;
     assert!(allocs <= 10 * n as u64, "k-Subsets n={n} k=2 build made {allocs} allocations");
-    assert!(held <= 1_400_000, "k-Subsets n={n} k=2 system holds {held} heap bytes, over 1.4 MB");
+    assert!(held <= 1_000_000, "k-Subsets n={n} k=2 system holds {held} heap bytes, over 1.0 MB");
     drop(sim);
 
     // --- Case 8: what a queue keeps on the heap. Table 1's diverging rows
     // hold backlogs of up to 35,014 packets, so a queue of 35,000 must
     // hold its slab — a vector of 64-byte slots, grown by the same pushes
-    // — plus the per-destination lists an empty queue holds, and nothing
-    // per packet besides its slot: no index by packet id.
+    // — plus one list head per destination (head, tail and length, three
+    // `u32`s), which its first push allocates, and nothing per packet
+    // besides its slot: no index by packet id. An empty queue holds
+    // nothing.
     const BACKLOG: u64 = 35_000;
+    const LIST_HEAD: u64 = 12;
     let n = 9;
-    let (_, lists) = live_bytes_of(|| IndexedQueue::new(n));
+    let (_, empty) = live_bytes_of(|| IndexedQueue::new(n));
+    assert_eq!(empty, 0, "an empty queue holds {empty} heap bytes");
+    let lists = n as u64 * LIST_HEAD;
     let (slab_twin, slab) = live_bytes_of(|| {
         let mut twin: Vec<[u8; 64]> = Vec::new();
         (0..BACKLOG).for_each(|_| twin.push([0; 64]));

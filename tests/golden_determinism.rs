@@ -135,11 +135,12 @@ fn run_report_digests_match_golden() {
 /// dozens of packets in each of that station's thread lists; n = 16, k = 3
 /// under the least-on-pair flood in both thread subroutines; MBTF under
 /// crashes that lose the queue, clock skew and deaf rounds; and RRW under
-/// clock skew. The deaf rounds stall MBTF threads (a deaf baton holder
-/// never pops the packet the channel heard); that stall is pinned as it
-/// stands. RRW is pinned under skew alone because a crash or a deaf round
-/// desynchronizes its token, and a member that then pops a packet it did
-/// not send trips a debug assertion.
+/// clock skew, under deaf rounds and under crashes that lose the queue.
+/// The deaf rounds stall MBTF threads (a deaf baton holder never pops the
+/// packet the channel heard); that stall is pinned as it stands. A crash or
+/// a deaf round desynchronizes an RRW token; a member pops its thread list
+/// only for a packet it sent itself, so the desync costs collisions but
+/// never a packet another member sent.
 fn ksubsets_matrix() -> Vec<ScenarioSpec> {
     use emac_sim::FaultSpec;
 
@@ -189,6 +190,26 @@ fn ksubsets_matrix() -> Vec<ScenarioSpec> {
         least_pair("k-subsets-rrw"),
         faulted("k-subsets", crash_skew_deaf, "crash,skew,deaf"),
         faulted("k-subsets-rrw", FaultSpec { skew: 2, ..FaultSpec::default() }, "skew"),
+        // These two are `emac run --alg k-subsets-rrw --n 8 --k 3 --rho 1/8
+        // --beta 2 --rounds 16384 --adversary uniform --seed 7 --drain 0
+        // --faults …`, so their digests are the ones that command prints.
+        faulted(
+            "k-subsets-rrw",
+            FaultSpec { deaf: Rate::new(1, 40), ..FaultSpec::default() },
+            "deaf",
+        )
+        .drain(0),
+        faulted(
+            "k-subsets-rrw",
+            FaultSpec {
+                crash: Rate::new(1, 500),
+                crash_len: 48,
+                retain_queue: false,
+                ..FaultSpec::default()
+            },
+            "crash",
+        )
+        .drain(0),
     ]
 }
 
@@ -200,6 +221,8 @@ const KSUBSETS_GOLDEN: &[(&str, &str)] = &[
     ("k-subsets-rrw|least-on-pair|n=16|k=3", "8adc1cbca5df2fcc"),
     ("k-subsets|uniform|crash,skew,deaf", "8c040cd39312dda5"),
     ("k-subsets-rrw|uniform|skew", "79b2c0087e344000"),
+    ("k-subsets-rrw|uniform|deaf", "08e7ac1d21e071b2"),
+    ("k-subsets-rrw|uniform|crash", "672ab23fa284a5bb"),
 ];
 
 #[test]

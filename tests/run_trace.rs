@@ -2,7 +2,7 @@
 //! describe. After its trace table it prints exactly what the same run
 //! prints without `--trace` (the report, `probe:`, `faults:` and
 //! `digest:` lines), whether the probe cap cuts the run short, a drain
-//! follows it, or jamming hits it.
+//! follows it (one that fast-forwards untraced, too), or jamming hits it.
 
 use std::process::{Command, Output};
 
@@ -50,6 +50,19 @@ fn a_drained_trace_drains_like_the_solo_run() {
     );
     assert!(solo.contains("delivered 1002/1002 "), "{solo}");
     assert!(solo.contains("| drained: yes\n"), "{solo}");
+}
+
+#[test]
+fn a_traced_drain_steps_every_round_the_solo_drain_passes_over() {
+    // Every station sleeps through this drain, so the solo run's drain
+    // fast-forwards; a trace ring turns that off, and the traced run,
+    // stepped round by round, must print the same report.
+    let solo = assert_traced_run_is_the_solo_run(
+        "--alg adjust-window --n 6 --k 3 --rho 1/4 --beta 2 --rounds 5000 --drain 20000 \
+         --adversary uniform --seed 12345",
+    );
+    assert!(solo.contains("delivered 0/1252 "), "{solo}");
+    assert!(solo.contains("| drained: NO\n"), "{solo}");
 }
 
 #[test]
