@@ -527,6 +527,47 @@ mod tests {
         assert_eq!(spec, ScenarioSpec::new("k-cycle", "uniform"));
     }
 
+    /// Each of the 17 flags that set a scenario field, given a literal
+    /// value, gives the spec the equivalent scenario object gives.
+    #[test]
+    fn scenario_flags_read_like_scenario_objects() {
+        let cases = [
+            ("--alg", "k-clique", r#""algorithm": "k-clique""#),
+            ("--adversary", "bursty", r#""adversary": "bursty""#),
+            ("--n", "9", r#""n": 9"#),
+            ("--k", "4", r#""k": 4"#),
+            ("--rho", "3/4", r#""rho": "3/4""#),
+            ("--beta", "3/2", r#""beta": "3/2""#),
+            ("--rounds", "5000", r#""rounds": 5000"#),
+            ("--seed", "9", r#""seed": 9"#),
+            ("--drain", "1000", r#""drain": 1000"#),
+            ("--cap", "4", r#""cap": 4"#),
+            ("--target", "2", r#""target": 2"#),
+            ("--dest", "1", r#""dest": 1"#),
+            ("--period", "32", r#""period": 32"#),
+            ("--horizon", "64", r#""horizon": 64"#),
+            ("--probe-cap", "500", r#""probe_cap": 500"#),
+            ("--faults", r#"{"jam": "1/8", "seed": 7}"#, r#""faults": {"jam": "1/8", "seed": 7}"#),
+            ("--jam", "1/10", r#""faults": {"jam": "1/10"}"#),
+        ];
+        for (flag, value, key) in cases {
+            let mut args = vec![flag.to_string(), value.to_string()];
+            let mut members = vec![key.to_string()];
+            if flag != "--alg" {
+                args.extend(["--alg".into(), "k-cycle".into()]);
+                members.push(r#""algorithm": "k-cycle""#.into());
+            }
+            if flag != "--adversary" {
+                members.push(r#""adversary": "uniform""#.into());
+            }
+            let from_flags = parse(&args).unwrap().spec;
+            let object = Json::parse(&format!("{{{}}}", members.join(", "))).unwrap();
+            let from_object = ScenarioSpec::from_json(&object).unwrap();
+            assert_eq!(from_flags, from_object, "{flag} {value}");
+            assert_ne!(from_flags, ScenarioSpec::new("k-cycle", "uniform"), "{flag} is a no-op");
+        }
+    }
+
     #[test]
     fn seeds_forms() {
         let o = parse(&argv("--alg k-cycle --seeds 0,3,17")).unwrap();
