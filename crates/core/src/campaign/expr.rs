@@ -15,7 +15,7 @@
 //! expr   := term  (('+' | '-') term)*
 //! term   := unary (('*' | '/') unary)*
 //! unary  := '-' unary | '(' expr ')' | NUMBER | IDENT
-//! NUMBER := digits ['.' digits]          (exact: 0.8 = 8/10)
+//! NUMBER := digits ['.' digits]          (a rate literal, exact: 0.8 = 4/5)
 //! ```
 //!
 //! # Identifiers
@@ -35,7 +35,10 @@
 //! Division by zero, negative results, unknown identifiers, and overflow
 //! are rejected with a message naming the offending expression.
 
+use emac_sim::rate::gcd;
 use emac_sim::Rate;
+
+use crate::k_cycle::adjusted_cap;
 
 /// Evaluation environment: the expanded grid/map point.
 #[derive(Clone, Copy, Debug)]
@@ -52,38 +55,33 @@ impl ExprEnv {
         Self { n: n as u64, k: k as u64 }
     }
 
-    /// The k-Cycle group count `ℓ` for this point, applying the paper's
-    /// cap adjustment (`2k > n + 1` lowers `k` to `⌈n/2⌉`). Errors instead
-    /// of panicking on geometries k-Cycle cannot host.
+    /// The k-Cycle group count `ℓ` for this point, after the paper's cap
+    /// adjustment ([`adjusted_cap`]). Errors instead of panicking on
+    /// geometries k-Cycle cannot host.
     fn ell(&self) -> Result<i128, String> {
         if self.n < 3 {
             return Err(format!("ell needs n >= 3, got n={}", self.n));
         }
-        let mut k = self.k.min(self.n - 1);
-        if 2 * k > self.n + 1 {
-            k = self.n.div_ceil(2);
-        }
-        if k < 2 {
-            return Err(format!(
-                "ell needs an effective cap >= 2, got k={} at n={}",
-                self.k, self.n
-            ));
-        }
-        Ok(self.n.div_ceil(k - 1) as i128)
+        let (_, ell) = adjusted_cap(self.n as usize, self.k as usize).ok_or_else(|| {
+            format!("ell needs an effective cap >= 2, got k={} at n={}", self.k, self.n)
+        })?;
+        Ok(ell as i128)
     }
 }
 
-/// An exact signed rational; intermediate values may be negative
-/// (`group_share - 0.01` style offsets), the final result must be a
-/// non-negative [`Rate`].
+/// An exact signed rational with checked arithmetic: an operation whose
+/// result overflows `i128` is an error, never a wrap. Intermediate values
+/// may be negative (`group_share - 0.01` style offsets); a final result
+/// must be a non-negative [`Rate`] ([`Q::rate`]). The frontier bisects in
+/// it too.
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Q {
+pub(crate) struct Q {
     num: i128,
     den: i128, // > 0, reduced
 }
 
 impl Q {
-    fn int(v: i128) -> Self {
+    pub(crate) fn int(v: i128) -> Self {
         Self { num: v, den: 1 }
     }
 
@@ -96,16 +94,20 @@ impl Q {
         Ok(Self { num: sign * num / g, den: sign * den / g })
     }
 
-    fn add(self, o: Q) -> Result<Q, String> {
+    /// The sum over the least common denominator, so terms that share
+    /// factors (a bisection's endpoints) stay clear of overflow.
+    pub(crate) fn add(self, o: Q) -> Result<Q, String> {
+        let g = gcd(self.den.unsigned_abs(), o.den.unsigned_abs()) as i128;
+        let (to_lcm, o_to_lcm) = (o.den / g, self.den / g);
         let num = self
             .num
-            .checked_mul(o.den)
-            .and_then(|a| o.num.checked_mul(self.den).and_then(|b| a.checked_add(b)))
+            .checked_mul(to_lcm)
+            .and_then(|a| o.num.checked_mul(o_to_lcm).and_then(|b| a.checked_add(b)))
             .ok_or("overflow")?;
-        Q::new(num, self.den.checked_mul(o.den).ok_or("overflow")?)
+        Q::new(num, self.den.checked_mul(to_lcm).ok_or("overflow")?)
     }
 
-    fn sub(self, o: Q) -> Result<Q, String> {
+    pub(crate) fn sub(self, o: Q) -> Result<Q, String> {
         self.add(Q { num: -o.num, den: o.den })
     }
 
@@ -116,7 +118,7 @@ impl Q {
         )
     }
 
-    fn div(self, o: Q) -> Result<Q, String> {
+    pub(crate) fn div(self, o: Q) -> Result<Q, String> {
         if o.num == 0 {
             return Err("division by zero".into());
         }
@@ -125,15 +127,24 @@ impl Q {
             self.den.checked_mul(o.num).ok_or("overflow")?,
         )
     }
+
+    /// The value as a [`Rate`]; errs when it is negative or its terms do
+    /// not fit a `u64` rational.
+    pub(crate) fn rate(self) -> Result<Rate, String> {
+        if self.num < 0 {
+            return Err(format!("{}/{} is negative", self.num, self.den));
+        }
+        match (u64::try_from(self.num), u64::try_from(self.den)) {
+            (Ok(num), Ok(den)) => Ok(Rate::new(num, den)),
+            _ => Err(format!("{}/{} overflows a rate", self.num, self.den)),
+        }
+    }
 }
 
-/// Shared across the expression evaluator and the frontier's rational
-/// midpoint (one copy, so reduction rules cannot drift).
-pub(crate) fn gcd(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        (a, b) = (b, a % b);
+impl From<Rate> for Q {
+    fn from(r: Rate) -> Self {
+        Self { num: r.num().into(), den: r.den().into() }
     }
-    a
 }
 
 /// The named quantities an expression may reference.
@@ -253,17 +264,7 @@ impl Expr {
     /// Evaluate to an exact non-negative [`Rate`] at one `(n, k)` point.
     pub fn eval(&self, env: &ExprEnv) -> Result<Rate, String> {
         let q = self.node.eval(env).map_err(|e| format!("{:?}: {e}", self.text))?;
-        if q.num < 0 {
-            return Err(format!(
-                "{:?}: evaluates to the negative rate {}/{} at n={}, k={}",
-                self.text, q.num, q.den, env.n, env.k
-            ));
-        }
-        let (num, den) = (u64::try_from(q.num), u64::try_from(q.den));
-        match (num, den) {
-            (Ok(num), Ok(den)) => Ok(Rate::new(num, den)),
-            _ => Err(format!("{:?}: result {}/{} overflows a rate", self.text, q.num, q.den)),
-        }
+        q.rate().map_err(|e| format!("{:?}: result {e} at n={}, k={}", self.text, env.n, env.k))
     }
 }
 
@@ -333,30 +334,14 @@ fn tokenize(text: &str) -> Result<Vec<Token>, String> {
                 i += 1;
             }
             b'0'..=b'9' | b'.' => {
+                // Letters run into a number (`1e-3`) are read with it, so
+                // the rate reader refuses the literal by name.
                 let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'.') {
                     i += 1;
                 }
-                let mut frac = 0usize;
-                if i < bytes.len() && bytes[i] == b'.' {
-                    i += 1;
-                    let fs = i;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                    frac = i - fs;
-                }
-                let lit = &text[start..i];
-                let digits: String = lit.chars().filter(|c| *c != '.').collect();
-                if digits.is_empty() {
-                    return Err(format!("malformed number {lit:?} in {text:?}"));
-                }
-                if digits.len() > 18 {
-                    return Err(format!("number {lit:?} too long in {text:?}"));
-                }
-                let num: i128 = digits.parse().map_err(|e| format!("number {lit:?}: {e}"))?;
-                let den = 10i128.pow(frac as u32);
-                tokens.push(Token::Num(Q::new(num, den)?));
+                let rate: Rate = text[start..i].parse().map_err(|e| format!("{e} in {text:?}"))?;
+                tokens.push(Token::Num(rate.into()));
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
@@ -494,6 +479,8 @@ mod tests {
         assert!(Expr::parse("1 2").unwrap_err().contains("after expression"));
         assert!(Expr::parse("rho * 2").unwrap_err().contains("unknown identifier"));
         assert!(Expr::parse("1 @ 2").unwrap_err().contains("unexpected character"));
+        assert!(Expr::parse("1e-3 * k").unwrap_err().contains("\"1e\" has an exponent"));
+        assert!(Expr::parse("1.2.3").unwrap_err().contains("not P/Q or a non-negative decimal"));
     }
 
     #[test]
@@ -503,6 +490,19 @@ mod tests {
         // ell needs a k-Cycle-hostable geometry
         assert!(eval("ell", 2, 3).unwrap_err().contains("n >= 3"));
         assert!(eval("ell", 3, 1).unwrap_err().contains("cap"));
+    }
+
+    #[test]
+    fn ell_is_the_group_count_k_cycle_builds() {
+        for n in 3..=64 {
+            for k in 0..=n {
+                let ell = ExprEnv::new(n, k).ell();
+                match std::panic::catch_unwind(|| crate::KCycle::new(k).params(n).groups()) {
+                    Ok(groups) => assert_eq!(ell, Ok(groups as i128), "n={n}, k={k}"),
+                    Err(_) => assert!(ell.unwrap_err().contains("effective cap"), "n={n}, k={k}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -288,6 +288,9 @@ impl ScenarioSpec {
                 self.display_label()
             ));
         }
+        if self.probe_cap == Some(0) {
+            return Err(format!("{}: probe_cap must be positive", self.display_label()));
+        }
         if let Some(f) = &self.faults {
             f.validate().map_err(|e| format!("{}: faults: {e}", self.display_label()))?;
         }
@@ -471,14 +474,14 @@ pub(crate) fn push_rate(out: &mut String, r: Rate) {
     }
 }
 
-/// A rate in JSON: `"p/q"`, `"0.25"`, or a bare integer/float number.
+/// A rate in JSON: a string [`Rate`] parses (`"p/q"`, `"0.25"`), a
+/// non-negative integer, or a float, read exactly from the shortest decimal
+/// that parses back to it (`0.12345` is `2469/20000`).
 fn rate_from_json(v: &Json) -> Result<Rate, String> {
     match v {
         Json::Str(s) => s.parse(),
         Json::Int(i) if *i >= 0 => Ok(Rate::integer(*i as u64)),
-        Json::Float(f) if *f >= 0.0 && f.is_finite() => {
-            Ok(Rate::new((*f * 10_000.0).round() as u64, 10_000))
-        }
+        Json::Float(f) => f.to_string().parse(),
         other => Err(format!("expected a rate, got {other:?}")),
     }
 }
@@ -576,6 +579,9 @@ pub(crate) fn json_u64(v: u64) -> Json {
     }
 }
 
+/// A non-negative integer: a JSON integer, or a decimal string (how a
+/// `u64` past `i64::MAX` is written, and how `emac run` hands over its
+/// flags).
 fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
     match v {
         Json::Str(s) => s.parse().ok(),
@@ -585,7 +591,8 @@ fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
 }
 
 fn req_usize(v: &Json, key: &str) -> Result<usize, String> {
-    v.as_usize().ok_or_else(|| format!("{key} must be a non-negative integer"))
+    let v = req_u64(v, key)?;
+    usize::try_from(v).map_err(|_| format!("{key} {v} exceeds this platform's usize"))
 }
 
 /// A cartesian parameter grid: a base [`ScenarioSpec`] and seven axes.

@@ -114,9 +114,9 @@ use std::time::Instant;
 use emac_sim::Rate;
 
 use crate::campaign::commit::{self, Queue, Wake};
-use crate::campaign::expr::{gcd, ExprEnv, RateAxis};
+use crate::campaign::expr::{ExprEnv, RateAxis, Q};
 use crate::campaign::json::Json;
-use crate::campaign::rate_str;
+use crate::campaign::{rate_axis_from_json, rate_str};
 use crate::campaign::{RawScenario, ScenarioFactory, ScenarioRun, ScenarioSpec};
 use crate::digest::Fnv64;
 use crate::obs::{ObsEvent, Observer};
@@ -296,8 +296,9 @@ impl FrontierSpec {
                 "axis" => {
                     axis = SearchAxis::parse(value.as_str().ok_or("\"axis\" must be a string")?)?
                 }
-                "lo" => lo = rate_axis(value).map_err(|e| format!("lo: {e}"))?,
-                "hi" => hi = rate_axis(value).map_err(|e| format!("hi: {e}"))?,
+                // The grid's literal-or-expression forms.
+                "lo" => lo = rate_axis_from_json(value).map_err(|e| format!("lo: {e}"))?,
+                "hi" => hi = rate_axis_from_json(value).map_err(|e| format!("hi: {e}"))?,
                 "tol" => {
                     tol = value.as_f64().ok_or("\"tol\" must be a number")?;
                 }
@@ -479,12 +480,6 @@ impl FrontierSpec {
         h.str(format_tag);
         h.finish()
     }
-}
-
-fn rate_axis(v: &Json) -> Result<RateAxis, String> {
-    // Frontier endpoints reuse the grid's literal-or-expression forms; the
-    // shared parser lives next to the grid code.
-    crate::campaign::rate_axis_from_json(v)
 }
 
 fn int_axis(v: &Json, key: &str) -> Result<Vec<usize>, String> {
@@ -733,23 +728,19 @@ impl MapSink for MemoryMapSink {
 }
 
 /// Exact rational midpoint of a bracket. Denominators double per
-/// bisection step, so overflow means the tolerance asked for more
-/// precision than `u64` rationals hold — an error, not a wrap.
+/// bisection step, so overflow means the bracket or the tolerance asks for
+/// more precision than `u64` rationals hold — an error, not a wrap.
 fn midpoint(lo: Rate, hi: Rate) -> Result<Rate, String> {
-    let num = lo.num() as u128 * hi.den() as u128 + hi.num() as u128 * lo.den() as u128;
-    let den = 2u128 * lo.den() as u128 * hi.den() as u128;
-    let g = gcd(num.max(1), den);
-    let (num, den) = (num / g, den / g);
-    match (u64::try_from(num), u64::try_from(den)) {
-        (Ok(num), Ok(den)) => Ok(Rate::new(num, den)),
-        _ => Err(format!(
+    let mid = Q::from(lo).add(hi.into()).and_then(|sum| sum.div(Q::int(2))).and_then(Q::rate);
+    mid.map_err(|_| {
+        format!(
             "bisection midpoint of {}/{} and {}/{} overflows (tolerance too fine)",
             lo.num(),
             lo.den(),
             hi.num(),
             hi.den()
-        )),
-    }
+        )
+    })
 }
 
 /// Floored integer midpoint for the integer axes (`k`, `ell`).
@@ -766,42 +757,17 @@ fn width(lo: Rate, hi: Rate) -> f64 {
 /// rationals or exceeds it (warm brackets clamp to the full bracket
 /// anyway).
 fn rate_add_capped(a: Rate, b: Rate, cap: Rate) -> Rate {
-    let num = a.num() as u128 * b.den() as u128 + b.num() as u128 * a.den() as u128;
-    let den = a.den() as u128 * b.den() as u128;
-    let g = gcd(num.max(1), den);
-    match (u64::try_from(num / g), u64::try_from(den / g)) {
-        (Ok(num), Ok(den)) => {
-            let sum = Rate::new(num, den);
-            if cap.lt(&sum) {
-                cap
-            } else {
-                sum
-            }
-        }
+    match Q::from(a).add(b.into()).and_then(Q::rate) {
+        Ok(sum) if sum.lt(&cap) => sum,
         _ => cap,
     }
 }
 
-/// `a − b` as an exact rational, or `floor` if the result underflows zero,
+/// `a − b` as an exact rational, or `floor` if the result is negative,
 /// overflows `u64` rationals, or falls below it.
 fn rate_sub_floored(a: Rate, b: Rate, floor: Rate) -> Rate {
-    let pos = a.num() as u128 * b.den() as u128;
-    let neg = b.num() as u128 * a.den() as u128;
-    if pos <= neg {
-        return floor;
-    }
-    let num = pos - neg;
-    let den = a.den() as u128 * b.den() as u128;
-    let g = gcd(num.max(1), den);
-    match (u64::try_from(num / g), u64::try_from(den / g)) {
-        (Ok(num), Ok(den)) => {
-            let diff = Rate::new(num, den);
-            if diff.lt(&floor) {
-                floor
-            } else {
-                diff
-            }
-        }
+    match Q::from(a).sub(b.into()).and_then(Q::rate) {
+        Ok(diff) if floor.lt(&diff) => diff,
         _ => floor,
     }
 }
@@ -1738,6 +1704,22 @@ mod tests {
         assert!(lo.lt(&hi));
         let err = midpoint(Rate::new(1, u64::MAX), Rate::new(2, u64::MAX - 1)).unwrap_err();
         assert!(err.contains("overflow"), "{err}");
+    }
+
+    #[test]
+    fn a_bracket_at_the_edge_of_u64_bisects_exactly_then_overflows_by_name() {
+        // Cross-multiplied, these endpoints' numerators pass i128 and their
+        // sum passes u128; `Q` adds over the common denominator instead.
+        let lo: Rate = "16602069666338596864/18446744073709551615".parse().unwrap();
+        let hi: Rate = "18446744073709551614/18446744073709551615".parse().unwrap();
+        let mid = midpoint(lo, hi).unwrap();
+        assert_eq!(mid, Rate::new(5_841_468_956_674_691_413, 6_148_914_691_236_517_205));
+        let err = midpoint(lo, mid).unwrap_err();
+        assert!(err.starts_with("bisection midpoint of 16602069666338596864/"), "{err}");
+        assert!(err.ends_with("overflows (tolerance too fine)"), "{err}");
+        let width = Rate::new(1_844_674_407_370_954_750, 18_446_744_073_709_551_615);
+        assert_eq!(rate_sub_floored(hi, lo, Rate::zero()), width);
+        assert_eq!(rate_add_capped(lo, width, Rate::one()), hi);
     }
 
     #[test]

@@ -29,6 +29,18 @@ use emac_sim::{
 
 use crate::algorithm::Algorithm;
 
+/// The paper's cap adjustment for `n` stations and a requested cap `k`:
+/// the cap is held below `n` and lowered to `⌈n/2⌉` when `2k > n + 1`.
+/// Returns the adjusted cap with the group count `ℓ = ⌈n/(k−1)⌉`, or `None`
+/// when the adjusted cap is below 2, where no group can route.
+pub(crate) fn adjusted_cap(n: usize, k: usize) -> Option<(usize, usize)> {
+    let mut k = k.min(n.saturating_sub(1));
+    if 2 * k > n + 1 {
+        k = n.div_ceil(2);
+    }
+    (k >= 2).then(|| (k, n.div_ceil(k - 1)))
+}
+
 /// Shared geometry of the group cycle: group membership, connectors, and
 /// the round-robin activity schedule. Immutable after construction; also
 /// serves as the precomputed [`OnSchedule`].
@@ -63,12 +75,7 @@ impl KCycleParams {
         assert!(n >= 3, "k-Cycle needs at least 3 stations");
         assert!(k_requested >= 2, "energy cap below 2 cannot route");
         assert!(num > 0 && den > 0);
-        let mut k = k_requested.min(n - 1);
-        if 2 * k > n + 1 {
-            k = n.div_ceil(2);
-        }
-        assert!(k >= 2, "adjusted cap fell below 2 (n too small)");
-        let l = n.div_ceil(k - 1);
+        let (k, l) = adjusted_cap(n, k_requested).expect("adjusted cap fell below 2 (n too small)");
         let v = l * (k - 1);
         let delta = ((4 * (n - 1) * k) as u64 * num).div_ceil((n - k) as u64 * den).max(1);
         let forwards = (0..l)

@@ -383,12 +383,49 @@ pub struct Observer {
     progress: Option<Progress>,
     boundary: Option<Instant>,
     rounds_seen: u64,
+    /// The run [`Observer::start_run`] opened, and when.
+    run: Option<(RunKind, Instant)>,
 }
 
 impl Observer {
     /// A disarmed observer (no log, no progress line).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The observer of one campaign, frontier or shard run, with its
+    /// `RunStarted` recorded: `events` arms the durable event log, created
+    /// fresh or, on `resume`, appended past a torn final line; `progress`
+    /// arms the live stderr line. Close the run with
+    /// [`Observer::finish_run`].
+    pub fn start_run(
+        kind: RunKind,
+        total: u64,
+        events: Option<&Path>,
+        resume: bool,
+        progress: bool,
+    ) -> Result<Self, String> {
+        let mut observer = Observer::new();
+        if let Some(path) = events {
+            let log = if resume { EventLog::append(path) } else { EventLog::create(path) }
+                .map_err(|e| format!("event log {}: {e}", path.display()))?;
+            observer = observer.with_log(log);
+        }
+        if progress {
+            observer = observer.with_progress(Progress::new(kind, total));
+        }
+        observer.record(&ObsEvent::RunStarted { kind, total });
+        observer.run = Some((kind, Instant::now()));
+        Ok(observer)
+    }
+
+    /// Close the run [`Observer::start_run`] opened: record `RunFinished`
+    /// with `done` work items, the rounds of the rows recorded and the
+    /// wall time since the start, flush, and release the progress line.
+    pub fn finish_run(&mut self, done: u64) -> Result<(), String> {
+        let (kind, started) = self.run.expect("finish_run closes a run start_run opened");
+        let wall_ms = started.elapsed().as_millis() as u64;
+        self.finish(&ObsEvent::RunFinished { kind, done, wall_ms, rounds: self.rounds_seen })
     }
 
     /// Attach a durable event log; starts the boundary clock.

@@ -41,7 +41,6 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::campaign::json::Json;
 use crate::campaign::{
@@ -53,7 +52,7 @@ use crate::frontier::{
     self, Frontier, FrontierCheckpoint, FrontierSpec, FRONTIER_BAND_CSV_HEADER, FRONTIER_CSV_HEADER,
 };
 use crate::journal::reopen_output;
-use crate::obs::{EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind};
+use crate::obs::{ObsEvent, ObsReport, ObservedSink, Observer, RunKind};
 use crate::output::{Format, Kind};
 pub use claims::ClaimTable;
 
@@ -414,33 +413,16 @@ impl ShardRunner {
         // ignores it (merge reads only the specific output/checkpoint file
         // names). A resume appends, repairing a torn tail first.
         let events_path = shard_dir.join("events.jsonl");
-        let log =
-            if resume { EventLog::append(&events_path) } else { EventLog::create(&events_path) }
-                .map_err(|e| format!("event log {}: {e}", events_path.display()))?;
-        let mut observer = Observer::new().with_log(log);
-        if self.progress {
-            let total = self.plan.total_indices() as u64;
-            observer = observer.with_progress(Progress::new(RunKind::Shard, total));
-        }
-        observer.record(&ObsEvent::RunStarted {
-            kind: RunKind::Shard,
-            total: self.plan.total_indices() as u64,
-        });
-        let started = Instant::now();
+        let total = self.plan.total_indices() as u64;
+        let observer =
+            Observer::start_run(RunKind::Shard, total, Some(&events_path), resume, self.progress)?;
         let obs = Mutex::new(observer);
         let claims = ClaimTable::new(&self.dir, self.plan.units.len());
         let summary = match self.plan.kind {
             Kind::Campaign => self.run_campaign(factory, resume, max_units, &claims, &obs),
             Kind::Frontier => self.run_frontier(factory, resume, max_units, &claims, &obs),
         }?;
-        let mut observer = obs.into_inner().expect("observer poisoned");
-        let rounds = observer.rounds_seen();
-        observer.finish(&ObsEvent::RunFinished {
-            kind: RunKind::Shard,
-            done: summary.rows as u64,
-            wall_ms: started.elapsed().as_millis() as u64,
-            rounds,
-        })?;
+        obs.into_inner().expect("observer poisoned").finish_run(summary.rows as u64)?;
         Ok(summary)
     }
 

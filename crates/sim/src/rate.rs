@@ -23,8 +23,8 @@ impl Rate {
     /// `num / den`. Panics if `den == 0`.
     pub fn new(num: u64, den: u64) -> Self {
         assert!(den > 0, "rate denominator must be positive");
-        let g = gcd(num.max(1), den);
-        Self { num: num / if num == 0 { 1 } else { g }, den: den / if num == 0 { 1 } else { g } }
+        let g = gcd(u128::from(num.max(1)), u128::from(den)) as u64;
+        Self { num: num / g, den: den / g }
     }
 
     /// The integer rate `n`.
@@ -85,9 +85,12 @@ impl From<u64> for Rate {
 impl std::str::FromStr for Rate {
     type Err = String;
 
-    /// Parse `P/Q`, a bare integer, or a non-negative decimal (which is
-    /// approximated over denominator 10⁴). Range restrictions (e.g. ρ ≤ 1)
-    /// are the caller's concern; β may legitimately exceed 1.
+    /// Parse `P/Q`, or a non-negative decimal — digits with at most one
+    /// point (`7`, `0.25`, `.5`) — read exactly: `0.12345` is `2469/20000`.
+    /// This is the one decimal reader: JSON numbers and the numbers in spec
+    /// expressions are read through it too. Exponent forms (`1e-3`) are
+    /// refused. Range restrictions (e.g. ρ ≤ 1) are the caller's concern;
+    /// β may legitimately exceed 1.
     fn from_str(s: &str) -> Result<Self, String> {
         if let Some((p, q)) = s.split_once('/') {
             let p: u64 = p.trim().parse().map_err(|e| format!("rate: {e}"))?;
@@ -95,15 +98,31 @@ impl std::str::FromStr for Rate {
             if q == 0 {
                 return Err("rate denominator is zero".into());
             }
-            Ok(Rate::new(p, q))
-        } else if let Ok(n) = s.parse::<u64>() {
-            Ok(Rate::integer(n))
-        } else {
-            let v: f64 = s.parse().map_err(|e| format!("rate: {e}"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err("rate must be a non-negative number".into());
-            }
-            Ok(Rate::new((v * 10_000.0).round() as u64, 10_000))
+            return Ok(Rate::new(p, q));
+        }
+        /// The integer and fraction digits of a plain decimal.
+        fn decimal(t: &str) -> Option<(&str, &str)> {
+            let (int, frac) = t.split_once('.').unwrap_or((t, ""));
+            let digits = |part: &str| part.bytes().all(|b| b.is_ascii_digit());
+            (int.len() + frac.len() > 0 && digits(int) && digits(frac)).then_some((int, frac))
+        }
+        let Some((int, frac)) = decimal(s) else {
+            let exponent = s.find(['e', 'E']).is_some_and(|at| decimal(&s[..at]).is_some());
+            return Err(if exponent {
+                format!("rate {s:?} has an exponent; write it as P/Q or a plain decimal")
+            } else {
+                format!("rate {s:?} is not P/Q or a non-negative decimal")
+            });
+        };
+        let frac = frac.trim_end_matches('0');
+        let num = int
+            .bytes()
+            .chain(frac.bytes())
+            .try_fold(0u64, |v, b| v.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+        let den = u32::try_from(frac.len()).ok().and_then(|places| 10u64.checked_pow(places));
+        match (num, den) {
+            (Some(num), Some(den)) => Ok(Rate::new(num, den)),
+            _ => Err(format!("rate {s:?} has more digits than a u64 rational holds")),
         }
     }
 }
@@ -118,11 +137,12 @@ impl std::fmt::Display for Rate {
     }
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+/// Greatest common divisor (Euclid's algorithm). The one copy: rates,
+/// the leaky bucket and the spec expressions' signed rationals all reduce
+/// with it.
+pub fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        (a, b) = (b, a % b);
     }
     a
 }
@@ -186,16 +206,7 @@ impl LeakyBucket {
 }
 
 fn lcm(a: u128, b: u128) -> u128 {
-    a / gcd128(a, b) * b
-}
-
-fn gcd128(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
+    a / gcd(a, b) * b
 }
 
 #[cfg(test)]
@@ -227,6 +238,27 @@ mod tests {
         assert!("x".parse::<Rate>().is_err());
         assert!("-1".parse::<Rate>().is_err());
         assert_eq!(Rate::from(5u64), Rate::integer(5));
+    }
+
+    #[test]
+    fn decimals_read_exactly() {
+        let rate = |s: &str| s.parse::<Rate>();
+        assert_eq!(rate("0.12345").unwrap(), Rate::new(2469, 20_000));
+        assert_eq!(rate(".5").unwrap(), Rate::new(1, 2));
+        assert_eq!(rate("5.").unwrap(), Rate::integer(5));
+        assert_eq!(rate("0.250000000000000000000000").unwrap(), Rate::new(1, 4));
+        assert_eq!(rate("0.0").unwrap(), Rate::zero());
+        assert_eq!(rate("0.1234567890123456789").unwrap().den(), 10_000_000_000_000_000_000);
+        assert!(rate("0.12345678901234567891").unwrap_err().contains("more digits"));
+        for exponent in ["1e-3", "2.5E4", "1e"] {
+            assert!(rate(exponent).unwrap_err().contains("has an exponent"), "{exponent:?}");
+        }
+        for bad in [".", "", "1.2.3", "+0.5", " 0.5", "inf", "NaN", "-0.5", "0.1 * ell", "e5"] {
+            assert!(
+                rate(bad).unwrap_err().contains("not P/Q or a non-negative decimal"),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

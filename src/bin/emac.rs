@@ -21,8 +21,9 @@
 //! ```
 //!
 //! `run` executes one scenario as a one-row campaign (one row per seed
-//! with `--seeds`) and prints the standard run report; like any campaign
-//! row it is validated first, and a panic inside it exits 2. `campaign`
+//! with `--seeds`) and prints the standard run report. Its scenario flags
+//! are read by the spec parser and, like any campaign row, it is validated
+//! first; a panic inside it exits 2. `campaign`
 //! executes a JSON scenario spec (see `emac campaign --example`) in
 //! parallel and **streams** each result to `campaign.csv` (or
 //! `campaign.jsonl` with `--format jsonl`) in constant memory, maintains
@@ -44,7 +45,6 @@
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use emac::cli;
 use emac::core::campaign::{
@@ -55,9 +55,7 @@ use emac::core::frontier::{EscalateSpec, Frontier, FrontierCheckpoint, FrontierS
 use emac::core::journal::reopen_output;
 use emac::core::output::Kind;
 use emac::core::shard::{ShardPlan, ShardRunner};
-use emac::core::{
-    EventLog, ObsEvent, ObsReport, ObservedSink, Observer, Progress, RunKind, RunReport,
-};
+use emac::core::{ObsReport, ObservedSink, Observer, RunKind, RunReport};
 use emac::registry::{Registry, ADVERSARIES, ALGORITHMS};
 
 fn main() -> ExitCode {
@@ -81,10 +79,12 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage:\n  emac run --alg <name> --n <N> [--k <K>] [--rho P/Q] [--beta B]\n           \
+        "usage:\n  emac run --alg <name> [--n <N>] [--k <K>] [--rho R] [--beta B]\n           \
          [--rounds R] [--adversary <name>] [--seed S] [--seeds A,B,C|N] [--drain R]\n           \
          [--trace N] [--cap C] [--target S] [--dest S] [--period R] [--horizon R]\n           \
-         [--probe-cap Q] [--jam P/Q | --faults JSON]\n  \
+         [--probe-cap Q] [--jam P/Q | --faults JSON]\n           \
+         # a scenario flag takes what its spec key takes: --rho 1/5, 0.2 or\n           \
+         # \"0.8 * k_cycle_threshold\"\n  \
          emac campaign <spec.json> [--threads N] [--out DIR]\n           \
          [--format csv|jsonl] [--detail full|slim] [--resume] [--limit M]\n           \
          [--progress] [--events FILE]\n  \
@@ -209,37 +209,22 @@ fn campaign(args: &[String]) -> ExitCode {
     );
     // The observer sits strictly outside the row bytes: it wraps the sink,
     // so arming it cannot change what lands in the output or the digest.
-    let observer = match build_observer(
-        RunKind::Campaign,
-        todo.len() as u64,
-        opts.progress,
-        opts.events.as_deref(),
-        opts.resume,
-    ) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs = Mutex::new(observer);
-    obs.lock()
-        .expect("observer poisoned")
-        .record(&ObsEvent::RunStarted { kind: RunKind::Campaign, total: todo.len() as u64 });
-    let started = Instant::now();
+    let events = opts.events.as_deref().map(Path::new);
+    let total = todo.len() as u64;
+    let obs =
+        match Observer::start_run(RunKind::Campaign, total, events, opts.resume, opts.progress) {
+            Ok(observer) => Mutex::new(observer),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
     let mut sink =
         TallySink::new(ObservedSink::new(opts.format.campaign_sink(writer, already == 0), &obs));
     let outcome = executor.run_subset(&specs, &todo, &Registry, &mut sink, Some(&mut ckpt));
     let (ok, unclean, failed) = (sink.ok(), sink.unclean(), sink.failed());
-    let mut observer = obs.into_inner().expect("observer poisoned");
-    let rounds = observer.rounds_seen();
-    let finished = observer.finish(&ObsEvent::RunFinished {
-        kind: RunKind::Campaign,
-        done: (ok + unclean + failed) as u64,
-        wall_ms: started.elapsed().as_millis() as u64,
-        rounds,
-    });
-    if let Err(e) = finished {
+    let done = (ok + unclean + failed) as u64;
+    if let Err(e) = obs.into_inner().expect("observer poisoned").finish_run(done) {
         eprintln!("warning: event log: {e}");
     }
     if let Err(e) = outcome {
@@ -283,30 +268,6 @@ fn reopen(out_path: &Path, rows: usize, header_lines: usize) -> Result<DurableFi
             Err(ExitCode::from(2))
         }
     }
-}
-
-/// Build the observer a CLI run asked for: `--events` arms the durable
-/// JSONL log (appending — with torn-tail repair — when `--resume` is
-/// set), `--progress` the live stderr line. Neither flag leaves the
-/// observer disarmed: every record is a no-op and no clock is read.
-fn build_observer(
-    kind: RunKind,
-    total: u64,
-    progress: bool,
-    events: Option<&str>,
-    resume: bool,
-) -> Result<Observer, String> {
-    let mut observer = Observer::new();
-    if let Some(path) = events {
-        let path = Path::new(path);
-        let log = if resume { EventLog::append(path) } else { EventLog::create(path) }
-            .map_err(|e| format!("event log {}: {e}", path.display()))?;
-        observer = observer.with_log(log);
-    }
-    if progress {
-        observer = observer.with_progress(Progress::new(kind, total));
-    }
-    Ok(observer)
 }
 
 /// `emac obs report`: aggregate one or more event logs into rate and
@@ -444,33 +405,22 @@ fn frontier(args: &[String]) -> ExitCode {
     );
     // Observability wraps the engine from the outside: probe verdicts,
     // row bytes, and the checkpoint are computed before any event fires.
+    let events = opts.events.as_deref().map(Path::new);
     let remaining = (points - already) as u64;
-    let mut observer = match build_observer(
-        RunKind::Frontier,
-        remaining,
-        opts.progress,
-        opts.events.as_deref(),
-        opts.resume,
-    ) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    observer.record(&ObsEvent::RunStarted { kind: RunKind::Frontier, total: remaining });
-    let started = Instant::now();
+    let mut observer =
+        match Observer::start_run(RunKind::Frontier, remaining, events, opts.resume, opts.progress)
+        {
+            Ok(o) => o,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
     let mut sink = opts.format.map_sink(writer, already == 0);
     let outcome =
         engine.run_into_observed(&spec, &Registry, sink.as_mut(), Some(&mut ckpt), &mut observer);
-    let rounds = observer.rounds_seen();
-    let finished = observer.finish(&ObsEvent::RunFinished {
-        kind: RunKind::Frontier,
-        done: ckpt.rows_written().saturating_sub(already) as u64,
-        wall_ms: started.elapsed().as_millis() as u64,
-        rounds,
-    });
-    if let Err(e) = finished {
+    let done = ckpt.rows_written().saturating_sub(already) as u64;
+    if let Err(e) = observer.finish_run(done) {
         eprintln!("warning: event log: {e}");
     }
     let summary = match outcome {

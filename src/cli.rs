@@ -3,12 +3,14 @@
 //! Kept in the library so the mapping from flags to scenarios is
 //! unit-testable; the binary in `src/bin/emac.rs` only does I/O. Name
 //! resolution itself lives in [`crate::registry`] — the same registry the
-//! campaign executor and the bench binaries use.
+//! campaign executor and the bench binaries use. `emac run` reads no
+//! scenario value itself: its scenario flags become one scenario object,
+//! which [`RawScenario`] reads as it reads a campaign row, and every range
+//! check is [`ScenarioSpec::validate`]'s.
 
 use emac_core::campaign::json::Json;
-use emac_core::campaign::{fault_spec_from_json, MetricsDetail, ScenarioSpec};
+use emac_core::campaign::{MetricsDetail, RawScenario, ScenarioSpec};
 use emac_core::output::Format;
-use emac_sim::{FaultSpec, Rate};
 
 /// Parsed command-line options for `emac campaign`.
 #[derive(Clone, Debug)]
@@ -356,77 +358,72 @@ pub struct Opts {
     pub trace: Option<usize>,
 }
 
-/// Parse `emac run` flags.
+/// The `emac run` flags whose value is the text of a scenario key, with
+/// that key. `--faults` takes the JSON of a `faults` object, and `--jam
+/// P/Q` sets `faults.jam`.
+const SCENARIO_FLAGS: [(&str, &str); 15] = [
+    ("--alg", "algorithm"),
+    ("--adversary", "adversary"),
+    ("--n", "n"),
+    ("--k", "k"),
+    ("--rho", "rho"),
+    ("--beta", "beta"),
+    ("--rounds", "rounds"),
+    ("--seed", "seed"),
+    ("--drain", "drain"),
+    ("--cap", "cap"),
+    ("--target", "target"),
+    ("--dest", "dest"),
+    ("--period", "period"),
+    ("--horizon", "horizon"),
+    ("--probe-cap", "probe_cap"),
+];
+
+/// Parse `emac run` flags. The scenario flags become one scenario object,
+/// read by the spec parser as a campaign row is ([`RawScenario`]): each
+/// value is the text of its key (`--faults` the JSON of its object), so
+/// `--rho` and `--beta` take expressions, and a repeated flag means its
+/// last value. Ranges are left to [`ScenarioSpec::validate`], which every
+/// run calls.
 pub fn parse(args: &[String]) -> Result<Opts, String> {
-    let mut spec = ScenarioSpec::new("", "uniform");
+    let mut scenario = vec![("adversary".to_string(), Json::Str("uniform".into()))];
     let mut seeds = None;
     let mut trace = None;
-    let mut jam: Option<Rate> = None;
+    let mut jam = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value =
             || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--alg" => spec.algorithm = value()?.to_string(),
-            "--n" => spec.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--k" => spec.k = value()?.parse().map_err(|e| format!("--k: {e}"))?,
-            "--rho" => spec.rho = parse_rate(value()?)?,
-            "--beta" => spec.beta = parse_beta(value()?)?,
-            "--rounds" => spec.rounds = value()?.parse().map_err(|e| format!("--rounds: {e}"))?,
-            "--adversary" => spec.adversary = value()?.to_string(),
-            "--seed" => spec.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--seeds" => seeds = Some(parse_seeds(value()?)?),
-            "--drain" => spec.drain = Some(value()?.parse().map_err(|e| format!("--drain: {e}"))?),
             "--trace" => trace = Some(value()?.parse().map_err(|e| format!("--trace: {e}"))?),
-            "--cap" => spec.cap = Some(value()?.parse().map_err(|e| format!("--cap: {e}"))?),
-            "--target" => {
-                spec.target = Some(value()?.parse().map_err(|e| format!("--target: {e}"))?)
+            "--jam" => jam = Some(Json::Str(value()?.to_string())),
+            "--faults" => {
+                let faults = Json::parse(value()?).map_err(|e| format!("--faults: {e}"))?;
+                scenario.push(("faults".into(), faults));
             }
-            "--dest" => spec.dest = Some(value()?.parse().map_err(|e| format!("--dest: {e}"))?),
-            "--period" => {
-                spec.period = Some(value()?.parse().map_err(|e| format!("--period: {e}"))?)
+            other => {
+                let (_, key) = SCENARIO_FLAGS
+                    .iter()
+                    .find(|(f, _)| *f == other)
+                    .ok_or_else(|| format!("unknown flag {other}"))?;
+                scenario.push((key.to_string(), Json::Str(value()?.to_string())));
             }
-            "--horizon" => {
-                spec.horizon = Some(value()?.parse().map_err(|e| format!("--horizon: {e}"))?)
-            }
-            "--probe-cap" => {
-                spec.probe_cap = Some(value()?.parse().map_err(|e| format!("--probe-cap: {e}"))?)
-            }
-            "--jam" => jam = Some(parse_rate(value()?).map_err(|e| format!("--jam: {e}"))?),
-            "--faults" => spec.faults = Some(parse_faults(value()?)?),
-            other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if spec.algorithm.is_empty() {
-        return Err("--alg is required (see `emac list`)".into());
-    }
-    if spec.n < 2 {
-        return Err("--n must be at least 2".into());
-    }
-    if spec.probe_cap == Some(0) {
-        return Err("--probe-cap must be positive".into());
     }
     if trace == Some(0) {
         return Err("--trace must be positive".into());
     }
-    match (jam, &mut spec.faults) {
-        (Some(_), Some(_)) => {
+    if let Some(jam) = jam {
+        if scenario.iter().any(|(key, _)| key == "faults") {
             return Err(
                 "--jam conflicts with --faults (set \"jam\" inside the --faults object)".into()
-            )
+            );
         }
-        (Some(rate), none) => *none = Some(FaultSpec { jam: rate, ..Default::default() }),
-        (None, _) => {}
+        scenario.push(("faults".into(), Json::Obj(vec![("jam".into(), jam)])));
     }
+    let spec = RawScenario::parse(&Json::Obj(scenario))?.resolve()?;
     Ok(Opts { spec, seeds, trace })
-}
-
-/// Parse `--faults`: a JSON object with the same keys as the campaign
-/// spec's `"faults"` entry, e.g.
-/// `--faults '{"jam": "1/10", "crash": "1/500", "crash_len": 32, "seed": 7}'`.
-pub fn parse_faults(s: &str) -> Result<FaultSpec, String> {
-    let json = Json::parse(s).map_err(|e| format!("--faults: {e}"))?;
-    fault_spec_from_json(&json).map_err(|e| format!("--faults: {e}"))
 }
 
 /// Parse `--seeds`: either an explicit comma-separated list (`--seeds
@@ -467,25 +464,12 @@ pub fn parse_escalate(s: &str) -> Result<(usize, usize), String> {
     Ok((max, step))
 }
 
-/// Parse a rate given as `P/Q`, `1`, or a decimal in `[0, 1]`.
-pub fn parse_rate(s: &str) -> Result<Rate, String> {
-    let rate: Rate = s.parse()?;
-    if Rate::one().lt(&rate) {
-        return Err("rate must be within [0, 1]".into());
-    }
-    Ok(rate)
-}
-
-/// Parse a burstiness coefficient: like a rate, but any non-negative
-/// rational is legal (β regularly exceeds 1).
-pub fn parse_beta(s: &str) -> Result<Rate, String> {
-    s.parse()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::Registry;
+    use emac_core::frontier::FrontierSpec;
+    use emac_sim::{FaultSpec, Rate};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -525,6 +509,9 @@ mod tests {
         // Flags left out keep the scenario defaults, with the uniform adversary.
         let spec = parse(&argv("--alg k-cycle")).unwrap().spec;
         assert_eq!(spec, ScenarioSpec::new("k-cycle", "uniform"));
+        // A repeated flag means its last value.
+        let spec = parse(&argv("--alg k-cycle --n 4 --rho 1/4 --n 9 --rho 1/5")).unwrap().spec;
+        assert_eq!(spec, ScenarioSpec::new("k-cycle", "uniform").n(9).rho(Rate::new(1, 5)));
     }
 
     /// Each of the 17 flags that set a scenario field, given a literal
@@ -582,17 +569,39 @@ mod tests {
 
     #[test]
     fn rate_forms() {
-        assert_eq!(parse_rate("1").unwrap(), Rate::one());
-        assert_eq!(parse_rate("3/4").unwrap(), Rate::new(3, 4));
-        assert_eq!(parse_rate("0.25").unwrap(), Rate::new(1, 4));
-        assert!(parse_rate("5/4").is_err());
-        assert!(parse_rate("2.0").is_err());
-        assert!(parse_rate("x").is_err());
-        assert!(parse_rate("1/0").is_err());
+        let spec = |flags: &str| parse(&argv(&format!("--alg k-cycle {flags}"))).map(|o| o.spec);
+        assert_eq!(spec("--rho 1").unwrap().rho, Rate::one());
+        assert_eq!(spec("--rho 3/4").unwrap().rho, Rate::new(3, 4));
+        assert_eq!(spec("--rho 0.25").unwrap().rho, Rate::new(1, 4));
+        // a rate above 1 reads, and validate refuses it, as in a campaign row
+        for flags in ["--rho 5/4", "--rho 2.0"] {
+            let err = spec(flags).unwrap().validate().unwrap_err();
+            assert!(err.ends_with("rho exceeds 1"), "{flags}: {err}");
+        }
+        assert!(spec("--rho x").is_err());
+        assert!(spec("--rho 1/0").is_err());
         // beta may exceed 1
-        assert_eq!(parse_beta("3/2").unwrap(), Rate::new(3, 2));
-        assert_eq!(parse_beta("4").unwrap(), Rate::integer(4));
-        assert!(parse_beta("x").is_err());
+        assert_eq!(spec("--beta 3/2").unwrap().beta, Rate::new(3, 2));
+        assert_eq!(spec("--beta 4").unwrap().beta, Rate::integer(4));
+        assert!(spec("--beta x").is_err());
+    }
+
+    #[test]
+    fn rate_flags_take_expressions_and_exact_decimals() {
+        let run = |flag: &str, value: &str| {
+            let args = ["--alg", "k-cycle", "--n", "9", "--k", "3", flag, value];
+            parse(&args.map(String::from)).unwrap().spec
+        };
+        assert_eq!(run("--rho", "0.8 * k_cycle_threshold").rho, Rate::new(1, 5));
+        assert_eq!(run("--beta", "k - 1").beta, Rate::integer(2));
+        // A decimal reads exactly wherever it is written.
+        let want = Rate::new(2469, 20_000);
+        assert_eq!(run("--rho", "0.12345").rho, want);
+        for rho in [r#""0.12345""#, "0.12345", r#""0.12345 * 1""#] {
+            let object = format!(r#"{{"algorithm": "a", "adversary": "b", "rho": {rho}}}"#);
+            let spec = ScenarioSpec::from_json(&Json::parse(&object).unwrap()).unwrap();
+            assert_eq!(spec.rho, want, "{rho}");
+        }
     }
 
     #[test]
@@ -828,22 +837,42 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("conflicts"), "{err}");
-        assert!(parse_faults("{\"bogus\":1}").is_err(), "unknown fault key");
-        assert!(parse_faults("not json").is_err());
+        let faults = |json: &str| parse(&["--alg", "k-cycle", "--faults", json].map(String::from));
+        assert!(faults("{\"bogus\":1}").is_err(), "unknown fault key");
+        assert!(faults("not json").is_err());
     }
 
     #[test]
     fn probe_cap_flag() {
         let o = parse(&argv("--alg k-cycle --probe-cap 500")).unwrap();
         assert_eq!(o.spec.probe_cap, Some(500));
-        assert!(parse(&argv("--alg k-cycle --probe-cap 0")).unwrap_err().contains("positive"));
+        let o = parse(&argv("--alg k-cycle --probe-cap 0")).unwrap();
+        assert!(o.spec.validate().unwrap_err().contains("positive"));
         assert!(parse(&argv("--alg k-cycle --probe-cap x")).is_err());
+    }
+
+    /// A zero probe cap is refused with one message wherever a scenario
+    /// is read: by `emac run`, by a campaign row and by a frontier template.
+    #[test]
+    fn a_zero_probe_cap_is_refused_alike_everywhere() {
+        const WANT: &str = "probe_cap must be positive";
+        let scenario = r#""algorithm": "k-cycle", "adversary": "uniform", "n": 9, "k": 3,
+                          "rounds": 20000, "probe_cap": 0"#;
+        let flags = parse(&argv("--alg k-cycle --n 9 --k 3 --rounds 20000 --probe-cap 0"));
+        let run = flags.unwrap().spec.validate().unwrap_err();
+        let row = emac_core::campaign::parse_campaign_spec(&format!("[{{{scenario}}}]"));
+        let template = format!(r#"{{"template": {{{scenario}}}, "lo": "0", "hi": "1/2"}}"#);
+        let map = FrontierSpec::parse(&template).and_then(|map| map.validate()).unwrap_err();
+        for err in [run, row.unwrap_err(), map] {
+            assert!(err.contains("k-cycle vs uniform | n=9 k=3 ") && err.ends_with(WANT), "{err}");
+        }
     }
 
     #[test]
     fn rejects_bad_input() {
         assert!(parse(&argv("--n 4")).is_err(), "missing --alg");
-        assert!(parse(&argv("--alg count-hop --n 1")).is_err(), "n too small");
+        let o = parse(&argv("--alg count-hop --n 1")).unwrap();
+        assert!(o.spec.validate().unwrap_err().ends_with("n must be at least 2"), "n too small");
         assert!(parse(&argv("--alg count-hop --bogus 1")).is_err(), "unknown flag");
         assert!(parse(&argv("--alg count-hop --n")).is_err(), "missing value");
         let err = parse(&argv("--alg count-hop --trace 0")).unwrap_err();

@@ -3,6 +3,8 @@
 //! refuses such a row — exit 2, one error line naming the scenario once —
 //! before the checkpoint or the map file exists. So is a bracket the
 //! point search refuses, by `emac frontier` and `emac shard plan` alike.
+//! A bracket that bisects past the precision of `u64` rationals stops the
+//! map with a named error, in debug and release builds alike.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -77,5 +79,37 @@ fn a_bracket_the_point_search_refuses_exits_2_before_any_output() {
     }
     assert!(!out.exists(), "{} was created", out.display());
     assert!(!plan.exists(), "{} was created", plan.display());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_bracket_past_u64_precision_stops_the_map_by_name_not_by_panic() {
+    // Each endpoint's numerator times the other's denominator passes
+    // i128; the first midpoint fits a u64 rational, the second does not.
+    let dir = scratch("u64-bracket");
+    let spec = dir.join("frontier.json");
+    std::fs::write(
+        &spec,
+        r#"{"template": {"algorithm": "count-hop", "adversary": "single-target",
+                         "target": 0, "dest": 2, "n": 4, "beta": "2", "rounds": 20000,
+                         "probe_cap": 400},
+            "lo": "16602069666338596864/18446744073709551615",
+            "hi": "18446744073709551614/18446744073709551615", "tol": 0.01}"#,
+    )
+    .expect("write spec");
+    let run = Command::new(env!("CARGO_BIN_EXE_emac"))
+        .arg("frontier")
+        .arg(&spec)
+        .arg("--out")
+        .arg(dir.join("out"))
+        .output()
+        .expect("spawn emac");
+    let stderr = String::from_utf8(run.stderr).expect("utf-8 stderr");
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("\nerror: bisection midpoint of ")
+            && stderr.contains(" overflows (tolerance too fine)\n"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -122,3 +122,29 @@ fn a_solo_run_is_validated_like_a_campaign_row() {
     let err = refused("run --alg count-hop --cap 1");
     assert!(err.contains("cap must be at least 2"), "{err}");
 }
+
+#[test]
+fn a_zero_probe_cap_is_refused_as_in_a_campaign_row() {
+    for args in ["run --alg count-hop --probe-cap 0", "run --alg count-hop --probe-cap 0 --seeds 2"]
+    {
+        let err = refused(args);
+        assert!(err.trim_end().ends_with(": probe_cap must be positive"), "{args}: {err}");
+    }
+}
+
+#[test]
+fn a_fraction_a_decimal_and_an_expression_run_the_same_rate() {
+    let digest = |rho: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_emac"))
+            .args(SCENARIO.split_whitespace())
+            .args(["--rho", rho])
+            .output()
+            .expect("spawn emac");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        assert_eq!(out.status.code(), Some(0), "--rho {rho}:\n{stdout}");
+        stdout.lines().find(|l| l.starts_with("  digest: ")).expect("a digest line").to_string()
+    };
+    let want = digest("1/5");
+    assert_eq!(digest("0.2"), want);
+    assert_eq!(digest("0.8 * k_cycle_threshold"), want);
+}
