@@ -111,6 +111,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::time::Instant;
 
+use emac_sim::rate::gcd;
 use emac_sim::Rate;
 
 use crate::campaign::commit::{self, Queue, Wake};
@@ -728,19 +729,41 @@ impl MapSink for MemoryMapSink {
 }
 
 /// Exact rational midpoint of a bracket. Denominators double per
-/// bisection step, so overflow means the bracket or the tolerance asks for
-/// more precision than `u64` rationals hold — an error, not a wrap.
+/// bisection step, so overflow means the bracket asks for more precision
+/// than `u64` rationals hold — an error, not a wrap.
 fn midpoint(lo: Rate, hi: Rate) -> Result<Rate, String> {
     let mid = Q::from(lo).add(hi.into()).and_then(|sum| sum.div(Q::int(2))).and_then(Q::rate);
     mid.map_err(|_| {
-        format!(
-            "bisection midpoint of {}/{} and {}/{} overflows (tolerance too fine)",
-            lo.num(),
-            lo.den(),
-            hi.num(),
-            hi.den()
-        )
+        let (a, b) = (rate_str(lo), rate_str(hi));
+        format!("bisection midpoint of {a} and {b} overflows u64 rationals")
     })
+}
+
+/// Refuse a rate bracket whose bisection to `tol` leaves `u64` rationals.
+/// After the `s` halvings `tol` needs, every probe lies on the grid
+/// `lo + j·(hi − lo)/2^s` over the denominator `D·2^s`, where `D` is the
+/// endpoints' common denominator, so that denominator and `hi` over it
+/// must fit.
+fn bisectable(lo: Rate, hi: Rate, tol: f64) -> Result<(), String> {
+    let mut halvings = 0u32;
+    let mut w = width(lo, hi);
+    while w > tol {
+        w /= 2.0;
+        halvings += 1;
+    }
+    let den = u128::from(lo.den()) / gcd(lo.den().into(), hi.den().into()) * u128::from(hi.den());
+    let grid = 1u128.checked_shl(halvings).and_then(|step| den.checked_mul(step));
+    let top = grid.and_then(|g| (g / u128::from(hi.den())).checked_mul(hi.num().into()));
+    match (grid, top) {
+        (Some(grid), Some(top)) if grid <= u64::MAX.into() && top <= u64::MAX.into() => Ok(()),
+        _ => {
+            let (lo, hi) = (rate_str(lo), rate_str(hi));
+            Err(format!(
+                "bisecting [{lo}, {hi}] to tol {tol} takes {halvings} halvings, past the \
+                 precision of u64 rationals"
+            ))
+        }
+    }
 }
 
 /// Floored integer midpoint for the integer axes (`k`, `ell`).
@@ -922,6 +945,8 @@ impl PointSearch {
                     spec.axis.name()
                 )));
             }
+        } else {
+            bisectable(lo, hi, spec.tol).map_err(|e| at(&e))?;
         }
         // Continuation points (every n after the first) wait for their
         // predecessor at the previous n (same k) before picking a bracket.
@@ -1086,7 +1111,8 @@ impl PointSearch {
         } else if self.axis.integer() {
             self.pending = Some(midpoint_int(self.lo, self.hi));
         } else {
-            self.pending = Some(midpoint(self.lo, self.hi)?);
+            let at = |e| format!("map point n={}, k={}: {e}", self.point.n, self.point.k);
+            self.pending = Some(midpoint(self.lo, self.hi).map_err(at)?);
         }
         Ok(())
     }
@@ -1716,10 +1742,47 @@ mod tests {
         assert_eq!(mid, Rate::new(5_841_468_956_674_691_413, 6_148_914_691_236_517_205));
         let err = midpoint(lo, mid).unwrap_err();
         assert!(err.starts_with("bisection midpoint of 16602069666338596864/"), "{err}");
-        assert!(err.ends_with("overflows (tolerance too fine)"), "{err}");
+        assert!(err.ends_with("overflows u64 rationals"), "{err}");
         let width = Rate::new(1_844_674_407_370_954_750, 18_446_744_073_709_551_615);
         assert_eq!(rate_sub_floored(hi, lo, Rate::zero()), width);
         assert_eq!(rate_add_capped(lo, width, Rate::one()), hi);
+    }
+
+    #[test]
+    fn a_bracket_whose_bisection_passes_u64_is_refused_by_name() {
+        // The bracket needs 4 halvings to reach tol 0.01, and its
+        // endpoints' denominator 2^64 − 1 times 2^4 passes u64.
+        let template = r#"{"template": {"algorithm": "a", "adversary": "b", "n": 4, "k": 3,
+            "rounds": 100}, "tol": 0.01,"#;
+        let spec = |bracket: &str| FrontierSpec::parse(&format!("{template} {bracket}}}"));
+        let err = spec(
+            r#""lo": "16602069666338596864/18446744073709551615",
+                "hi": "18446744073709551614/18446744073709551615""#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "map point n=4, k=3: bisecting [16602069666338596864/18446744073709551615, \
+             18446744073709551614/18446744073709551615] to tol 0.01 takes 4 halvings, past \
+             the precision of u64 rationals"
+        );
+        // `hi` over the grid's denominator must fit too: `hi` = 2^40 needs
+        // 47 halvings, and its numerator 2^87 over the grid's 2^47 does not
+        // fit; `hi` = 2^20 needs 27, and 2^47 fits.
+        let err = spec(r#""axis": "beta", "lo": "0", "hi": "1099511627776""#).unwrap_err();
+        assert!(err.ends_with("takes 47 halvings, past the precision of u64 rationals"), "{err}");
+        spec(r#""axis": "beta", "lo": "0", "hi": "1048576""#).unwrap();
+        // A warm-started bracket is bounded only at run time, where a
+        // midpoint past u64 names its point.
+        let spec = spec(r#""lo": "0", "hi": "1""#).unwrap();
+        let mut search = PointSearch::new(&spec, 0, MapPoint { n: 4, k: 3 }).unwrap();
+        search.lo = "16602069666338596864/18446744073709551615".parse().unwrap();
+        search.hi = "18446744073709551614/18446744073709551615".parse().unwrap();
+        search.phase = Phase::ProbeHi;
+        search.apply(Verdict::Diverging, spec.tol).unwrap();
+        let err = search.apply(Verdict::Diverging, spec.tol).unwrap_err();
+        assert!(err.starts_with("map point n=4, k=3: bisection midpoint of "), "{err}");
+        assert!(err.ends_with(" overflows u64 rationals"), "{err}");
     }
 
     #[test]

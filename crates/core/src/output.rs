@@ -18,11 +18,22 @@
 //! bind ([`campaign_digest`](crate::campaign::campaign_digest),
 //! [`FrontierSpec::digest`](crate::frontier::FrontierSpec::digest)), so a
 //! resume under another format is refused like an edited spec.
+//!
+//! [`Format::open_campaign`] and [`Format::open_map`] open a run's files
+//! for `emac campaign`, `emac frontier` and the shard worker alike, in the
+//! resume order `tests/journal_crash.rs` proves at every byte offset: the
+//! checkpoint, fresh or resumed (a shard's frontier checkpoint takes rows
+//! in any order); then the output, cut back by [`reopen_output`] to the
+//! rows the checkpoint records; then the sink appending after them, which
+//! writes the CSV header only into a single-process output with no row
+//! recorded (a shard's output has none: merge writes it once).
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 
-use crate::campaign::{CsvStreamSink, JsonLinesSink, ResultSink};
-use crate::frontier::{CsvMapSink, JsonMapSink, MapSink};
+use crate::campaign::{Checkpoint, CsvStreamSink, JsonLinesSink, ResultSink};
+use crate::frontier::{CsvMapSink, FrontierCheckpoint, JsonMapSink, MapSink};
+use crate::journal::reopen_output;
 
 /// Which engine a run drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,6 +60,19 @@ impl Kind {
             Kind::Frontier => "frontier.ckpt",
         }
     }
+}
+
+/// A run's checkpoint and output sink, opened in resume order by
+/// [`Format::open_campaign`] or [`Format::open_map`].
+pub struct Opened<C, S> {
+    /// The checkpoint, fresh or resumed.
+    pub checkpoint: C,
+    /// The sink, appending after the rows the checkpoint records.
+    pub sink: S,
+    /// The output file's path.
+    pub out: PathBuf,
+    /// Bytes of unrecorded output from a previous run cut from its end.
+    pub dropped: u64,
 }
 
 /// Output encoding of a campaign or frontier run (`--format`).
@@ -117,6 +141,54 @@ impl Format {
             (Format::Csv, false) => Box::new(CsvMapSink::appending(out)),
             (Format::JsonLines, _) => Box::new(JsonMapSink::new(out)),
         }
+    }
+
+    /// Open a campaign run's files in `dir` in resume order (see the
+    /// module docs): its checkpoint for `total` scenarios bound to
+    /// `digest`, resumed if `resume`, and its output in this format. A
+    /// `shard` output has no header.
+    pub fn open_campaign(
+        self,
+        dir: &Path,
+        digest: u64,
+        total: usize,
+        resume: bool,
+        shard: bool,
+    ) -> Result<Opened<Checkpoint, Box<dyn ResultSink>>, String> {
+        let open = if resume { Checkpoint::resume } else { Checkpoint::fresh };
+        let checkpoint = open(&dir.join(Kind::Campaign.checkpoint_name()), digest, total)?;
+        let rows = checkpoint.completed();
+        let out = dir.join(self.file_name(Kind::Campaign));
+        let preamble = if shard { 0 } else { self.header_lines() };
+        let (writer, dropped) = reopen_output(&out, rows, preamble)?;
+        let sink = self.campaign_sink(writer, rows == 0 && !shard);
+        Ok(Opened { checkpoint, sink, out, dropped })
+    }
+
+    /// Open a frontier map's files in `dir` in resume order, as
+    /// [`open_campaign`](Self::open_campaign) does, with a checkpoint for
+    /// `points` map points; a `shard` checkpoint takes rows in any order.
+    pub fn open_map(
+        self,
+        dir: &Path,
+        digest: u64,
+        points: usize,
+        resume: bool,
+        shard: bool,
+    ) -> Result<Opened<FrontierCheckpoint, Box<dyn MapSink>>, String> {
+        let open = match (resume, shard) {
+            (false, false) => FrontierCheckpoint::fresh,
+            (false, true) => FrontierCheckpoint::fresh_sharded,
+            (true, false) => FrontierCheckpoint::resume,
+            (true, true) => FrontierCheckpoint::resume_sharded,
+        };
+        let checkpoint = open(&dir.join(Kind::Frontier.checkpoint_name()), digest, points)?;
+        let rows = checkpoint.rows_written();
+        let out = dir.join(self.file_name(Kind::Frontier));
+        let preamble = if shard { 0 } else { self.header_lines() };
+        let (writer, dropped) = reopen_output(&out, rows, preamble)?;
+        let sink = self.map_sink(writer, rows == 0 && !shard);
+        Ok(Opened { checkpoint, sink, out, dropped })
     }
 }
 

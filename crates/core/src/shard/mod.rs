@@ -23,8 +23,11 @@
 //!
 //! A plan's [`Format`] and [`Kind`] name each shard's files exactly as
 //! they name a single-process run's (see [`crate::output`]), and its
-//! digest is that run's checkpoint digest. Shard outputs have no header
-//! lines; merge writes them once.
+//! digest is that run's checkpoint digest. A shard worker opens its
+//! files with the opener a single-process run uses
+//! ([`Format::open_campaign`], [`Format::open_map`]), in the same resume
+//! order, with `shard` set: its outputs have no header lines, since merge
+//! writes them once, and its frontier checkpoint takes rows in any order.
 //!
 //! ```text
 //! plan-dir/
@@ -44,16 +47,15 @@ use std::sync::Mutex;
 
 use crate::campaign::json::Json;
 use crate::campaign::{
-    campaign_digest, checkpoint, parse_campaign_spec, Campaign, Checkpoint, MetricsDetail,
-    ScenarioFactory, TallySink,
+    campaign_digest, checkpoint, parse_campaign_spec, Campaign, MetricsDetail, ScenarioFactory,
+    TallySink,
 };
 use crate::digest::Fnv64;
 use crate::frontier::{
-    self, Frontier, FrontierCheckpoint, FrontierSpec, FRONTIER_BAND_CSV_HEADER, FRONTIER_CSV_HEADER,
+    self, Frontier, FrontierSpec, FRONTIER_BAND_CSV_HEADER, FRONTIER_CSV_HEADER,
 };
-use crate::journal::reopen_output;
 use crate::obs::{ObsEvent, ObsReport, ObservedSink, Observer, RunKind};
-use crate::output::{Format, Kind};
+use crate::output::{Format, Kind, Opened};
 pub use claims::ClaimTable;
 
 const PLAN_MAGIC: &str = "emac-shard-plan v1";
@@ -211,17 +213,6 @@ impl ShardPlan {
         self.units.iter().map(Vec::len).sum()
     }
 
-    /// The output file name inside each `shard-<id>/` directory — the
-    /// same name the single-process CLI uses.
-    pub fn out_name(&self) -> &'static str {
-        self.format.file_name(self.kind)
-    }
-
-    /// The checkpoint file name inside each `shard-<id>/` directory.
-    pub fn ckpt_name(&self) -> &'static str {
-        self.kind.checkpoint_name()
-    }
-
     /// The digest a given shard's own checkpoint pins: the plan digest
     /// salted with the shard id, so shard checkpoints can't be confused
     /// with each other or with a single-process checkpoint.
@@ -237,7 +228,7 @@ impl ShardPlan {
     /// probe count and its row indices in append order, or `None` if it is
     /// missing or torn inside its header.
     fn read_shard(&self, dir: &Path, shard: usize) -> Result<Option<(usize, Vec<usize>)>, String> {
-        let path = dir.join(format!("shard-{shard}")).join(self.ckpt_name());
+        let path = dir.join(format!("shard-{shard}")).join(self.kind.checkpoint_name());
         let (digest, total) = (self.shard_digest(shard), self.total_indices());
         Ok(match self.kind {
             Kind::Campaign => checkpoint::read_done(&path, digest, total)?.map(|r| (0, r)),
@@ -451,18 +442,10 @@ impl ShardRunner {
         F: ScenarioFactory + Sync,
     {
         let specs = parse_campaign_spec(&self.plan.spec_text)?;
-        let ckpt_path = self.shard_dir().join(self.plan.ckpt_name());
         let digest = self.plan.shard_digest(self.shard);
-        let mut ck = if resume {
-            Checkpoint::resume(&ckpt_path, digest, specs.len())
-        } else {
-            Checkpoint::fresh(&ckpt_path, digest, specs.len())
-        }?;
-        let out_path = self.shard_dir().join(self.plan.out_name());
-        // Shard outputs are headerless: merge writes the one header.
-        let (writer, _) = reopen_output(&out_path, ck.completed(), 0)?;
-        let mut sink =
-            TallySink::new(ObservedSink::new(self.plan.format.campaign_sink(writer, false), obs));
+        let Opened { checkpoint: mut ck, sink, .. } =
+            self.plan.format.open_campaign(&self.shard_dir(), digest, specs.len(), resume, true)?;
+        let mut sink = TallySink::new(ObservedSink::new(sink, obs));
         let executor = Campaign::new().threads(self.threads).detail(self.plan.detail);
         let mut summary = ShardRunSummary::default();
         self.drive_units(claims, max_units, &mut summary, obs, |unit| {
@@ -487,17 +470,9 @@ impl ShardRunner {
         F: ScenarioFactory + Sync,
     {
         let spec = FrontierSpec::parse(&self.plan.spec_text)?;
-        let points = spec.points().len();
-        let ckpt_path = self.shard_dir().join(self.plan.ckpt_name());
-        let digest = self.plan.shard_digest(self.shard);
-        let mut ck = if resume {
-            FrontierCheckpoint::resume_sharded(&ckpt_path, digest, points)
-        } else {
-            FrontierCheckpoint::fresh_sharded(&ckpt_path, digest, points)
-        }?;
-        let out_path = self.shard_dir().join(self.plan.out_name());
-        let (writer, _) = reopen_output(&out_path, ck.rows_written(), 0)?;
-        let mut sink = self.plan.format.map_sink(writer, false);
+        let (digest, points) = (self.plan.shard_digest(self.shard), spec.points().len());
+        let Opened { checkpoint: mut ck, mut sink, .. } =
+            self.plan.format.open_map(&self.shard_dir(), digest, points, resume, true)?;
         let engine = Frontier::new().threads(self.threads);
         let mut summary = ShardRunSummary::default();
         let mut unclean = 0usize;
@@ -632,7 +607,7 @@ pub fn merge(dir: &Path, out: &Path) -> Result<MergeSummary, String> {
                 ));
             }
         }
-        let out_path = shard_dir.join(plan.out_name());
+        let out_path = shard_dir.join(plan.format.file_name(plan.kind));
         let text = std::fs::read_to_string(&out_path)
             .map_err(|e| format!("shard {s} output {}: {e}", out_path.display()))?;
         let mut lines = text.split('\n');
@@ -804,7 +779,7 @@ mod tests {
         // 2 ns × 2 ks = 4 points; chains along n with K=2: {0,2} and {1,3}
         assert_eq!(plan.units, vec![vec![0, 2], vec![1, 3]]);
         assert_eq!(plan.total_indices(), 4);
-        assert_eq!(plan.out_name(), "frontier.csv");
+        assert_eq!(plan.format.file_name(plan.kind), "frontier.csv");
     }
 
     #[test]

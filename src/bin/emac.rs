@@ -41,6 +41,14 @@
 //! neither touches output bytes or digests. `obs report` aggregates one
 //! or more event logs into rate and latency summaries. All parsing and
 //! construction logic lives in [`emac::cli`] and [`emac::registry`].
+//! `campaign` and `frontier` open a run's files as the shard worker does,
+//! through `emac_core::output::Format::{open_campaign, open_map}`.
+//!
+//! Exit codes: 0 for a clean run; 1 for a run that failed, a violated
+//! model invariant or an unclean probe; 2 for input refused before
+//! anything ran. Every command returns `Result<ExitCode, Failure>`, and
+//! `main` alone prints a `Failure` as one `error: …` line, followed by
+//! the usage text when the command line itself was malformed.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -48,61 +56,83 @@ use std::sync::Mutex;
 
 use emac::cli;
 use emac::core::campaign::{
-    campaign_digest, parse_campaign_spec, Campaign, Checkpoint, DurableFile, ScenarioSpec,
-    TallySink,
+    campaign_digest, parse_campaign_spec, Campaign, ScenarioSpec, TallySink,
 };
-use emac::core::frontier::{EscalateSpec, Frontier, FrontierCheckpoint, FrontierSpec, SearchAxis};
-use emac::core::journal::reopen_output;
-use emac::core::output::Kind;
+use emac::core::frontier::Frontier;
+use emac::core::output::{Kind, Opened};
 use emac::core::shard::{ShardPlan, ShardRunner};
 use emac::core::{ObsReport, ObservedSink, Observer, RunKind, RunReport};
 use emac::registry::{Registry, ADVERSARIES, ALGORITHMS};
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => run(&args[1..]),
-        Some("campaign") => campaign(&args[1..]),
-        Some("frontier") => frontier(&args[1..]),
-        Some("shard") => shard(&args[1..]),
-        Some("obs") => obs(&args[1..]),
-        Some("list") => {
-            list();
-            ExitCode::SUCCESS
-        }
-        _ => {
-            usage();
-            ExitCode::from(2)
-        }
+/// Why a command stopped short. `main` alone prints it, as `error: ` and
+/// its message, and exits with its code.
+enum Failure {
+    /// A malformed command line: exit 2, with the usage text after.
+    Usage(String),
+    /// Input refused before anything ran: exit 2.
+    Refused(String),
+    /// A run that failed once it started: exit 1.
+    Failed(String),
+}
+
+/// `?` refuses input on a library error.
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Refused(message)
     }
 }
 
-fn usage() {
-    eprintln!(
-        "usage:\n  emac run --alg <name> [--n <N>] [--k <K>] [--rho R] [--beta B]\n           \
-         [--rounds R] [--adversary <name>] [--seed S] [--seeds A,B,C|N] [--drain R]\n           \
-         [--trace N] [--cap C] [--target S] [--dest S] [--period R] [--horizon R]\n           \
-         [--probe-cap Q] [--jam P/Q | --faults JSON]\n           \
-         # a scenario flag takes what its spec key takes: --rho 1/5, 0.2 or\n           \
-         # \"0.8 * k_cycle_threshold\"\n  \
-         emac campaign <spec.json> [--threads N] [--out DIR]\n           \
-         [--format csv|jsonl] [--detail full|slim] [--resume] [--limit M]\n           \
-         [--progress] [--events FILE]\n  \
-         emac campaign --example   # print a commented example spec\n  \
-         emac frontier <template.json> [--axis rho|beta|k|ell|jam_rate] [--tol T]\n           \
-         [--escalate S[:D]] [--threads N] [--out DIR] [--format csv|jsonl]\n           \
-         [--resume] [--max-waves M] [--progress] [--events FILE]\n  \
-         emac frontier --example   # print an example template\n  \
-         emac shard plan <spec.json> --dir DIR --shards D [--format csv|jsonl] [--detail full|slim]\n  \
-         emac shard run <spec.json> --dir DIR --shard S [--resume] [--threads N] [--progress]\n  \
-         emac shard merge --dir DIR [--out FILE]\n  \
-         emac shard status --dir DIR\n  \
-         emac obs report <events.jsonl>...\n  \
-         emac list"
-    );
+/// What every command returns: its exit code, or why it stopped short.
+type Outcome = Result<ExitCode, Failure>;
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command: fn(&[String]) -> Outcome = match args.first().map(String::as_str) {
+        Some("run") => run,
+        Some("campaign") => campaign,
+        Some("frontier") => frontier,
+        Some("shard") => shard,
+        Some("obs") => obs,
+        Some("list") => list,
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    command(&args[1..]).unwrap_or_else(|failure| {
+        let (code, message) = match failure {
+            Failure::Usage(message) => (2, format!("{message}\n{USAGE}")),
+            Failure::Refused(message) => (2, message),
+            Failure::Failed(message) => (1, message),
+        };
+        eprintln!("error: {message}");
+        ExitCode::from(code)
+    })
 }
 
-fn list() {
+const USAGE: &str =
+    "usage:\n  emac run --alg <name> [--n <N>] [--k <K>] [--rho R] [--beta B]\n           \
+     [--rounds R] [--adversary <name>] [--seed S] [--seeds A,B,C|N] [--drain R]\n           \
+     [--trace N] [--cap C] [--target S] [--dest S] [--period R] [--horizon R]\n           \
+     [--probe-cap Q] [--jam P/Q | --faults JSON]\n           \
+     # a scenario flag takes what its spec key takes: --rho 1/5, 0.2 or\n           \
+     # \"0.8 * k_cycle_threshold\"\n  \
+     emac campaign <spec.json> [--threads N] [--out DIR]\n           \
+     [--format csv|jsonl] [--detail full|slim] [--resume] [--limit M]\n           \
+     [--progress] [--events FILE]\n  \
+     emac campaign --example   # print a commented example spec\n  \
+     emac frontier <template.json> [--axis rho|beta|k|ell|jam_rate] [--tol T]\n           \
+     [--escalate S[:D]] [--threads N] [--out DIR] [--format csv|jsonl]\n           \
+     [--resume] [--max-waves M] [--progress] [--events FILE]\n  \
+     emac frontier --example   # print an example template\n  \
+     emac shard plan <spec.json> --dir DIR --shards D [--format csv|jsonl] [--detail full|slim]\n  \
+     emac shard run <spec.json> --dir DIR --shard S [--resume] [--threads N] [--progress]\n  \
+     emac shard merge --dir DIR [--out FILE]\n  \
+     emac shard status --dir DIR\n  \
+     emac obs report <events.jsonl>...\n  \
+     emac list";
+
+fn list(_: &[String]) -> Outcome {
     println!("algorithms (--alg):");
     for (name, what) in ALGORITHMS {
         println!("  {name:<15} {what}");
@@ -110,6 +140,48 @@ fn list() {
     println!("adversaries (--adversary):");
     for (name, what) in ADVERSARIES {
         println!("  {name:<15} {what}");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The text of the file at `path`; one that cannot be read is refused
+/// input.
+fn read(path: &str) -> Result<String, Failure> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}").into())
+}
+
+/// An error in the file at `path`, named by it.
+fn in_file(path: &str) -> impl Fn(String) -> Failure + '_ {
+    move |e| format!("{path}: {e}").into()
+}
+
+/// Create the output directory `dir`; a run that cannot has failed.
+fn create_dir(dir: &str) -> Result<&Path, Failure> {
+    std::fs::create_dir_all(dir).map_err(|e| Failure::Failed(format!("creating {dir}: {e}")))?;
+    Ok(Path::new(dir))
+}
+
+/// Note the unrecorded output a previous run left, which the opener cut.
+fn note_dropped(bytes: u64) {
+    if bytes > 0 {
+        eprintln!("note: dropped {bytes} bytes of unrecorded output from a previous run");
+    }
+}
+
+/// A run that failed after `completed` rows were checkpointed, which a
+/// resume continues from.
+fn stopped(e: String, completed: usize, rows: &str) -> Failure {
+    Failure::Failed(format!(
+        "{e}\n{completed} {rows} checkpointed; rerun with --resume to continue"
+    ))
+}
+
+/// Exit 0 for a clean run, 1 for one whose rows are not all clean.
+fn exit(clean: bool) -> ExitCode {
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -125,77 +197,34 @@ const EXAMPLE_SPEC: &str = r#"{
   ]
 }"#;
 
-fn campaign(args: &[String]) -> ExitCode {
-    let opts = match cli::parse_campaign(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::from(2);
-        }
-    };
+fn campaign(args: &[String]) -> Outcome {
+    let opts = cli::parse_campaign(args).map_err(Failure::Usage)?;
     if opts.example {
         println!("{EXAMPLE_SPEC}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let text = match std::fs::read_to_string(&opts.spec_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", opts.spec_path);
-            return ExitCode::from(2);
-        }
-    };
-    let specs = match parse_campaign_spec(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {}: {e}", opts.spec_path);
-            return ExitCode::from(2);
-        }
-    };
+    let path = &opts.spec_path;
+    let specs = parse_campaign_spec(&read(path)?).map_err(in_file(path))?;
 
     let mut executor = Campaign::new().detail(opts.detail);
     if let Some(t) = opts.threads {
         executor = executor.threads(t);
     }
 
-    let dir = Path::new(&opts.out_dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: creating {}: {e}", opts.out_dir);
-        return ExitCode::FAILURE;
-    }
-    let out_path = dir.join(opts.format.file_name(Kind::Campaign));
-    let ckpt_path = dir.join(Kind::Campaign.checkpoint_name());
+    // Rows of an unrecorded tail a crash left behind re-execute below.
+    let dir = create_dir(&opts.out_dir)?;
     let digest = campaign_digest(&specs, opts.format, opts.detail);
-    let ckpt = if opts.resume {
-        Checkpoint::resume(&ckpt_path, digest, specs.len())
-    } else {
-        Checkpoint::fresh(&ckpt_path, digest, specs.len())
-    };
-    let mut ckpt = match ckpt {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let already = ckpt.completed();
-
-    // Reconcile the output with the checkpoint: keep exactly the
-    // checkpointed rows (plus the CSV header), dropping any unrecorded
-    // tail a crash left behind — those scenarios re-execute below.
-    let writer = match reopen(&out_path, already, opts.format.header_lines()) {
-        Ok(writer) => writer,
-        Err(code) => return code,
-    };
-
+    let Opened { checkpoint: mut ckpt, sink, out, dropped } =
+        opts.format.open_campaign(dir, digest, specs.len(), opts.resume, false)?;
+    note_dropped(dropped);
     let mut todo = ckpt.remaining();
     if todo.is_empty() {
         println!(
             "all {} scenarios already complete in {}; nothing to do",
             specs.len(),
-            out_path.display()
+            out.display()
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     if let Some(limit) = opts.limit {
         todo.truncate(limit);
@@ -205,38 +234,27 @@ fn campaign(args: &[String]) -> ExitCode {
         "running {} of {} scenarios ({} already complete)...",
         todo.len(),
         specs.len(),
-        already
+        ckpt.completed()
     );
     // The observer sits strictly outside the row bytes: it wraps the sink,
     // so arming it cannot change what lands in the output or the digest.
     let events = opts.events.as_deref().map(Path::new);
     let total = todo.len() as u64;
-    let obs =
-        match Observer::start_run(RunKind::Campaign, total, events, opts.resume, opts.progress) {
-            Ok(observer) => Mutex::new(observer),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    let mut sink =
-        TallySink::new(ObservedSink::new(opts.format.campaign_sink(writer, already == 0), &obs));
+    let obs = Observer::start_run(RunKind::Campaign, total, events, opts.resume, opts.progress);
+    let obs = Mutex::new(obs.map_err(Failure::Failed)?);
+    let mut sink = TallySink::new(ObservedSink::new(sink, &obs));
     let outcome = executor.run_subset(&specs, &todo, &Registry, &mut sink, Some(&mut ckpt));
     let (ok, unclean, failed) = (sink.ok(), sink.unclean(), sink.failed());
     let done = (ok + unclean + failed) as u64;
     if let Err(e) = obs.into_inner().expect("observer poisoned").finish_run(done) {
         eprintln!("warning: event log: {e}");
     }
-    if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        eprintln!("{} scenarios checkpointed; rerun with --resume to continue", ckpt.completed());
-        return ExitCode::FAILURE;
-    }
+    outcome.map_err(|e| stopped(e, ckpt.completed(), "scenarios"))?;
     println!(
         "{} of {} scenarios complete in {} ({} this run: {} ok, {} with violations, {} failed)",
         ckpt.completed(),
         specs.len(),
-        out_path.display(),
+        out.display(),
         ok + unclean + failed,
         ok,
         unclean,
@@ -245,60 +263,21 @@ fn campaign(args: &[String]) -> ExitCode {
     if ckpt.completed() < specs.len() {
         println!("rerun with --resume to continue");
     }
-    if failed == 0 && unclean == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Reopen the output a checkpoint vouches for `rows` rows of (after
-/// `header_lines` header lines) for appending, noting any unrecorded
-/// output a previous run left behind; exit code 2 if it is refused.
-fn reopen(out_path: &Path, rows: usize, header_lines: usize) -> Result<DurableFile, ExitCode> {
-    match reopen_output(out_path, rows, header_lines) {
-        Ok((writer, dropped)) => {
-            if dropped > 0 {
-                eprintln!("note: dropped {dropped} bytes of unrecorded output from a previous run")
-            }
-            Ok(writer)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            Err(ExitCode::from(2))
-        }
-    }
+    Ok(exit(failed == 0 && unclean == 0))
 }
 
 /// `emac obs report`: aggregate one or more event logs into rate and
 /// latency summaries. Exits non-zero on an unreadable file or a
 /// malformed event line — a log that does not round-trip through the
 /// parser is a bug, not noise to skip.
-fn obs(args: &[String]) -> ExitCode {
-    let opts = match cli::parse_obs(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::from(2);
-        }
-    };
+fn obs(args: &[String]) -> Outcome {
+    let opts = cli::parse_obs(args).map_err(Failure::Usage)?;
     let mut report = ObsReport::default();
     for path in &opts.files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = report.ingest(&text) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(2);
-        }
+        report.ingest(&read(path)?).map_err(in_file(path))?;
     }
     print!("{}", report.render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 const EXAMPLE_FRONTIER: &str = r#"{
@@ -313,83 +292,25 @@ const EXAMPLE_FRONTIER: &str = r#"{
 
 /// `emac frontier`: adaptive stability-boundary mapping with
 /// checkpoint/resume (see `emac_core::frontier`).
-fn frontier(args: &[String]) -> ExitCode {
-    let opts = match cli::parse_frontier(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::from(2);
-        }
-    };
+fn frontier(args: &[String]) -> Outcome {
+    let opts = cli::parse_frontier(args).map_err(Failure::Usage)?;
     if opts.example {
         println!("{EXAMPLE_FRONTIER}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let text = match std::fs::read_to_string(&opts.spec_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", opts.spec_path);
-            return ExitCode::from(2);
-        }
-    };
-    let mut spec = match FrontierSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {}: {e}", opts.spec_path);
-            return ExitCode::from(2);
-        }
-    };
-    // CLI overrides apply before the digest, so a resume must repeat them.
-    if let Some(axis) = &opts.axis {
-        spec.axis = match SearchAxis::parse(axis) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: --axis: {e}");
-                return ExitCode::from(2);
-            }
-        };
-    }
-    if let Some(tol) = opts.tol {
-        spec.tol = tol;
-    }
-    if let Some((max_seeds, step)) = opts.escalate {
-        spec.escalate = Some(EscalateSpec { max_seeds, step });
-    }
-    if let Err(e) = spec.validate() {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    // CLI overrides are read with the template, before the digest, so a
+    // resume must repeat them.
+    let path = &opts.spec_path;
+    let spec = opts.spec(&read(path)?).map_err(in_file(path))?;
 
-    let dir = Path::new(&opts.out_dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: creating {}: {e}", opts.out_dir);
-        return ExitCode::FAILURE;
-    }
-    let out_path = dir.join(opts.format.file_name(Kind::Frontier));
-    let ckpt_path = dir.join(Kind::Frontier.checkpoint_name());
+    // Rows of an unrecorded tail a crash left behind re-emit below.
+    let dir = create_dir(&opts.out_dir)?;
     let digest = spec.digest(opts.format.file_name(Kind::Frontier));
     let points = spec.points().len();
-    let ckpt = if opts.resume {
-        FrontierCheckpoint::resume(&ckpt_path, digest, points)
-    } else {
-        FrontierCheckpoint::fresh(&ckpt_path, digest, points)
-    };
-    let mut ckpt = match ckpt {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let Opened { checkpoint: mut ckpt, mut sink, out, dropped } =
+        opts.format.open_map(dir, digest, points, opts.resume, false)?;
+    note_dropped(dropped);
     let already = ckpt.rows_written();
-
-    // Reconcile the output with the checkpoint: keep exactly the rows it
-    // claims durable (plus the CSV header); anything after re-emits.
-    let writer = match reopen(&out_path, already, opts.format.header_lines()) {
-        Ok(writer) => writer,
-        Err(code) => return code,
-    };
 
     let mut engine = Frontier::new();
     if let Some(t) = opts.threads {
@@ -408,32 +329,15 @@ fn frontier(args: &[String]) -> ExitCode {
     let events = opts.events.as_deref().map(Path::new);
     let remaining = (points - already) as u64;
     let mut observer =
-        match Observer::start_run(RunKind::Frontier, remaining, events, opts.resume, opts.progress)
-        {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    let mut sink = opts.format.map_sink(writer, already == 0);
+        Observer::start_run(RunKind::Frontier, remaining, events, opts.resume, opts.progress)
+            .map_err(Failure::Failed)?;
     let outcome =
         engine.run_into_observed(&spec, &Registry, sink.as_mut(), Some(&mut ckpt), &mut observer);
     let done = ckpt.rows_written().saturating_sub(already) as u64;
     if let Err(e) = observer.finish_run(done) {
         eprintln!("warning: event log: {e}");
     }
-    let summary = match outcome {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "{} map point(s) checkpointed; rerun with --resume to continue",
-                ckpt.rows_written()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+    let summary = outcome.map_err(|e| stopped(e, ckpt.rows_written(), "map point(s)"))?;
     let escalated = if summary.escalated_probes > 0 {
         format!(", {} escalated", summary.escalated_probes)
     } else {
@@ -443,7 +347,7 @@ fn frontier(args: &[String]) -> ExitCode {
         "{} of {} map point(s) complete in {} ({} probe(s), {} deep, this run{escalated})",
         summary.completed,
         summary.points,
-        out_path.display(),
+        out.display(),
         summary.probes_run,
         summary.waves
     );
@@ -456,39 +360,18 @@ fn frontier(args: &[String]) -> ExitCode {
              is suspect unless the algorithm violates by design (duty-cycle)",
             summary.unclean_probes
         );
-        return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    Ok(exit(summary.unclean_probes == 0))
 }
 
-fn shard(args: &[String]) -> ExitCode {
-    let opts = match cli::parse_shard(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::from(2);
-        }
-    };
+fn shard(args: &[String]) -> Outcome {
+    let opts = cli::parse_shard(args).map_err(Failure::Usage)?;
     let dir = Path::new(&opts.dir);
     match opts.action {
         cli::ShardAction::Plan => {
-            let text = match std::fs::read_to_string(&opts.spec_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", opts.spec_path);
-                    return ExitCode::from(2);
-                }
-            };
-            let plan = match ShardPlan::build(&text, opts.format, opts.detail, opts.shards.unwrap())
-                .and_then(|plan| plan.save(dir).map(|()| plan))
-            {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
+            let text = read(&opts.spec_path)?;
+            let plan = ShardPlan::build(&text, opts.format, opts.detail, opts.shards.unwrap())?;
+            plan.save(dir)?;
             println!(
                 "planned {} unit(s) ({} row(s)) across {} shard(s) in {} (digest {:016x})",
                 plan.units.len(),
@@ -500,53 +383,27 @@ fn shard(args: &[String]) -> ExitCode {
             for s in &plan.slices {
                 println!("  shard {}: units [{}, {})", s.id, s.lo, s.hi);
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         cli::ShardAction::Run => {
-            let text = match std::fs::read_to_string(&opts.spec_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", opts.spec_path);
-                    return ExitCode::from(2);
-                }
-            };
-            let plan = match ShardPlan::load(dir) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match ShardPlan::digest_for(&text, plan.format, plan.detail) {
-                Ok(d) if d == plan.digest => {}
-                Ok(d) => {
-                    eprintln!(
-                        "error: spec digest mismatch between plan and run (plan {:016x}, \
-                         {} digests to {d:016x}); refusing to run against a different spec",
-                        plan.digest, opts.spec_path
-                    );
-                    return ExitCode::from(2);
-                }
-                Err(e) => {
-                    eprintln!("error: {}: {e}", opts.spec_path);
-                    return ExitCode::from(2);
-                }
+            let path = &opts.spec_path;
+            let text = read(path)?;
+            let plan = ShardPlan::load(dir)?;
+            let d =
+                ShardPlan::digest_for(&text, plan.format, plan.detail).map_err(in_file(path))?;
+            if d != plan.digest {
+                return Err(format!(
+                    "spec digest mismatch between plan and run (plan {:016x}, \
+                     {path} digests to {d:016x}); refusing to run against a different spec",
+                    plan.digest
+                )
+                .into());
             }
             let shard_id = opts.shard.unwrap();
-            let runner = match ShardRunner::new(dir, plan, shard_id) {
-                Ok(r) => r.threads(opts.threads.unwrap_or(1)).progress(opts.progress),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let summary = match runner.run(&Registry, opts.resume) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let runner = ShardRunner::new(dir, plan, shard_id)?
+                .threads(opts.threads.unwrap_or(1))
+                .progress(opts.progress);
+            let summary = runner.run(&Registry, opts.resume).map_err(Failure::Failed)?;
             println!(
                 "shard {shard_id}: ran {} unit(s), {} row(s){}",
                 summary.units_run,
@@ -555,68 +412,37 @@ fn shard(args: &[String]) -> ExitCode {
             );
             if summary.failed > 0 {
                 eprintln!("warning: {} scenario(s) failed to run", summary.failed);
-                return ExitCode::FAILURE;
-            }
-            if summary.unclean > 0 {
+            } else if summary.unclean > 0 {
                 eprintln!("warning: {} run(s) violated a model invariant", summary.unclean);
-                return ExitCode::FAILURE;
             }
-            ExitCode::SUCCESS
+            Ok(exit(summary.failed == 0 && summary.unclean == 0))
         }
         cli::ShardAction::Merge => {
-            let plan = match ShardPlan::load(dir) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
+            let plan = ShardPlan::load(dir)?;
             let out = opts.out.clone().unwrap_or_else(|| {
                 dir.join(format!("merged.{}", plan.format.name())).display().to_string()
             });
-            match emac::core::shard::merge(dir, Path::new(&out)) {
-                Ok(summary) => {
-                    println!(
-                        "merged {} row(s) from {} shard(s) into {out}",
-                        summary.rows, summary.shards_merged
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(2)
-                }
-            }
+            let summary = emac::core::shard::merge(dir, Path::new(&out))?;
+            println!(
+                "merged {} row(s) from {} shard(s) into {out}",
+                summary.rows, summary.shards_merged
+            );
+            Ok(ExitCode::SUCCESS)
         }
-        cli::ShardAction::Status => match emac::core::shard::status(dir) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        },
+        cli::ShardAction::Status => {
+            print!("{}", emac::core::shard::status(dir)?);
+            Ok(ExitCode::SUCCESS)
+        }
     }
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let opts = match cli::parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::from(2);
-        }
-    };
+fn run(args: &[String]) -> Outcome {
+    let opts = cli::parse(args).map_err(Failure::Usage)?;
     let spec = &opts.spec;
     if let Some(capacity) = opts.trace {
         if opts.seeds.is_some() {
-            eprintln!(
-                "error: --trace traces a single execution; it cannot be combined with --seeds"
-            );
-            return ExitCode::from(2);
+            let e = "--trace traces a single execution; it cannot be combined with --seeds";
+            return Err(e.to_string().into());
         }
         return trace(spec, capacity);
     }
@@ -632,8 +458,7 @@ fn run(args: &[String]) -> ExitCode {
     };
     let result = Campaign::new().run(&lanes, &Registry);
     if let Some(e) = result.first_error() {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
+        return Err(e.to_string().into());
     }
     if let Some(seeds) = &opts.seeds {
         println!("seed batch: {} lanes | {}", seeds.len(), spec.display_label());
@@ -653,11 +478,7 @@ fn run(args: &[String]) -> ExitCode {
     } else {
         print_report(result.reports().next().expect("the one row ran without an error"));
     }
-    if result.all_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit(result.all_clean()))
 }
 
 /// The report of one `emac run` execution, traced or not: the run report,
@@ -683,17 +504,11 @@ fn print_report(report: &RunReport) {
 /// `N` exceeds the rounds the run can execute (`rounds + drain`), then the
 /// report a solo run prints. The spec is validated first, as a campaign
 /// row is; a panic inside the run still aborts.
-fn trace(spec: &ScenarioSpec, capacity: usize) -> ExitCode {
-    let sim = spec.validate().and_then(|()| Registry::make_algorithm(spec)).and_then(|alg| {
-        spec.simulator(alg.as_ref(), |schedule| Registry::make_adversary(spec, schedule))
-    });
-    let mut sim = match sim {
-        Ok(sim) => sim,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn trace(spec: &ScenarioSpec, capacity: usize) -> Outcome {
+    let mut sim =
+        spec.validate().and_then(|()| Registry::make_algorithm(spec)).and_then(|alg| {
+            spec.simulator(alg.as_ref(), |schedule| Registry::make_adversary(spec, schedule))
+        })?;
     let executable = spec.rounds.saturating_add(spec.drain.unwrap_or(0));
     let window = capacity.min(usize::try_from(executable).unwrap_or(usize::MAX));
     sim.enable_trace(window);
@@ -701,9 +516,5 @@ fn trace(spec: &ScenarioSpec, capacity: usize) -> ExitCode {
     println!("last {window} rounds:");
     print!("{}", sim.trace().expect("enabled").render());
     print_report(&report);
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit(report.clean()))
 }

@@ -10,6 +10,7 @@
 
 use emac_core::campaign::json::Json;
 use emac_core::campaign::{MetricsDetail, RawScenario, ScenarioSpec};
+use emac_core::frontier::FrontierSpec;
 use emac_core::output::Format;
 
 /// Parsed command-line options for `emac campaign`.
@@ -123,6 +124,37 @@ pub struct FrontierOpts {
     /// Append structured observability events to this JSONL path
     /// (`--events`); `None` leaves the event log disarmed.
     pub events: Option<String>,
+}
+
+impl FrontierOpts {
+    /// The frontier spec the template `text` and these flags describe.
+    /// `--axis`, `--tol` and `--escalate` replace the template keys they
+    /// override before the spec is read, so the template is validated
+    /// once, under the axis, tolerance and rule the map runs with.
+    pub fn spec(&self, text: &str) -> Result<FrontierSpec, String> {
+        let mut overrides = Vec::new();
+        if let Some(axis) = &self.axis {
+            overrides.push(("axis", Json::Str(axis.clone())));
+        }
+        if let Some(tol) = self.tol {
+            overrides.push(("tol", Json::Float(tol)));
+        }
+        if let Some((max_seeds, step)) = self.escalate {
+            let int = |v: usize| {
+                i64::try_from(v).map(Json::Int).map_err(|_| format!("--escalate {v} is too large"))
+            };
+            let rule = vec![("max_seeds".into(), int(max_seeds)?), ("step".into(), int(step)?)];
+            overrides.push(("escalate", Json::Obj(rule)));
+        }
+        let mut doc = Json::parse(text)?;
+        if let Json::Obj(members) = &mut doc {
+            for (key, value) in overrides {
+                members.retain(|(k, _)| k != key);
+                members.push((key.into(), value));
+            }
+        }
+        FrontierSpec::from_json(&doc)
+    }
 }
 
 /// Parse `emac frontier` flags.
@@ -468,7 +500,6 @@ pub fn parse_escalate(s: &str) -> Result<(usize, usize), String> {
 mod tests {
     use super::*;
     use crate::registry::Registry;
-    use emac_core::frontier::FrontierSpec;
     use emac_sim::{FaultSpec, Rate};
 
     fn argv(s: &str) -> Vec<String> {
